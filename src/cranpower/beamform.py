@@ -16,6 +16,17 @@ is componentwise non-decreasing and converges exactly when the target profile
 is achievable, so unbounded growth or a non-converged monotone run signals
 SINR infeasibility. Per-RRH caps are checked after the fact; a violated cap
 yields an InfeasibleCap verdict rather than a re-optimization.
+
+`solve_batch` solves many instances in lockstep and is the only
+implementation of the fixed point; `solve_beamforming` is a batch of one.
+Instances of one shape (active RRHs, served users) are stacked, so the
+linear algebra runs once per iteration for the whole stack, through
+stacked `np.linalg.solve` and matmul, instead of once per instance. Each
+instance keeps its own convergence, divergence and failure verdict and
+leaves the stack in the iteration that decides it. Stacking by shape,
+rather than zero-padding every instance to the full channel, keeps each
+instance's LAPACK and BLAS calls those of a solve on its own, so a batch
+reproduces single solves bit for bit.
 """
 
 from __future__ import annotations
@@ -158,89 +169,175 @@ def solve_beamforming(problem: BeamformingProblem,
     SolverFailure on fixed-point oscillation, which cannot happen for an
     exactly evaluated interference map.
     """
-    iota_all = problem.sinr_targets
-    served = np.flatnonzero(iota_all > 0)
-    na = len(problem.active_set)
-    n = len(iota_all)
+    result = solve_batch([problem], params)[0]
+    if isinstance(result, SolverFailure):
+        raise result
+    return result
 
-    if len(served) == 0:
-        return _empty_solution(problem, SolutionStatus.FEASIBLE)
 
-    # Conjugate once so every inner product below is g^H w == h^T w.
-    g = np.conj(problem.channel[:, served])  # (na, ns)
-    iota = iota_all[served]
-    ns = len(served)
-    noise = problem.noise_w
+def solve_batch(problems, params: SolverParams = SolverParams()) -> list:
+    """Solve many instances in lockstep.
 
-    gain_sq = np.real(np.sum(np.conj(g) * g, axis=0))
-    if np.any(gain_sq <= 0):
-        return _empty_solution(problem, SolutionStatus.INFEASIBLE_SINR)
+    Returns one entry per problem, in order: the BeamformingSolution that
+    `solve_beamforming` returns for it, or the SolverFailure it raises. A
+    failure ends only its own problem. Problems of one shape (active RRHs,
+    served users) share one fixed point on stacked arrays, in which each
+    problem sees the arithmetic of a solve on its own, so the results are
+    the same bits as solving one problem at a time.
+    """
+    results = [None] * len(problems)
+    groups = {}
+    for k, problem in enumerate(problems):
+        served = np.flatnonzero(problem.sinr_targets > 0)
+        if len(served) == 0:
+            results[k] = _empty_solution(problem, SolutionStatus.FEASIBLE)
+            continue
+        # Conjugate once so every inner product below is g^H w == h^T w.
+        g = np.conj(problem.channel[:, served])  # (na, ns)
+        gain_sq = np.real(np.sum(np.conj(g) * g, axis=0))
+        if np.any(gain_sq <= 0):
+            results[k] = _empty_solution(problem, SolutionStatus.INFEASIBLE_SINR)
+            continue
+        groups.setdefault(g.shape, []).append((k, served, g))
+    for members in groups.values():
+        solved = _solve_group([problems[k] for k, _, _ in members],
+                              [served for _, served, _ in members],
+                              np.array([g for _, _, g in members]), params)
+        for (k, _, _), result in zip(members, solved):
+            results[k] = result
+    return results
 
-    cap_total = float(np.sum(problem.per_rrh_cap_w))
-    q_limit = _DIVERGENCE_FACTOR * cap_total if np.isfinite(cap_total) else np.inf
 
-    q = np.zeros(ns)
-    eye = np.eye(na)
-    residual = np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, params.max_iterations + 1):
-        cov = noise * eye + (g * q) @ g.conj().T
-        solved = np.linalg.solve(cov, g)  # cov^{-1} g, columnwise
-        a = np.real(np.sum(np.conj(g) * solved, axis=0))
+def _solve_group(problems, served, g, params):
+    """Results of problems of one shape, given their served users and their
+    conjugated served channel columns stacked as `g` (B, na, ns)."""
+    count, na, ns = g.shape
+    results = [None] * count
+    iota = np.array([p.sinr_targets[users] for p, users in zip(problems, served)])
+    noise = np.array([[p.noise_w] for p in problems])
+    q_limit = np.empty((count, 1))
+    for row, problem in enumerate(problems):
+        cap_total = float(np.sum(problem.per_rrh_cap_w))
+        q_limit[row] = (_DIVERGENCE_FACTOR * cap_total if np.isfinite(cap_total)
+                        else np.inf)
+
+    # The stack holds the problems still iterating: row r of it is problem
+    # live[r] of the group. A problem leaves in the iteration that decides
+    # its verdict; a converged one leaves its q in q_fixed. Reductions call
+    # the ufuncs' reduce: the arithmetic of np.sum and np.max without their
+    # wrappers, which cost as much as the math on arrays this small.
+    live = np.arange(count)
+    q_fixed = np.empty((count, ns))
+    iterations = np.zeros(count, dtype=int)
+    residuals = np.zeros(count)
+    q = np.zeros((count, ns))
+    live_g, live_gc, live_iota, live_noise, live_limit = (
+        g, np.conj(g), iota, noise, q_limit)
+    live_noise_eye = noise[:, :, None] * np.eye(na)
+    for it in range(1, params.max_iterations + 1):
+        cov = (live_noise_eye
+               + (live_g * q[:, None, :]) @ live_gc.swapaxes(1, 2))
+        solved = np.linalg.solve(cov, live_g)  # cov^{-1} g, columnwise
+        a = np.add.reduce(live_gc * solved, axis=1).real
         # Sherman-Morrison: g_i^H S_i^{-1} g_i = a_i / (1 - q_i a_i).
         downdate = 1.0 - q * a
-        if np.any(downdate <= 0):
-            raise SolverFailure("interference downdate became non-positive")
-        q_next = iota * downdate / a
-        if np.any(q_next < q * (1.0 - _MONOTONE_SLACK) - noise * _MONOTONE_SLACK):
-            raise SolverFailure("fixed-point iterates oscillated")
-        residual = float(np.max(np.abs(q_next - q) / np.maximum(q_next, noise)))
+        q_next = live_iota * downdate / a
+        residual = np.maximum.reduce(
+            np.abs(q_next - q) / np.maximum(q_next, live_noise), axis=1)
+        broke = downdate <= 0
+        oscillated = (q_next < q * (1.0 - _MONOTONE_SLACK)
+                      - live_noise * _MONOTONE_SLACK)
+        diverged = q_next > live_limit
         q = q_next
-        if np.any(q > q_limit):
-            return _empty_solution(
-                problem, SolutionStatus.INFEASIBLE_SINR, iterations, residual)
-        if residual < params.tolerance:
-            converged = True
+        leaving = np.logical_or.reduce(broke | oscillated | diverged, axis=1)
+        leaving |= residual < params.tolerance
+        if not leaving.any():
+            continue
+        for row in np.flatnonzero(leaving):
+            pos = live[row]
+            iterations[pos] = it
+            residuals[pos] = residual[row]
+            # A breakdown first, then divergence, checked before the tolerance.
+            if broke[row].any():
+                results[pos] = SolverFailure(
+                    "interference downdate became non-positive")
+            elif oscillated[row].any():
+                results[pos] = SolverFailure("fixed-point iterates oscillated")
+            elif diverged[row].any():
+                results[pos] = _empty_solution(
+                    problems[pos], SolutionStatus.INFEASIBLE_SINR, it,
+                    float(residual[row]))
+            else:
+                q_fixed[pos] = q[row]
+        stay = ~leaving
+        live, q, residual = live[stay], q[stay], residual[stay]
+        if not len(live):
             break
+        live_g, live_gc, live_iota = live_g[stay], live_gc[stay], live_iota[stay]
+        live_noise, live_limit = live_noise[stay], live_limit[stay]
+        live_noise_eye = live_noise_eye[stay]
+    # Monotone all the way and still moving: the targets are unreachable.
+    for row, pos in enumerate(live):
+        results[pos] = _empty_solution(
+            problems[pos], SolutionStatus.INFEASIBLE_SINR, params.max_iterations,
+            float(residual[row]))
 
-    if not converged:
-        # Monotone all the way and still moving: the targets are unreachable.
-        return _empty_solution(
-            problem, SolutionStatus.INFEASIBLE_SINR, iterations, residual)
+    done = [pos for pos in range(count) if results[pos] is None]
+    if not done:
+        return results
+    # Whole-group views, not copies, when every problem converged.
+    picked = slice(None) if len(done) == count else done
+    weights, per_rrh, totals, negative = _downlink(
+        g[picked], iota[picked], noise[picked], q_fixed[picked],
+        [served[pos] for pos in done], len(problems[0].sinr_targets))
+    for row, pos in enumerate(done):
+        if negative[row]:
+            results[pos] = SolverFailure(
+                "negative downlink power at a converged fixed point")
+            continue
+        status = SolutionStatus.FEASIBLE
+        caps = problems[pos].per_rrh_cap_w
+        if np.any(per_rrh[row] > caps * (1.0 + 1e-9) + 1e-15):
+            status = SolutionStatus.INFEASIBLE_CAP
+        results[pos] = BeamformingSolution(
+            weights=weights[row],
+            total_tx_w=float(totals[row]),
+            per_rrh_tx_w=per_rrh[row],
+            status=status,
+            iterations=int(iterations[pos]),
+            residual=float(residuals[pos]),
+        )
+    return results
 
+
+def _downlink(g, iota, noise, q, served, num_users):
+    """Beamforming weights (B, na, num_users), per-RRH and total transmit
+    power, and a negative-power flag of converged problems of one shape,
+    from their fixed points `q` (B, ns)."""
+    ns = g.shape[2]
+    gh = np.conj(g).swapaxes(1, 2)
     # MMSE receive vectors at the fixed point give the beam directions
     # (the Sherman-Morrison rescaling leaves the direction unchanged).
-    cov = noise * eye + (g * q) @ g.conj().T
+    cov = noise[:, :, None] * np.eye(g.shape[1]) + (g * q[:, None, :]) @ gh
     directions = np.linalg.solve(cov, g)
-    directions = directions / np.linalg.norm(directions, axis=0, keepdims=True)
+    directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
 
     # Downlink power scalars from the exact per-user target equalities.
-    cross = np.abs(g.conj().T @ directions) ** 2  # cross[i, j] = |g_i^H w_j|^2
-    system = -iota[:, None] * cross
-    system[np.arange(ns), np.arange(ns)] = np.diag(cross)
+    cross = np.abs(gh @ directions) ** 2  # cross[b, i, j] = |g_i^H w_j|^2
+    system = -iota[:, :, None] * cross
+    diag = np.arange(ns)
+    system[:, diag, diag] = cross[:, diag, diag]
     rhs = iota * noise
-    powers = np.linalg.solve(system, rhs)
-    if np.any(powers < -1e-12 * np.max(np.abs(powers))):
-        raise SolverFailure("negative downlink power at a converged fixed point")
-    powers = np.maximum(powers, 0.0)
+    powers = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    negative = np.any(
+        powers < -1e-12 * np.max(np.abs(powers), axis=1, keepdims=True), axis=1)
+    beams = directions * np.sqrt(np.maximum(powers, 0.0))[:, None, :]
 
-    weights = np.zeros((na, n), dtype=complex)
-    weights[:, served] = directions * np.sqrt(powers)
-    per_rrh = np.sum(np.abs(weights) ** 2, axis=1)
-    total = float(np.sum(per_rrh))
-
-    status = SolutionStatus.FEASIBLE
-    if np.any(per_rrh > problem.per_rrh_cap_w * (1.0 + 1e-9) + 1e-15):
-        status = SolutionStatus.INFEASIBLE_CAP
-    return BeamformingSolution(
-        weights=weights,
-        total_tx_w=total,
-        per_rrh_tx_w=per_rrh,
-        status=status,
-        iterations=iterations,
-        residual=residual,
-    )
+    weights = np.zeros(g.shape[:2] + (num_users,), dtype=complex)
+    for row, users in enumerate(served):
+        weights[row][:, users] = beams[row]
+    per_rrh = np.sum(np.abs(weights) ** 2, axis=2)
+    return weights, per_rrh, np.sum(per_rrh, axis=1), negative
 
 
 @dataclass(frozen=True)

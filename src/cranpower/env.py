@@ -19,8 +19,10 @@ import numpy as np
 from . import gbdt
 from .beamform import (
     BeamformingProblem,
+    SolverFailure,
     SolverParams,
     sinr_targets,
+    solve_batch,
     solve_beamforming,
 )
 from .netmodel import (
@@ -61,6 +63,13 @@ def encode_state(state: SystemState, config: NetworkConfig) -> np.ndarray:
                            state.demands_mbps / scale])
 
 
+# States `ExactSolverReward.transmit_powers` solves in one batch. A batch
+# keeps about 3 KB a state alive until it ends. On the default cell,
+# labelling 500 states in batches of 256 took 9% longer than in one batch,
+# while batches of 512 and of 1000 took the same time.
+SOLVE_CHUNK = 512
+
+
 class ExactSolverReward:
     """Transmit power from the exact beamforming solver."""
 
@@ -70,17 +79,43 @@ class ExactSolverReward:
         self.channel = channel
         self.solver_params = solver_params
 
-    def transmit_power(self, pattern, demands_mbps):
-        """Returns (minimal transmit power in W, feasible flag)."""
+    def _problem(self, pattern, demands_mbps):
+        """The solver instance of one state, or the state's (power, feasible)
+        answer when no RRH is active."""
         iota, _ = sinr_targets(demands_mbps, self.config)
         if not np.any(pattern):
-            return (0.0, True) if not np.any(iota > 0) else (0.0, False)
-        problem = BeamformingProblem.from_state(self.channel, pattern, iota,
-                                                self.config)
-        solution = solve_beamforming(problem, self.solver_params)
-        if not solution.feasible:
-            return 0.0, False
-        return solution.total_tx_w, True
+            return 0.0, not np.any(iota > 0)
+        return BeamformingProblem.from_state(self.channel, pattern, iota,
+                                             self.config)
+
+    def transmit_power(self, pattern, demands_mbps):
+        """Returns (minimal transmit power in W, feasible flag)."""
+        problem = self._problem(pattern, demands_mbps)
+        if isinstance(problem, tuple):
+            return problem
+        return _answer(solve_beamforming(problem, self.solver_params))
+
+    def transmit_powers(self, patterns, demands_mbps) -> list:
+        """Batch form of `transmit_power`, solved in lockstep: one entry per
+        state, its (power, feasible) pair or the SolverFailure solving it
+        raised."""
+        answers = []
+        for start in range(0, len(patterns), SOLVE_CHUNK):
+            chunk = [self._problem(p, d) for p, d in zip(
+                patterns[start:start + SOLVE_CHUNK],
+                demands_mbps[start:start + SOLVE_CHUNK])]
+            posed = [k for k, answer in enumerate(chunk)
+                     if isinstance(answer, BeamformingProblem)]
+            solved = solve_batch([chunk[k] for k in posed], self.solver_params)
+            for k, solution in zip(posed, solved):
+                chunk[k] = (solution if isinstance(solution, SolverFailure)
+                            else _answer(solution))
+            answers += chunk
+        return answers
+
+
+def _answer(solution):
+    return (solution.total_tx_w, True) if solution.feasible else (0.0, False)
 
 
 class SurrogateReward:

@@ -283,11 +283,12 @@ def predict(model: GbdtModel, feature_vector) -> float:
     for _ in range(depth):
         go_left = x.take(feat.take(ptr)) <= thr.take(ptr)
         ptr = np.where(go_left, lft.take(ptr), rgt.take(ptr))
-    acc = float(model.initial_prediction)
-    sl = model.step_length
-    for contribution in val.take(ptr).tolist():
-        acc += sl * contribution
-    return acc
+    # f0, sl * v_1, sl * v_2, ... summed left to right: add.accumulate never
+    # reorders, so this is the training-time partial sum.
+    terms = np.empty(len(ptr) + 1)
+    terms[0] = model.initial_prediction
+    np.multiply(val.take(ptr), model.step_length, out=terms[1:])
+    return float(np.add.accumulate(terms)[-1])
 
 
 def predict_batch(model: GbdtModel, features: np.ndarray) -> np.ndarray:

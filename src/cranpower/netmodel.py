@@ -23,6 +23,30 @@ class ConfigError(ValueError):
         super().__init__(f"config key '{key}': {message}")
 
 
+def config_value(key, val, kind):
+    """A config value read from JSON as `kind`: bool, str, int, float, dict
+    for a section, or tuple for a list of ints.
+
+    Numbers must be JSON numbers, not strings or booleans. An int field
+    takes a float only when it is integral, and a float field takes an int.
+    """
+    if kind is tuple:
+        if not isinstance(val, (list, tuple)):
+            raise ConfigError(key, f"must be a list, got {val!r}")
+        return tuple(config_value(f"{key}[{i}]", v, int) for i, v in enumerate(val))
+    if kind in (bool, str, dict):
+        if not isinstance(val, kind):
+            raise ConfigError(key, f"must be a {kind.__name__}, got {val!r}")
+        return val
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ConfigError(key, f"must be a number, got {val!r}")
+    if kind is int:
+        if isinstance(val, float) and not val.is_integer():
+            raise ConfigError(key, f"must be an integer, got {val!r}")
+        return int(val)
+    return float(val)
+
+
 def dbm_to_w(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
@@ -69,15 +93,15 @@ class NetworkConfig:
         Accepts either `noise_power_w` or `noise_power_dbm` (converted);
         unknown keys are rejected so typos surface immediately.
         """
-        known = set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
         values = {}
         for key, val in raw.items():
             if key == "noise_power_dbm":
                 if "noise_power_w" in raw:
                     raise ConfigError(key, "give noise as dBm or W, not both")
-                values["noise_power_w"] = dbm_to_w(float(val))
-            elif key in known:
-                values[key] = type(cls.__dataclass_fields__[key].default)(val)
+                values["noise_power_w"] = dbm_to_w(config_value(key, val, float))
+            elif key in fields:
+                values[key] = config_value(key, val, type(fields[key].default))
             else:
                 raise ConfigError(key, "unknown key")
         return cls(**values)

@@ -34,6 +34,7 @@ from .dqn import (
     train_step,
 )
 from .env import (
+    SOLVE_CHUNK,
     Environment,
     ExactSolverReward,
     SurrogateReward,
@@ -44,6 +45,7 @@ from .netmodel import (
     ChannelRealization,
     ConfigError,
     NetworkConfig,
+    config_value,
     sample_channel,
     sample_demands,
 )
@@ -123,23 +125,20 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        sections = {"gbdt": gbdt.GbdtParams, "dqn": DqnParams,
+                    "solver": SolverParams, "seeds": Seeds}
         values = {}
-        for key, val in raw.items():
-            if key not in known:
+        for key, val in config_value("(top level)", raw, dict).items():
+            if key not in fields:
                 raise ConfigError(key, "unknown key")
             if key == "network":
-                values[key] = NetworkConfig.from_dict(val)
-            elif key == "gbdt":
-                values[key] = _params_from_dict(gbdt.GbdtParams, val, "gbdt")
-            elif key == "dqn":
-                values[key] = _params_from_dict(DqnParams, val, "dqn")
-            elif key == "solver":
-                values[key] = _params_from_dict(SolverParams, val, "solver")
-            elif key == "seeds":
-                values[key] = _params_from_dict(Seeds, val, "seeds")
+                values[key] = NetworkConfig.from_dict(config_value(key, val, dict))
+            elif key in sections:
+                values[key] = _params_from_dict(
+                    sections[key], config_value(key, val, dict), key)
             else:
-                values[key] = val
+                values[key] = config_value(key, val, type(fields[key].default))
         return cls(**values)
 
     @classmethod
@@ -149,12 +148,15 @@ class RunConfig:
 
 
 def _params_from_dict(cls, raw, section):
-    known = set(cls.__dataclass_fields__)
-    for key in raw:
-        if key not in known:
+    fields = cls.__dataclass_fields__
+    values = {}
+    for key, val in raw.items():
+        if key not in fields:
             raise ConfigError(f"{section}.{key}", "unknown key")
+        values[key] = config_value(f"{section}.{key}", val,
+                                   type(fields[key].default))
     try:
-        return cls(**raw)
+        return cls(**values)
     except ValueError as err:
         raise ConfigError(section, str(err)) from err
 
@@ -238,18 +240,25 @@ def gen_dataset(config: RunConfig, count: int | None = None,
     failures = 0
     row = 0
     while row < count:
-        pattern = _sample_pattern(m, pattern_mode, rng)
-        demands = sample_demands(network, rng)
-        try:
-            tx, ok = source.transmit_power(pattern, demands)
-        except SolverFailure:
-            failures += 1
-            continue
-        features[row, :m] = pattern
-        features[row, m:] = demands
-        tx_power[row] = tx if ok else np.nan
-        feasible[row] = ok
-        row += 1
+        # Draw the shortfall, a chunk at most, in stream order and label it
+        # in one batch. A failed draw is skipped and made up by a later
+        # round, so the rows are those of skipping it and drawing again one
+        # state at a time.
+        states = [(_sample_pattern(m, pattern_mode, rng),
+                   sample_demands(network, rng))
+                  for _ in range(min(count - row, SOLVE_CHUNK))]
+        answers = source.transmit_powers([p for p, _ in states],
+                                         [d for _, d in states])
+        for (pattern, demands), answer in zip(states, answers):
+            if isinstance(answer, SolverFailure):
+                failures += 1
+                continue
+            tx, ok = answer
+            features[row, :m] = pattern
+            features[row, m:] = demands
+            tx_power[row] = tx if ok else np.nan
+            feasible[row] = ok
+            row += 1
     return DatasetRows(features=features, tx_power_w=tx_power,
                        feasible=feasible, solver_failures=failures)
 
@@ -581,8 +590,6 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     pick_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_OC_PICK])
 
     source = _reward_source_for(scheme, config, channel, artifacts)
-    truth = (source if isinstance(source, ExactSolverReward)
-             else ExactSolverReward(network, channel, config.solver))
     env = Environment(network, channel, source, env_rng, episode_length=None)
     state = env.reset(_initial_pattern(config, pick_rng))
 
@@ -595,7 +602,7 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     p_ub = p_upper_bound(network)
     all_on = np.ones(m, dtype=bool)
 
-    instants, actions, feasibles, trajectory = [], [], [], []
+    instants, actions, feasibles, trajectory, realized = [], [], [], [], []
     for slot in range(slots):
         features = encode_state(state, network)
         action = select_action(net, features, 0.0, tune_rng)
@@ -603,21 +610,10 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
         result = env.step(action)
         next_pattern = result.next_state.rrh_active
 
-        if scheme == SCHEME_DQN_GBDT:
-            true_tx, true_ok = truth.transmit_power(next_pattern, demands_served)
-            served = result.feasible and true_ok
-            if served:
-                instant = (result.power.state_w + result.power.transition_w
-                           + true_tx / network.amplifier_efficiency)
-            else:
-                instant = p_ub
-        else:
-            served = result.feasible
-            instant = result.power.total_w if served else p_ub
-
-        instants.append(instant)
+        instants.append(result.power.total_w if result.feasible else p_ub)
         actions.append(action)
-        feasibles.append(served)
+        feasibles.append(result.feasible)
+        realized.append((next_pattern, demands_served, result.power))
         trajectory.append(
             (slot, action, "".join("1" if b else "0" for b in next_pattern))
             + tuple(demands_served)
@@ -639,6 +635,21 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
             # waking everything up, without consuming extra demand draws.
             env.force_pattern(all_on)
         state = env.current
+
+    if scheme == SCHEME_DQN_GBDT:
+        # The ground truth never feeds back into control, so every slot is
+        # re-solved in one batch after the run.
+        truth = ExactSolverReward(network, channel, config.solver)
+        answers = truth.transmit_powers([p for p, _, _ in realized],
+                                        [d for _, d, _ in realized])
+        for slot, ((_, _, power), answer) in enumerate(zip(realized, answers)):
+            if isinstance(answer, SolverFailure):
+                raise answer
+            true_tx, true_ok = answer
+            feasibles[slot] = feasibles[slot] and true_ok
+            instants[slot] = (power.state_w + power.transition_w
+                              + true_tx / network.amplifier_efficiency
+                              if feasibles[slot] else p_ub)
     return _finalize_report(scheme, instants, actions, feasibles, trajectory,
                             t_start)
 

@@ -31,6 +31,8 @@ TINY_CONFIG = ROOT / "configs" / "tiny.json"
 
 NOISE_W = 10.0 ** -13.2
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(num, name, ok, detail):
     status = "PASS" if ok else "FAIL"

@@ -2,16 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cranpower import beamform, env
 from cranpower.beamform import (
     BeamformingProblem,
+    BeamformingSolution,
     SolutionStatus,
+    SolverFailure,
     SolverParams,
     sinr_targets,
+    solve_batch,
     solve_beamforming,
     verify_solution,
 )
-from cranpower.netmodel import NetworkConfig, sample_channel
+from cranpower.env import ExactSolverReward
+from cranpower.netmodel import ChannelRealization, NetworkConfig, sample_channel
 
 
 def random_channel(num_rrhs, num_users, seed):
@@ -207,3 +214,165 @@ class TestConvergenceBehaviour:
         sol = solve_beamforming(make_problem(ch.gains, [3.0, 3.0]),
                                 SolverParams(max_iterations=2))
         assert sol.status is SolutionStatus.INFEASIBLE_SINR
+
+
+def reference_solve(problem, params=SolverParams()):
+    """The solver as a loop over one problem, kept as the reference that the
+    batched fixed point must reproduce bit for bit."""
+    iota_all = problem.sinr_targets
+    served = np.flatnonzero(iota_all > 0)
+    na = len(problem.active_set)
+    n = len(iota_all)
+    if len(served) == 0:
+        return beamform._empty_solution(problem, SolutionStatus.FEASIBLE)
+    g = np.conj(problem.channel[:, served])
+    iota = iota_all[served]
+    ns = len(served)
+    noise = problem.noise_w
+    gain_sq = np.real(np.sum(np.conj(g) * g, axis=0))
+    if np.any(gain_sq <= 0):
+        return beamform._empty_solution(problem, SolutionStatus.INFEASIBLE_SINR)
+    cap_total = float(np.sum(problem.per_rrh_cap_w))
+    q_limit = (beamform._DIVERGENCE_FACTOR * cap_total if np.isfinite(cap_total)
+               else np.inf)
+    slack = beamform._MONOTONE_SLACK
+    q = np.zeros(ns)
+    eye = np.eye(na)
+    residual = np.inf
+    converged = False
+    iterations = 0
+    for iterations in range(1, params.max_iterations + 1):
+        cov = noise * eye + (g * q) @ g.conj().T
+        solved = np.linalg.solve(cov, g)
+        a = np.real(np.sum(np.conj(g) * solved, axis=0))
+        downdate = 1.0 - q * a
+        if np.any(downdate <= 0):
+            raise SolverFailure("interference downdate became non-positive")
+        q_next = iota * downdate / a
+        if np.any(q_next < q * (1.0 - slack) - noise * slack):
+            raise SolverFailure("fixed-point iterates oscillated")
+        residual = float(np.max(np.abs(q_next - q) / np.maximum(q_next, noise)))
+        q = q_next
+        if np.any(q > q_limit):
+            return beamform._empty_solution(
+                problem, SolutionStatus.INFEASIBLE_SINR, iterations, residual)
+        if residual < params.tolerance:
+            converged = True
+            break
+    if not converged:
+        return beamform._empty_solution(
+            problem, SolutionStatus.INFEASIBLE_SINR, iterations, residual)
+    cov = noise * eye + (g * q) @ g.conj().T
+    directions = np.linalg.solve(cov, g)
+    directions = directions / np.linalg.norm(directions, axis=0, keepdims=True)
+    cross = np.abs(g.conj().T @ directions) ** 2
+    system = -iota[:, None] * cross
+    system[np.arange(ns), np.arange(ns)] = np.diag(cross)
+    powers = np.linalg.solve(system, iota * noise)
+    if np.any(powers < -1e-12 * np.max(np.abs(powers))):
+        raise SolverFailure("negative downlink power at a converged fixed point")
+    powers = np.maximum(powers, 0.0)
+    weights = np.zeros((na, n), dtype=complex)
+    weights[:, served] = directions * np.sqrt(powers)
+    per_rrh = np.sum(np.abs(weights) ** 2, axis=1)
+    status = SolutionStatus.FEASIBLE
+    if np.any(per_rrh > problem.per_rrh_cap_w * (1.0 + 1e-9) + 1e-15):
+        status = SolutionStatus.INFEASIBLE_CAP
+    return BeamformingSolution(weights=weights, total_tx_w=float(np.sum(per_rrh)),
+                               per_rrh_tx_w=per_rrh, status=status,
+                               iterations=iterations, residual=residual)
+
+
+def reference_result(problem, params=SolverParams()):
+    try:
+        return reference_solve(problem, params)
+    except SolverFailure as err:
+        return err
+
+
+def assert_same_result(got, want):
+    if isinstance(want, SolverFailure):
+        assert isinstance(got, SolverFailure) and str(got) == str(want)
+        return
+    assert isinstance(got, BeamformingSolution)
+    assert got.status is want.status
+    assert got.iterations == want.iterations
+    assert got.residual == want.residual
+    assert got.total_tx_w == want.total_tx_w
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.per_rrh_tx_w, want.per_rrh_tx_w)
+
+
+@st.composite
+def problem_batches(draw):
+    """A random cell and a batch of its states: mixed active sets, some users
+    demanding nothing, now and then an empty pattern or a user out of reach."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    config = NetworkConfig(num_rrhs=m, num_users=n)
+    gains = sample_channel(config, np.random.default_rng(
+        draw(st.integers(0, 2 ** 32 - 1)))).gains
+    if draw(st.booleans()) and n > 1:
+        gains[:, draw(st.integers(0, n - 1))] = 0.0
+    channel = ChannelRealization(gains=gains)
+    problems = []
+    for _ in range(draw(st.integers(1, 12))):
+        bits = draw(st.integers(0, 2 ** m - 1))
+        pattern = np.array([(bits >> i) & 1 for i in range(m)], dtype=bool)
+        demands = np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(5.0, 40.0)), min_size=n, max_size=n)))
+        if not pattern.any():
+            demands[:] = 0.0
+        iota, _ = sinr_targets(demands, config)
+        problems.append(BeamformingProblem.from_state(channel, pattern, iota, config))
+    return problems
+
+
+class TestSolveBatch:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(problems=problem_batches(), max_iterations=st.sampled_from([3, 500]))
+    def test_matches_solving_each_alone(self, problems, max_iterations):
+        params = SolverParams(max_iterations=max_iterations)
+        batch = solve_batch(problems, params)
+        assert len(batch) == len(problems)
+        for problem, got in zip(problems, batch):
+            want = reference_result(problem, params)
+            assert_same_result(got, want)
+            assert_same_result(solve_batch([problem], params)[0], want)
+
+    def test_failure_ends_only_its_problem(self, monkeypatch):
+        config = NetworkConfig(num_rrhs=4, num_users=2)
+        channel = sample_channel(config, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        problems = [BeamformingProblem.from_state(
+            channel, np.ones(4, dtype=bool),
+            sinr_targets(rng.uniform(20.0, 40.0, 2), config)[0], config)
+            for _ in range(5)]
+        # Negative noise turns the first iterate negative: the fixed point
+        # reports oscillation at once.
+        monkeypatch.setattr(problems[2], "noise_w", -problems[2].noise_w)
+        batch = solve_batch(problems)
+        assert isinstance(batch[2], SolverFailure)
+        assert "oscillated" in str(batch[2])
+        for k in (0, 1, 3, 4):
+            assert batch[k].feasible
+            assert_same_result(batch[k], reference_result(problems[k]))
+        with pytest.raises(SolverFailure, match="oscillated"):
+            solve_beamforming(problems[2])
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_exact_reward_batch_matches_single_states(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(env, "SOLVE_CHUNK", chunk)
+        config = NetworkConfig(num_rrhs=3, num_users=2)
+        channel = sample_channel(config, np.random.default_rng(8))
+        source = ExactSolverReward(config, channel)
+        rng = np.random.default_rng(9)
+        patterns = [np.zeros(3, dtype=bool)] + [rng.random(3) < 0.6 for _ in range(20)]
+        demands = [rng.uniform(0.0, 40.0, 2) for _ in patterns]
+        demands[0] = np.zeros(2)
+        patterns.append(np.zeros(3, dtype=bool))
+        demands.append(np.array([0.0, 10.0]))
+        batch = source.transmit_powers(patterns, demands)
+        assert batch[0] == (0.0, True) and batch[-1] == (0.0, False)
+        assert batch == [source.transmit_power(p, d) for p, d in zip(patterns, demands)]

@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -7,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cranpower import gbdt, pipeline
+from cranpower import cli, env, gbdt, pipeline
+from cranpower.beamform import BeamformingProblem, SolverFailure
 from cranpower.env import ExactSolverReward
-from cranpower.netmodel import ConfigError, NetworkConfig
+from cranpower.netmodel import ConfigError, NetworkConfig, sample_demands
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 
@@ -99,6 +101,59 @@ class TestGenDataset:
         assert np.array_equal(loaded.features, rows.features)
         assert np.array_equal(loaded.tx_power_w, rows.tx_power_w, equal_nan=True)
         assert np.array_equal(loaded.feasible, rows.feasible)
+
+
+def per_row_dataset(config, count):
+    """Rows of `gen_dataset` as a loop over single states that skips a state
+    the solver fails on and draws another: the reference for its order."""
+    network = config.network
+    source = ExactSolverReward(network, pipeline.make_channel(config), config.solver)
+    rng = np.random.default_rng([config.seeds.data, pipeline._STREAM_DATASET])
+    m = network.num_rrhs
+    rows, failures = [], 0
+    while len(rows) < count:
+        pattern = pipeline._sample_pattern(m, pipeline.PATTERN_RANDOM, rng)
+        demands = sample_demands(network, rng)
+        try:
+            tx, ok = source.transmit_power(pattern, demands)
+        except SolverFailure:
+            failures += 1
+            continue
+        rows.append((np.concatenate([pattern, demands]), tx if ok else np.nan, ok))
+    return rows, failures
+
+
+class TestGenDatasetRedraw:
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_failed_draws_are_redrawn_in_stream_order(self, tiny_run_config,
+                                                      monkeypatch, chunk):
+        # Draws 1, 2, 7, 30 and 31 fail among the first 40, and draw 41 fails
+        # again among their replacements. A small chunk splits the draws
+        # into many rounds and batches.
+        if chunk is not None:
+            monkeypatch.setattr(pipeline, "SOLVE_CHUNK", chunk)
+            monkeypatch.setattr(env, "SOLVE_CHUNK", chunk)
+        failing = {1, 2, 7, 30, 31, 41}
+        calls = itertools.count()
+        from_state = BeamformingProblem.from_state
+
+        def failing_from_state(*args):
+            problem = from_state(*args)
+            if next(calls) in failing:
+                # Negative noise makes the fixed point oscillate at once.
+                problem.noise_w = -problem.noise_w
+            return problem
+
+        monkeypatch.setattr(BeamformingProblem, "from_state", failing_from_state)
+        rows = pipeline.gen_dataset(tiny_run_config, count=40)
+        assert next(calls) == 40 + len(failing)
+        calls = itertools.count()
+        reference, failures = per_row_dataset(tiny_run_config, 40)
+        assert rows.solver_failures == failures == len(failing)
+        assert np.array_equal(rows.features, np.array([r[0] for r in reference]))
+        assert np.array_equal(rows.tx_power_w, np.array([r[1] for r in reference]),
+                              equal_nan=True)
+        assert np.array_equal(rows.feasible, np.array([r[2] for r in reference]))
 
 
 class TestTrainOffline:
@@ -270,3 +325,60 @@ class TestCliExitCodes:
                          "--out", str(tmp_path), "--count", "10")
         assert proc.returncode == 0
         assert (tmp_path / "dataset.csv").exists()
+
+
+def _tiny_variant(tmp_path, section, key, value):
+    raw = json.loads(TINY.read_text())
+    (raw.setdefault(section, {}) if section else raw)[key] = value
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+class TestStrictConfig:
+    @pytest.mark.parametrize("section, key, value", [
+        ("network", "num_rrhs", 2.9),
+        ("network", "num_users", True),
+        ("network", "max_tx_power_w", "1.0"),
+        ("network", "noise_power_dbm", False),
+        (None, "dataset_size", "100"),
+        (None, "eval_slots", 40.5),
+        (None, "online_tuning", 1),
+        (None, "scheme", 3),
+        ("gbdt", "num_rounds", 60.5),
+        ("dqn", "hidden_sizes", [32, True]),
+        ("dqn", "hidden_sizes", 32),
+        ("seeds", "data", "5"),
+        ("solver", "tolerance", True),
+    ])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value):
+        path = _tiny_variant(tmp_path, section, key, value)
+        code = cli.main(["gen-data", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--count", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"network": 8}', "network"),
+        ('{"dqn": [0.9]}', "dqn"),
+        ("[1, 2]", "top level"),
+    ])
+    def test_section_must_be_a_mapping(self, tmp_path, capsys, text, key):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert cli.main(["gen-data", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize("key, value, loaded", [
+        ("max_tx_power_w", 1, 1.0),
+        ("num_rrhs", 2.0, 2),
+    ])
+    def test_json_numbers_convert(self, tmp_path, key, value, loaded):
+        path = _tiny_variant(tmp_path, "network", key, value)
+        got = getattr(pipeline.RunConfig.from_file(path).network, key)
+        assert got == loaded and type(got) is type(loaded)
+        assert cli.main(["gen-data", "--config", str(path), "--out",
+                         str(tmp_path / "out"), "--count", "5"]) == 0
