@@ -6,12 +6,14 @@ Run:  python3 demos/03_gbdt_surrogate.py
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 
 from cranpower import gbdt, pipeline
 
-config = pipeline.RunConfig.from_file("configs/tiny.json")
+TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
+config = pipeline.RunConfig.from_file(TINY)
 config.dataset_size = 1500
 
 print("=== Labelling random states with the exact solver ===")
@@ -42,20 +44,8 @@ for i in range(5):
     print(f"  truth {hold.targets[i]:.5f}  predicted "
           f"{gbdt.predict(model, x):.5f}")
 
-print("\n=== Componentwise mode picks the informative feature ===")
-rng = np.random.default_rng(1)
-x = rng.normal(size=(400, 4))
-y = np.where(x[:, 2] > 0.0, 1.0, -1.0)
-cw = gbdt.train(gbdt.RegressionDataset(x, y),
-                gbdt.GbdtParams(num_rounds=30, min_samples_leaf=1,
-                                learner_mode=gbdt.COMPONENTWISE_STUMPS))
-chosen = [int(t.split_feature[0]) for t in cw.trees if t.split_feature[0] >= 0]
-print(f"feature 2 drives the target; stumps picked it in "
-      f"{np.mean([c == 2 for c in chosen]):.0%} of rounds")
-
 print("\n=== Speed: surrogate vs solver ===")
 from cranpower.env import ExactSolverReward
-from cranpower.netmodel import sample_demands
 
 channel = pipeline.make_channel(config)
 solver = ExactSolverReward(config.network, channel, config.solver)

@@ -4,13 +4,16 @@ greedy policy act.
 Run:  python3 demos/04_dqn_training.py
 """
 
+from pathlib import Path
+
 import numpy as np
 
 from cranpower import pipeline
 from cranpower.dqn import select_action
 from cranpower.env import Environment, ExactSolverReward, encode_state
 
-config = pipeline.RunConfig.from_file("configs/tiny.json")
+TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
+config = pipeline.RunConfig.from_file(TINY)
 config.offline_episodes = 150
 
 print("=== Offline pre-training (exact-solver rewards) ===")

@@ -6,10 +6,12 @@ Run:  python3 demos/05_full_pipeline.py
 """
 
 import time
+from pathlib import Path
 
 from cranpower import pipeline
 
-config = pipeline.RunConfig.from_file("configs/tiny.json")
+TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
+config = pipeline.RunConfig.from_file(TINY)
 config.offline_episodes = 150
 slots = 300
 

@@ -99,8 +99,21 @@ def _artifacts_dir(args):
     return Path(args.artifacts) if getattr(args, "artifacts", None) else Path(args.out)
 
 
-def _sweep_values(raw):
-    return [float(v) for v in raw.split(",") if v.strip()]
+def _write_run(args, config, out, report, artifacts, prefix, tag):
+    """A run's report and trajectory files, its summary line, and the
+    --demand-max-sweep file when the flag is given."""
+    slots = len(report.instant_w)
+    report.to_csv(out / f"{prefix}_{tag}.csv")
+    report.trajectory_to_csv(out / f"trajectory_{tag}.csv",
+                             config.network.num_users)
+    print(f"{report.scheme}: average power {report.average_power_w!r} W over "
+          f"{slots} slots, {report.infeasible_count} infeasible")
+    if args.demand_max_sweep:
+        dmaxes = [float(v) for v in args.demand_max_sweep.split(",") if v.strip()]
+        rows = pipeline.demand_sweep(config, artifacts, slots, dmaxes, report.scheme)
+        pipeline._write_csv(out / f"sweep_{tag}.csv",
+                            ["demand_max_mbps", "scheme", "average_power_w",
+                             "infeasible_count"], rows)
 
 
 def _cmd_gen_data(args, config, out):
@@ -132,38 +145,16 @@ def _cmd_evaluate(args, config, out):
     report = pipeline.run_online(config, artifacts, slots, scheme=scheme,
                                  tuning=tuning)
     tag = scheme.lower().replace("-", "_")
-    report.to_csv(out / f"eval_{tag}.csv")
-    report.trajectory_to_csv(out / f"trajectory_{tag}.csv",
-                             config.network.num_users)
     with open(out / f"eval_{tag}_timing.json", "w") as f:
         json.dump(report.timing, f, indent=2, sort_keys=True)
         f.write("\n")
-    print(f"{scheme}: average power {report.average_power_w!r} W over "
-          f"{slots} slots, {report.infeasible_count} infeasible")
-    if args.demand_max_sweep:
-        rows = pipeline.demand_sweep(config, artifacts, slots,
-                                     _sweep_values(args.demand_max_sweep), scheme)
-        pipeline._write_csv(out / f"sweep_{tag}.csv",
-                            ["demand_max_mbps", "scheme", "average_power_w",
-                             "infeasible_count"], rows)
+    _write_run(args, config, out, report, artifacts, "eval", tag)
 
 
 def _cmd_baseline(args, config, out):
     slots = args.slots if args.slots is not None else config.eval_slots
     report = pipeline.run_baseline(config, args.scheme, slots)
-    tag = args.scheme.lower()
-    report.to_csv(out / f"baseline_{tag}.csv")
-    report.trajectory_to_csv(out / f"trajectory_{tag}.csv",
-                             config.network.num_users)
-    print(f"{args.scheme}: average power {report.average_power_w!r} W over "
-          f"{slots} slots, {report.infeasible_count} infeasible")
-    if args.demand_max_sweep:
-        rows = pipeline.demand_sweep(config, None, slots,
-                                     _sweep_values(args.demand_max_sweep),
-                                     args.scheme)
-        pipeline._write_csv(out / f"sweep_{tag}.csv",
-                            ["demand_max_mbps", "scheme", "average_power_w",
-                             "infeasible_count"], rows)
+    _write_run(args, config, out, report, None, "baseline", args.scheme.lower())
 
 
 def _cmd_bench(args, config, out):

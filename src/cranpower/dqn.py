@@ -27,7 +27,6 @@ class DqnParams:
     epsilon_end: float = 0.05
     epsilon_decay_steps: int = 20_000
     learning_rate: float = 1e-3
-    momentum: float = 0.0
     batch_size: int = 64
     target_sync_interval: int = 200
     train_interval: int = 4
@@ -45,6 +44,11 @@ class DqnParams:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
+        for name in ("target_sync_interval", "train_interval", "episode_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if any(width < 1 for width in self.hidden_sizes):
+            raise ValueError("hidden_sizes must all be >= 1")
 
     def epsilon_at(self, step: int) -> float:
         """Linear decay from epsilon_start to epsilon_end over decay_steps."""
@@ -192,12 +196,9 @@ def backprop(net: QNetwork, states, actions, targets):
 
 
 def train_step(net: QNetwork, target_net: QNetwork, batch, gamma: float,
-               learning_rate: float, velocity=None, momentum: float = 0.0) -> float:
-    """One gradient-descent update on the Bellman targets of `batch`.
-
-    Returns the pre-update loss. Pass a `velocity` list of (dw, db) pairs to
-    enable classical momentum; plain descent is the default.
-    """
+               learning_rate: float) -> float:
+    """One gradient-descent update on the Bellman targets of `batch`;
+    returns the pre-update loss."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     states, actions, _, _, _ = _stack_batch(batch)
@@ -207,16 +208,8 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, gamma: float,
         raise FloatingPointError(
             f"non-finite training loss ({loss}); aborting before the update")
     for i in range(len(net.weights)):
-        dw, db = grads_w[i], grads_b[i]
-        if momentum > 0.0 and velocity is not None:
-            vw, vb = velocity[i]
-            vw *= momentum
-            vw += dw
-            vb *= momentum
-            vb += db
-            dw, db = vw, vb
-        net.weights[i] -= learning_rate * dw
-        net.biases[i] -= learning_rate * db
+        net.weights[i] -= learning_rate * grads_w[i]
+        net.biases[i] -= learning_rate * grads_b[i]
     return loss
 
 

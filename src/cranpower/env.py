@@ -4,7 +4,7 @@ One step: apply the chosen flip (or no-op) to the on/off pattern, obtain the
 minimal transmit power needed to serve the current demands (from the exact
 solver or the boosted-tree surrogate), account the full system power, emit
 the reward P_UB - P_total, and resample demands for the next slot. An
-unservable demand profile ends the episode with a large negative reward.
+unservable demand profile ends the episode with the reward -P_UB.
 
 Both reward sources share the exact standby/transition accounting; they can
 only differ in the transmit term.
@@ -120,19 +120,18 @@ def _answer(solution):
 
 class SurrogateReward:
     """Transmit power from the boosted-tree model; a companion model trained
-    on solver feasibility labels gates the infeasibility penalty."""
+    on solver feasibility labels (1 or 0) gates the infeasibility penalty at
+    a score of 0.5."""
 
-    def __init__(self, model: gbdt.GbdtModel, feasibility_model: gbdt.GbdtModel,
-                 threshold: float = 0.5):
+    def __init__(self, model: gbdt.GbdtModel, feasibility_model: gbdt.GbdtModel):
         self.model = model
         self.feasibility_model = feasibility_model
-        self.threshold = threshold
 
     def transmit_power(self, pattern, demands_mbps):
         features = np.concatenate([np.asarray(pattern, dtype=float),
                                    np.asarray(demands_mbps, dtype=float)])
         score = gbdt.predict(self.feasibility_model, features)
-        if score < self.threshold:
+        if score < 0.5:
             return 0.0, False
         # Leaf averages can dip below zero where targets do not support them.
         return max(0.0, gbdt.predict(self.model, features)), True
@@ -152,8 +151,7 @@ class Environment:
 
     def __init__(self, config: NetworkConfig, channel: ChannelRealization,
                  reward_source, rng: np.random.Generator,
-                 episode_length: int | None = None,
-                 infeasibility_penalty: float | None = None):
+                 episode_length: int | None = None):
         if channel.gains.shape != (config.num_rrhs, config.num_users):
             raise ValueError("channel dimensions do not match the config")
         self.config = config
@@ -162,9 +160,6 @@ class Environment:
         self.rng = rng
         self.episode_length = episode_length
         self.p_upper_bound_w = p_upper_bound(config)
-        self.infeasibility_penalty = (
-            -self.p_upper_bound_w if infeasibility_penalty is None
-            else infeasibility_penalty)
         self.slot_counter = 0
         self.current = None
 
@@ -201,21 +196,15 @@ class Environment:
         tx_w, feasible = self.reward_source.transmit_power(next_pattern, demands)
         state_w, transition_w = state_and_transition_power(
             prev_pattern, next_pattern, self.config)
-        if feasible:
-            transmit_w = tx_w / self.config.amplifier_efficiency
-            total_w = transmit_w + state_w + transition_w
-            reward = self.p_upper_bound_w - total_w
-        else:
-            transmit_w = 0.0
-            total_w = transmit_w + state_w + transition_w
-            reward = self.infeasibility_penalty
+        transmit_w = tx_w / self.config.amplifier_efficiency if feasible else 0.0
+        total_w = transmit_w + state_w + transition_w
+        reward = self.p_upper_bound_w - total_w if feasible else -self.p_upper_bound_w
         power = PowerBreakdown(transmit_w=transmit_w, state_w=state_w,
                                transition_w=transition_w, total_w=total_w)
 
         self.slot_counter += 1
-        terminal = not feasible
-        if self.episode_length is not None and self.slot_counter >= self.episode_length:
-            terminal = True
+        terminal = not feasible or (self.episode_length is not None
+                                    and self.slot_counter >= self.episode_length)
         next_state = SystemState(
             rrh_active=next_pattern,
             demands_mbps=sample_demands(self.config, self.rng))

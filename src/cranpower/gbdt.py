@@ -1,15 +1,22 @@
 """Gradient boosting over regression trees, written from scratch.
 
 The ensemble starts from the training-target mean and repeatedly fits a
-depth-limited CART regression tree to the current residuals (the negative
-gradient of the L2 loss), adding each tree with a small step length. An
-optional componentwise mode fits one single-split stump per feature each
-round and keeps only the stump that best matches the residuals.
+depth-limited CART regression tree to the current residuals y - f (the
+negative gradient of the L2 loss), adding each tree with a small step length.
+
+Prediction packs the forest into flat arrays whose leaves loop back to
+themselves, so one level-by-level walk serves a single row, a batch and the
+per-round update of training. It sums f0 + sl * v_1 + sl * v_2 + ... left to
+right, the order of training, so a prediction on a training row replays the
+training-time partial sums bit for bit.
 
 Determinism contract: models are pure functions of (dataset, params). Rows
 are canonicalized by a lexicographic sort before training so that permuting
 dataset rows cannot change a single bit of the result, and candidate splits
 are scanned in fixed (feature index, threshold) order.
+
+Model files (format version 2) hold f0, the params, the input width and each
+tree's flat arrays, with split_feature == -1 marking a leaf.
 """
 
 from __future__ import annotations
@@ -20,10 +27,13 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 MODEL_FORMAT = "cranpower-gbdt"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
-SINGLE_TREE = "single-tree"
-COMPONENTWISE_STUMPS = "componentwise-stumps"
+# Row x tree cells one walk step keeps alive: a batch is walked in blocks of
+# rows, so its transient memory does not grow with rows times trees. Of
+# 2^12 to 2^16 cells, 2^14 (128 KB an array) walked 4000 rows through a
+# 300-tree model fastest.
+WALK_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -33,9 +43,6 @@ class GbdtParams:
     min_samples_leaf: int = 5
     step_length: float = 0.1
     lambda_leaf: float = 0.0
-    learner_mode: str = SINGLE_TREE
-    subsample: float = 1.0
-    early_stop_tol: float = 0.0
 
     def __post_init__(self):
         if self.num_rounds < 1:
@@ -48,10 +55,6 @@ class GbdtParams:
             raise ValueError("max_depth must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if self.learner_mode not in (SINGLE_TREE, COMPONENTWISE_STUMPS):
-            raise ValueError(f"unknown learner_mode '{self.learner_mode}'")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
 
 
 @dataclass
@@ -89,31 +92,8 @@ class RegressionTree:
     value: np.ndarray
     max_depth: int
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        node = np.zeros(features.shape[0], dtype=np.int64)
-        for _ in range(self.max_depth + 1):
-            feat = self.split_feature[node]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            go_left = features[np.arange(features.shape[0]), np.maximum(feat, 0)] \
-                <= self.threshold[node]
-            node = np.where(internal, np.where(go_left, self.left[node],
-                                               self.right[node]), node)
-        return self.value[node]
-
     def num_nodes(self) -> int:
         return len(self.split_feature)
-
-
-def negative_gradient(targets: np.ndarray, predictions: np.ndarray) -> np.ndarray:
-    """Residuals y - f, the negative gradient of the L2 loss 0.5*(y-f)^2."""
-    targets = np.asarray(targets, dtype=float)
-    predictions = np.asarray(predictions, dtype=float)
-    if targets.shape != predictions.shape:
-        raise ValueError("targets and predictions must have equal length")
-    return targets - predictions
 
 
 def _best_split(col: np.ndarray, residuals: np.ndarray, min_leaf: int):
@@ -155,13 +135,12 @@ def _best_split(col: np.ndarray, residuals: np.ndarray, min_leaf: int):
     return float(sse[best]), threshold
 
 
-def fit_tree(features: np.ndarray, residuals: np.ndarray, params: GbdtParams,
-             feature_indices=None) -> RegressionTree:
+def fit_tree(features: np.ndarray, residuals: np.ndarray,
+             params: GbdtParams) -> RegressionTree:
     """Greedy top-down CART regression tree fit to the residuals.
 
     Leaf value is sum(residuals) / (count + lambda_leaf). Splitting stops at
-    max_depth, min_samples_leaf, or a zero-variance node. `feature_indices`
-    restricts the split search (used by the componentwise mode).
+    max_depth, min_samples_leaf, or a zero-variance node.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     residuals = np.asarray(residuals, dtype=float)
@@ -169,8 +148,6 @@ def fit_tree(features: np.ndarray, residuals: np.ndarray, params: GbdtParams,
         raise ValueError("cannot fit a tree to an empty dataset")
     if features.shape[0] != residuals.shape[0]:
         raise ValueError("row counts of features and residuals differ")
-    if feature_indices is None:
-        feature_indices = range(features.shape[1])
 
     split_feature, threshold, left, right, value = [], [], [], [], []
 
@@ -194,7 +171,7 @@ def fit_tree(features: np.ndarray, residuals: np.ndarray, params: GbdtParams,
         if np.ptp(res) == 0.0:
             continue
         best = None
-        for j in feature_indices:
+        for j in range(features.shape[1]):
             found = _best_split(features[rows, j], res, params.min_samples_leaf)
             if found is None:
                 continue
@@ -229,75 +206,105 @@ def fit_tree(features: np.ndarray, residuals: np.ndarray, params: GbdtParams,
 class GbdtModel:
     initial_prediction: float
     trees: list
-    step_length: float
-    lambda_leaf: float
     params: GbdtParams
     num_features: int = 0
     train_mse: list = field(default_factory=list, compare=False)
-    # Packed forest arrays, built lazily for fast single-row prediction.
+    # The packed forest, built on the first prediction.
     _packed: tuple = field(default=None, repr=False, compare=False)
 
     def _pack(self):
-        # Leaves become self-loops on feature 0 with threshold +inf, so the
-        # level-by-level walk below needs no leaf masking.
         if self._packed is None:
-            if self.trees:
-                offsets = np.cumsum([0] + [t.num_nodes() for t in self.trees[:-1]])
-                feat = np.concatenate([t.split_feature for t in self.trees])
-                thr = np.concatenate([t.threshold for t in self.trees])
-                lft = np.concatenate([t.left + o for t, o in zip(self.trees, offsets)])
-                rgt = np.concatenate([t.right + o for t, o in zip(self.trees, offsets)])
-                val = np.concatenate([t.value for t in self.trees])
-                depth = max(t.max_depth for t in self.trees)
-                leaves = feat < 0
-                self_idx = np.arange(len(feat), dtype=np.int64)
-                feat = np.where(leaves, 0, feat)
-                thr = np.where(leaves, np.inf, thr)
-                lft = np.where(leaves, self_idx, lft).astype(np.int64)
-                rgt = np.where(leaves, self_idx, rgt).astype(np.int64)
-            else:
-                offsets = np.zeros(0, dtype=np.int64)
-                feat = thr = val = np.zeros(0)
-                lft = rgt = np.zeros(0, dtype=np.int64)
-                depth = 0
-            self._packed = (np.asarray(offsets, dtype=np.int64),
-                            feat.astype(np.int64) if len(self.trees) else feat,
-                            thr, lft, rgt, val, depth)
+            self._packed = _pack(self.trees)
         return self._packed
 
 
+def _pack(trees) -> tuple:
+    """(roots, feature, threshold, child, value, depth) of the trees laid
+    end to end, two slots a node: node i's slot 2i + 1 is taken when
+    x[feature] <= threshold and leads to its left child's slot 2 * left,
+    slot 2i to 2 * right. Leaves loop back to themselves on feature 0 with
+    threshold +inf, so the walk needs no leaf masking."""
+    roots = np.cumsum([0] + [t.num_nodes() for t in trees], dtype=np.int64)[:-1]
+
+    def joined(parts, dtype=float):
+        return np.concatenate([np.zeros(0, dtype)] + list(parts))
+
+    feat = joined((t.split_feature for t in trees), np.int64)
+    leaf = feat < 0
+    node = np.arange(len(feat), dtype=np.int64)
+    left = joined((t.left + r for t, r in zip(trees, roots)), np.int64)
+    right = joined((t.right + r for t, r in zip(trees, roots)), np.int64)
+    return (2 * roots,
+            np.repeat(np.where(leaf, 0, feat), 2),
+            np.repeat(np.where(leaf, np.inf, joined(t.threshold for t in trees)), 2),
+            2 * np.stack([np.where(leaf, node, right), np.where(leaf, node, left)],
+                         axis=1).ravel(),
+            np.repeat(joined(t.value for t in trees), 2),
+            max((t.max_depth for t in trees), default=0))
+
+
+def _walk(packed, features: np.ndarray, start, step_length: float) -> np.ndarray:
+    """start + sl * tree_1(x) + sl * tree_2(x) + ... for each row x.
+
+    A block of rows goes through every tree at once, one tree level a step,
+    and its terms are summed left to right by add.accumulate, which never
+    reorders: this is training's order, so the same bits.
+    """
+    roots, feat, thr, child, val, depth = packed
+    out = np.array(start, dtype=float)
+    rows, width = features.shape
+    trees = len(roots)
+    if trees == 0:
+        return out
+    block = max(1, WALK_BLOCK // trees)
+    for lo in range(0, rows, block):
+        x = features[lo:lo + block]
+        n = len(x)
+        # Slot pointers, tree-major: entry t * n + r is row r in tree t, and
+        # feature f of row r is x.ravel()[r * width + f].
+        ptr, offsets = roots, None
+        if n > 1:
+            ptr = np.repeat(roots, n)
+            offsets = np.tile(np.arange(0, x.size, width), trees)
+        x = x.ravel()
+        for _ in range(depth):
+            at = feat.take(ptr)
+            if offsets is not None:
+                at += offsets
+            ptr = child.take(ptr + (x.take(at) <= thr.take(ptr)))
+        terms = np.empty((trees + 1, n))
+        terms[0] = out[lo:lo + block]
+        np.multiply(val.take(ptr).reshape(trees, n), step_length, out=terms[1:])
+        out[lo:lo + block] = np.add.accumulate(terms)[-1]
+    return out
+
+
+def _check_width(model: GbdtModel, width: int):
+    # The walk reads a flattened block, so a short row would read its
+    # neighbour's features instead of failing.
+    if model.num_features and width != model.num_features:
+        raise ValueError(
+            f"feature vector has {width} entries, model was trained on "
+            f"{model.num_features}")
+
+
 def predict(model: GbdtModel, feature_vector) -> float:
-    """Prediction for one row: f0 + sum_k sl * tree_k(x), accumulated in
-    fit order so it replays the training-time partial sums bit for bit."""
+    """Prediction for one row: f0 + sum_k sl * tree_k(x) in fit order."""
     x = np.asarray(feature_vector, dtype=float)
     if x.ndim != 1:
         raise ValueError("predict takes a single 1-D feature vector")
-    if model.num_features and x.shape[0] != model.num_features:
-        raise ValueError(
-            f"feature vector has {x.shape[0]} entries, model was trained on "
-            f"{model.num_features}")
-    roots, feat, thr, lft, rgt, val, depth = model._pack()
-    if len(roots) == 0:
-        return float(model.initial_prediction)
-    ptr = roots
-    for _ in range(depth):
-        go_left = x.take(feat.take(ptr)) <= thr.take(ptr)
-        ptr = np.where(go_left, lft.take(ptr), rgt.take(ptr))
-    # f0, sl * v_1, sl * v_2, ... summed left to right: add.accumulate never
-    # reorders, so this is the training-time partial sum.
-    terms = np.empty(len(ptr) + 1)
-    terms[0] = model.initial_prediction
-    np.multiply(val.take(ptr), model.step_length, out=terms[1:])
-    return float(np.add.accumulate(terms)[-1])
+    _check_width(model, x.shape[0])
+    return float(_walk(model._pack(), x[None, :], (model.initial_prediction,),
+                       model.params.step_length)[0])
 
 
 def predict_batch(model: GbdtModel, features: np.ndarray) -> np.ndarray:
-    """Row-wise predictions; same accumulation order as training."""
+    """Row-wise predictions, equal bit for bit to `predict` on each row."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    out = np.full(features.shape[0], model.initial_prediction, dtype=float)
-    for tree in model.trees:
-        out += model.step_length * tree.predict(features)
-    return out
+    _check_width(model, features.shape[1])
+    return _walk(model._pack(), features,
+                 np.full(features.shape[0], model.initial_prediction),
+                 model.params.step_length)
 
 
 def _canonical_order(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -307,76 +314,41 @@ def _canonical_order(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def train(dataset: RegressionDataset, params: GbdtParams,
-          rng: np.random.Generator | None = None) -> GbdtModel:
+def train(dataset: RegressionDataset, params: GbdtParams) -> GbdtModel:
     """Fit the boosted ensemble.
 
-    Each round fits the base learner(s) to the current residuals, picks the
-    best-fitting learner by squared error (a no-op with a single learner
-    family), and advances the additive prediction by step_length times the
-    learner output. `rng` is only consulted when subsample < 1.
+    Each round fits a tree to the current residuals and advances the
+    additive prediction by step_length times the tree's output.
     """
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     order = _canonical_order(dataset.features, dataset.targets)
     features = dataset.features[order]
     targets = dataset.targets[order]
-    if params.subsample < 1.0 and rng is None:
-        raise ValueError("subsampling requires an rng")
 
     f0 = float(np.mean(targets))
     predictions = np.full(len(targets), f0)
     trees = []
     mse_history = [float(np.mean((targets - predictions) ** 2))]
-    n = len(targets)
-    n_sub = max(1, int(round(params.subsample * n)))
 
     for _ in range(params.num_rounds):
-        residuals = negative_gradient(targets, predictions)
-        if params.subsample < 1.0:
-            rows = np.sort(rng.choice(n, size=n_sub, replace=False))
-        else:
-            rows = slice(None)
-        if params.learner_mode == SINGLE_TREE:
-            tree = fit_tree(features[rows], residuals[rows], params)
-        else:
-            tree = _best_stump(features[rows], residuals[rows], params)
+        tree = fit_tree(features, targets - predictions, params)
         trees.append(tree)
-        predictions = predictions + params.step_length * tree.predict(features)
+        predictions = _walk(_pack([tree]), features, predictions, params.step_length)
         mse = float(np.mean((targets - predictions) ** 2))
-        if params.lambda_leaf == 0.0 and params.subsample == 1.0:
+        if params.lambda_leaf == 0.0:
             # Guaranteed for mean-valued leaves with step length in (0, 1].
             assert mse <= mse_history[-1] * (1.0 + 1e-12) + 1e-300, \
                 "boosting MSE increased"
         mse_history.append(mse)
-        if params.early_stop_tol > 0.0 and len(mse_history) >= 2:
-            if mse_history[-2] - mse <= params.early_stop_tol * max(mse_history[0], 1e-300):
-                break
 
     return GbdtModel(
         initial_prediction=f0,
         trees=trees,
-        step_length=params.step_length,
-        lambda_leaf=params.lambda_leaf,
         params=params,
         num_features=features.shape[1],
         train_mse=mse_history,
     )
-
-
-def _best_stump(features, residuals, params: GbdtParams) -> RegressionTree:
-    """One depth-1 learner per feature; keep the one that best fits the
-    residuals in squared error (componentwise selection)."""
-    stump_params = GbdtParams(
-        num_rounds=1, max_depth=1, min_samples_leaf=params.min_samples_leaf,
-        step_length=params.step_length, lambda_leaf=params.lambda_leaf)
-    best = None
-    for j in range(features.shape[1]):
-        stump = fit_tree(features, residuals, stump_params, feature_indices=[j])
-        err = float(np.sum((residuals - stump.predict(features)) ** 2))
-        if best is None or err < best[0]:
-            best = (err, stump)
-    return best[1]
 
 
 def evaluate(model: GbdtModel, dataset: RegressionDataset) -> dict:
@@ -395,26 +367,20 @@ def evaluate(model: GbdtModel, dataset: RegressionDataset) -> dict:
     return {"mse": mse, "r2": r2}
 
 
+# A tree's flat arrays, in file order, and their element types.
+_TREE_ARRAYS = (("split_feature", np.int64), ("threshold", float),
+                ("left", np.int64), ("right", np.int64), ("value", float))
+
+
 def model_to_dict(model: GbdtModel) -> dict:
     return {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
         "initial_prediction": model.initial_prediction,
-        "step_length": model.step_length,
-        "lambda_leaf": model.lambda_leaf,
         "num_features": model.num_features,
         "params": asdict(model.params),
-        "trees": [
-            {
-                "split_feature": t.split_feature.tolist(),
-                "threshold": t.threshold.tolist(),
-                "left": t.left.tolist(),
-                "right": t.right.tolist(),
-                "value": t.value.tolist(),
-                "max_depth": t.max_depth,
-            }
-            for t in model.trees
-        ],
+        "trees": [{**{name: getattr(t, name).tolist() for name, _ in _TREE_ARRAYS},
+                   "max_depth": t.max_depth} for t in model.trees],
     }
 
 
@@ -424,22 +390,13 @@ def model_from_dict(raw: dict) -> GbdtModel:
     if raw.get("version") != MODEL_VERSION:
         raise ValueError(
             f"model version {raw.get('version')} unsupported (expected {MODEL_VERSION})")
-    trees = [
-        RegressionTree(
-            split_feature=np.array(t["split_feature"], dtype=np.int64),
-            threshold=np.array(t["threshold"], dtype=float),
-            left=np.array(t["left"], dtype=np.int64),
-            right=np.array(t["right"], dtype=np.int64),
-            value=np.array(t["value"], dtype=float),
-            max_depth=int(t["max_depth"]),
-        )
-        for t in raw["trees"]
-    ]
+    trees = [RegressionTree(**{name: np.array(t[name], dtype=kind)
+                               for name, kind in _TREE_ARRAYS},
+                            max_depth=int(t["max_depth"]))
+             for t in raw["trees"]]
     return GbdtModel(
         initial_prediction=float(raw["initial_prediction"]),
         trees=trees,
-        step_length=float(raw["step_length"]),
-        lambda_leaf=float(raw["lambda_leaf"]),
         params=GbdtParams(**raw["params"]),
         num_features=int(raw["num_features"]),
     )

@@ -8,7 +8,6 @@ are converted once, at config load time.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -106,16 +105,6 @@ class NetworkConfig:
                 raise ConfigError(key, "unknown key")
         return cls(**values)
 
-    @classmethod
-    def from_file(cls, path) -> "NetworkConfig":
-        """Load from a JSON file, either a bare mapping or one with a
-        'network' section (a full run config)."""
-        with open(path) as f:
-            raw = json.load(f)
-        if "network" in raw:
-            raw = raw["network"]
-        return cls.from_dict(raw)
-
 
 def _validate_config(cfg: NetworkConfig):
     positive = [
@@ -176,10 +165,6 @@ class SystemState:
     def __post_init__(self):
         self.rrh_active = np.asarray(self.rrh_active, dtype=bool)
         self.demands_mbps = np.asarray(self.demands_mbps, dtype=float)
-
-    def features(self) -> np.ndarray:
-        """Flat feature vector of length m+n: [y_1..y_m, d_1..d_n]."""
-        return np.concatenate([self.rrh_active.astype(float), self.demands_mbps])
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -334,18 +334,15 @@ class Artifacts:
         )
 
 
-def _split_holdout(num_rows: int, fraction: float, rng: np.random.Generator):
-    perm = rng.permutation(num_rows)
-    cut = max(1, int(round(num_rows * fraction)))
-    return perm[cut:], perm[:cut]
-
-
-def _initial_pattern(config: RunConfig, rng: np.random.Generator) -> np.ndarray:
-    m = config.network.num_rrhs
-    pattern = np.ones(m, dtype=bool)
-    if config.initial_pattern_mode == PATTERN_ONE_OFF:
-        pattern[int(rng.integers(m))] = False
-    return pattern
+def _fit_split(data: gbdt.RegressionDataset, config: RunConfig, stream: int):
+    """A model fit on a random share of `data`, and the held-out rest (the
+    config's holdout fraction, at least one row)."""
+    perm = np.random.default_rng([config.seeds.train, stream]).permutation(len(data))
+    cut = max(1, int(round(len(data) * config.holdout_fraction)))
+    fit, held = perm[cut:], perm[:cut]
+    model = gbdt.train(gbdt.RegressionDataset(data.features[fit], data.targets[fit]),
+                       config.gbdt)
+    return model, gbdt.RegressionDataset(data.features[held], data.targets[held])
 
 
 def train_offline(config: RunConfig, out_dir=None,
@@ -364,32 +361,16 @@ def train_offline(config: RunConfig, out_dir=None,
 
     # --- surrogate pair -----------------------------------------------------
     t0 = time.perf_counter()
-    regression = dataset.regression_view()
-    split_rng = np.random.default_rng([config.seeds.train, 100])
-    fit_rows, holdout_rows = _split_holdout(len(regression), config.holdout_fraction,
-                                            split_rng)
-    fit_set = gbdt.RegressionDataset(regression.features[fit_rows],
-                                     regression.targets[fit_rows])
-    holdout_set = gbdt.RegressionDataset(regression.features[holdout_rows],
-                                         regression.targets[holdout_rows])
-    model = gbdt.train(fit_set, config.gbdt)
+    model, holdout_set = _fit_split(dataset.regression_view(), config, 100)
     holdout_scores = gbdt.evaluate(model, holdout_set)
     if holdout_scores["r2"] < config.r2_floor:
         raise RuntimeError(
             f"held-out R^2 {holdout_scores['r2']:.4f} below the configured "
             f"floor {config.r2_floor}")
 
-    flags = dataset.feasibility_view()
-    flag_fit_rows, flag_holdout_rows = _split_holdout(
-        len(flags), config.holdout_fraction,
-        np.random.default_rng([config.seeds.train, 101]))
-    flag_model = gbdt.train(
-        gbdt.RegressionDataset(flags.features[flag_fit_rows],
-                               flags.targets[flag_fit_rows]),
-        config.gbdt)
-    flag_preds = gbdt.predict_batch(flag_model, flags.features[flag_holdout_rows])
-    flag_accuracy = float(np.mean(
-        (flag_preds >= 0.5) == (flags.targets[flag_holdout_rows] >= 0.5)))
+    flag_model, flag_holdout = _fit_split(dataset.feasibility_view(), config, 101)
+    flag_preds = gbdt.predict_batch(flag_model, flag_holdout.features)
+    flag_accuracy = float(np.mean((flag_preds >= 0.5) == (flag_holdout.targets >= 0.5)))
     gbdt_seconds = time.perf_counter() - t0
 
     # --- DQN pre-training with exact rewards (the offline branch) -----------
@@ -537,34 +518,104 @@ class EvalReport:
         _write_csv(path, header, self.trajectory)
 
 
-def _finalize_report(scheme, instants, actions, feasibles, trajectory, t_start):
+def _run_slots(config: RunConfig, channel, source, initial_pattern, slots: int,
+               act, learn=None) -> list:
+    """Control the cell for `slots` slots on the eval demand stream: each
+    slot `act(slot, state)` picks the action and `learn(slot, action,
+    result, env)`, if given, sees its outcome. Returns per slot (action,
+    demands served, StepResult)."""
+    env_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_DEMANDS])
+    env = Environment(config.network, channel, source, env_rng, episode_length=None)
+    state = env.reset(initial_pattern)
+    steps = []
+    for slot in range(slots):
+        action = act(slot, state)
+        demands_served = state.demands_mbps.copy()
+        result = env.step(action)
+        steps.append((action, demands_served, result))
+        if learn is not None:
+            learn(slot, action, result, env)
+        state = env.current
+    return steps
+
+
+def _report(scheme: str, network: NetworkConfig, steps, t_start,
+            truth=None) -> EvalReport:
+    """The report of a run's steps; unserved slots are charged P_UB. With
+    `truth`, the exact solver's (power, feasible) answer per slot, a slot's
+    transmit term and feasibility are the solver's, not the controller's."""
+    p_ub = p_upper_bound(network)
+    instants, feasibles, trajectory = [], [], []
+    for slot, (action, demands_served, result) in enumerate(steps):
+        power, feasible, instant = result.power, result.feasible, result.power.total_w
+        if truth is not None:
+            if isinstance(truth[slot], SolverFailure):
+                raise truth[slot]
+            true_tx, true_ok = truth[slot]
+            feasible = feasible and true_ok
+            instant = (power.state_w + power.transition_w
+                       + true_tx / network.amplifier_efficiency)
+        instants.append(instant if feasible else p_ub)
+        feasibles.append(feasible)
+        trajectory.append(
+            (slot, action,
+             "".join("1" if b else "0" for b in result.next_state.rrh_active))
+            + tuple(demands_served)
+            + (power.transmit_w, power.state_w, power.transition_w, power.total_w,
+               result.reward, bool(result.feasible)))
     instants = np.asarray(instants, dtype=float)
-    running = (np.cumsum(instants) / np.arange(1, len(instants) + 1)
-               if len(instants) else np.zeros(0))
+    feasibles = np.asarray(feasibles, dtype=bool)
     wall = time.perf_counter() - t_start
-    timing = {
-        "wall_s": wall,
-        "s_per_slot": wall / len(instants) if len(instants) else math.nan,
-    }
     return EvalReport(
         scheme=scheme,
         instant_w=instants,
-        running_avg_w=running,
-        actions=np.asarray(actions, dtype=int),
-        feasible=np.asarray(feasibles, dtype=bool),
+        running_avg_w=np.cumsum(instants) / np.arange(1, len(instants) + 1),
+        actions=np.asarray([action for action, _, _ in steps], dtype=int),
+        feasible=feasibles,
         trajectory=trajectory,
-        infeasible_count=int(np.count_nonzero(~np.asarray(feasibles, dtype=bool)))
-        if len(feasibles) else 0,
-        timing=timing,
+        infeasible_count=int(np.count_nonzero(~feasibles)),
+        timing={"wall_s": wall,
+                "s_per_slot": wall / len(steps) if steps else math.nan},
     )
 
 
-def _reward_source_for(scheme: str, config: RunConfig, channel, artifacts):
-    if scheme == SCHEME_DQN_GBDT:
-        if artifacts is None:
-            raise ValueError("scheme DQN-GBDT needs trained artifacts")
-        return SurrogateReward(artifacts.gbdt_model, artifacts.feasibility_model)
-    return ExactSolverReward(config.network, channel, config.solver)
+class _OnlinePolicy:
+    """Greedy DQN control that keeps tuning a copy of the pre-trained
+    network on the slots it sees, and wakes every RRH after a slot it
+    believes unservable."""
+
+    def __init__(self, config: RunConfig, artifacts: Artifacts, tuning: bool):
+        self.network = config.network
+        self.params = config.dqn
+        self.tuning = tuning
+        self.rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_TUNING])
+        self.net = artifacts.qnet.copy()
+        self.target = sync_target(self.net)
+        self.buffer = ReplayBuffer(self.params.buffer_capacity)
+        for tr in artifacts.replay.contents():
+            self.buffer.push(tr)
+        self.features = None
+
+    def act(self, slot, state):
+        self.features = encode_state(state, self.network)
+        return select_action(self.net, self.features, 0.0, self.rng)
+
+    def learn(self, slot, action, result, env):
+        params = self.params
+        self.buffer.push(Transition(self.features, action, result.reward,
+                                    encode_state(result.next_state, self.network),
+                                    result.terminal))
+        if self.tuning and len(self.buffer) >= params.batch_size \
+                and (slot + 1) % params.train_interval == 0:
+            train_step(self.net, self.target,
+                       self.buffer.sample(params.batch_size, self.rng),
+                       params.gamma, params.learning_rate)
+            if (slot + 1) % params.target_sync_interval == 0:
+                self.target = sync_target(self.net)
+        if result.terminal:
+            # Recover by waking everything up, without consuming extra
+            # demand draws.
+            env.force_pattern(np.ones(self.network.num_rrhs, dtype=bool))
 
 
 def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
@@ -583,75 +634,23 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     t_start = time.perf_counter()
 
     network = config.network
-    m, n = network.num_rrhs, network.num_users
     channel = make_channel(config)
-    env_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_DEMANDS])
-    tune_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_TUNING])
+    source = (SurrogateReward(artifacts.gbdt_model, artifacts.feasibility_model)
+              if scheme == SCHEME_DQN_GBDT
+              else ExactSolverReward(network, channel, config.solver))
+    policy = _OnlinePolicy(config, artifacts, tuning)
     pick_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_OC_PICK])
-
-    source = _reward_source_for(scheme, config, channel, artifacts)
-    env = Environment(network, channel, source, env_rng, episode_length=None)
-    state = env.reset(_initial_pattern(config, pick_rng))
-
-    net = artifacts.qnet.copy()
-    target = sync_target(net)
-    buffer = ReplayBuffer(config.dqn.buffer_capacity)
-    for tr in artifacts.replay.contents():
-        buffer.push(tr)
-    params = config.dqn
-    p_ub = p_upper_bound(network)
-    all_on = np.ones(m, dtype=bool)
-
-    instants, actions, feasibles, trajectory, realized = [], [], [], [], []
-    for slot in range(slots):
-        features = encode_state(state, network)
-        action = select_action(net, features, 0.0, tune_rng)
-        demands_served = state.demands_mbps.copy()
-        result = env.step(action)
-        next_pattern = result.next_state.rrh_active
-
-        instants.append(result.power.total_w if result.feasible else p_ub)
-        actions.append(action)
-        feasibles.append(result.feasible)
-        realized.append((next_pattern, demands_served, result.power))
-        trajectory.append(
-            (slot, action, "".join("1" if b else "0" for b in next_pattern))
-            + tuple(demands_served)
-            + (result.power.transmit_w, result.power.state_w,
-               result.power.transition_w, result.power.total_w,
-               result.reward, bool(result.feasible)))
-
-        buffer.push(Transition(features, action, result.reward,
-                               encode_state(result.next_state, network),
-                               result.terminal))
-        if tuning and len(buffer) >= params.batch_size \
-                and (slot + 1) % params.train_interval == 0:
-            train_step(net, target, buffer.sample(params.batch_size, tune_rng),
-                       params.gamma, params.learning_rate)
-            if (slot + 1) % params.target_sync_interval == 0:
-                target = sync_target(net)
-        if result.terminal:
-            # The controller believes the demands are unservable: recover by
-            # waking everything up, without consuming extra demand draws.
-            env.force_pattern(all_on)
-        state = env.current
-
+    initial = _sample_pattern(network.num_rrhs, config.initial_pattern_mode, pick_rng)
+    steps = _run_slots(config, channel, source, initial, slots,
+                       policy.act, policy.learn)
+    truth = None
     if scheme == SCHEME_DQN_GBDT:
         # The ground truth never feeds back into control, so every slot is
         # re-solved in one batch after the run.
-        truth = ExactSolverReward(network, channel, config.solver)
-        answers = truth.transmit_powers([p for p, _, _ in realized],
-                                        [d for _, d, _ in realized])
-        for slot, ((_, _, power), answer) in enumerate(zip(realized, answers)):
-            if isinstance(answer, SolverFailure):
-                raise answer
-            true_tx, true_ok = answer
-            feasibles[slot] = feasibles[slot] and true_ok
-            instants[slot] = (power.state_w + power.transition_w
-                              + true_tx / network.amplifier_efficiency
-                              if feasibles[slot] else p_ub)
-    return _finalize_report(scheme, instants, actions, feasibles, trajectory,
-                            t_start)
+        truth = ExactSolverReward(network, channel, config.solver).transmit_powers(
+            [result.next_state.rrh_active for _, _, result in steps],
+            [demands for _, demands, _ in steps])
+    return _report(scheme, network, steps, t_start, truth)
 
 
 def run_baseline(config: RunConfig, scheme: str, slots: int) -> EvalReport:
@@ -667,35 +666,13 @@ def run_baseline(config: RunConfig, scheme: str, slots: int) -> EvalReport:
     network = config.network
     m = network.num_rrhs
     channel = make_channel(config)
-    env_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_DEMANDS])
     pick_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_OC_PICK])
-    env = Environment(network, channel,
-                      ExactSolverReward(network, channel, config.solver),
-                      env_rng, episode_length=None)
-    state = env.reset(np.ones(m, dtype=bool))
-    sleeper = int(pick_rng.integers(m)) if scheme == SCHEME_OC else None
-    p_ub = p_upper_bound(network)
-
-    instants, actions, feasibles, trajectory = [], [], [], []
-    for slot in range(slots):
-        action = sleeper if (scheme == SCHEME_OC and slot == 0) else m
-        demands_served = state.demands_mbps.copy()
-        result = env.step(action)
-        served = result.feasible
-        instant = result.power.total_w if served else p_ub
-        instants.append(instant)
-        actions.append(action)
-        feasibles.append(served)
-        trajectory.append(
-            (slot, action,
-             "".join("1" if b else "0" for b in result.next_state.rrh_active))
-            + tuple(demands_served)
-            + (result.power.transmit_w, result.power.state_w,
-               result.power.transition_w, result.power.total_w,
-               result.reward, bool(result.feasible)))
-        state = env.current
-    return _finalize_report(scheme, instants, actions, feasibles, trajectory,
-                            t_start)
+    first = int(pick_rng.integers(m)) if scheme == SCHEME_OC else m
+    steps = _run_slots(config, channel,
+                       ExactSolverReward(network, channel, config.solver),
+                       np.ones(m, dtype=bool), slots,
+                       lambda slot, state: first if slot == 0 else m)
+    return _report(scheme, network, steps, t_start)
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +772,8 @@ def demand_sweep(config: RunConfig, artifacts, slots: int, demand_maxes,
     """Average power at several demand ceilings (the demand-sweep figure)."""
     rows = []
     for dmax in demand_maxes:
-        swept = RunConfig(**{**_as_shallow_dict(config),
-                             "network": _network_with_dmax(config.network, dmax)})
+        swept = replace(config, network=replace(config.network,
+                                                demand_max_mbps=float(dmax)))
         if scheme in DQN_SCHEMES:
             report = run_online(swept, artifacts, slots, scheme=scheme)
         else:
@@ -804,13 +781,3 @@ def demand_sweep(config: RunConfig, artifacts, slots: int, demand_maxes,
         rows.append((dmax, scheme, report.average_power_w,
                      report.infeasible_count))
     return rows
-
-
-def _as_shallow_dict(config: RunConfig) -> dict:
-    return {name: getattr(config, name) for name in RunConfig.__dataclass_fields__}
-
-
-def _network_with_dmax(network: NetworkConfig, dmax: float) -> NetworkConfig:
-    raw = {name: getattr(network, name) for name in NetworkConfig.__dataclass_fields__}
-    raw["demand_max_mbps"] = float(dmax)
-    return NetworkConfig(**raw)

@@ -193,24 +193,6 @@ class TestGradients:
         with pytest.raises(FloatingPointError):
             train_step(net, sync_target(net), [tr], 0.9, 0.1)
 
-    def test_momentum_accumulates_velocity(self):
-        rng = np.random.default_rng(12)
-        plain = QNetwork.initialize([3, 6, 2], rng)
-        with_momentum = plain.copy()
-        velocity = [(np.zeros_like(w), np.zeros_like(b))
-                    for w, b in zip(plain.weights, plain.biases)]
-        batch = [Transition(rng.normal(size=3), int(rng.integers(2)),
-                            float(rng.normal()), rng.normal(size=3), True)
-                 for _ in range(8)]
-        target = sync_target(plain)
-        for _ in range(3):
-            train_step(plain, target, batch, 0.9, 1e-2)
-            train_step(with_momentum, target, batch, 0.9, 1e-2,
-                       velocity=velocity, momentum=0.9)
-        # After several steps the velocity term must have changed the path.
-        assert not np.allclose(plain.weights[0], with_momentum.weights[0])
-        assert any(np.any(vw != 0) for vw, _ in velocity)
-
     def test_two_state_mdp_converges_to_value_iteration(self):
         # Deterministic 2-state / 2-action MDP; tabular value iteration is
         # the oracle for the Bellman fixed point.

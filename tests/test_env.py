@@ -14,9 +14,8 @@ from cranpower.netmodel import NetworkConfig, sample_channel
 
 
 def constant_model(value, num_features):
-    return GbdtModel(initial_prediction=float(value), trees=[], step_length=0.1,
-                     lambda_leaf=0.0, params=GbdtParams(num_rounds=1),
-                     num_features=num_features)
+    return GbdtModel(initial_prediction=float(value), trees=[],
+                     params=GbdtParams(num_rounds=1), num_features=num_features)
 
 
 def make_env(config, reward_source=None, seed=0, **kwargs):
@@ -230,10 +229,3 @@ class TestEncodeState:
         assert feats.shape == (12,)
         assert np.all(feats[:8] == 1.0)
         assert np.all((feats[8:] >= 0.5) & (feats[8:] <= 1.0))  # demands 20-40 over 40
-
-    def test_raw_features_order(self, table1_config):
-        env = make_env(table1_config, seed=31)
-        state = env.reset()
-        raw = state.features()
-        assert np.array_equal(raw[:8], state.rrh_active.astype(float))
-        assert np.array_equal(raw[8:], state.demands_mbps)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from cranpower.gbdt import (
-    COMPONENTWISE_STUMPS,
     GbdtParams,
     RegressionDataset,
     evaluate,
@@ -10,7 +9,6 @@ from cranpower.gbdt import (
     load_model,
     model_from_dict,
     model_to_dict,
-    negative_gradient,
     predict,
     predict_batch,
     save_model,
@@ -18,21 +16,20 @@ from cranpower.gbdt import (
 )
 
 
-class TestNegativeGradient:
-    def test_scalar_case(self):
-        assert negative_gradient(np.array([5.0]), np.array([3.0]))[0] == 2.0
+def _leaf_value(tree, row):
+    node = 0
+    while tree.split_feature[node] >= 0:
+        go_left = row[tree.split_feature[node]] <= tree.threshold[node]
+        node = tree.left[node] if go_left else tree.right[node]
+    return float(tree.value[node])
 
-    def test_zero_residuals(self):
-        y = np.array([1.0, 2.0, 3.0])
-        assert np.all(negative_gradient(y, y) == 0)
 
-    def test_vector_case(self):
-        res = negative_gradient(np.array([1.0, 4.0]), np.array([0.0, 6.0]))
-        assert np.array_equal(res, np.array([1.0, -2.0]))
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            negative_gradient(np.ones(3), np.ones(2))
+def _sequential_sum(model, row):
+    """f0 + sl * v_1 + sl * v_2 + ... one tree at a time, as training adds."""
+    total = model.initial_prediction
+    for tree in model.trees:
+        total += model.params.step_length * _leaf_value(tree, row)
+    return total
 
 
 class TestFitTree:
@@ -146,18 +143,6 @@ class TestTrain:
                                      step_length=0.1, min_samples_leaf=1))
         assert model.train_mse[-1] < 1e-4
 
-    def test_componentwise_selects_informative_feature(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(400, 4))
-        y = np.where(x[:, 2] > 0.3, 2.0, -1.0)
-        ds = RegressionDataset(x, y)
-        model = train(ds, GbdtParams(num_rounds=50, min_samples_leaf=1,
-                                     learner_mode=COMPONENTWISE_STUMPS))
-        chosen = [int(t.split_feature[0]) for t in model.trees
-                  if t.split_feature[0] >= 0]
-        frac = np.mean([c == 2 for c in chosen])
-        assert frac >= 0.9
-
     def test_mse_monotone_nonincreasing(self):
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -179,27 +164,6 @@ class TestTrain:
         shuffled = train(RegressionDataset(x[perm], y[perm]), params)
         assert model_to_dict(base) == model_to_dict(shuffled)
 
-    def test_subsample_flag(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(200, 3))
-        y = x[:, 0] - x[:, 1]
-        ds = RegressionDataset(x, y)
-        params = GbdtParams(num_rounds=20, subsample=0.5)
-        with pytest.raises(ValueError):
-            train(ds, params)  # subsampling needs an rng
-        model = train(ds, params, rng=np.random.default_rng(0))
-        full = train(ds, GbdtParams(num_rounds=20))
-        assert model_to_dict(model) != model_to_dict(full)
-
-    def test_early_stopping_flag(self):
-        rng = np.random.default_rng(11)
-        x = rng.uniform(size=(100, 1))
-        y = (x[:, 0] > 0.5).astype(float)
-        stopped = train(RegressionDataset(x, y),
-                        GbdtParams(num_rounds=500, max_depth=1,
-                                   min_samples_leaf=1, early_stop_tol=1e-6))
-        assert len(stopped.trees) < 500
-
 
 class TestPredict:
     def test_hand_arithmetic(self):
@@ -213,14 +177,13 @@ class TestPredict:
             max_depth=1,
         )
         model = GbdtModel(initial_prediction=10.0, trees=[tree],
-                          step_length=0.1, lambda_leaf=0.0,
-                          params=GbdtParams(num_rounds=1))
+                          params=GbdtParams(num_rounds=1, step_length=0.1))
         assert predict(model, np.array([1.0])) == pytest.approx(10.2)
 
     def test_empty_tree_list(self):
         from cranpower.gbdt import GbdtModel
-        model = GbdtModel(initial_prediction=4.2, trees=[], step_length=0.1,
-                          lambda_leaf=0.0, params=GbdtParams(num_rounds=1))
+        model = GbdtModel(initial_prediction=4.2, trees=[],
+                          params=GbdtParams(num_rounds=1))
         assert predict(model, np.array([0.0, 0.0])) == 4.2
 
     def test_replays_training_partial_sums_bitwise(self):
@@ -232,10 +195,7 @@ class TestPredict:
                                      min_samples_leaf=2))
         # Recompute the training prediction sequentially and compare exactly.
         for row in x[:10]:
-            sequential = model.initial_prediction
-            for tree in model.trees:
-                sequential += model.step_length * float(tree.predict(row[None, :])[0])
-            assert predict(model, row) == sequential
+            assert predict(model, row) == _sequential_sum(model, row)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -244,7 +204,16 @@ class TestPredict:
         model = train(RegressionDataset(x, y), GbdtParams(num_rounds=20))
         batch = predict_batch(model, x)
         singles = np.array([predict(model, row) for row in x])
-        assert np.allclose(batch, singles, rtol=0, atol=1e-12)
+        assert np.array_equal(batch, singles)
+
+    def test_batch_on_training_rows_is_sequential_sum(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(300, 4))
+        y = np.where(x[:, 1] > 0, x[:, 0] ** 2, -x[:, 2]) + 0.1 * rng.normal(size=300)
+        model = train(RegressionDataset(x, y), GbdtParams(num_rounds=40, max_depth=5,
+                                                          min_samples_leaf=2))
+        expected = np.array([_sequential_sum(model, row) for row in x])
+        assert np.array_equal(predict_batch(model, x), expected)
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(6)
@@ -271,15 +240,14 @@ class TestEvaluate:
         y = rng.normal(size=40)
         x = rng.normal(size=(40, 1))
         model = GbdtModel(initial_prediction=float(np.mean(y)), trees=[],
-                          step_length=0.1, lambda_leaf=0.0,
                           params=GbdtParams(num_rounds=1))
         scores = evaluate(model, RegressionDataset(x, y))
         assert scores["r2"] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_mse(self):
         from cranpower.gbdt import GbdtModel
-        model = GbdtModel(initial_prediction=0.0, trees=[], step_length=0.1,
-                          lambda_leaf=0.0, params=GbdtParams(num_rounds=1))
+        model = GbdtModel(initial_prediction=0.0, trees=[],
+                          params=GbdtParams(num_rounds=1))
         # Force predictions [1, 2, 4] by a crafted dataset is awkward with an
         # empty model; check the arithmetic directly instead.
         targets = np.array([1.0, 2.0, 3.0])

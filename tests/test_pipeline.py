@@ -350,6 +350,11 @@ class TestStrictConfig:
         ("dqn", "hidden_sizes", 32),
         ("seeds", "data", "5"),
         ("solver", "tolerance", True),
+        ("dqn", "train_interval", 0),
+        ("dqn", "target_sync_interval", 0),
+        ("dqn", "hidden_sizes", [-4]),
+        ("dqn", "hidden_sizes", [0]),
+        ("dqn", "episode_length", 0),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value):
         path = _tiny_variant(tmp_path, section, key, value)
