@@ -153,6 +153,11 @@ def compute_targets(batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
     _, _, rewards, next_states, terminals = _stack_batch(batch)
+    return _targets(rewards, next_states, terminals, target_net, gamma)
+
+
+def _targets(rewards, next_states, terminals, target_net: QNetwork,
+             gamma: float) -> np.ndarray:
     next_q = target_net.forward_batch(next_states).max(axis=1)
     return np.where(terminals, rewards, rewards + gamma * next_q)
 
@@ -201,8 +206,8 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, gamma: float,
     returns the pre-update loss."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    states, actions, _, _, _ = _stack_batch(batch)
-    targets = compute_targets(batch, target_net, gamma)
+    states, actions, rewards, next_states, terminals = _stack_batch(batch)
+    targets = _targets(rewards, next_states, terminals, target_net, gamma)
     loss, grads_w, grads_b = backprop(net, states, actions, targets)
     if not np.isfinite(loss):
         raise FloatingPointError(

@@ -1,9 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cranpower import gbdt
 from cranpower.gbdt import (
     GbdtParams,
     RegressionDataset,
+    RegressionTree,
     evaluate,
     fit_tree,
     load_model,
@@ -125,6 +131,144 @@ def _leaf_counts(tree, x):
     return counts
 
 
+def _reference_best_split(col, residuals, min_leaf):
+    """The split search before the presorted one: best (sse, threshold) on
+    one feature column, re-sorting the column, or None."""
+    order = np.argsort(col, kind="stable")
+    sorted_col = col[order]
+    sorted_res = residuals[order]
+    n = len(col)
+    prefix = np.cumsum(sorted_res)
+    prefix_sq = np.cumsum(sorted_res * sorted_res)
+    total = prefix[-1]
+    total_sq = prefix_sq[-1]
+    boundaries = np.flatnonzero(sorted_col[:-1] < sorted_col[1:]) + 1
+    if len(boundaries) == 0:
+        return None
+    boundaries = boundaries[(boundaries >= min_leaf) & (boundaries <= n - min_leaf)]
+    if len(boundaries) == 0:
+        return None
+    left_n = boundaries.astype(float)
+    left_sum = prefix[boundaries - 1]
+    left_sq = prefix_sq[boundaries - 1]
+    right_n = n - left_n
+    right_sum = total - left_sum
+    right_sq = total_sq - left_sq
+    sse = (left_sq - left_sum * left_sum / left_n) \
+        + (right_sq - right_sum * right_sum / right_n)
+    best = int(np.argmin(sse))
+    b = int(boundaries[best])
+    return float(sse[best]), 0.5 * (sorted_col[b - 1] + sorted_col[b])
+
+
+def _reference_fit_tree(features, residuals, params, presorted=None):
+    """The tree fit before the presorted search: one `_reference_best_split`
+    per (node, feature), lowest feature index on ties. Same DFS node order.
+    `presorted` is ignored; it lets `train` call this in place of `fit_tree`."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    residuals = np.asarray(residuals, dtype=float)
+    split_feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node():
+        for arr, init in ((split_feature, -1), (threshold, 0.0), (left, -1),
+                          (right, -1), (value, 0.0)):
+            arr.append(init)
+        return len(split_feature) - 1
+
+    stack = [(new_node(), np.arange(features.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        res = residuals[rows]
+        value[node] = float(np.sum(res) / (len(rows) + params.lambda_leaf))
+        if depth >= params.max_depth or len(rows) < 2 * params.min_samples_leaf:
+            continue
+        if np.ptp(res) == 0.0:
+            continue
+        best = None
+        for j in range(features.shape[1]):
+            found = _reference_best_split(features[rows, j], res,
+                                          params.min_samples_leaf)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (found[0], j, found[1])
+        if best is None:
+            continue
+        _, j, thr = best
+        go_left = features[rows, j] <= thr
+        left_id, right_id = new_node(), new_node()
+        split_feature[node], threshold[node] = j, thr
+        left[node], right[node] = left_id, right_id
+        stack.append((right_id, rows[~go_left], depth + 1))
+        stack.append((left_id, rows[go_left], depth + 1))
+    return RegressionTree(
+        split_feature=np.array(split_feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value, dtype=float),
+        max_depth=params.max_depth)
+
+
+def _assert_same_tree(got, want):
+    for name in ("split_feature", "threshold", "left", "right", "value"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.max_depth == want.max_depth
+
+
+@st.composite
+def split_problems(draw):
+    """Small datasets with tied, binary, rounded and constant columns, tied
+    residuals, and tree params down to nodes too small to split."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["normal", "binary", "rounded", "constant"]))
+        if kind == "normal":
+            columns.append(rng.normal(size=n))
+        elif kind == "binary":
+            columns.append(rng.integers(0, 2, size=n).astype(float))
+        elif kind == "rounded":
+            columns.append(np.round(rng.normal(size=n), 1))
+        else:
+            columns.append(np.full(n, rng.normal()))
+    targets = rng.normal(size=n)
+    if draw(st.booleans()):
+        targets = np.round(targets)
+    params = GbdtParams(num_rounds=draw(st.integers(1, 4)),
+                        max_depth=draw(st.integers(1, 6)),
+                        min_samples_leaf=draw(st.integers(1, 7)),
+                        step_length=draw(st.sampled_from([0.1, 1.0])),
+                        lambda_leaf=draw(st.sampled_from([0.0, 0.5, 3.0])))
+    return np.column_stack(columns), targets, params
+
+
+class TestPresortedSearch:
+    """The presorted, all-features-at-once split search gives the trees of
+    the per-feature search bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(problem=split_problems(), split_block=st.sampled_from([1, 7, gbdt.SPLIT_BLOCK]))
+    def test_fit_tree_matches_per_feature_search(self, problem, split_block):
+        features, residuals, params = problem
+        want = _reference_fit_tree(features, residuals, params)
+        with mock.patch.object(gbdt, "SPLIT_BLOCK", split_block):
+            _assert_same_tree(fit_tree(features, residuals, params), want)
+            _assert_same_tree(fit_tree(features, residuals, params,
+                                       gbdt._presort(features)), want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(problem=split_problems())
+    def test_train_matches_per_feature_search(self, problem):
+        features, targets, params = problem
+        data = RegressionDataset(features, targets)
+        got = train(data, params)
+        with mock.patch.object(gbdt, "fit_tree", _reference_fit_tree):
+            want = train(data, params)
+        assert model_to_dict(got) == model_to_dict(want)
+        assert got.train_mse == want.train_mse
+
+
 class TestTrain:
     def test_constant_targets(self):
         ds = RegressionDataset(np.random.default_rng(0).normal(size=(30, 2)),
@@ -214,6 +358,17 @@ class TestPredict:
                                                           min_samples_leaf=2))
         expected = np.array([_sequential_sum(model, row) for row in x])
         assert np.array_equal(predict_batch(model, x), expected)
+
+    def test_follows_changes_to_the_tree_list(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(120, 3))
+        y = x[:, 0] - 2 * x[:, 1] ** 2
+        model = train(RegressionDataset(x, y), GbdtParams(num_rounds=20))
+        before = predict(model, x[0])
+        model.trees.pop()
+        fresh = model_from_dict(model_to_dict(model))
+        assert predict(model, x[0]) == predict(fresh, x[0]) != before
+        assert np.array_equal(predict_batch(model, x), predict_batch(fresh, x))
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(6)
