@@ -67,6 +67,45 @@ class Transition:
     terminal: bool
 
 
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """Transitions stacked row-wise, one array per field; iterating yields
+    them as `Transition`s."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
+    terminals: np.ndarray
+
+    @classmethod
+    def of(cls, batch) -> "Batch":
+        """`batch` itself if it is a Batch, else its transitions stacked."""
+        if isinstance(batch, Batch):
+            return batch
+        return cls(np.stack([t.state for t in batch]),
+                   np.array([t.action for t in batch], dtype=np.int64),
+                   np.array([t.reward for t in batch], dtype=float),
+                   np.stack([t.next_state for t in batch]),
+                   np.array([t.terminal for t in batch], dtype=bool))
+
+    def arrays(self) -> tuple:
+        return (self.states, self.actions, self.rewards, self.next_states,
+                self.terminals)
+
+    def take(self, rows) -> "Batch":
+        return Batch(*(arr[rows] for arr in self.arrays()))
+
+    def __len__(self):
+        return len(self.actions)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield Transition(self.states[i], int(self.actions[i]),
+                             float(self.rewards[i]), self.next_states[i],
+                             bool(self.terminals[i]))
+
+
 class QNetwork:
     """Affine + ReLU stack; identity output layer."""
 
@@ -138,28 +177,14 @@ def select_action(net: QNetwork, state_features, epsilon: float,
     return int(np.argmax(q))
 
 
-def _stack_batch(batch):
-    states = np.stack([t.state for t in batch])
-    actions = np.array([t.action for t in batch], dtype=np.int64)
-    rewards = np.array([t.reward for t in batch], dtype=float)
-    next_states = np.stack([t.next_state for t in batch])
-    terminals = np.array([t.terminal for t in batch], dtype=bool)
-    return states, actions, rewards, next_states, terminals
-
-
 def compute_targets(batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     """Bellman targets: y = r at terminal transitions, else
     y = r + gamma * max_a' Q(s', a') under the fixed target network."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    _, _, rewards, next_states, terminals = _stack_batch(batch)
-    return _targets(rewards, next_states, terminals, target_net, gamma)
-
-
-def _targets(rewards, next_states, terminals, target_net: QNetwork,
-             gamma: float) -> np.ndarray:
-    next_q = target_net.forward_batch(next_states).max(axis=1)
-    return np.where(terminals, rewards, rewards + gamma * next_q)
+    batch = Batch.of(batch)
+    next_q = target_net.forward_batch(batch.next_states).max(axis=1)
+    return np.where(batch.terminals, batch.rewards, batch.rewards + gamma * next_q)
 
 
 def backprop(net: QNetwork, states, actions, targets):
@@ -206,9 +231,9 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, gamma: float,
     returns the pre-update loss."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    states, actions, rewards, next_states, terminals = _stack_batch(batch)
-    targets = _targets(rewards, next_states, terminals, target_net, gamma)
-    loss, grads_w, grads_b = backprop(net, states, actions, targets)
+    batch = Batch.of(batch)
+    targets = compute_targets(batch, target_net, gamma)
+    loss, grads_w, grads_b = backprop(net, batch.states, batch.actions, targets)
     if not np.isfinite(loss):
         raise FloatingPointError(
             f"non-finite training loss ({loss}); aborting before the update")
@@ -219,47 +244,92 @@ def train_step(net: QNetwork, target_net: QNetwork, batch, gamma: float,
 
 
 class ReplayBuffer:
-    """Bounded FIFO transition store with uniform sampling."""
+    """Bounded FIFO transition store with uniform sampling.
+
+    The transitions live row-wise in numpy ring arrays, one per field. The
+    arrays grow by doubling up to `capacity` as rows arrive, so memory
+    follows occupancy; once they are full, each push overwrites the oldest
+    row. `sample` and `contents` gather their rows with one fancy index.
+    """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._storage = []
-        self._next = 0
+        self._store = None      # a Batch of at least `len(self)` rows
+        self._size = 0
+        self._next = 0          # the oldest row once the store is full
 
     def __len__(self):
-        return len(self._storage)
+        return self._size
+
+    def _reserve(self, rows: int, width: int):
+        held = 0 if self._store is None else len(self._store)
+        if rows <= held:
+            return
+        size = min(self.capacity, max(rows, 2 * held))
+        grown = Batch(np.empty((size, width)), np.empty(size, dtype=np.int64),
+                      np.empty(size), np.empty((size, width)),
+                      np.empty(size, dtype=bool))
+        if self._size:
+            for new, old in zip(grown.arrays(), self._store.arrays()):
+                new[:self._size] = old[:self._size]
+        self._store = grown
 
     def push(self, transition: Transition):
-        if len(self._storage) < self.capacity:
-            self._storage.append(transition)
+        if self._size < self.capacity:
+            self._reserve(self._size + 1, len(transition.state))
+            slot = self._size
+            self._size += 1
         else:
-            # Ring position walks forward, so the overwritten slot is always
-            # the oldest element: strict FIFO eviction.
-            self._storage[self._next] = transition
+            slot = self._next
             self._next = (self._next + 1) % self.capacity
+        store = self._store
+        store.states[slot] = transition.state
+        store.actions[slot] = transition.action
+        store.rewards[slot] = transition.reward
+        store.next_states[slot] = transition.next_state
+        store.terminals[slot] = transition.terminal
 
-    def contents(self):
-        """Transitions in insertion order, oldest first."""
-        return self._storage[self._next:] + self._storage[:self._next]
+    def extend(self, batch: "Batch"):
+        """Push the rows of `batch` in order, as one `push` each would."""
+        rows = len(batch)
+        if rows == 0:
+            return
+        fill = min(rows, self.capacity - self._size)
+        if fill:
+            self._reserve(self._size + fill, batch.states.shape[1])
+            for new, arr in zip(self._store.arrays(), batch.arrays()):
+                new[self._size:self._size + fill] = arr[:fill]
+            self._size += fill
+        # The rest overwrite the oldest rows in ring order; of more than a
+        # whole ring, only the last `capacity` rows survive.
+        rest = rows - fill
+        skip = max(0, rest - self.capacity)
+        slots = (self._next + np.arange(skip, rest)) % self.capacity
+        for new, arr in zip(self._store.arrays(), batch.arrays()):
+            new[slots] = arr[fill + skip:]
+        self._next = (self._next + rest) % self.capacity
 
-    def sample(self, batch_size: int, rng: np.random.Generator):
-        if batch_size > len(self._storage):
+    def contents(self) -> "Batch":
+        """The transitions in insertion order, oldest first."""
+        if self._store is None:
+            return Batch(np.zeros((0, 0)), np.zeros(0, dtype=np.int64),
+                         np.zeros(0), np.zeros((0, 0)), np.zeros(0, dtype=bool))
+        return self._store.take((np.arange(self._size) + self._next) % self._size)
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> "Batch":
+        if batch_size > self._size:
             raise ValueError(
-                f"cannot sample {batch_size} from buffer of {len(self._storage)}")
-        idx = rng.choice(len(self._storage), size=batch_size, replace=False)
-        return [self._storage[i] for i in idx]
+                f"cannot sample {batch_size} from buffer of {self._size}")
+        idx = rng.choice(self._size, size=batch_size, replace=False)
+        return self._store.take(idx)
 
     def save(self, path):
-        states, actions, rewards, next_states, terminals = (
-            _stack_batch(self.contents()) if self._storage
-            else (np.zeros((0, 0)), np.zeros(0, dtype=np.int64), np.zeros(0),
-                  np.zeros((0, 0)), np.zeros(0, dtype=bool)))
         with open(path, "wb") as f:
             _write_header(f, BUFFER_MAGIC, BUFFER_VERSION)
             np.save(f, np.array([self.capacity], dtype=np.int64))
-            for arr in (states, actions, rewards, next_states, terminals):
+            for arr in self.contents().arrays():
                 np.save(f, arr)
 
     @classmethod
@@ -267,15 +337,9 @@ class ReplayBuffer:
         with open(path, "rb") as f:
             _read_header(f, BUFFER_MAGIC, BUFFER_VERSION)
             capacity = int(np.load(f)[0])
-            states = np.load(f)
-            actions = np.load(f)
-            rewards = np.load(f)
-            next_states = np.load(f)
-            terminals = np.load(f)
+            arrays = [np.load(f) for _ in range(5)]
         buf = cls(capacity)
-        for i in range(len(actions)):
-            buf.push(Transition(states[i], int(actions[i]), float(rewards[i]),
-                                next_states[i], bool(terminals[i])))
+        buf.extend(Batch(*arrays))
         return buf
 
 

@@ -6,6 +6,12 @@ solver or the boosted-tree surrogate), account the full system power, emit
 the reward P_UB - P_total, and resample demands for the next slot. An
 unservable demand profile ends the episode with the reward -P_UB.
 
+`Environment.step` asks its reward source for one state at a time.
+`step_all` steps several environments in lockstep, in the manner of a
+vectorised environment: it asks for the transmit answers of all their next
+states in one batch, then finishes each step exactly as `Environment.step`
+does, so a batch of envs gives the results of stepping each env alone.
+
 Both reward sources share the exact standby/transition accounting; they can
 only differ in the transmit term.
 """
@@ -187,13 +193,21 @@ class Environment:
                                    demands_mbps=self.current.demands_mbps)
 
     def step(self, action: int) -> StepResult:
+        next_pattern = self._next_pattern(action)
+        return self._finish(next_pattern, self.reward_source.transmit_power(
+            next_pattern, self.current.demands_mbps))
+
+    def _next_pattern(self, action: int) -> np.ndarray:
         if self.current is None:
             raise RuntimeError("environment must be reset before stepping")
-        prev_pattern = self.current.rrh_active
-        demands = self.current.demands_mbps
-        next_pattern = apply_action(prev_pattern, action)
+        return apply_action(self.current.rrh_active, action)
 
-        tx_w, feasible = self.reward_source.transmit_power(next_pattern, demands)
+    def _finish(self, next_pattern, answer) -> StepResult:
+        """The rest of a step to `next_pattern` once the reward source's
+        (transmit power, feasible) answer is known: power accounting,
+        reward, the next slot's demands and the terminal flag."""
+        tx_w, feasible = answer
+        prev_pattern = self.current.rrh_active
         state_w, transition_w = state_and_transition_power(
             prev_pattern, next_pattern, self.config)
         transmit_w = tx_w / self.config.amplifier_efficiency if feasible else 0.0
@@ -211,3 +225,24 @@ class Environment:
         self.current = next_state
         return StepResult(next_state=next_state, reward=reward, power=power,
                           feasible=feasible, terminal=terminal)
+
+
+def step_all(envs, actions) -> list:
+    """Step every env with its action, in order; each result is the one
+    `Environment.step` gives. The answers of envs that share an
+    `ExactSolverReward` come from one `transmit_powers` batch. A
+    SolverFailure in any env is raised before any env moves on."""
+    patterns = [env._next_pattern(action) for env, action in zip(envs, actions)]
+    answers = [None] * len(envs)
+    shared = {}
+    for k, env in enumerate(envs):
+        shared.setdefault(id(env.reward_source), []).append(k)
+    for ks in shared.values():
+        batch = envs[ks[0]].reward_source.transmit_powers(
+            [patterns[k] for k in ks], [envs[k].current.demands_mbps for k in ks])
+        for k, answer in zip(ks, batch):
+            if isinstance(answer, SolverFailure):
+                raise answer
+            answers[k] = answer
+    return [env._finish(pattern, answer)
+            for env, pattern, answer in zip(envs, patterns, answers)]

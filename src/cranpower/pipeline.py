@@ -1,5 +1,6 @@
 """Orchestration of the whole workbench: dataset generation through the
-exact solver, offline training of the boosted-tree surrogate and the DQN,
+exact solver, offline training of the boosted-tree surrogate and of the DQN
+(in lockstep environments that share one batched exact solve a step),
 online greedy evaluation with regular tuning, the all-on / one-closed
 baselines, the timing benchmark, and the paired error-tolerance comparison.
 
@@ -40,6 +41,7 @@ from .env import (
     SurrogateReward,
     encode_state,
     p_upper_bound,
+    step_all,
 )
 from .netmodel import (
     ChannelRealization,
@@ -102,6 +104,7 @@ class RunConfig:
     online_tuning: bool = True
     fit_scatter_rows: int = 500
     redraw_channel: bool = False
+    offline_envs: int = 1
 
     def __post_init__(self):
         if self.dataset_size < 1:
@@ -114,6 +117,8 @@ class RunConfig:
             raise ConfigError("holdout_fraction", "must be in (0, 1)")
         if self.offline_episodes < 1:
             raise ConfigError("offline_episodes", "must be >= 1")
+        if self.offline_envs < 1:
+            raise ConfigError("offline_envs", "must be >= 1")
         if self.initial_pattern_mode not in (PATTERN_ALL_ON, PATTERN_ONE_OFF):
             raise ConfigError("initial_pattern_mode",
                               f"must be '{PATTERN_ALL_ON}' or '{PATTERN_ONE_OFF}'")
@@ -349,6 +354,13 @@ def train_offline(config: RunConfig, out_dir=None,
                   dataset: DatasetRows | None = None):
     """Fit the surrogate pair and pre-train the DQN with exact-solver rewards.
 
+    The DQN runs `offline_episodes` episodes, up to `offline_envs` of them at
+    once in lockstep environments whose exact rewards are solved in one
+    batch a step. Each env's transition is then pushed, counted and trained
+    on in env order, and the k-th env's action of a step uses the epsilon of
+    `global_step + k`, so with one env this is the plain one-episode-at-a-
+    time loop.
+
     Returns (artifacts, summary). When `out_dir` is given, also persists the
     models, the Q-network checkpoint, the replay memory, the training log,
     and the fit-quality plot data.
@@ -383,6 +395,7 @@ def train_offline(config: RunConfig, out_dir=None,
     rng_channels = np.random.default_rng([config.seeds.train, _STREAM_TRAIN_CHANNELS])
 
     fixed_channel = make_channel(config)
+    fixed_source = ExactSolverReward(config.network, fixed_channel, config.solver)
     net = QNetwork.initialize([m + n] + list(params.hidden_sizes) + [m + 1], rng_net)
     target = sync_target(net)
     buffer = ReplayBuffer(params.buffer_capacity)
@@ -390,22 +403,37 @@ def train_offline(config: RunConfig, out_dir=None,
     global_step = 0
     last_loss = math.nan
     last_return = math.nan
+    started = 0
 
-    for _ in range(config.offline_episodes):
-        channel = (sample_channel(config.network, rng_channels)
-                   if config.redraw_channel else fixed_channel)
-        env = Environment(config.network, channel,
-                          ExactSolverReward(config.network, channel, config.solver),
-                          rng_env, episode_length=params.episode_length)
-        state = env.reset(_sample_pattern(m, config.train_initial_pattern_mode,
-                                          rng_env))
-        episode_return = 0.0
-        while True:
-            epsilon = params.epsilon_at(global_step)
-            features = encode_state(state, config.network)
-            action = select_action(net, features, epsilon, rng_actions)
-            result = env.step(action)
-            buffer.push(Transition(features, action, result.reward,
+    def start_episode():
+        nonlocal started
+        started += 1
+        channel, source = fixed_channel, fixed_source
+        if config.redraw_channel:
+            channel = sample_channel(config.network, rng_channels)
+            source = ExactSolverReward(config.network, channel, config.solver)
+        env = Environment(config.network, channel, source, rng_env,
+                          episode_length=params.episode_length)
+        env.reset(_sample_pattern(m, config.train_initial_pattern_mode, rng_env))
+        return env
+
+    # Up to `offline_envs` episodes run in lockstep. A tick picks every
+    # env's action, answers all next states in one batch (`step_all`), then
+    # handles the transitions in env order as a one-env loop would. A
+    # finished episode's env is replaced in place while episodes remain.
+    active = [(start_episode(), 0.0)    # (env, its episode's return so far)
+              for _ in range(min(config.offline_envs, config.offline_episodes))]
+    while active:
+        envs = [env for env, _ in active]
+        features = [encode_state(env.current, config.network) for env in envs]
+        epsilons = [params.epsilon_at(global_step + k) for k in range(len(envs))]
+        actions = [select_action(net, f, epsilon, rng_actions)
+                   for f, epsilon in zip(features, epsilons)]
+        results = step_all(envs, actions)
+        running = []
+        for (env, episode_return), f, action, epsilon, result in zip(
+                active, features, actions, epsilons, results):
+            buffer.push(Transition(f, action, result.reward,
                                    encode_state(result.next_state, config.network),
                                    result.terminal))
             episode_return += result.reward
@@ -418,10 +446,13 @@ def train_offline(config: RunConfig, out_dir=None,
                 log_rows.append((global_step, last_loss, epsilon, last_return))
             if global_step % params.target_sync_interval == 0:
                 target = sync_target(net)
-            if result.terminal:
-                break
-            state = result.next_state
-        last_return = episode_return
+            if not result.terminal:
+                running.append((env, episode_return))
+                continue
+            last_return = episode_return
+            if started < config.offline_episodes:
+                running.append((start_episode(), 0.0))
+        active = running
     dqn_seconds = time.perf_counter() - t0
 
     artifacts = Artifacts(gbdt_model=model, feasibility_model=flag_model,
@@ -592,8 +623,7 @@ class _OnlinePolicy:
         self.net = artifacts.qnet.copy()
         self.target = sync_target(self.net)
         self.buffer = ReplayBuffer(self.params.buffer_capacity)
-        for tr in artifacts.replay.contents():
-            self.buffer.push(tr)
+        self.buffer.extend(artifacts.replay.contents())
         self.features = None
 
     def act(self, slot, state):
@@ -679,10 +709,18 @@ def run_baseline(config: RunConfig, scheme: str, slots: int) -> EvalReport:
 # Timing benchmark and error-tolerance comparison
 # ---------------------------------------------------------------------------
 
+# Inputs a block of `bench_timing`: each block times the surrogate and then
+# the solver on the same inputs, so both see nearly the same host load.
+BENCH_BLOCK = 50
+
+
 def bench_timing(config: RunConfig, artifacts: Artifacts, inputs: int = 1000,
                  repeats: int = 3) -> dict:
     """Average per-input wall-clock of surrogate prediction vs exact solving
-    over `inputs` random states, measured `repeats` times."""
+    over `inputs` random states, measured `repeats` times. The two alternate
+    in blocks of `BENCH_BLOCK` inputs, and the speedup is the median of the
+    blocks' solver-to-surrogate time ratios, which a load swing on a shared
+    host moves less than a ratio of two whole-run times."""
     network = config.network
     m, n = network.num_rrhs, network.num_users
     channel = make_channel(config)
@@ -695,27 +733,32 @@ def bench_timing(config: RunConfig, artifacts: Artifacts, inputs: int = 1000,
     model = artifacts.gbdt_model
     solver = ExactSolverReward(network, channel, config.solver)
 
-    gbdt_times, solver_times = [], []
+    gbdt_times, solver_times, ratios = [], [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        for i in range(inputs):
-            gbdt.predict(model, states[i])
-        gbdt_times.append((time.perf_counter() - t0) / inputs)
-        t0 = time.perf_counter()
-        for i in range(inputs):
-            solver.transmit_power(states[i, :m] > 0.5, states[i, m:])
-        solver_times.append((time.perf_counter() - t0) / inputs)
+        gbdt_s = solver_s = 0.0
+        for start in range(0, inputs, BENCH_BLOCK):
+            block = states[start:start + BENCH_BLOCK]
+            t0 = time.perf_counter()
+            for x in block:
+                gbdt.predict(model, x)
+            t1 = time.perf_counter()
+            for x in block:
+                solver.transmit_power(x[:m] > 0.5, x[m:])
+            t2 = time.perf_counter()
+            gbdt_s += t1 - t0
+            solver_s += t2 - t1
+            ratios.append((t2 - t1) / (t1 - t0))
+        gbdt_times.append(gbdt_s / inputs)
+        solver_times.append(solver_s / inputs)
 
-    gbdt_mean = float(np.mean(gbdt_times))
-    solver_mean = float(np.mean(solver_times))
     return {
         "num_rrhs": m,
         "num_users": n,
         "inputs": inputs,
         "repeats": repeats,
-        "gbdt_s_per_input": gbdt_mean,
-        "socp_s_per_input": solver_mean,
-        "speedup": solver_mean / gbdt_mean,
+        "gbdt_s_per_input": float(np.mean(gbdt_times)),
+        "socp_s_per_input": float(np.mean(solver_times)),
+        "speedup": float(np.median(ratios)),
         "gbdt_s_spread": [float(min(gbdt_times)), float(max(gbdt_times))],
         "socp_s_spread": [float(min(solver_times)), float(max(solver_times))],
     }

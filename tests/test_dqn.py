@@ -1,7 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cranpower import dqn
 from cranpower.dqn import (
+    Batch,
     DqnParams,
     QNetwork,
     ReplayBuffer,
@@ -306,6 +312,151 @@ class TestReplayBuffer:
             assert np.array_equal(a.state, b.state)
             assert a.action == b.action and a.reward == b.reward
             assert a.terminal == b.terminal
+
+
+class ListReplay:
+    """The list-of-Transitions replay buffer the array store replaced, kept
+    as the reference for its slot order, sampling and snapshot bytes."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.storage = []
+        self.next = 0
+
+    def push(self, transition):
+        if len(self.storage) < self.capacity:
+            self.storage.append(transition)
+        else:
+            self.storage[self.next] = transition
+            self.next = (self.next + 1) % self.capacity
+
+    def contents(self):
+        return self.storage[self.next:] + self.storage[:self.next]
+
+    def sample(self, batch_size, rng):
+        idx = rng.choice(len(self.storage), size=batch_size, replace=False)
+        return [self.storage[i] for i in idx]
+
+
+def assert_same_transitions(batch, transitions):
+    reference = Batch.of(transitions)
+    for got, want in zip(Batch.of(batch).arrays(), reference.arrays()):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def random_transition(rng, width=3):
+    return Transition(rng.normal(size=width), int(rng.integers(5)),
+                      float(rng.normal()), rng.normal(size=width),
+                      bool(rng.random() < 0.3))
+
+
+class TestArrayReplay:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(capacity=st.integers(1, 9), ops=st.lists(st.integers(0, 12), max_size=30),
+           seed=st.integers(0, 2 ** 16))
+    def test_matches_list_buffer(self, capacity, ops, seed):
+        # Each op pushes a transition, or, when it is at least 9, samples
+        # op - 8 transitions with twin generators: same rows, same order.
+        rng = np.random.default_rng(seed)
+        buf, ref = ReplayBuffer(capacity), ListReplay(capacity)
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for op in ops:
+            if op < 9:
+                transition = random_transition(rng)
+                buf.push(transition)
+                ref.push(transition)
+            elif op - 8 <= len(ref.storage):
+                assert_same_transitions(buf.sample(op - 8, rng_a),
+                                        ref.sample(op - 8, rng_b))
+            assert len(buf) == len(ref.storage)
+        if ref.storage:
+            assert_same_transitions(buf.contents(), ref.contents())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(capacity=st.integers(1, 9), before=st.integers(0, 20),
+           rows=st.integers(0, 25), seed=st.integers(0, 2 ** 16))
+    def test_extend_is_pushing_each_row(self, capacity, before, rows, seed):
+        rng = np.random.default_rng(seed)
+        first = [random_transition(rng) for _ in range(before)]
+        more = [random_transition(rng) for _ in range(rows)]
+        buf, ref = ReplayBuffer(capacity), ReplayBuffer(capacity)
+        for transition in first:
+            buf.push(transition)
+            ref.push(transition)
+        if more:
+            buf.extend(Batch.of(more))
+        for transition in more:
+            ref.push(transition)
+        assert len(buf) == len(ref)
+        if len(ref):
+            assert_same_transitions(buf.contents(), list(ref.contents()))
+            assert_same_transitions(buf.sample(len(ref), np.random.default_rng(seed)),
+                                    ref.sample(len(ref), np.random.default_rng(seed)))
+
+    def test_snapshot_bytes_match_list_buffer(self, tmp_path):
+        # The snapshot holds the stacked contents, oldest first, written as
+        # the list buffer wrote them.
+        rng = np.random.default_rng(12)
+        buf, ref = ReplayBuffer(6), ListReplay(6)
+        for _ in range(9):
+            transition = random_transition(rng)
+            buf.push(transition)
+            ref.push(transition)
+        buf.save(tmp_path / "array.bin")
+        with open(tmp_path / "listed.bin", "wb") as f:
+            dqn._write_header(f, dqn.BUFFER_MAGIC, dqn.BUFFER_VERSION)
+            np.save(f, np.array([6], dtype=np.int64))
+            stacked = ref.contents()
+            np.save(f, np.stack([t.state for t in stacked]))
+            np.save(f, np.array([t.action for t in stacked], dtype=np.int64))
+            np.save(f, np.array([t.reward for t in stacked], dtype=float))
+            np.save(f, np.stack([t.next_state for t in stacked]))
+            np.save(f, np.array([t.terminal for t in stacked], dtype=bool))
+        assert (tmp_path / "array.bin").read_bytes() == \
+            (tmp_path / "listed.bin").read_bytes()
+        assert_same_transitions(ReplayBuffer.load(tmp_path / "array.bin").contents(),
+                                ref.contents())
+
+    def test_empty_snapshot_round_trip(self, tmp_path):
+        ReplayBuffer(4).save(tmp_path / "empty.bin")
+        loaded = ReplayBuffer.load(tmp_path / "empty.bin")
+        assert len(loaded) == 0 and loaded.capacity == 4
+
+    def test_memory_follows_occupancy(self):
+        # A nearly empty buffer of a large capacity, and a copy of its rows
+        # into another, allocate for the rows held, not for the capacity.
+        rng = np.random.default_rng(13)
+        tracemalloc.start()
+        try:
+            buf = ReplayBuffer(100_000)
+            for _ in range(100):
+                buf.push(random_transition(rng, width=12))
+            copy = ReplayBuffer(100_000)
+            copy.extend(buf.contents())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(copy) == 100
+        assert peak < 200_000
+
+    def test_sample_trains_like_stacked_transitions(self):
+        rng = np.random.default_rng(14)
+        buf, ref = ReplayBuffer(32), ListReplay(32)
+        for _ in range(40):
+            transition = random_transition(rng, width=4)
+            transition.action %= 3
+            buf.push(transition)
+            ref.push(transition)
+        net_a = QNetwork.initialize([4, 8, 3], np.random.default_rng(15))
+        net_b, target = net_a.copy(), net_a.copy()
+        rng_a, rng_b = np.random.default_rng(16), np.random.default_rng(16)
+        for _ in range(20):
+            loss_a = train_step(net_a, target, buf.sample(8, rng_a), 0.9, 1e-2)
+            loss_b = train_step(net_b, target, ref.sample(8, rng_b), 0.9, 1e-2)
+            assert loss_a == loss_b
+        for a, b in zip(net_a.weights + net_a.biases, net_b.weights + net_b.biases):
+            assert np.array_equal(a, b)
 
 
 class TestReproducibility:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cranpower import env as env_module
+from cranpower.beamform import SolverFailure
 from cranpower.env import (
     Environment,
     ExactSolverReward,
@@ -8,6 +12,7 @@ from cranpower.env import (
     apply_action,
     encode_state,
     p_upper_bound,
+    step_all,
 )
 from cranpower.gbdt import GbdtModel, GbdtParams
 from cranpower.netmodel import NetworkConfig, sample_channel
@@ -229,3 +234,85 @@ class TestEncodeState:
         assert feats.shape == (12,)
         assert np.all(feats[:8] == 1.0)
         assert np.all((feats[8:] >= 0.5) & (feats[8:] <= 1.0))  # demands 20-40 over 40
+
+
+def _same_result(a, b):
+    assert a.reward == b.reward and a.feasible == b.feasible
+    assert a.terminal == b.terminal and a.power == b.power
+    assert a.next_state.rrh_active.tobytes() == b.next_state.rrh_active.tobytes()
+    assert a.next_state.demands_mbps.tobytes() == b.next_state.demands_mbps.tobytes()
+
+
+class TestStepAll:
+    @staticmethod
+    def _envs(config, seed, owners, episode_length):
+        """One env per entry of `owners`; envs with the same owner share one
+        reward source and channel. Each env has its own demand stream."""
+        sources = {}
+        for owner in sorted(set(owners)):
+            channel = sample_channel(config, np.random.default_rng([seed, owner]))
+            sources[owner] = (channel, ExactSolverReward(config, channel))
+        envs = []
+        for k, owner in enumerate(owners):
+            channel, source = sources[owner]
+            env = Environment(config, channel, source,
+                              np.random.default_rng([seed, 100 + k]),
+                              episode_length=episode_length)
+            envs.append(env)
+        return envs
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 4), n=st.integers(1, 3),
+           demand_max=st.sampled_from([5.0, 40.0, 200.0]),
+           owners=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+           ticks=st.integers(1, 6), episode_length=st.sampled_from([None, 2]),
+           seed=st.integers(0, 2 ** 16))
+    def test_equals_stepping_each_env_alone(self, m, n, demand_max, owners, ticks,
+                                            episode_length, seed):
+        config = NetworkConfig(num_rrhs=m, num_users=n, demand_min_mbps=0.0,
+                               demand_max_mbps=demand_max)
+        together = self._envs(config, seed, owners, episode_length)
+        alone = self._envs(config, seed, owners, episode_length)
+        pick = np.random.default_rng(seed)
+        for env_a, env_b in zip(together, alone):
+            pattern = pick.random(m) < 0.5
+            env_a.reset(pattern)
+            env_b.reset(pattern)
+        for _ in range(ticks):
+            actions = [int(a) for a in pick.integers(0, m + 1, size=len(owners))]
+            results = step_all(together, actions)
+            for env_a, env_b, action, result in zip(together, alone, actions, results):
+                _same_result(result, env_b.step(action))
+                assert env_a.slot_counter == env_b.slot_counter
+                if result.terminal:
+                    env_a.reset()
+                    env_b.reset()
+
+    def test_one_batch_per_shared_source(self, table1_config, monkeypatch):
+        calls = []
+        original = ExactSolverReward.transmit_powers
+
+        def counting(source, patterns, demands):
+            calls.append(len(patterns))
+            return original(source, patterns, demands)
+
+        monkeypatch.setattr(ExactSolverReward, "transmit_powers", counting)
+        envs = self._envs(table1_config, 3, [0, 0, 1, 0], None)
+        for env in envs:
+            env.reset()
+        step_all(envs, [0, 1, 2, table1_config.num_rrhs])
+        assert sorted(calls) == [1, 3]
+
+    def test_solver_failure_raised_before_any_env_moves(self, table1_config,
+                                                        monkeypatch):
+        def failing(problems, params):
+            return [SolverFailure("forced")] * len(problems)
+
+        monkeypatch.setattr(env_module, "solve_batch", failing)
+        envs = self._envs(table1_config, 4, [0, 0], None)
+        before = [env.reset().demands_mbps.copy() for env in envs]
+        with pytest.raises(SolverFailure):
+            step_all(envs, [table1_config.num_rrhs] * 2)
+        for env, demands in zip(envs, before):
+            assert env.slot_counter == 0
+            assert np.array_equal(env.current.demands_mbps, demands)

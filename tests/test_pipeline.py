@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -8,12 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cranpower import cli, env, gbdt, pipeline
+from cranpower import cli, dqn, env, gbdt, pipeline
 from cranpower.beamform import BeamformingProblem, SolverFailure
 from cranpower.env import ExactSolverReward
-from cranpower.netmodel import ConfigError, NetworkConfig, sample_demands
+from cranpower.netmodel import ConfigError, NetworkConfig, sample_channel, sample_demands
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
+DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +206,176 @@ class TestTrainOffline:
             summary_fixed["dqn"]["final_episode_return"]
 
 
+def reference_dqn_training(config):
+    """The one-env offline DQN loop with a list replay buffer, as it was
+    before lockstep environments and the array store: one episode at a
+    time, one exact solve a step. Returns (net, replay transitions oldest
+    first, train log rows, the summary's dqn section)."""
+    m, n = config.network.num_rrhs, config.network.num_users
+    params = config.dqn
+    seed = config.seeds.train
+    rng_net = np.random.default_rng([seed, pipeline._STREAM_TRAIN_NET])
+    rng_env = np.random.default_rng([seed, pipeline._STREAM_TRAIN_ENV])
+    rng_actions = np.random.default_rng([seed, pipeline._STREAM_TRAIN_ACTIONS])
+    rng_buffer = np.random.default_rng([seed, pipeline._STREAM_TRAIN_BUFFER])
+    rng_channels = np.random.default_rng([seed, pipeline._STREAM_TRAIN_CHANNELS])
+    fixed_channel = pipeline.make_channel(config)
+    net = dqn.QNetwork.initialize([m + n] + list(params.hidden_sizes) + [m + 1],
+                                  rng_net)
+    target = dqn.sync_target(net)
+    storage, oldest = [], 0
+    log_rows = []
+    global_step = 0
+    last_loss = math.nan
+    last_return = math.nan
+    for _ in range(config.offline_episodes):
+        channel = (sample_channel(config.network, rng_channels)
+                   if config.redraw_channel else fixed_channel)
+        environment = env.Environment(
+            config.network, channel,
+            ExactSolverReward(config.network, channel, config.solver),
+            rng_env, episode_length=params.episode_length)
+        state = environment.reset(pipeline._sample_pattern(
+            m, config.train_initial_pattern_mode, rng_env))
+        episode_return = 0.0
+        while True:
+            epsilon = params.epsilon_at(global_step)
+            features = env.encode_state(state, config.network)
+            action = dqn.select_action(net, features, epsilon, rng_actions)
+            result = environment.step(action)
+            transition = dqn.Transition(features, action, result.reward,
+                                        env.encode_state(result.next_state,
+                                                         config.network),
+                                        result.terminal)
+            if len(storage) < params.buffer_capacity:
+                storage.append(transition)
+            else:
+                storage[oldest] = transition
+                oldest = (oldest + 1) % params.buffer_capacity
+            episode_return += result.reward
+            global_step += 1
+            if (len(storage) >= params.batch_size
+                    and global_step % params.train_interval == 0):
+                idx = rng_buffer.choice(len(storage), size=params.batch_size,
+                                        replace=False)
+                last_loss = dqn.train_step(net, target, [storage[i] for i in idx],
+                                           params.gamma, params.learning_rate)
+                log_rows.append((global_step, last_loss, epsilon, last_return))
+            if global_step % params.target_sync_interval == 0:
+                target = dqn.sync_target(net)
+            if result.terminal:
+                break
+            state = result.next_state
+        last_return = episode_return
+    summary = {"episodes": config.offline_episodes, "steps": global_step,
+               "final_loss": last_loss, "final_epsilon": params.epsilon_at(global_step),
+               "final_episode_return": last_return, "buffer_occupancy": len(storage)}
+    return net, storage[oldest:] + storage[:oldest], log_rows, summary
+
+
+def _short_default_config():
+    config = pipeline.RunConfig.from_file(DEFAULT)
+    return dataclasses.replace(config, offline_episodes=30, r2_floor=-math.inf,
+                               gbdt=dataclasses.replace(config.gbdt, num_rounds=2),
+                               fit_scatter_rows=0)
+
+
+def _train(config, out, rows=200):
+    return pipeline.train_offline(config, out_dir=out,
+                                  dataset=pipeline.gen_dataset(config, count=rows))
+
+
+def _non_timing_files(out):
+    return {path.name: path.read_bytes() for path in sorted(Path(out).iterdir())
+            if "timing" not in path.name}
+
+
+class TestLockstepTraining:
+    @pytest.mark.parametrize("variant", ["tiny", "tiny-redraw", "default"])
+    def test_one_env_equals_reference_loop(self, variant, tmp_path):
+        config = (_short_default_config() if variant == "default"
+                  else pipeline.RunConfig.from_file(TINY))
+        config = dataclasses.replace(config, offline_envs=1,
+                                     redraw_channel=variant == "tiny-redraw")
+        artifacts, summary = _train(config, tmp_path)
+        net, transitions, log_rows, dqn_summary = reference_dqn_training(config)
+        for got, want in zip(artifacts.qnet.weights + artifacts.qnet.biases,
+                             net.weights + net.biases):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(artifacts.replay.contents().arrays(),
+                             dqn.Batch.of(transitions).arrays()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        pipeline._write_csv(tmp_path / "reference_log.csv",
+                            ["step", "loss", "epsilon", "episode_return"], log_rows)
+        assert (tmp_path / pipeline.TRAIN_LOG_FILE).read_bytes() == \
+            (tmp_path / "reference_log.csv").read_bytes()
+        assert json.dumps(summary["dqn"], sort_keys=True) == \
+            json.dumps(dqn_summary, sort_keys=True)
+        assert dqn_summary["steps"] > config.dqn.batch_size
+
+    @pytest.mark.parametrize("envs, redraw", [(3, False), (16, False), (4, True)])
+    def test_lockstep_reproduces_itself(self, envs, redraw, tmp_path):
+        config = dataclasses.replace(pipeline.RunConfig.from_file(TINY),
+                                     offline_envs=envs, redraw_channel=redraw)
+        _, first = _train(config, tmp_path / "a")
+        _, again = _train(config, tmp_path / "b")
+        assert first["dqn"] == again["dqn"]
+        assert _non_timing_files(tmp_path / "a") == _non_timing_files(tmp_path / "b")
+        # A logged step's epsilon is the one its transition's action used:
+        # that of the global step before it.
+        log = (tmp_path / "a" / pipeline.TRAIN_LOG_FILE).read_text().splitlines()[1:]
+        assert log
+        for line in log:
+            step, _, epsilon, _ = line.split(",")
+            assert float(epsilon) == config.dqn.epsilon_at(int(step) - 1)
+
+    @pytest.mark.parametrize("envs, redraw", [(3, False), (7, False), (60, False),
+                                              (4, True)])
+    def test_every_episode_runs_once(self, envs, redraw, monkeypatch):
+        config = dataclasses.replace(pipeline.RunConfig.from_file(TINY),
+                                     offline_envs=envs, redraw_channel=redraw,
+                                     offline_episodes=12)
+        resets, pushes = [], []
+        reset, push = env.Environment.reset, dqn.ReplayBuffer.push
+        monkeypatch.setattr(env.Environment, "reset",
+                            lambda self, *a: resets.append(1) or reset(self, *a))
+        monkeypatch.setattr(dqn.ReplayBuffer, "push",
+                            lambda self, t: pushes.append(1) or push(self, t))
+        artifacts, summary = pipeline.train_offline(
+            config, dataset=pipeline.gen_dataset(config, count=100))
+        steps = summary["dqn"]["steps"]
+        assert len(resets) == 12
+        assert steps == len(pushes) == len(artifacts.replay)
+        # Every episode ends on exactly one terminal transition.
+        assert int(np.count_nonzero(artifacts.replay.contents().terminals)) == 12
+
+    def test_lockstep_differs_from_one_env(self, tmp_path):
+        tiny = pipeline.RunConfig.from_file(TINY)
+        _, one = _train(tiny, tmp_path / "one")
+        _, four = _train(dataclasses.replace(tiny, offline_envs=4), tmp_path / "four")
+        assert one["dqn"]["episodes"] == four["dqn"]["episodes"]
+        assert _non_timing_files(tmp_path / "one")["qnet.ckpt"] != \
+            _non_timing_files(tmp_path / "four")["qnet.ckpt"]
+
+    def test_solver_failure_in_one_env_aborts(self, monkeypatch):
+        config = dataclasses.replace(pipeline.RunConfig.from_file(TINY), offline_envs=4)
+        dataset = pipeline.gen_dataset(config, count=100)
+        solve_batch = env.solve_batch
+        fired = []
+
+        def failing(problems, params):
+            solved = solve_batch(problems, params)
+            if len(problems) >= 2 and not fired:
+                fired.append(len(problems))
+                solved[1] = SolverFailure("forced breakdown")
+            return solved
+
+        monkeypatch.setattr(env, "solve_batch", failing)
+        with pytest.raises(SolverFailure, match="forced breakdown"):
+            pipeline.train_offline(config, dataset=dataset)
+        assert fired
+
+
 class TestRunOnline:
     def test_zero_slots_empty_report(self, tiny_trained, tiny_run_config):
         artifacts, _, _ = tiny_trained
@@ -271,9 +444,38 @@ class TestBenchAndEte:
                                     repeats=2)
         assert row["gbdt_s_per_input"] > 0
         assert row["socp_s_per_input"] > 0
-        assert row["speedup"] == pytest.approx(
-            row["socp_s_per_input"] / row["gbdt_s_per_input"])
+        # One block a repeat: the speedup is the median of the repeats' ratios.
+        (gbdt_low, gbdt_high), (socp_low, socp_high) = (row["gbdt_s_spread"],
+                                                        row["socp_s_spread"])
+        assert (socp_low / gbdt_high * (1 - 1e-9) <= row["speedup"]
+                <= socp_high / gbdt_low * (1 + 1e-9))
         assert row["gbdt_s_spread"][0] <= row["gbdt_s_spread"][1]
+
+    def test_bench_speedup_is_median_block_ratio(self, tiny_trained,
+                                                 tiny_run_config, monkeypatch):
+        # On a fake clock the surrogate takes 1 us an input, except 5 us in
+        # the third block of 50 (a load swing), and the solver 12 us. The
+        # block ratios are 12, 12, 2.4 and 12, so the speedup is 12, while
+        # the mean times are 2 us and 12 us.
+        artifacts, _, _ = tiny_trained
+        clock = [0.0]
+        calls = [0]
+
+        def predict(model, x):
+            calls[0] += 1
+            clock[0] += 5e-6 if 100 < calls[0] <= 150 else 1e-6
+
+        def transmit_power(source, pattern, demands):
+            clock[0] += 12e-6
+
+        monkeypatch.setattr(pipeline.time, "perf_counter", lambda: clock[0])
+        monkeypatch.setattr(pipeline.gbdt, "predict", predict)
+        monkeypatch.setattr(ExactSolverReward, "transmit_power", transmit_power)
+        row = pipeline.bench_timing(tiny_run_config, artifacts, inputs=200,
+                                    repeats=1)
+        assert row["speedup"] == pytest.approx(12.0)
+        assert row["gbdt_s_per_input"] == pytest.approx(2e-6)
+        assert row["socp_s_per_input"] == pytest.approx(12e-6)
 
     def test_ete_stub_identity(self, tiny_trained, tiny_run_config):
         # An oracle surrogate that returns exact solver values is exactly the
@@ -355,6 +557,11 @@ class TestStrictConfig:
         ("dqn", "hidden_sizes", [-4]),
         ("dqn", "hidden_sizes", [0]),
         ("dqn", "episode_length", 0),
+        (None, "offline_envs", True),
+        (None, "offline_envs", 2.5),
+        (None, "offline_envs", "4"),
+        (None, "offline_envs", 0),
+        (None, "offline_envs", -3),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value):
         path = _tiny_variant(tmp_path, section, key, value)
