@@ -48,7 +48,7 @@ print("\n=== Speed: surrogate vs solver ===")
 from cranpower.env import ExactSolverReward
 
 channel = pipeline.make_channel(config)
-solver = ExactSolverReward(config.network, channel, config.solver)
+solver = ExactSolverReward(config.network, config.solver)
 m = config.network.num_rrhs
 probes = regression.features[:200]
 t0 = time.time()
@@ -57,7 +57,7 @@ for row in probes:
 t_gbdt = (time.time() - t0) / len(probes)
 t0 = time.time()
 for row in probes:
-    solver.transmit_power(row[:m] > 0.5, row[m:])
+    solver.transmit_power(channel, row[:m] > 0.5, row[m:])
 t_solver = (time.time() - t0) / len(probes)
 print(f"surrogate {t_gbdt * 1e6:.0f} us/input vs solver "
       f"{t_solver * 1e6:.0f} us/input -> {t_solver / t_gbdt:.1f}x faster")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -95,6 +96,35 @@ def _load_config(args) -> pipeline.RunConfig:
     return config
 
 
+# Numeric options and their least allowed value.
+_OPTION_FLOORS = (("count", 1), ("slots", 0), ("inputs", 1), ("repeats", 1))
+
+
+def _check_options(args, config):
+    """Reject bad numeric options before any work runs or any file is
+    written. Builds the config of each --demand-max-sweep ceiling into
+    `args.swept`, so that the network checks every ceiling up front."""
+    for option, least in _OPTION_FLOORS:
+        value = getattr(args, option, None)
+        if value is not None and value < least:
+            raise ValueError(f"--{option} must be >= {least}, got {value}")
+    args.swept = []
+    for entry in (getattr(args, "demand_max_sweep", None) or "").split(","):
+        if not entry.strip():
+            continue
+        try:
+            dmax = float(entry)
+        except ValueError:
+            dmax = math.nan
+        if not math.isfinite(dmax):
+            raise ValueError(f"--demand-max-sweep entry {entry!r} is not a finite number")
+        try:
+            args.swept.append(replace(config, network=replace(
+                config.network, demand_max_mbps=dmax)))
+        except ConfigError as err:
+            raise ValueError(f"--demand-max-sweep entry {entry!r}: {err}") from None
+
+
 def _artifacts_dir(args):
     return Path(args.artifacts) if getattr(args, "artifacts", None) else Path(args.out)
 
@@ -109,8 +139,7 @@ def _write_run(args, config, out, report, artifacts, prefix, tag):
     print(f"{report.scheme}: average power {report.average_power_w!r} W over "
           f"{slots} slots, {report.infeasible_count} infeasible")
     if args.demand_max_sweep:
-        dmaxes = [float(v) for v in args.demand_max_sweep.split(",") if v.strip()]
-        rows = pipeline.demand_sweep(config, artifacts, slots, dmaxes, report.scheme)
+        rows = pipeline.demand_sweep(args.swept, artifacts, slots, report.scheme)
         pipeline._write_csv(out / f"sweep_{tag}.csv",
                             ["demand_max_mbps", "scheme", "average_power_w",
                              "infeasible_count"], rows)
@@ -192,6 +221,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
+        _check_options(args, config)
     except (ConfigError, OSError, json.JSONDecodeError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1

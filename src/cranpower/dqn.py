@@ -311,6 +311,18 @@ class ReplayBuffer:
             new[slots] = arr[fill + skip:]
         self._next = (self._next + rest) % self.capacity
 
+    def copy(self, capacity: int, room: int) -> "ReplayBuffer":
+        """A buffer of `capacity` with this one's transitions pushed in
+        order, whose store is sized once for them plus `room` more rows (at
+        most `capacity`). The rows go over straight from the ring, with no
+        gathered temporary."""
+        out = ReplayBuffer(capacity)
+        if self._size:
+            out._reserve(self._size + room, self._store.states.shape[1])
+            for rows in (slice(self._next, self._size), slice(0, self._next)):
+                out.extend(self._store.take(rows))
+        return out
+
     def contents(self) -> "Batch":
         """The transitions in insertion order, oldest first."""
         if self._store is None:

@@ -6,11 +6,11 @@ solver or the boosted-tree surrogate), account the full system power, emit
 the reward P_UB - P_total, and resample demands for the next slot. An
 unservable demand profile ends the episode with the reward -P_UB.
 
-`Environment.step` asks its reward source for one state at a time.
-`step_all` steps several environments in lockstep, in the manner of a
-vectorised environment: it asks for the transmit answers of all their next
-states in one batch, then finishes each step exactly as `Environment.step`
-does, so a batch of envs gives the results of stepping each env alone.
+Each environment owns its channel, and a reward source answers (channel,
+pattern, demands) states. `step_all` steps envs that share one reward source
+in lockstep, like a vectorised environment: one `transmit_powers` call
+answers all their next states, each on its env's channel, then each step
+finishes. `Environment.step` is `step_all` on one env: one step path.
 
 Both reward sources share the exact standby/transition accounting; they can
 only differ in the transmit term.
@@ -79,37 +79,35 @@ SOLVE_CHUNK = 512
 class ExactSolverReward:
     """Transmit power from the exact beamforming solver."""
 
-    def __init__(self, config: NetworkConfig, channel: ChannelRealization,
+    def __init__(self, config: NetworkConfig,
                  solver_params: SolverParams = SolverParams()):
         self.config = config
-        self.channel = channel
         self.solver_params = solver_params
 
-    def _problem(self, pattern, demands_mbps):
+    def _problem(self, channel, pattern, demands_mbps):
         """The solver instance of one state, or the state's (power, feasible)
         answer when no RRH is active."""
         iota, _ = sinr_targets(demands_mbps, self.config)
         if not np.any(pattern):
             return 0.0, not np.any(iota > 0)
-        return BeamformingProblem.from_state(self.channel, pattern, iota,
-                                             self.config)
+        return BeamformingProblem.from_state(channel, pattern, iota, self.config)
 
-    def transmit_power(self, pattern, demands_mbps):
+    def transmit_power(self, channel, pattern, demands_mbps):
         """Returns (minimal transmit power in W, feasible flag)."""
-        problem = self._problem(pattern, demands_mbps)
+        problem = self._problem(channel, pattern, demands_mbps)
         if isinstance(problem, tuple):
             return problem
         return _answer(solve_beamforming(problem, self.solver_params))
 
-    def transmit_powers(self, patterns, demands_mbps) -> list:
+    def transmit_powers(self, channels, patterns, demands_mbps) -> list:
         """Batch form of `transmit_power`, solved in lockstep: one entry per
         state, its (power, feasible) pair or the SolverFailure solving it
-        raised."""
+        raised. Problems of one shape stack whatever their channels."""
         answers = []
         for start in range(0, len(patterns), SOLVE_CHUNK):
-            chunk = [self._problem(p, d) for p, d in zip(
-                patterns[start:start + SOLVE_CHUNK],
-                demands_mbps[start:start + SOLVE_CHUNK])]
+            end = start + SOLVE_CHUNK
+            chunk = [self._problem(c, p, d) for c, p, d in zip(
+                channels[start:end], patterns[start:end], demands_mbps[start:end])]
             posed = [k for k, answer in enumerate(chunk)
                      if isinstance(answer, BeamformingProblem)]
             solved = solve_batch([chunk[k] for k in posed], self.solver_params)
@@ -133,7 +131,8 @@ class SurrogateReward:
         self.model = model
         self.feasibility_model = feasibility_model
 
-    def transmit_power(self, pattern, demands_mbps):
+    def transmit_power(self, channel, pattern, demands_mbps):
+        """(power, feasible) of one state; the models ignore the channel."""
         features = np.concatenate([np.asarray(pattern, dtype=float),
                                    np.asarray(demands_mbps, dtype=float)])
         score = gbdt.predict(self.feasibility_model, features)
@@ -141,6 +140,11 @@ class SurrogateReward:
             return 0.0, False
         # Leaf averages can dip below zero where targets do not support them.
         return max(0.0, gbdt.predict(self.model, features)), True
+
+    def transmit_powers(self, channels, patterns, demands_mbps) -> list:
+        """`transmit_power` of each state in turn."""
+        return [self.transmit_power(c, p, d)
+                for c, p, d in zip(channels, patterns, demands_mbps)]
 
 
 @dataclass
@@ -193,14 +197,7 @@ class Environment:
                                    demands_mbps=self.current.demands_mbps)
 
     def step(self, action: int) -> StepResult:
-        next_pattern = self._next_pattern(action)
-        return self._finish(next_pattern, self.reward_source.transmit_power(
-            next_pattern, self.current.demands_mbps))
-
-    def _next_pattern(self, action: int) -> np.ndarray:
-        if self.current is None:
-            raise RuntimeError("environment must be reset before stepping")
-        return apply_action(self.current.rrh_active, action)
+        return step_all([self], [action])[0]
 
     def _finish(self, next_pattern, answer) -> StepResult:
         """The rest of a step to `next_pattern` once the reward source's
@@ -228,21 +225,22 @@ class Environment:
 
 
 def step_all(envs, actions) -> list:
-    """Step every env with its action, in order; each result is the one
-    `Environment.step` gives. The answers of envs that share an
-    `ExactSolverReward` come from one `transmit_powers` batch. A
-    SolverFailure in any env is raised before any env moves on."""
-    patterns = [env._next_pattern(action) for env, action in zip(envs, actions)]
-    answers = [None] * len(envs)
-    shared = {}
-    for k, env in enumerate(envs):
-        shared.setdefault(id(env.reward_source), []).append(k)
-    for ks in shared.values():
-        batch = envs[ks[0]].reward_source.transmit_powers(
-            [patterns[k] for k in ks], [envs[k].current.demands_mbps for k in ks])
-        for k, answer in zip(ks, batch):
-            if isinstance(answer, SolverFailure):
-                raise answer
-            answers[k] = answer
+    """Step every env with its action, in order. The envs must share one
+    reward source, which answers all their next states in one
+    `transmit_powers` call. A bad env or action, or a SolverFailure in any
+    env, is raised before any env moves on."""
+    source = envs[0].reward_source
+    for env in envs:
+        if env.reward_source is not source:
+            raise ValueError("step_all needs envs that share one reward source")
+        if env.current is None:
+            raise RuntimeError("environment must be reset before stepping")
+    patterns = [apply_action(env.current.rrh_active, action)
+                for env, action in zip(envs, actions)]
+    answers = source.transmit_powers([env.channel for env in envs], patterns,
+                                     [env.current.demands_mbps for env in envs])
+    for answer in answers:
+        if isinstance(answer, SolverFailure):
+            raise answer
     return [env._finish(pattern, answer)
             for env, pattern, answer in zip(envs, patterns, answers)]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -236,7 +236,7 @@ def gen_dataset(config: RunConfig, count: int | None = None,
     network = config.network
     channel = make_channel(config)
     rng = np.random.default_rng([config.seeds.data, stream])
-    source = ExactSolverReward(network, channel, config.solver)
+    source = ExactSolverReward(network, config.solver)
 
     m, n = network.num_rrhs, network.num_users
     features = np.empty((count, m + n))
@@ -252,8 +252,7 @@ def gen_dataset(config: RunConfig, count: int | None = None,
         states = [(_sample_pattern(m, pattern_mode, rng),
                    sample_demands(network, rng))
                   for _ in range(min(count - row, SOLVE_CHUNK))]
-        answers = source.transmit_powers([p for p, _ in states],
-                                         [d for _, d in states])
+        answers = source.transmit_powers([channel] * len(states), *zip(*states))
         for (pattern, demands), answer in zip(states, answers):
             if isinstance(answer, SolverFailure):
                 failures += 1
@@ -355,11 +354,11 @@ def train_offline(config: RunConfig, out_dir=None,
     """Fit the surrogate pair and pre-train the DQN with exact-solver rewards.
 
     The DQN runs `offline_episodes` episodes, up to `offline_envs` of them at
-    once in lockstep environments whose exact rewards are solved in one
-    batch a step. Each env's transition is then pushed, counted and trained
-    on in env order, and the k-th env's action of a step uses the epsilon of
-    `global_step + k`, so with one env this is the plain one-episode-at-a-
-    time loop.
+    once in lockstep environments that share one exact reward source and get
+    their rewards in one batch a step, whatever their channels. Each env's
+    transition is then pushed, counted and trained on in env order, and the
+    k-th env's action of a step uses the epsilon of `global_step + k`, so
+    with one env this is the plain one-episode-at-a-time loop.
 
     Returns (artifacts, summary). When `out_dir` is given, also persists the
     models, the Q-network checkpoint, the replay memory, the training log,
@@ -395,7 +394,7 @@ def train_offline(config: RunConfig, out_dir=None,
     rng_channels = np.random.default_rng([config.seeds.train, _STREAM_TRAIN_CHANNELS])
 
     fixed_channel = make_channel(config)
-    fixed_source = ExactSolverReward(config.network, fixed_channel, config.solver)
+    source = ExactSolverReward(config.network, config.solver)
     net = QNetwork.initialize([m + n] + list(params.hidden_sizes) + [m + 1], rng_net)
     target = sync_target(net)
     buffer = ReplayBuffer(params.buffer_capacity)
@@ -408,10 +407,8 @@ def train_offline(config: RunConfig, out_dir=None,
     def start_episode():
         nonlocal started
         started += 1
-        channel, source = fixed_channel, fixed_source
-        if config.redraw_channel:
-            channel = sample_channel(config.network, rng_channels)
-            source = ExactSolverReward(config.network, channel, config.solver)
+        channel = (sample_channel(config.network, rng_channels)
+                   if config.redraw_channel else fixed_channel)
         env = Environment(config.network, channel, source, rng_env,
                           episode_length=params.episode_length)
         env.reset(_sample_pattern(m, config.train_initial_pattern_mode, rng_env))
@@ -615,15 +612,15 @@ class _OnlinePolicy:
     network on the slots it sees, and wakes every RRH after a slot it
     believes unservable."""
 
-    def __init__(self, config: RunConfig, artifacts: Artifacts, tuning: bool):
+    def __init__(self, config: RunConfig, artifacts: Artifacts, tuning: bool,
+                 slots: int):
         self.network = config.network
         self.params = config.dqn
         self.tuning = tuning
         self.rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_TUNING])
         self.net = artifacts.qnet.copy()
         self.target = sync_target(self.net)
-        self.buffer = ReplayBuffer(self.params.buffer_capacity)
-        self.buffer.extend(artifacts.replay.contents())
+        self.buffer = artifacts.replay.copy(self.params.buffer_capacity, slots)
         self.features = None
 
     def act(self, slot, state):
@@ -667,8 +664,8 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     channel = make_channel(config)
     source = (SurrogateReward(artifacts.gbdt_model, artifacts.feasibility_model)
               if scheme == SCHEME_DQN_GBDT
-              else ExactSolverReward(network, channel, config.solver))
-    policy = _OnlinePolicy(config, artifacts, tuning)
+              else ExactSolverReward(network, config.solver))
+    policy = _OnlinePolicy(config, artifacts, tuning, slots)
     pick_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_OC_PICK])
     initial = _sample_pattern(network.num_rrhs, config.initial_pattern_mode, pick_rng)
     steps = _run_slots(config, channel, source, initial, slots,
@@ -677,7 +674,8 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     if scheme == SCHEME_DQN_GBDT:
         # The ground truth never feeds back into control, so every slot is
         # re-solved in one batch after the run.
-        truth = ExactSolverReward(network, channel, config.solver).transmit_powers(
+        truth = ExactSolverReward(network, config.solver).transmit_powers(
+            [channel] * len(steps),
             [result.next_state.rrh_active for _, _, result in steps],
             [demands for _, demands, _ in steps])
     return _report(scheme, network, steps, t_start, truth)
@@ -698,8 +696,7 @@ def run_baseline(config: RunConfig, scheme: str, slots: int) -> EvalReport:
     channel = make_channel(config)
     pick_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_OC_PICK])
     first = int(pick_rng.integers(m)) if scheme == SCHEME_OC else m
-    steps = _run_slots(config, channel,
-                       ExactSolverReward(network, channel, config.solver),
+    steps = _run_slots(config, channel, ExactSolverReward(network, config.solver),
                        np.ones(m, dtype=bool), slots,
                        lambda slot, state: first if slot == 0 else m)
     return _report(scheme, network, steps, t_start)
@@ -731,7 +728,7 @@ def bench_timing(config: RunConfig, artifacts: Artifacts, inputs: int = 1000,
         states[i, m:] = sample_demands(network, rng)
 
     model = artifacts.gbdt_model
-    solver = ExactSolverReward(network, channel, config.solver)
+    solver = ExactSolverReward(network, config.solver)
 
     gbdt_times, solver_times, ratios = [], [], []
     for _ in range(repeats):
@@ -743,7 +740,7 @@ def bench_timing(config: RunConfig, artifacts: Artifacts, inputs: int = 1000,
                 gbdt.predict(model, x)
             t1 = time.perf_counter()
             for x in block:
-                solver.transmit_power(x[:m] > 0.5, x[m:])
+                solver.transmit_power(channel, x[:m] > 0.5, x[m:])
             t2 = time.perf_counter()
             gbdt_s += t1 - t0
             solver_s += t2 - t1
@@ -810,17 +807,15 @@ def ete_compare(config: RunConfig, artifacts: Artifacts, slots: int,
                      average_gap_rel=gap, action_agreement=agreement)
 
 
-def demand_sweep(config: RunConfig, artifacts, slots: int, demand_maxes,
-                 scheme: str) -> list:
-    """Average power at several demand ceilings (the demand-sweep figure)."""
+def demand_sweep(configs, artifacts, slots: int, scheme: str) -> list:
+    """Average power on each of `configs`, which differ in their demand
+    ceiling (the demand-sweep figure)."""
     rows = []
-    for dmax in demand_maxes:
-        swept = replace(config, network=replace(config.network,
-                                                demand_max_mbps=float(dmax)))
+    for swept in configs:
         if scheme in DQN_SCHEMES:
             report = run_online(swept, artifacts, slots, scheme=scheme)
         else:
             report = run_baseline(swept, scheme, slots)
-        rows.append((dmax, scheme, report.average_power_w,
+        rows.append((swept.network.demand_max_mbps, scheme, report.average_power_w,
                      report.infeasible_count))
     return rows

@@ -364,15 +364,18 @@ class TestSolveBatch:
     def test_exact_reward_batch_matches_single_states(self, monkeypatch, chunk):
         if chunk is not None:
             monkeypatch.setattr(env, "SOLVE_CHUNK", chunk)
+        # States on three channels: problems of one shape stack across them.
         config = NetworkConfig(num_rrhs=3, num_users=2)
-        channel = sample_channel(config, np.random.default_rng(8))
-        source = ExactSolverReward(config, channel)
+        cells = [sample_channel(config, np.random.default_rng([8, k])) for k in range(3)]
+        source = ExactSolverReward(config)
         rng = np.random.default_rng(9)
         patterns = [np.zeros(3, dtype=bool)] + [rng.random(3) < 0.6 for _ in range(20)]
         demands = [rng.uniform(0.0, 40.0, 2) for _ in patterns]
         demands[0] = np.zeros(2)
         patterns.append(np.zeros(3, dtype=bool))
         demands.append(np.array([0.0, 10.0]))
-        batch = source.transmit_powers(patterns, demands)
+        channels = [cells[k % 3] for k in range(len(patterns))]
+        batch = source.transmit_powers(channels, patterns, demands)
         assert batch[0] == (0.0, True) and batch[-1] == (0.0, False)
-        assert batch == [source.transmit_power(p, d) for p, d in zip(patterns, demands)]
+        assert batch == [source.transmit_power(c, p, d)
+                         for c, p, d in zip(channels, patterns, demands)]

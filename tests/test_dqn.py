@@ -440,6 +440,31 @@ class TestArrayReplay:
         assert len(copy) == 100
         assert peak < 200_000
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(capacity=st.integers(1, 9), new_capacity=st.integers(1, 12),
+           before=st.integers(0, 20), room=st.integers(0, 6), pushes=st.integers(0, 8),
+           seed=st.integers(0, 2 ** 16))
+    def test_copy_is_extending_with_contents(self, capacity, new_capacity, before,
+                                             room, pushes, seed):
+        # The copy holds what extending a new buffer with the contents would,
+        # in the same slots, and later pushes land alike.
+        rng = np.random.default_rng(seed)
+        buf = ReplayBuffer(capacity)
+        for _ in range(before):
+            buf.push(random_transition(rng))
+        copy, ref = buf.copy(new_capacity, room), ReplayBuffer(new_capacity)
+        if len(buf):
+            ref.extend(buf.contents())
+        for _ in range(pushes):
+            transition = random_transition(rng)
+            copy.push(transition)
+            ref.push(transition)
+        assert copy.capacity == new_capacity and len(copy) == len(ref)
+        if len(ref):
+            assert_same_transitions(copy.contents(), list(ref.contents()))
+            assert_same_transitions(copy.sample(len(ref), np.random.default_rng(seed)),
+                                    ref.sample(len(ref), np.random.default_rng(seed)))
+
     def test_sample_trains_like_stacked_transitions(self):
         rng = np.random.default_rng(14)
         buf, ref = ReplayBuffer(32), ListReplay(32)

@@ -26,7 +26,7 @@ def constant_model(value, num_features):
 def make_env(config, reward_source=None, seed=0, **kwargs):
     channel = sample_channel(config, np.random.default_rng(seed))
     if reward_source is None:
-        reward_source = ExactSolverReward(config, channel)
+        reward_source = ExactSolverReward(config)
     elif callable(reward_source):
         reward_source = reward_source(channel)
     return Environment(config, channel, reward_source,
@@ -243,23 +243,29 @@ def _same_result(a, b):
     assert a.next_state.demands_mbps.tobytes() == b.next_state.demands_mbps.tobytes()
 
 
+def reference_step(env, action):
+    """The single-env step before it went through `step_all`: the flip, the
+    reward source's answer for the env's own channel, then `_finish`."""
+    if env.current is None:
+        raise RuntimeError("environment must be reset before stepping")
+    pattern = apply_action(env.current.rrh_active, action)
+    return env._finish(pattern, env.reward_source.transmit_power(
+        env.channel, pattern, env.current.demands_mbps))
+
+
 class TestStepAll:
     @staticmethod
-    def _envs(config, seed, owners, episode_length):
-        """One env per entry of `owners`; envs with the same owner share one
-        reward source and channel. Each env has its own demand stream."""
-        sources = {}
-        for owner in sorted(set(owners)):
-            channel = sample_channel(config, np.random.default_rng([seed, owner]))
-            sources[owner] = (channel, ExactSolverReward(config, channel))
-        envs = []
-        for k, owner in enumerate(owners):
-            channel, source = sources[owner]
-            env = Environment(config, channel, source,
-                              np.random.default_rng([seed, 100 + k]),
-                              episode_length=episode_length)
-            envs.append(env)
-        return envs
+    def _envs(config, seed, owners, episode_length, source=None):
+        """One env per entry of `owners`, all sharing one reward source;
+        envs with the same owner share a channel. Each env has its own
+        demand stream."""
+        source = ExactSolverReward(config) if source is None else source
+        channels = {owner: sample_channel(config, np.random.default_rng([seed, owner]))
+                    for owner in set(owners)}
+        return [Environment(config, channels[owner], source,
+                            np.random.default_rng([seed, 100 + k]),
+                            episode_length=episode_length)
+                for k, owner in enumerate(owners)]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(1, 4), n=st.integers(1, 3),
@@ -282,8 +288,24 @@ class TestStepAll:
             actions = [int(a) for a in pick.integers(0, m + 1, size=len(owners))]
             results = step_all(together, actions)
             for env_a, env_b, action, result in zip(together, alone, actions, results):
-                _same_result(result, env_b.step(action))
+                _same_result(result, reference_step(env_b, action))
                 assert env_a.slot_counter == env_b.slot_counter
+                if result.terminal:
+                    env_a.reset()
+                    env_b.reset()
+
+    def test_step_is_the_reference_step(self, table1_config):
+        m, n = table1_config.num_rrhs, table1_config.num_users
+        surrogate = SurrogateReward(constant_model(0.5, m + n),
+                                    constant_model(1.0, m + n))
+        for source in (None, surrogate):
+            env_a, env_b = (self._envs(table1_config, 5, [0], 3, source)[0]
+                            for _ in range(2))
+            env_a.reset()
+            env_b.reset()
+            for action in [0, m, 3, 3, 1, m, 7]:
+                result = env_a.step(action)
+                _same_result(result, reference_step(env_b, action))
                 if result.terminal:
                     env_a.reset()
                     env_b.reset()
@@ -292,16 +314,41 @@ class TestStepAll:
         calls = []
         original = ExactSolverReward.transmit_powers
 
-        def counting(source, patterns, demands):
+        def counting(source, channels, patterns, demands):
             calls.append(len(patterns))
-            return original(source, patterns, demands)
+            return original(source, channels, patterns, demands)
 
         monkeypatch.setattr(ExactSolverReward, "transmit_powers", counting)
         envs = self._envs(table1_config, 3, [0, 0, 1, 0], None)
         for env in envs:
             env.reset()
         step_all(envs, [0, 1, 2, table1_config.num_rrhs])
-        assert sorted(calls) == [1, 3]
+        assert calls == [4]
+
+    @staticmethod
+    def _assert_unmoved(envs, before):
+        for env, state in zip(envs, before):
+            if state is None:
+                assert env.current is None
+                continue
+            assert env.slot_counter == 0
+            assert np.array_equal(env.current.rrh_active, state.rrh_active)
+            assert np.array_equal(env.current.demands_mbps, state.demands_mbps)
+
+    def test_mixed_sources_rejected_before_any_env_moves(self, table1_config):
+        envs = self._envs(table1_config, 6, [0, 1], None)
+        envs.append(self._envs(table1_config, 6, [0], None)[0])
+        before = [env.reset() for env in envs]
+        with pytest.raises(ValueError, match="one reward source"):
+            step_all(envs, [0, 1, 2])
+        self._assert_unmoved(envs, before)
+
+    def test_unreset_env_rejected_before_any_env_moves(self, table1_config):
+        envs = self._envs(table1_config, 7, [0, 1, 0], None)
+        before = [envs[0].reset(), None, envs[2].reset()]
+        with pytest.raises(RuntimeError, match="reset"):
+            step_all(envs, [0, 1, 2])
+        self._assert_unmoved(envs, before)
 
     def test_solver_failure_raised_before_any_env_moves(self, table1_config,
                                                         monkeypatch):
@@ -309,10 +356,8 @@ class TestStepAll:
             return [SolverFailure("forced")] * len(problems)
 
         monkeypatch.setattr(env_module, "solve_batch", failing)
-        envs = self._envs(table1_config, 4, [0, 0], None)
-        before = [env.reset().demands_mbps.copy() for env in envs]
+        envs = self._envs(table1_config, 4, [0, 1], None)
+        before = [env.reset() for env in envs]
         with pytest.raises(SolverFailure):
             step_all(envs, [table1_config.num_rrhs] * 2)
-        for env, demands in zip(envs, before):
-            assert env.slot_counter == 0
-            assert np.array_equal(env.current.demands_mbps, demands)
+        self._assert_unmoved(envs, before)

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +76,11 @@ class TestGenDataset:
         rows = pipeline.gen_dataset(tiny_run_config, count=30)
         network = tiny_run_config.network
         channel = pipeline.make_channel(tiny_run_config)
-        solver = ExactSolverReward(network, channel, tiny_run_config.solver)
+        solver = ExactSolverReward(network, tiny_run_config.solver)
         m = network.num_rrhs
         picks = np.random.default_rng(0).choice(30, size=10, replace=False)
         for i in picks:
-            tx, ok = solver.transmit_power(rows.features[i, :m] > 0.5,
+            tx, ok = solver.transmit_power(channel, rows.features[i, :m] > 0.5,
                                            rows.features[i, m:])
             assert ok == rows.feasible[i]
             if ok:
@@ -110,7 +111,8 @@ def per_row_dataset(config, count):
     """Rows of `gen_dataset` as a loop over single states that skips a state
     the solver fails on and draws another: the reference for its order."""
     network = config.network
-    source = ExactSolverReward(network, pipeline.make_channel(config), config.solver)
+    channel = pipeline.make_channel(config)
+    source = ExactSolverReward(network, config.solver)
     rng = np.random.default_rng([config.seeds.data, pipeline._STREAM_DATASET])
     m = network.num_rrhs
     rows, failures = [], 0
@@ -118,7 +120,7 @@ def per_row_dataset(config, count):
         pattern = pipeline._sample_pattern(m, pipeline.PATTERN_RANDOM, rng)
         demands = sample_demands(network, rng)
         try:
-            tx, ok = source.transmit_power(pattern, demands)
+            tx, ok = source.transmit_power(channel, pattern, demands)
         except SolverFailure:
             failures += 1
             continue
@@ -233,7 +235,7 @@ def reference_dqn_training(config):
                    if config.redraw_channel else fixed_channel)
         environment = env.Environment(
             config.network, channel,
-            ExactSolverReward(config.network, channel, config.solver),
+            ExactSolverReward(config.network, config.solver),
             rng_env, episode_length=params.episode_length)
         state = environment.reset(pipeline._sample_pattern(
             m, config.train_initial_pattern_mode, rng_env))
@@ -357,6 +359,35 @@ class TestLockstepTraining:
         assert _non_timing_files(tmp_path / "one")["qnet.ckpt"] != \
             _non_timing_files(tmp_path / "four")["qnet.ckpt"]
 
+    def test_redraw_tick_is_one_batch(self, monkeypatch):
+        # Envs on their own channels share one reward source, so each tick
+        # asks it once and solves every posed problem in one batch.
+        config = dataclasses.replace(pipeline.RunConfig.from_file(TINY), offline_envs=4,
+                                     redraw_channel=True, offline_episodes=12)
+        dataset = pipeline.gen_dataset(config, count=100)
+        ticks, calls, batches = [], [], []
+        step_all, transmit_powers = pipeline.step_all, ExactSolverReward.transmit_powers
+        solve_batch = env.solve_batch
+
+        def counting_step_all(envs, actions):
+            ticks.append(len(envs))
+            return step_all(envs, actions)
+
+        def counting_transmit_powers(source, channels, patterns, demands):
+            calls.append((len(patterns), len({id(c) for c in channels})))
+            return transmit_powers(source, channels, patterns, demands)
+
+        monkeypatch.setattr(pipeline, "step_all", counting_step_all)
+        monkeypatch.setattr(ExactSolverReward, "transmit_powers",
+                            counting_transmit_powers)
+        monkeypatch.setattr(env, "solve_batch",
+                            lambda problems, params: batches.append(1)
+                            or solve_batch(problems, params))
+        pipeline.train_offline(config, dataset=dataset)
+        assert [size for size, _ in calls] == ticks
+        assert len(batches) == len(ticks)
+        assert max(channels for _, channels in calls) == 4
+
     def test_solver_failure_in_one_env_aborts(self, monkeypatch):
         config = dataclasses.replace(pipeline.RunConfig.from_file(TINY), offline_envs=4)
         dataset = pipeline.gen_dataset(config, count=100)
@@ -377,6 +408,34 @@ class TestLockstepTraining:
 
 
 class TestRunOnline:
+    def test_replay_copy_is_sized_once(self):
+        # A 30,000-row pre-trained replay and 5,000 slots: the copy is
+        # allocated once for both, so no push grows it and there is no
+        # gathered temporary of the rows.
+        config = pipeline.RunConfig.from_file(DEFAULT)
+        width = config.network.num_rrhs + config.network.num_users
+        rng = np.random.default_rng(17)
+        rows = 30_000
+        replay = dqn.ReplayBuffer(config.dqn.buffer_capacity)
+        replay.extend(dqn.Batch(rng.random((rows, width)),
+                                rng.integers(0, 9, rows), rng.random(rows),
+                                rng.random((rows, width)), rng.random(rows) < 0.1))
+        qnet = dqn.QNetwork.initialize([width, 64, 64, 9], rng)
+        artifacts = pipeline.Artifacts(None, None, qnet, replay)
+        pushed = dqn.Transition(rng.random(width), 3, 1.0, rng.random(width), False)
+        tracemalloc.start()
+        try:
+            policy = pipeline._OnlinePolicy(config, artifacts, False, 5_000)
+            reserved = len(policy.buffer._store)
+            for _ in range(5_000):
+                policy.buffer.push(pushed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(policy.buffer) == 35_000
+        assert reserved == len(policy.buffer._store) == 35_000
+        assert peak <= 13.1 * 2 ** 20
+
     def test_zero_slots_empty_report(self, tiny_trained, tiny_run_config):
         artifacts, _, _ = tiny_trained
         report = pipeline.run_online(tiny_run_config, artifacts, 0)
@@ -465,7 +524,7 @@ class TestBenchAndEte:
             calls[0] += 1
             clock[0] += 5e-6 if 100 < calls[0] <= 150 else 1e-6
 
-        def transmit_power(source, pattern, demands):
+        def transmit_power(source, channel, pattern, demands):
             clock[0] += 12e-6
 
         monkeypatch.setattr(pipeline.time, "perf_counter", lambda: clock[0])
@@ -494,8 +553,9 @@ class TestBenchAndEte:
 
     def test_demand_sweep_rows(self, tiny_trained, tiny_run_config):
         artifacts, _, _ = tiny_trained
-        rows = pipeline.demand_sweep(tiny_run_config, artifacts, 10,
-                                     [10.0, 15.0], "DQN-GBDT")
+        configs = [dataclasses.replace(tiny_run_config, network=dataclasses.replace(
+            tiny_run_config.network, demand_max_mbps=dmax)) for dmax in (10.0, 15.0)]
+        rows = pipeline.demand_sweep(configs, artifacts, 10, "DQN-GBDT")
         assert [r[0] for r in rows] == [10.0, 15.0]
         assert all(r[2] > 0 for r in rows)
 
@@ -570,6 +630,30 @@ class TestStrictConfig:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error:") and key in err
+
+    @pytest.mark.parametrize("argv, option", [
+        (["gen-data", "--count", "0"], "--count"),
+        (["gen-data", "--count", "-3"], "--count"),
+        (["baseline", "--scheme", "AO", "--slots", "-5"], "--slots"),
+        (["evaluate", "--slots", "-1"], "--slots"),
+        (["ete", "--slots", "-2"], "--slots"),
+        (["bench", "--inputs", "0"], "--inputs"),
+        (["bench", "--repeats", "-1"], "--repeats"),
+        (["baseline", "--scheme", "OC", "--slots", "3", "--demand-max-sweep", "10,abc"],
+         "--demand-max-sweep"),
+        (["baseline", "--scheme", "AO", "--slots", "3", "--demand-max-sweep", "-4"],
+         "--demand-max-sweep"),
+        (["evaluate", "--slots", "3", "--demand-max-sweep", "10,nan"],
+         "--demand-max-sweep"),
+    ])
+    def test_bad_option_is_config_error_before_any_work(self, tmp_path, capsys, argv,
+                                                        option):
+        out = tmp_path / "out"
+        code = cli.main([*argv, "--config", str(TINY), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and option in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, key", [
         ('{"network": 8}', "network"),

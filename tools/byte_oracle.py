@@ -1,0 +1,158 @@
+"""Byte-identity oracle: run the same CLI sequences on this working tree and
+on a git revision, and compare what they write.
+
+    python3 tools/byte_oracle.py --against HEAD
+    python3 tools/byte_oracle.py --against main --short-default
+
+The revision is unpacked with `git archive` into a temporary directory, so
+nothing is written to `.git`. On each tree, from its own `configs/`:
+
+- c9: the criterion-9 sequence on `tiny.json` (gen-data, train, evaluate
+  with both DQN schemes, both baselines, ete, bench);
+- sweep: `evaluate` (both schemes) and both baselines with
+  `--demand-max-sweep 10,15,200`, on the c9 artifacts;
+- no-tune: `evaluate --no-tune` on the c9 artifacts;
+- redraw-k1, redraw-k4: `train --seed 9 --redraw-channel` on the c9 dataset,
+  with `offline_envs` 1 and 4;
+- with `--short-default`, also short-default and short-default-redraw: a
+  `default.json` gen-data + train cut to 3000 rows, 100 rounds and 30
+  episodes, without and with `--redraw-channel`.
+
+Compared: every output file whose name does not contain "timing", each
+command's exit code and stderr, and its stdout once the output directory is
+masked and `bench`'s timing line dropped. Prints the differences and exits
+1 if there are any, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _variant(tree: Path, name: str, path: Path, changes: dict) -> str:
+    """Write to `path` the `configs/<name>` of `tree` with top-level and
+    `section.key` values changed."""
+    raw = json.loads((tree / "configs" / name).read_text())
+    for key, value in changes.items():
+        section, _, leaf = key.rpartition(".")
+        (raw[section] if section else raw)[leaf] = value
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
+    """Run name -> list of CLI argument lists; each run writes to `work/<run>`."""
+    tiny = str(tree / "configs" / "tiny.json")
+    c9 = str(work / "c9")
+    k4 = _variant(tree, "tiny.json", work / "tiny-k4.json", {"offline_envs": 4})
+    sweep = ["--demand-max-sweep", "10,15,200"]
+    runs = {
+        "c9": [
+            ["gen-data", "--config", tiny],
+            ["train", "--config", tiny, "--dataset", f"{c9}/dataset.csv"],
+            ["evaluate", "--config", tiny, "--slots", "30"],
+            ["evaluate", "--config", tiny, "--slots", "30", "--scheme", "DQN-SOCP"],
+            ["baseline", "--config", tiny, "--scheme", "AO", "--slots", "30"],
+            ["baseline", "--config", tiny, "--scheme", "OC", "--slots", "30"],
+            ["ete", "--config", tiny, "--slots", "30"],
+            ["bench", "--config", tiny, "--inputs", "20", "--repeats", "1"],
+        ],
+        "sweep": [
+            ["evaluate", "--config", tiny, "--slots", "30", "--artifacts", c9, *sweep],
+            ["evaluate", "--config", tiny, "--slots", "30", "--artifacts", c9,
+             "--scheme", "DQN-SOCP", *sweep],
+            ["baseline", "--config", tiny, "--scheme", "AO", "--slots", "30", *sweep],
+            ["baseline", "--config", tiny, "--scheme", "OC", "--slots", "30", *sweep],
+        ],
+        "no-tune": [
+            ["evaluate", "--config", tiny, "--slots", "30", "--artifacts", c9,
+             "--no-tune"],
+        ],
+    }
+    for name, config in (("redraw-k1", tiny), ("redraw-k4", k4)):
+        runs[name] = [["train", "--config", config, "--seed", "9", "--redraw-channel",
+                       "--dataset", f"{c9}/dataset.csv"]]
+    if short_default:
+        short = _variant(tree, "default.json", work / "default-short.json", {
+            "dataset_size": 3000, "gbdt.num_rounds": 100, "offline_episodes": 30})
+        runs["short-default"] = [["gen-data", "--config", short],
+                                 ["train", "--config", short, "--dataset",
+                                  f"{work}/short-default/dataset.csv"]]
+        runs["short-default-redraw"] = [["train", "--config", short,
+                                         "--redraw-channel", "--dataset",
+                                         f"{work}/short-default/dataset.csv"]]
+    return runs
+
+
+def run_tree(tree: Path, work: Path, short_default: bool) -> dict:
+    """Key -> bytes of everything the sequences on `tree` produce."""
+    work.mkdir(parents=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    record = {}
+    for run, commands in _sequences(tree, work, short_default).items():
+        out = work / run
+        for k, argv in enumerate(commands):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cranpower.cli", *argv, "--out", str(out)],
+                capture_output=True, env=env, cwd=work)
+            stdout = proc.stdout.replace(str(work).encode(), b"<work>")
+            if argv[0] == "bench":
+                stdout = b""
+            tag = f"{run}/{k}:{argv[0]}"
+            record[f"{tag} exit"] = str(proc.returncode).encode()
+            record[f"{tag} stdout"] = stdout
+            record[f"{tag} stderr"] = proc.stderr.replace(str(work).encode(), b"<work>")
+        for path in sorted(out.iterdir()):
+            if "timing" not in path.name:
+                record[f"{run}/{path.name}"] = path.read_bytes()
+    return record
+
+
+def unpack(rev: str, into: Path) -> Path:
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return into
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, help="git revision to compare with")
+    parser.add_argument("--short-default", action="store_true",
+                        help="also run the short default.json gen-data + train")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="byte_oracle_") as tmp:
+        tmp = Path(tmp)
+        base = unpack(args.against, tmp / "rev")
+        with ThreadPoolExecutor(2) as pool:
+            theirs, ours = pool.map(
+                lambda tw: run_tree(tw[0], tw[1], args.short_default),
+                [(base, tmp / "work-rev"), (ROOT, tmp / "work-tree")])
+    differ = sorted(key for key in theirs.keys() | ours.keys()
+                    if theirs.get(key) != ours.get(key))
+    files = sum(" " not in key for key in ours)
+    print(f"compared {len(theirs.keys() | ours.keys())} outputs ({files} files) "
+          f"of the working tree with {args.against}")
+    for key in differ:
+        print(f"DIFFERS: {key}" + ("" if key in ours else " (only at the revision)")
+              + ("" if key in theirs else " (only in the working tree)"))
+    failed = [key for key in ours if key.endswith(" exit") and ours[key] != b"0"]
+    for key in failed:
+        print(f"note: {key} is {ours[key].decode()} in the working tree")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
