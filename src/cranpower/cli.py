@@ -50,7 +50,7 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="greedy online run with regular tuning")
     _add_common(p)
-    p.add_argument("--scheme", default=None,
+    p.add_argument("--scheme", default=pipeline.SCHEME_DQN_GBDT,
                    choices=list(pipeline.DQN_SCHEMES))
     p.add_argument("--slots", type=int, default=None)
     p.add_argument("--artifacts", default=None,
@@ -81,19 +81,16 @@ def build_parser():
 
 
 def _load_config(args) -> pipeline.RunConfig:
+    """The config file with the command line's overrides, checked as the
+    file's own values are."""
     config = pipeline.RunConfig.from_file(args.config)
+    changes = {}
     if args.seed is not None:
-        seeds = config.seeds
-        if args.command == "gen-data":
-            seeds = replace(seeds, data=args.seed)
-        elif args.command == "train":
-            seeds = replace(seeds, train=args.seed)
-        else:
-            seeds = replace(seeds, eval=args.seed)
-        config.seeds = seeds
+        seed = {"gen-data": "data", "train": "train"}.get(args.command, "eval")
+        changes["seeds"] = replace(config.seeds, **{seed: args.seed})
     if getattr(args, "redraw_channel", False):
-        config.redraw_channel = True
-    return config
+        changes["redraw_channel"] = True
+    return replace(config, **changes)
 
 
 # Numeric options and their least allowed value.
@@ -166,14 +163,11 @@ def _cmd_train(args, config, out):
 
 
 def _cmd_evaluate(args, config, out):
-    scheme = args.scheme or (config.scheme if config.scheme in pipeline.DQN_SCHEMES
-                             else pipeline.SCHEME_DQN_GBDT)
     slots = args.slots if args.slots is not None else config.eval_slots
     artifacts = pipeline.Artifacts.load(_artifacts_dir(args))
-    tuning = False if args.no_tune else None
-    report = pipeline.run_online(config, artifacts, slots, scheme=scheme,
-                                 tuning=tuning)
-    tag = scheme.lower().replace("-", "_")
+    report = pipeline.run_online(config, artifacts, slots, scheme=args.scheme,
+                                 tuning=not args.no_tune)
+    tag = args.scheme.lower().replace("-", "_")
     with open(out / f"eval_{tag}_timing.json", "w") as f:
         json.dump(report.timing, f, indent=2, sort_keys=True)
         f.write("\n")

@@ -8,42 +8,79 @@ are converted once, at config load time.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class ConfigError(ValueError):
-    """Invalid network configuration; carries the offending key."""
+    """Invalid run configuration; carries the offending key."""
 
     def __init__(self, key, message):
-        self.key = key
+        self.key, self.message = key, message
         super().__init__(f"config key '{key}': {message}")
 
 
 def config_value(key, val, kind):
-    """A config value read from JSON as `kind`: bool, str, int, float, dict
-    for a section, or tuple for a list of ints.
+    """A config value read from JSON as `kind`: bool, int, float, dict for a
+    section, or tuple for a list of ints.
 
-    Numbers must be JSON numbers, not strings or booleans. An int field
-    takes a float only when it is integral, and a float field takes an int.
+    Numbers must be finite JSON numbers, not strings or booleans (JSON's
+    `Infinity` and `NaN` are refused). An int field takes a float only when
+    it is integral, and a float field takes an int.
     """
     if kind is tuple:
         if not isinstance(val, (list, tuple)):
             raise ConfigError(key, f"must be a list, got {val!r}")
         return tuple(config_value(f"{key}[{i}]", v, int) for i, v in enumerate(val))
-    if kind in (bool, str, dict):
+    if kind in (bool, dict):
         if not isinstance(val, kind):
             raise ConfigError(key, f"must be a {kind.__name__}, got {val!r}")
         return val
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(key, f"must be a number, got {val!r}")
+    if isinstance(val, float) and not math.isfinite(val):
+        raise ConfigError(key, f"must be finite, got {val!r}")
     if kind is int:
         if isinstance(val, float) and not val.is_integer():
             raise ConfigError(key, f"must be an integer, got {val!r}")
         return int(val)
     return float(val)
+
+
+def config_from_dict(cls, raw, section=""):
+    """Build the config dataclass `cls` from its JSON mapping `raw`.
+
+    Every key must name a field of `cls`, and its value is read with
+    `config_value` as the type of the field's default. A field whose
+    default comes from a factory is a section, read the same way into that
+    factory's class. `noise_power_dbm` stands for `noise_power_w` in dBm.
+    Errors name a key inside a section as `section.key`, and a ValueError
+    from the class's own checks becomes a ConfigError on the section.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    prefix = f"{section}." if section else ""
+    values = {}
+    for key, val in config_value(section or "(top level)", raw, dict).items():
+        name = prefix + key
+        if key == "noise_power_dbm" and "noise_power_w" in fields:
+            if "noise_power_w" in raw:
+                raise ConfigError(name, "give noise as dBm or W, not both")
+            values["noise_power_w"] = dbm_to_w(config_value(name, val, float))
+        elif key not in fields:
+            raise ConfigError(name, "unknown key")
+        elif fields[key].default_factory is not dataclasses.MISSING:
+            values[key] = config_from_dict(fields[key].default_factory, val, name)
+        else:
+            values[key] = config_value(name, val, type(fields[key].default))
+    try:
+        return cls(**values)
+    except ConfigError as err:
+        raise ConfigError(prefix + err.key, err.message) from None
+    except ValueError as err:
+        raise ConfigError(section, str(err)) from None
 
 
 def dbm_to_w(dbm: float) -> float:
@@ -76,7 +113,6 @@ class NetworkConfig:
     demand_min_mbps: float = 20.0
     demand_max_mbps: float = 40.0
     cell_radius_m: float = 800.0
-    slot_duration_ms: float = 100.0
 
     def __post_init__(self):
         _validate_config(self)
@@ -85,32 +121,11 @@ class NetworkConfig:
     def antenna_gain_linear(self) -> float:
         return db_to_linear(self.antenna_gain_db)
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "NetworkConfig":
-        """Build from a config mapping.
-
-        Accepts either `noise_power_w` or `noise_power_dbm` (converted);
-        unknown keys are rejected so typos surface immediately.
-        """
-        fields = cls.__dataclass_fields__
-        values = {}
-        for key, val in raw.items():
-            if key == "noise_power_dbm":
-                if "noise_power_w" in raw:
-                    raise ConfigError(key, "give noise as dBm or W, not both")
-                values["noise_power_w"] = dbm_to_w(config_value(key, val, float))
-            elif key in fields:
-                values[key] = config_value(key, val, type(fields[key].default))
-            else:
-                raise ConfigError(key, "unknown key")
-        return cls(**values)
-
 
 def _validate_config(cfg: NetworkConfig):
     positive = [
         "bandwidth_hz", "max_tx_power_w", "active_power_w", "sleep_power_w",
         "transition_power_w", "noise_power_w", "cell_radius_m",
-        "slot_duration_ms",
     ]
     for key in positive:
         if not getattr(cfg, key) > 0:

@@ -47,7 +47,7 @@ from .netmodel import (
     ChannelRealization,
     ConfigError,
     NetworkConfig,
-    config_value,
+    config_from_dict,
     sample_channel,
     sample_demands,
 )
@@ -57,7 +57,6 @@ SCHEME_DQN_SOCP = "DQN-SOCP"
 SCHEME_AO = "AO"
 SCHEME_OC = "OC"
 DQN_SCHEMES = (SCHEME_DQN_GBDT, SCHEME_DQN_SOCP)
-ALL_SCHEMES = DQN_SCHEMES + (SCHEME_AO, SCHEME_OC)
 
 PATTERN_RANDOM = "random"
 PATTERN_ALL_ON = "all-on"
@@ -85,6 +84,11 @@ class Seeds:
     train: int = 2
     eval: int = 3
 
+    def __post_init__(self):
+        for name, seed in vars(self).items():
+            if seed < 0:
+                raise ValueError(f"seed '{name}' must be >= 0, got {seed}")
+
 
 @dataclass
 class RunConfig:
@@ -95,13 +99,9 @@ class RunConfig:
     dataset_size: int = 10_000
     eval_slots: int = 5_000
     seeds: Seeds = field(default_factory=Seeds)
-    scheme: str = SCHEME_DQN_GBDT
     offline_episodes: int = 400
     holdout_fraction: float = 0.2
     r2_floor: float = 0.0
-    initial_pattern_mode: str = PATTERN_ALL_ON
-    train_initial_pattern_mode: str = PATTERN_RANDOM
-    online_tuning: bool = True
     fit_scatter_rows: int = 500
     redraw_channel: bool = False
     offline_envs: int = 1
@@ -111,59 +111,19 @@ class RunConfig:
             raise ConfigError("dataset_size", "must be >= 1")
         if self.eval_slots < 0:
             raise ConfigError("eval_slots", "must be >= 0")
-        if self.scheme not in ALL_SCHEMES:
-            raise ConfigError("scheme", f"must be one of {ALL_SCHEMES}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError("holdout_fraction", "must be in (0, 1)")
         if self.offline_episodes < 1:
             raise ConfigError("offline_episodes", "must be >= 1")
         if self.offline_envs < 1:
             raise ConfigError("offline_envs", "must be >= 1")
-        if self.initial_pattern_mode not in (PATTERN_ALL_ON, PATTERN_ONE_OFF):
-            raise ConfigError("initial_pattern_mode",
-                              f"must be '{PATTERN_ALL_ON}' or '{PATTERN_ONE_OFF}'")
-        if self.train_initial_pattern_mode not in (PATTERN_ALL_ON, PATTERN_ONE_OFF,
-                                                   PATTERN_RANDOM):
-            raise ConfigError("train_initial_pattern_mode", "unknown mode")
         if self.fit_scatter_rows < 0:
             raise ConfigError("fit_scatter_rows", "must be >= 0")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        fields = cls.__dataclass_fields__
-        sections = {"gbdt": gbdt.GbdtParams, "dqn": DqnParams,
-                    "solver": SolverParams, "seeds": Seeds}
-        values = {}
-        for key, val in config_value("(top level)", raw, dict).items():
-            if key not in fields:
-                raise ConfigError(key, "unknown key")
-            if key == "network":
-                values[key] = NetworkConfig.from_dict(config_value(key, val, dict))
-            elif key in sections:
-                values[key] = _params_from_dict(
-                    sections[key], config_value(key, val, dict), key)
-            else:
-                values[key] = config_value(key, val, type(fields[key].default))
-        return cls(**values)
-
-    @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path) as f:
-            return cls.from_dict(json.load(f))
-
-
-def _params_from_dict(cls, raw, section):
-    fields = cls.__dataclass_fields__
-    values = {}
-    for key, val in raw.items():
-        if key not in fields:
-            raise ConfigError(f"{section}.{key}", "unknown key")
-        values[key] = config_value(f"{section}.{key}", val,
-                                   type(fields[key].default))
-    try:
-        return cls(**values)
-    except ValueError as err:
-        raise ConfigError(section, str(err)) from err
+            return config_from_dict(cls, json.load(f))
 
 
 def make_channel(config: RunConfig) -> ChannelRealization:
@@ -411,7 +371,7 @@ def train_offline(config: RunConfig, out_dir=None,
                    if config.redraw_channel else fixed_channel)
         env = Environment(config.network, channel, source, rng_env,
                           episode_length=params.episode_length)
-        env.reset(_sample_pattern(m, config.train_initial_pattern_mode, rng_env))
+        env.reset(_sample_pattern(m, PATTERN_RANDOM, rng_env))
         return env
 
     # Up to `offline_envs` episodes run in lockstep. A tick picks every
@@ -646,18 +606,17 @@ class _OnlinePolicy:
 
 
 def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
-               scheme: str | None = None, tuning: bool | None = None) -> EvalReport:
-    """Greedy online control for `slots` slots with regular tuning.
+               scheme: str = SCHEME_DQN_GBDT, tuning: bool = True) -> EvalReport:
+    """Greedy online control for `slots` slots from the all-on pattern,
+    tuning the network on the slots it sees unless `tuning` is False.
 
     The reward source follows the scheme, but the reported instant power is
     always ground truth: the exact solver is re-run on the realized
     (pattern, demands) of every slot, and unserved slots are charged the
     upper bound.
     """
-    scheme = config.scheme if scheme is None else scheme
     if scheme not in DQN_SCHEMES:
         raise ValueError(f"run_online drives DQN schemes, not '{scheme}'")
-    tuning = config.online_tuning if tuning is None else tuning
     t_start = time.perf_counter()
 
     network = config.network
@@ -666,10 +625,8 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
               if scheme == SCHEME_DQN_GBDT
               else ExactSolverReward(network, config.solver))
     policy = _OnlinePolicy(config, artifacts, tuning, slots)
-    pick_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_OC_PICK])
-    initial = _sample_pattern(network.num_rrhs, config.initial_pattern_mode, pick_rng)
-    steps = _run_slots(config, channel, source, initial, slots,
-                       policy.act, policy.learn)
+    steps = _run_slots(config, channel, source, np.ones(network.num_rrhs, dtype=bool),
+                       slots, policy.act, policy.learn)
     truth = None
     if scheme == SCHEME_DQN_GBDT:
         # The ground truth never feeds back into control, so every slot is

@@ -10,6 +10,7 @@ from cranpower.netmodel import (
     channel_coefficient,
     compute_rate,
     compute_sinr,
+    config_from_dict,
     dbm_to_w,
     path_loss_db,
     rrh_power,
@@ -40,17 +41,17 @@ class TestPathLoss:
 
 class TestConfig:
     def test_noise_dbm_conversion(self):
-        cfg = NetworkConfig.from_dict({"noise_power_dbm": -102.0})
+        cfg = config_from_dict(NetworkConfig, {"noise_power_dbm": -102.0})
         assert cfg.noise_power_w == pytest.approx(10 ** -13.2, rel=1e-12)
         assert cfg.noise_power_w == pytest.approx(6.31e-14, rel=1e-3)
 
     def test_noise_given_both_ways_rejected(self):
         with pytest.raises(ConfigError):
-            NetworkConfig.from_dict({"noise_power_dbm": -102.0, "noise_power_w": 1e-13})
+            config_from_dict(NetworkConfig, {"noise_power_dbm": -102.0, "noise_power_w": 1e-13})
 
     def test_unknown_key_reported(self):
         with pytest.raises(ConfigError) as err:
-            NetworkConfig.from_dict({"bandwith_hz": 1e7})
+            config_from_dict(NetworkConfig, {"bandwith_hz": 1e7})
         assert "bandwith_hz" in str(err.value)
 
     def test_sleep_power_must_undercut_active(self):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -14,7 +15,13 @@ import pytest
 from cranpower import cli, dqn, env, gbdt, pipeline
 from cranpower.beamform import BeamformingProblem, SolverFailure
 from cranpower.env import ExactSolverReward
-from cranpower.netmodel import ConfigError, NetworkConfig, sample_channel, sample_demands
+from cranpower.netmodel import (
+    ConfigError,
+    NetworkConfig,
+    config_from_dict,
+    sample_channel,
+    sample_demands,
+)
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -45,17 +52,13 @@ class TestRunConfig:
 
     def test_unknown_key_reported(self):
         with pytest.raises(ConfigError) as err:
-            pipeline.RunConfig.from_dict({"datset_size": 100})
+            config_from_dict(pipeline.RunConfig, {"datset_size": 100})
         assert "datset_size" in str(err.value)
 
     def test_unknown_section_key_reported(self):
         with pytest.raises(ConfigError) as err:
-            pipeline.RunConfig.from_dict({"dqn": {"gama": 0.9}})
+            config_from_dict(pipeline.RunConfig, {"dqn": {"gama": 0.9}})
         assert "dqn.gama" in str(err.value)
-
-    def test_bad_scheme_rejected(self):
-        with pytest.raises(ConfigError):
-            pipeline.RunConfig.from_dict({"scheme": "DQN-MLP"})
 
 
 class TestGenDataset:
@@ -238,7 +241,7 @@ def reference_dqn_training(config):
             ExactSolverReward(config.network, config.solver),
             rng_env, episode_length=params.episode_length)
         state = environment.reset(pipeline._sample_pattern(
-            m, config.train_initial_pattern_mode, rng_env))
+            m, pipeline.PATTERN_RANDOM, rng_env))
         episode_return = 0.0
         while True:
             epsilon = params.epsilon_at(global_step)
@@ -605,8 +608,8 @@ class TestStrictConfig:
         ("network", "noise_power_dbm", False),
         (None, "dataset_size", "100"),
         (None, "eval_slots", 40.5),
-        (None, "online_tuning", 1),
-        (None, "scheme", 3),
+        (None, "redraw_channel", 1),
+        (None, "holdout_fraction", math.nan),
         ("gbdt", "num_rounds", 60.5),
         ("dqn", "hidden_sizes", [32, True]),
         ("dqn", "hidden_sizes", 32),
@@ -678,3 +681,122 @@ class TestStrictConfig:
         assert got == loaded and type(got) is type(loaded)
         assert cli.main(["gen-data", "--config", str(path), "--out",
                          str(tmp_path / "out"), "--count", "5"]) == 0
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _accepted_keys(cls, prefix=""):
+    """Every key `config_from_dict` reads into `cls`, sections walked as
+    `section.key`."""
+    keys = set()
+    for f in dataclasses.fields(cls):
+        if f.default_factory is not dataclasses.MISSING:
+            keys |= _accepted_keys(f.default_factory, f"{prefix}{f.name}.")
+        else:
+            keys.add(prefix + f.name)
+    return keys
+
+
+class TestConfigReader:
+    @pytest.mark.parametrize("path", [DEFAULT, TINY], ids=["default", "tiny"])
+    def test_round_trip(self, path):
+        config = pipeline.RunConfig.from_file(path)
+        raw = json.loads(json.dumps(dataclasses.asdict(config)))
+        assert config_from_dict(pipeline.RunConfig, raw) == config
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("network", "slot_duration_ms", 100.0),
+        (None, "scheme", "DQN-GBDT"),
+        (None, "online_tuning", True),
+        (None, "initial_pattern_mode", "all-on"),
+        (None, "train_initial_pattern_mode", "random"),
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, section, key, value):
+        path = _tiny_variant(tmp_path, section, key, value)
+        out = tmp_path / "out"
+        code = cli.main(["gen-data", "--config", str(path), "--out", str(out),
+                         "--count", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "unknown key" in err
+        assert (f"{section}.{key}" if section else key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("network", "num_rrhs", 2.9),     # read as the field's type
+        ("network", "num_rrhs", 0),       # the class's own check
+        ("network", "demand_min_mbps", 50.0),
+        ("dqn", "batch_size", "64"),
+        ("seeds", "eval", True),
+    ])
+    def test_section_error_names_section_key(self, section, key, value):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(pipeline.RunConfig, {section: {key: value}})
+        assert err.value.key == f"{section}.{key}"
+        assert f"'{section}.{key}'" in str(err.value)
+
+    def test_class_check_names_section(self):
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(pipeline.RunConfig, {"gbdt": {"num_rounds": 0}})
+        assert err.value.key == "gbdt" and "num_rounds" in str(err.value)
+
+    def test_readme_lists_the_accepted_keys(self):
+        text = README.read_text()
+        block = text[text.index("Supported keys, by section:"):]
+        block = block[:block.index("\n\n", block.index("\n- "))]
+        documented = set()
+        for item in re.split(r"\n- ", block)[1:]:
+            head, _, keys = item.partition(":")
+            prefix = "" if head == "top level" else head.strip("`") + "."
+            keys = re.sub(r"\([^)]*\)", "", keys)
+            documented |= {prefix + key for key in re.findall(r"`([a-z0-9_]+)`", keys)}
+        assert documented == _accepted_keys(pipeline.RunConfig) | {"network.noise_power_dbm"}
+
+
+class TestRefusedValues:
+    @pytest.mark.parametrize("key, value", [
+        ("demand_max_mbps", math.inf),
+        ("noise_power_dbm", math.nan),
+        ("max_tx_power_w", math.inf),
+    ])
+    def test_non_finite_number(self, tmp_path, capsys, key, value):
+        path = _tiny_variant(tmp_path, "network", key, value)
+        assert ("Infinity" if value == math.inf else "NaN") in path.read_text()
+        out = tmp_path / "out"
+        code = cli.main(["baseline", "--scheme", "AO", "--slots", "3",
+                         "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and f"network.{key}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, seed", [
+        (["gen-data", "--count", "3"], "data"),
+        (["train"], "train"),
+        (["evaluate", "--slots", "3"], "eval"),
+    ])
+    def test_negative_seed_option(self, tmp_path, capsys, argv, seed):
+        out = tmp_path / "out"
+        code = cli.main([*argv, "--seed", "-1", "--config", str(TINY), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and f"seed '{seed}'" in err
+        assert not out.exists()
+
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        path = _tiny_variant(tmp_path, "seeds", "train", -2)
+        out = tmp_path / "out"
+        code = cli.main(["train", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "seed 'train'" in err
+        assert not out.exists()
+
+    def test_seed_override_leaves_other_seeds(self, tmp_path, monkeypatch):
+        seen = {}
+        monkeypatch.setitem(cli._COMMANDS, "gen-data",
+                            lambda args, config, out: seen.update(seeds=config.seeds))
+        assert cli.main(["gen-data", "--seed", "0", "--config", str(TINY),
+                         "--out", str(tmp_path)]) == 0
+        assert seen["seeds"] == pipeline.Seeds(data=0, train=6, eval=7)
