@@ -19,14 +19,20 @@ yields an InfeasibleCap verdict rather than a re-optimization.
 
 `solve_batch` solves many instances in lockstep and is the only
 implementation of the fixed point; `solve_beamforming` is a batch of one.
-Instances of one shape (active RRHs, served users) are stacked, so the
-linear algebra runs once per iteration for the whole stack, through
-stacked `np.linalg.solve` and matmul, instead of once per instance. Each
-instance keeps its own convergence, divergence and failure verdict and
-leaves the stack in the iteration that decides it. Stacking by shape,
-rather than zero-padding every instance to the full channel, keeps each
-instance's LAPACK and BLAS calls those of a solve on its own, so a batch
-reproduces single solves bit for bit.
+Each instance is first rotated into its served users' space: the thin QR
+g = U R of its conjugated served channel columns (na x ns) gives an ns x ns
+R (zero rows pad it when na < ns), and since U has orthonormal columns the
+fixed point and the downlink give the same answer on R as on g. The beams
+map back to the RRHs as U times the R-space beams. So every instance with
+ns served users has one shape, whatever its active RRHs or cell, and the
+linear algebra runs once per iteration for all of them, through stacked
+`np.linalg.solve` and matmul. Each instance keeps its own convergence,
+divergence and failure verdict and leaves the stack in the iteration that
+decides it. Every LAPACK and BLAS call and every reduction works on one
+instance's own matrices, so a batch reproduces single solves bit for bit.
+Against the unrotated loop the arithmetic differs by rounding alone: on
+10^4 default-cell states the verdicts and iteration counts are the same
+and the powers agree to 4e-15 relative (`tools/solver_oracle.py`).
 """
 
 from __future__ import annotations
@@ -180,13 +186,15 @@ def solve_batch(problems, params: SolverParams = SolverParams()) -> list:
 
     Returns one entry per problem, in order: the BeamformingSolution that
     `solve_beamforming` returns for it, or the SolverFailure it raises. A
-    failure ends only its own problem. Problems of one shape (active RRHs,
-    served users) share one fixed point on stacked arrays, in which each
-    problem sees the arithmetic of a solve on its own, so the results are
-    the same bits as solving one problem at a time.
+    failure ends only its own problem. Each problem is rotated into its
+    served users' space (see `_Group`), so all problems with the same number
+    of served users share one fixed point on stacked arrays, whatever their
+    active RRHs, channels or cells. A row of the stack sees the same
+    arithmetic whatever else the stack holds, so the results are the same
+    bits as solving one problem at a time.
     """
     results = [None] * len(problems)
-    groups = {}
+    stacks = {}
     for k, problem in enumerate(problems):
         served = np.flatnonzero(problem.sinr_targets > 0)
         if len(served) == 0:
@@ -198,48 +206,145 @@ def solve_batch(problems, params: SolverParams = SolverParams()) -> list:
         if np.any(gain_sq <= 0):
             results[k] = _empty_solution(problem, SolutionStatus.INFEASIBLE_SINR)
             continue
-        groups.setdefault(g.shape, []).append((k, served, g))
-    for members in groups.values():
-        solved = _solve_group([problems[k] for k, _, _ in members],
-                              [served for _, served, _ in members],
-                              np.array([g for _, _, g in members]), params)
-        for (k, _, _), result in zip(members, solved):
-            results[k] = result
+        stacks.setdefault(len(served), {}).setdefault(
+            problem.channel.shape, []).append((k, served, g))
+    while stacks:
+        _solve_stack(problems, list(stacks.popitem()[1].values()), params, results)
     return results
 
 
-def _solve_group(problems, served, g, params):
-    """Results of problems of one shape, given their served users and their
-    conjugated served channel columns stacked as `g` (B, na, ns)."""
-    count, na, ns = g.shape
-    results = [None] * count
-    iota = np.array([p.sinr_targets[users] for p, users in zip(problems, served)])
-    noise = np.array([[p.noise_w] for p in problems])
-    q_limit = np.empty((count, 1))
-    for row, problem in enumerate(problems):
-        cap_total = float(np.sum(problem.per_rrh_cap_w))
-        q_limit[row] = (_DIVERGENCE_FACTOR * cap_total if np.isfinite(cap_total)
-                        else np.inf)
+@dataclass
+class _Group:
+    """Problems of one shape (na active RRHs, n users, ns served) in a stack,
+    rotated into their served users' space.
 
-    # The stack holds the problems still iterating: row r of it is problem
-    # live[r] of the group. A problem leaves in the iteration that decides
-    # its verdict; a converged one leaves its q in q_fixed. Reductions call
-    # the ufuncs' reduce: the arithmetic of np.sum and np.max without their
-    # wrappers, which cost as much as the math on arrays this small.
+    Their conjugated served channels factor as g = u r (thin QR): u (B, na,
+    k) has orthonormal columns, k = min(na, ns), and r (B, k, ns) goes into
+    the stack padded with zero rows to (B, ns, ns). Because u^H u = I,
+    g^H (noise I + g Q g^H)^{-1} g = r^H (noise I + r Q r^H)^{-1} r, and the
+    MMSE directions (noise I + g Q g^H)^{-1} g are u times their r-space
+    counterparts, whose rows past k are zero. So the fixed point and the
+    downlink run on r, of one shape for all problems with ns served users,
+    and `weights` maps the beams back with u.
+    """
+
+    positions: list     # of the problems in the batch
+    served: np.ndarray  # (B, ns) served user indices
+    u: np.ndarray
+    caps: np.ndarray    # (B, na)
+    num_users: int
+
+    def weights(self, beams):
+        """Weights (B, na, n), per-RRH powers (B, na), totals (B,) and cap
+        violation flags (B,) from the group's r-space beams (B, ns, ns)."""
+        count, na = self.caps.shape
+        mapped = self.u @ beams[:, :self.u.shape[2]]  # (B, na, ns)
+        weights = np.zeros((count, na, self.num_users), dtype=complex)
+        # Each row's served columns take its beams: the index arrays
+        # broadcast to (B, ns), and the sliced RRH axis goes last.
+        weights[np.arange(count)[:, None], :, self.served] = mapped.swapaxes(1, 2)
+        per_rrh = np.add.reduce(np.abs(weights) ** 2, axis=2)
+        over_cap = np.logical_or.reduce(
+            per_rrh > self.caps * (1.0 + 1e-9) + 1e-15, axis=1)
+        return weights, per_rrh, np.add.reduce(per_rrh, axis=1), over_cap
+
+
+def _solve_stack(problems, shapes, params, results):
+    """Fill in the results of problems that share a served-user count, from
+    one fixed point and one downlink. `shapes` holds a list of (position,
+    served, g) triples for each shape; it is emptied as the stack is built,
+    so that no channel outlives its rotation."""
+    count = sum(len(members) for members in shapes)
+    ns = len(shapes[0][0][1])
+    r = np.zeros((count, ns, ns), dtype=complex)
+    iota = np.empty((count, ns))
+    noise = np.empty((count, 1))
+    cap_total = np.empty(count)
+    groups = []
+    start = 0
+    while shapes:
+        members = shapes.pop()
+        rows = slice(start, start + len(members))
+        picked = [problems[k] for k, _, _ in members]
+        served = np.array([users for _, users, _ in members])
+        u, r_rows = np.linalg.qr(np.array([g for _, _, g in members]))
+        r[rows, :r_rows.shape[1]] = r_rows
+        iota[rows] = np.array([p.sinr_targets for p in picked])[
+            np.arange(len(members))[:, None], served]
+        noise[rows, 0] = [p.noise_w for p in picked]
+        caps = np.array([p.per_rrh_cap_w for p in picked])
+        cap_total[rows] = np.add.reduce(caps, axis=1)
+        groups.append(_Group([k for k, _, _ in members], served, u, caps,
+                             len(picked[0].sinr_targets)))
+        start = rows.stop
+    del members
+    verdicts, q, iterations, residuals = _fixed_point(
+        r, iota, noise, _DIVERGENCE_FACTOR * cap_total[:, None], params)
+
+    done = [row for row, verdict in enumerate(verdicts) if verdict is None]
+    if len(done) == count:  # the whole stack, without copies
+        beams, negative = _downlink(r, iota, noise, q)
+    else:
+        beams = np.zeros_like(r)
+        negative = np.zeros(count, dtype=bool)
+        if done:
+            beams[done], negative[done] = _downlink(
+                r[done], iota[done], noise[done], q[done])
+    row = 0
+    for group in groups:
+        weights, per_rrh, totals, over_cap = group.weights(
+            beams[row:row + len(group.positions)])
+        for b, pos in enumerate(group.positions):
+            verdict = verdicts[row]
+            if verdict is None and negative[row]:
+                verdict = SolverFailure(
+                    "negative downlink power at a converged fixed point")
+            if isinstance(verdict, SolverFailure):
+                results[pos] = verdict
+            elif verdict is SolutionStatus.INFEASIBLE_SINR:
+                results[pos] = _empty_solution(
+                    problems[pos], verdict, int(iterations[row]),
+                    float(residuals[row]))
+            else:
+                results[pos] = BeamformingSolution(
+                    weights=weights[b],
+                    total_tx_w=float(totals[b]),
+                    per_rrh_tx_w=per_rrh[b],
+                    status=(SolutionStatus.INFEASIBLE_CAP if over_cap[b]
+                            else SolutionStatus.FEASIBLE),
+                    iterations=int(iterations[row]),
+                    residual=float(residuals[row]),
+                )
+            row += 1
+
+
+def _fixed_point(r, iota, noise, q_limit, params):
+    """The virtual uplink fixed point of a stack of rotated problems `r`
+    (B, ns, ns). Returns a verdict per row (None when it converged, else a
+    SolverFailure or INFEASIBLE_SINR), the converged q (B, ns), and each
+    row's iteration count and last residual."""
+    count, ns, _ = r.shape
+    verdicts = [None] * count
+    # The live stack holds the problems still iterating: row r of it is
+    # problem live[r] of the whole stack. A problem leaves in the iteration
+    # that decides its verdict; a converged one leaves its q in q_fixed.
+    # Reductions call the ufuncs' reduce: the arithmetic of np.sum and np.max
+    # without their wrappers, which cost as much as the math on arrays this
+    # small.
     live = np.arange(count)
     q_fixed = np.empty((count, ns))
-    iterations = np.zeros(count, dtype=int)
+    iterations = np.full(count, params.max_iterations)
     residuals = np.zeros(count)
     q = np.zeros((count, ns))
-    live_g, live_gc, live_iota, live_noise, live_limit = (
-        g, np.conj(g), iota, noise, q_limit)
-    live_noise_eye = noise[:, :, None] * np.eye(na)
+    live_r, live_rc, live_iota, live_noise, live_limit = (
+        r, np.conj(r), iota, noise, q_limit)
+    live_noise_eye = noise[:, :, None] * np.eye(ns)
     for it in range(1, params.max_iterations + 1):
         cov = (live_noise_eye
-               + (live_g * q[:, None, :]) @ live_gc.swapaxes(1, 2))
-        solved = np.linalg.solve(cov, live_g)  # cov^{-1} g, columnwise
-        a = np.add.reduce(live_gc * solved, axis=1).real
-        # Sherman-Morrison: g_i^H S_i^{-1} g_i = a_i / (1 - q_i a_i).
+               + (live_r * q[:, None, :]) @ live_rc.swapaxes(1, 2))
+        solved = np.linalg.solve(cov, live_r)  # cov^{-1} r, columnwise
+        a = np.add.reduce(live_rc * solved, axis=1).real
+        # Sherman-Morrison: r_i^H S_i^{-1} r_i = a_i / (1 - q_i a_i).
         downdate = 1.0 - q * a
         q_next = live_iota * downdate / a
         residual = np.maximum.reduce(
@@ -259,85 +364,48 @@ def _solve_group(problems, served, g, params):
             residuals[pos] = residual[row]
             # A breakdown first, then divergence, checked before the tolerance.
             if broke[row].any():
-                results[pos] = SolverFailure(
+                verdicts[pos] = SolverFailure(
                     "interference downdate became non-positive")
             elif oscillated[row].any():
-                results[pos] = SolverFailure("fixed-point iterates oscillated")
+                verdicts[pos] = SolverFailure("fixed-point iterates oscillated")
             elif diverged[row].any():
-                results[pos] = _empty_solution(
-                    problems[pos], SolutionStatus.INFEASIBLE_SINR, it,
-                    float(residual[row]))
+                verdicts[pos] = SolutionStatus.INFEASIBLE_SINR
             else:
                 q_fixed[pos] = q[row]
         stay = ~leaving
         live, q, residual = live[stay], q[stay], residual[stay]
         if not len(live):
             break
-        live_g, live_gc, live_iota = live_g[stay], live_gc[stay], live_iota[stay]
+        live_r, live_rc, live_iota = live_r[stay], live_rc[stay], live_iota[stay]
         live_noise, live_limit = live_noise[stay], live_limit[stay]
         live_noise_eye = live_noise_eye[stay]
     # Monotone all the way and still moving: the targets are unreachable.
     for row, pos in enumerate(live):
-        results[pos] = _empty_solution(
-            problems[pos], SolutionStatus.INFEASIBLE_SINR, params.max_iterations,
-            float(residual[row]))
-
-    done = [pos for pos in range(count) if results[pos] is None]
-    if not done:
-        return results
-    # Whole-group views, not copies, when every problem converged.
-    picked = slice(None) if len(done) == count else done
-    weights, per_rrh, totals, negative = _downlink(
-        g[picked], iota[picked], noise[picked], q_fixed[picked],
-        [served[pos] for pos in done], len(problems[0].sinr_targets))
-    for row, pos in enumerate(done):
-        if negative[row]:
-            results[pos] = SolverFailure(
-                "negative downlink power at a converged fixed point")
-            continue
-        status = SolutionStatus.FEASIBLE
-        caps = problems[pos].per_rrh_cap_w
-        if np.any(per_rrh[row] > caps * (1.0 + 1e-9) + 1e-15):
-            status = SolutionStatus.INFEASIBLE_CAP
-        results[pos] = BeamformingSolution(
-            weights=weights[row],
-            total_tx_w=float(totals[row]),
-            per_rrh_tx_w=per_rrh[row],
-            status=status,
-            iterations=int(iterations[pos]),
-            residual=float(residuals[pos]),
-        )
-    return results
+        verdicts[pos] = SolutionStatus.INFEASIBLE_SINR
+        residuals[pos] = residual[row]
+    return verdicts, q_fixed, iterations, residuals
 
 
-def _downlink(g, iota, noise, q, served, num_users):
-    """Beamforming weights (B, na, num_users), per-RRH and total transmit
-    power, and a negative-power flag of converged problems of one shape,
-    from their fixed points `q` (B, ns)."""
-    ns = g.shape[2]
-    gh = np.conj(g).swapaxes(1, 2)
+def _downlink(r, iota, noise, q):
+    """r-space beams (B, ns, ns) and a negative-power flag of converged rows
+    of a stack, from their fixed points `q` (B, ns)."""
+    ns = r.shape[2]
+    rh = np.conj(r).swapaxes(1, 2)
     # MMSE receive vectors at the fixed point give the beam directions
     # (the Sherman-Morrison rescaling leaves the direction unchanged).
-    cov = noise[:, :, None] * np.eye(g.shape[1]) + (g * q[:, None, :]) @ gh
-    directions = np.linalg.solve(cov, g)
+    cov = noise[:, :, None] * np.eye(ns) + (r * q[:, None, :]) @ rh
+    directions = np.linalg.solve(cov, r)
     directions = directions / np.linalg.norm(directions, axis=1, keepdims=True)
 
     # Downlink power scalars from the exact per-user target equalities.
-    cross = np.abs(gh @ directions) ** 2  # cross[b, i, j] = |g_i^H w_j|^2
+    cross = np.abs(rh @ directions) ** 2  # cross[b, i, j] = |r_i^H w_j|^2
     system = -iota[:, :, None] * cross
     diag = np.arange(ns)
     system[:, diag, diag] = cross[:, diag, diag]
-    rhs = iota * noise
-    powers = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    powers = np.linalg.solve(system, (iota * noise)[:, :, None])[:, :, 0]
     negative = np.any(
         powers < -1e-12 * np.max(np.abs(powers), axis=1, keepdims=True), axis=1)
-    beams = directions * np.sqrt(np.maximum(powers, 0.0))[:, None, :]
-
-    weights = np.zeros(g.shape[:2] + (num_users,), dtype=complex)
-    for row, users in enumerate(served):
-        weights[row][:, users] = beams[row]
-    per_rrh = np.sum(np.abs(weights) ** 2, axis=2)
-    return weights, per_rrh, np.sum(per_rrh, axis=1), negative
+    return directions * np.sqrt(np.maximum(powers, 0.0))[:, None, :], negative
 
 
 @dataclass(frozen=True)
