@@ -17,27 +17,34 @@ is achievable, so unbounded growth or a non-converged monotone run signals
 SINR infeasibility. Per-RRH caps are checked after the fact; a violated cap
 yields an InfeasibleCap verdict rather than a re-optimization.
 
-`solve_batch` solves many instances in lockstep and is the only
-implementation of the fixed point; `solve_beamforming` is a batch of one.
-Each instance is first rotated into its served users' space: the thin QR
-g = U R of its conjugated served channel columns (na x ns) gives an ns x ns
-R (zero rows pad it when na < ns), and since U has orthonormal columns the
-fixed point and the downlink give the same answer on R as on g. The beams
-map back to the RRHs as U times the R-space beams. So every instance with
-ns served users has one shape, whatever its active RRHs or cell, and the
-linear algebra runs once per iteration for all of them, through stacked
-`np.linalg.solve` and matmul. Each instance keeps its own convergence,
-divergence and failure verdict and leaves the stack in the iteration that
-decides it. Every LAPACK and BLAS call and every reduction works on one
-instance's own matrices, so a batch reproduces single solves bit for bit.
-Against the unrotated loop the arithmetic differs by rounding alone: on
-10^4 default-cell states the verdicts and iteration counts are the same
-and the powers agree to 4e-15 relative (`tools/solver_oracle.py`).
+`solve_states` is the only implementation of the solver. It takes a batch
+of states of one cell posed as arrays (channels, on/off patterns, SINR
+targets, caps, noise) and returns its verdicts, iteration counts and powers
+as arrays, building no object per state; the exact reward path
+(`env.ExactSolverReward`) poses its states to it directly. `solve_batch`
+packs `BeamformingProblem`s into its arrays and wraps its results as
+`BeamformingSolution`s, and `solve_beamforming` is a batch of one.
+
+`solve_states` groups the states by (served users, active RRHs) and gathers
+each group's conjugated served channel block (na x ns) at once. Each state
+is then rotated into its served users' space: the thin QR g = U R of that
+block gives an ns x ns R (zero rows pad it when na < ns), and since U has
+orthonormal columns the fixed point and the downlink give the same answer
+on R as on g. The beams map back to the RRHs as U times the R-space beams.
+So every state with ns served users has one shape, whatever its active
+RRHs or channel, and the linear algebra runs once per iteration for all of
+them, through stacked `np.linalg.solve` and matmul. Each state keeps its
+own convergence, divergence and failure verdict and leaves the stack in the
+iteration that decides it. Every LAPACK and BLAS call and every reduction
+works on one state's own matrices, so a batch reproduces single solves bit
+for bit. Against the unrotated loop the arithmetic differs by rounding
+alone: on 10^4 default-cell states the verdicts and iteration counts are
+the same and the powers agree to 4e-15 relative (`tools/solver_oracle.py`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -139,31 +146,19 @@ class BeamformingSolution:
 
 
 def sinr_targets(demands_mbps, config: NetworkConfig):
-    """Per-user SINR targets iota and the constants mu = (iota+1)/iota.
+    """Per-user SINR targets iota and the constants mu = (iota+1)/iota, of
+    demands of any shape (a batch of states is (B, n)).
 
     iota_i = margin * (2^(R_i/B) - 1); mu is +inf for users demanding nothing.
     """
     demands_mbps = np.asarray(demands_mbps, dtype=float)
-    if np.any(demands_mbps < 0):
+    if (demands_mbps < 0).any():
         raise ValueError("demands must be >= 0")
     rate_bps = demands_mbps * 1e6
     iota = config.sinr_margin * (2.0 ** (rate_bps / config.bandwidth_hz) - 1.0)
-    with np.errstate(divide="ignore"):
-        mu = np.where(iota > 0, (iota + 1.0) / np.where(iota > 0, iota, 1.0), np.inf)
+    mu = np.full_like(iota, np.inf)
+    np.divide(iota + 1.0, iota, out=mu, where=iota > 0)
     return iota, mu
-
-
-def _empty_solution(problem: BeamformingProblem, status, iterations=0, residual=0.0):
-    na = len(problem.active_set)
-    n = len(problem.sinr_targets)
-    return BeamformingSolution(
-        weights=np.zeros((na, n), dtype=complex),
-        total_tx_w=0.0,
-        per_rrh_tx_w=np.zeros(na),
-        status=status,
-        iterations=iterations,
-        residual=residual,
-    )
 
 
 def solve_beamforming(problem: BeamformingProblem,
@@ -186,62 +181,145 @@ def solve_batch(problems, params: SolverParams = SolverParams()) -> list:
 
     Returns one entry per problem, in order: the BeamformingSolution that
     `solve_beamforming` returns for it, or the SolverFailure it raises. A
-    failure ends only its own problem. Each problem is rotated into its
-    served users' space (see `_Group`), so all problems with the same number
-    of served users share one fixed point on stacked arrays, whatever their
-    active RRHs, channels or cells. A row of the stack sees the same
-    arithmetic whatever else the stack holds, so the results are the same
-    bits as solving one problem at a time.
+    failure ends only its own problem. The problems with n users are posed
+    to `solve_states` as one batch of states whose channel is the problem's
+    own (its active RRHs first, zero rows after), so all of them with the
+    same number of served users share one fixed point. A row of the stack
+    sees the same arithmetic whatever else the stack holds, so the results
+    are the same bits as solving one problem at a time.
     """
     results = [None] * len(problems)
-    stacks = {}
+    by_users = {}
     for k, problem in enumerate(problems):
-        served = np.flatnonzero(problem.sinr_targets > 0)
-        if len(served) == 0:
-            results[k] = _empty_solution(problem, SolutionStatus.FEASIBLE)
-            continue
-        # Conjugate once so every inner product below is g^H w == h^T w.
-        g = np.conj(problem.channel[:, served])  # (na, ns)
-        gain_sq = np.real(np.sum(np.conj(g) * g, axis=0))
-        if np.any(gain_sq <= 0):
-            results[k] = _empty_solution(problem, SolutionStatus.INFEASIBLE_SINR)
-            continue
-        stacks.setdefault(len(served), {}).setdefault(
-            problem.channel.shape, []).append((k, served, g))
-    while stacks:
-        _solve_stack(problems, list(stacks.popitem()[1].values()), params, results)
+        by_users.setdefault(len(problem.sinr_targets), []).append(k)
+    for n, ks in by_users.items():
+        picked = [problems[k] for k in ks]
+        sizes = np.array([len(problem.active_set) for problem in picked])
+        gains = np.zeros((len(picked), sizes.max(), n), dtype=complex)
+        caps = np.zeros(gains.shape[:2])
+        for b, (problem, na) in enumerate(zip(picked, sizes.tolist())):
+            gains[b, :na] = problem.channel
+            caps[b, :na] = problem.per_rrh_cap_w
+        solved = solve_states(
+            gains, np.arange(len(picked)), np.arange(gains.shape[1]) < sizes[:, None],
+            np.array([problem.sinr_targets for problem in picked]), caps,
+            np.array([problem.noise_w for problem in picked]), params)
+        for b, (k, na) in enumerate(zip(ks, sizes.tolist())):
+            verdict = solved.verdicts[b]
+            results[k] = verdict if isinstance(verdict, SolverFailure) else (
+                BeamformingSolution(
+                    weights=solved.weights[b, :na],
+                    total_tx_w=float(solved.totals[b]),
+                    per_rrh_tx_w=solved.per_rrh[b, :na],
+                    status=verdict,
+                    iterations=int(solved.iterations[b]),
+                    residual=float(solved.residuals[b])))
     return results
 
 
 @dataclass
-class _Group:
-    """Problems of one shape (na active RRHs, n users, ns served) in a stack,
-    rotated into their served users' space.
+class SolvedStates:
+    """What `solve_states` found for each state of a batch."""
 
-    Their conjugated served channels factor as g = u r (thin QR): u (B, na,
-    k) has orthonormal columns, k = min(na, ns), and r (B, k, ns) goes into
-    the stack padded with zero rows to (B, ns, ns). Because u^H u = I,
+    verdicts: list          # a SolutionStatus, or the SolverFailure that ended it
+    iterations: np.ndarray  # (B,) fixed-point iterations, 0 when none ran
+    residuals: np.ndarray   # (B,) the last fixed-point residual
+    totals: np.ndarray      # (B,) total transmit power, 0 without beams
+    weights: np.ndarray     # (B, m, n), zero on sleeping RRHs and unserved users
+    per_rrh: np.ndarray     # (B, m) transmit power of each RRH
+
+
+def solve_states(gains, channel_of, active, iota, caps, noise,
+                 params: SolverParams = SolverParams()) -> SolvedStates:
+    """Solve a batch of states of one m x n cell, posed as arrays.
+
+    `gains` (C, m, n) holds the cell's channels and `channel_of` (B,) each
+    state's one of them; `active` (B, m) is each state's on/off pattern,
+    `iota` (B, n) its SINR targets, `caps` (B, m) its per-RRH power caps and
+    `noise` (B,) its noise power. A state with no served user is feasible at
+    zero power; one whose served user has no gain on the active RRHs (with
+    no RRH active, every served user) is SINR-infeasible. The others are
+    grouped by (served users, active RRHs), and each group's conjugated
+    served channel block g (G, na, ns) is gathered at once and rotated into
+    its served users' space (see `_Group`), so all states with the same
+    number of served users share one fixed point and one downlink on
+    stacked arrays, whatever their patterns and channels.
+    """
+    count, m = active.shape
+    n = iota.shape[1]
+    served = iota > 0
+    solved = SolvedStates(
+        verdicts=[SolutionStatus.FEASIBLE] * count,
+        iterations=np.zeros(count, dtype=int), residuals=np.zeros(count),
+        totals=np.zeros(count), weights=np.zeros((count, m, n), dtype=complex),
+        per_rrh=np.zeros((count, m)))
+    num_served = served.sum(axis=1)
+    key = num_served * (m + 1) + active.sum(axis=1)
+    # States by (served, active) count, in batch order within a key.
+    posed = np.flatnonzero(num_served)
+    if not len(posed):
+        return solved
+    order = posed[key[posed].argsort(kind="stable")]
+    sorted_key = key[order]
+    starts = [0, *(np.flatnonzero(sorted_key[1:] != sorted_key[:-1]) + 1).tolist()]
+    stacks = {}
+    for lo, hi in zip(starts, [*starts[1:], len(order)]):
+        pos = order[lo:hi]
+        ns, na = divmod(int(key[pos[0]]), m + 1)
+        rrhs = np.nonzero(active[pos])[1].reshape(len(pos), na)
+        users = np.nonzero(served[pos])[1].reshape(len(pos), ns)
+        # Conjugate once so every inner product below is g^H w == h^T w.
+        g = np.conj(gains[channel_of[pos][:, None, None], rrhs[:, :, None],
+                          users[:, None, :]])
+        dead = np.logical_or.reduce(
+            np.add.reduce(np.conj(g) * g, axis=1).real <= 0, axis=1)
+        if np.count_nonzero(dead):
+            for k in pos[dead].tolist():
+                solved.verdicts[k] = SolutionStatus.INFEASIBLE_SINR
+            keep = ~dead
+            if not keep.any():
+                continue
+            pos, rrhs, users, g = pos[keep], rrhs[keep], users[keep], g[keep]
+        stacks.setdefault(ns, []).append(_Group(
+            pos, rrhs, users, *np.linalg.qr(g), iota[pos[:, None], users],
+            noise[pos], caps[pos[:, None], rrhs]))
+    for groups in stacks.values():
+        _solve_stack(groups, n, params, solved)
+    return solved
+
+
+@dataclass
+class _Group:
+    """Posed states of one shape (na active RRHs, ns served users) in a
+    stack, rotated into their served users' space.
+
+    Their conjugated served channels factor as g = u r (thin QR): u (G, na,
+    k) has orthonormal columns, k = min(na, ns), and r (G, k, ns) goes into
+    the stack padded with zero rows to (G, ns, ns). Because u^H u = I,
     g^H (noise I + g Q g^H)^{-1} g = r^H (noise I + r Q r^H)^{-1} r, and the
     MMSE directions (noise I + g Q g^H)^{-1} g are u times their r-space
     counterparts, whose rows past k are zero. So the fixed point and the
-    downlink run on r, of one shape for all problems with ns served users,
+    downlink run on r, of one shape for all states with ns served users,
     and `weights` maps the beams back with u.
     """
 
-    positions: list     # of the problems in the batch
-    served: np.ndarray  # (B, ns) served user indices
-    u: np.ndarray
-    caps: np.ndarray    # (B, na)
-    num_users: int
+    positions: np.ndarray  # (G,) of the states in the batch
+    rrhs: np.ndarray       # (G, na) active RRH indices
+    served: np.ndarray     # (G, ns) served user indices
+    u: np.ndarray          # (G, na, k)
+    r: np.ndarray          # (G, k, ns)
+    iota: np.ndarray       # (G, ns) served targets
+    noise: np.ndarray      # (G,)
+    caps: np.ndarray       # (G, na)
 
-    def weights(self, beams):
-        """Weights (B, na, n), per-RRH powers (B, na), totals (B,) and cap
-        violation flags (B,) from the group's r-space beams (B, ns, ns)."""
+    def weights(self, beams, num_users):
+        """Weights (G, na, n), per-RRH powers (G, na), totals (G,) and cap
+        violation flags (G,) from the group's r-space beams (G, ns, ns)."""
         count, na = self.caps.shape
-        mapped = self.u @ beams[:, :self.u.shape[2]]  # (B, na, ns)
-        weights = np.zeros((count, na, self.num_users), dtype=complex)
+        mapped = self.u @ beams[:, :self.u.shape[2]]  # (G, na, ns)
+        weights = np.zeros((count, na, num_users), dtype=complex)
         # Each row's served columns take its beams: the index arrays
-        # broadcast to (B, ns), and the sliced RRH axis goes last.
+        # broadcast to (G, ns), and the sliced RRH axis goes last.
         weights[np.arange(count)[:, None], :, self.served] = mapped.swapaxes(1, 2)
         per_rrh = np.add.reduce(np.abs(weights) ** 2, axis=2)
         over_cap = np.logical_or.reduce(
@@ -249,35 +327,21 @@ class _Group:
         return weights, per_rrh, np.add.reduce(per_rrh, axis=1), over_cap
 
 
-def _solve_stack(problems, shapes, params, results):
-    """Fill in the results of problems that share a served-user count, from
-    one fixed point and one downlink. `shapes` holds a list of (position,
-    served, g) triples for each shape; it is emptied as the stack is built,
-    so that no channel outlives its rotation."""
-    count = sum(len(members) for members in shapes)
-    ns = len(shapes[0][0][1])
+def _solve_stack(groups, num_users, params, solved):
+    """Fill in `solved` for the groups of one served-user count, from one
+    fixed point and one downlink."""
+    count = sum(len(group.positions) for group in groups)
+    ns = groups[0].served.shape[1]
     r = np.zeros((count, ns, ns), dtype=complex)
-    iota = np.empty((count, ns))
-    noise = np.empty((count, 1))
-    cap_total = np.empty(count)
-    groups = []
     start = 0
-    while shapes:
-        members = shapes.pop()
-        rows = slice(start, start + len(members))
-        picked = [problems[k] for k, _, _ in members]
-        served = np.array([users for _, users, _ in members])
-        u, r_rows = np.linalg.qr(np.array([g for _, _, g in members]))
-        r[rows, :r_rows.shape[1]] = r_rows
-        iota[rows] = np.array([p.sinr_targets for p in picked])[
-            np.arange(len(members))[:, None], served]
-        noise[rows, 0] = [p.noise_w for p in picked]
-        caps = np.array([p.per_rrh_cap_w for p in picked])
-        cap_total[rows] = np.add.reduce(caps, axis=1)
-        groups.append(_Group([k for k, _, _ in members], served, u, caps,
-                             len(picked[0].sinr_targets)))
+    for group in groups:
+        rows = slice(start, start + len(group.positions))
+        r[rows, :group.r.shape[1]] = group.r
         start = rows.stop
-    del members
+    iota = np.concatenate([group.iota for group in groups])
+    noise = np.concatenate([group.noise for group in groups])[:, None]
+    cap_total = np.concatenate([np.add.reduce(group.caps, axis=1)
+                                for group in groups])
     verdicts, q, iterations, residuals = _fixed_point(
         r, iota, noise, _DIVERGENCE_FACTOR * cap_total[:, None], params)
 
@@ -290,32 +354,25 @@ def _solve_stack(problems, shapes, params, results):
         if done:
             beams[done], negative[done] = _downlink(
                 r[done], iota[done], noise[done], q[done])
-    row = 0
+    start = 0
     for group in groups:
-        weights, per_rrh, totals, over_cap = group.weights(
-            beams[row:row + len(group.positions)])
-        for b, pos in enumerate(group.positions):
-            verdict = verdicts[row]
-            if verdict is None and negative[row]:
-                verdict = SolverFailure(
-                    "negative downlink power at a converged fixed point")
-            if isinstance(verdict, SolverFailure):
-                results[pos] = verdict
-            elif verdict is SolutionStatus.INFEASIBLE_SINR:
-                results[pos] = _empty_solution(
-                    problems[pos], verdict, int(iterations[row]),
-                    float(residuals[row]))
-            else:
-                results[pos] = BeamformingSolution(
-                    weights=weights[b],
-                    total_tx_w=float(totals[b]),
-                    per_rrh_tx_w=per_rrh[b],
-                    status=(SolutionStatus.INFEASIBLE_CAP if over_cap[b]
-                            else SolutionStatus.FEASIBLE),
-                    iterations=int(iterations[row]),
-                    residual=float(residuals[row]),
-                )
-            row += 1
+        pos = group.positions
+        rows = slice(start, start + len(pos))
+        weights, per_rrh, totals, over_cap = group.weights(beams[rows], num_users)
+        solved.weights[pos[:, None], group.rrhs] = weights
+        solved.per_rrh[pos[:, None], group.rrhs] = per_rrh
+        solved.totals[pos] = totals
+        solved.iterations[pos] = iterations[rows]
+        solved.residuals[pos] = residuals[rows]
+        for k, verdict, bad, over in zip(pos.tolist(), verdicts[rows],
+                                         negative[rows].tolist(), over_cap.tolist()):
+            if verdict is None:
+                verdict = (SolverFailure(
+                    "negative downlink power at a converged fixed point") if bad
+                    else SolutionStatus.INFEASIBLE_CAP if over
+                    else SolutionStatus.FEASIBLE)
+            solved.verdicts[k] = verdict
+        start = rows.stop
 
 
 def _fixed_point(r, iota, noise, q_limit, params):

@@ -12,6 +12,12 @@ in lockstep, like a vectorised environment: one `transmit_powers` call
 answers all their next states, each on its env's channel, then each step
 finishes. `Environment.step` is `step_all` on one env: one step path.
 
+The exact source poses a batch as arrays (each distinct channel once, the
+patterns, the SINR targets of all demands in one computation) and reads
+every answer from the verdict and power arrays of `beamform.solve_states`;
+it builds no solver problem or solution per state. Its `transmit_power` is
+a batch of one.
+
 Both reward sources share the exact standby/transition accounting; they can
 only differ in the transmit term.
 """
@@ -23,13 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gbdt
-from .beamform import (
-    BeamformingProblem,
+# Nothing here calls `solve_beamforming`; perfbench's tracer wraps it under
+# this module's name, so the name stays.
+from .beamform import (  # noqa: F401
+    SolutionStatus,
     SolverFailure,
     SolverParams,
     sinr_targets,
-    solve_batch,
     solve_beamforming,
+    solve_states,
 )
 from .netmodel import (
     ChannelRealization,
@@ -70,11 +78,12 @@ def encode_state(state: SystemState, config: NetworkConfig) -> np.ndarray:
 
 
 # States `ExactSolverReward.transmit_powers` solves in one batch. The
-# problems of a batch with the same number of served users share one stack,
-# which holds about 3 KB a state at its peak. On the default cell,
-# `gen-data` (20,000 rows) took 4.3 s in batches of 256, 4.1 s in batches
-# of 512 and 4.2 s in batches of 1024 (medians of 6 runs), at a peak RSS of
-# 47.6-48.0, 47.8-48.0 and 48.2-48.5 MB.
+# states of a batch with the same number of served users share one stack,
+# which holds about 3 KB a state at its peak. On the default cell (2 vCPUs),
+# `gen-data` (20,000 rows) took 2.31 s in batches of 256, 2.12 s in batches
+# of 512 and 2.07 s in batches of 1024 (medians of 8 runs, each within
+# about 0.4 s of the others), at a peak RSS of 48.1-48.2, 48.2-48.4 and
+# 49.3-49.4 MB.
 SOLVE_CHUNK = 512
 
 
@@ -86,43 +95,50 @@ class ExactSolverReward:
         self.config = config
         self.solver_params = solver_params
 
-    def _problem(self, channel, pattern, demands_mbps):
-        """The solver instance of one state, or the state's (power, feasible)
-        answer when no RRH is active."""
-        iota, _ = sinr_targets(demands_mbps, self.config)
-        if not np.any(pattern):
-            return 0.0, not np.any(iota > 0)
-        return BeamformingProblem.from_state(channel, pattern, iota, self.config)
-
     def transmit_power(self, channel, pattern, demands_mbps):
-        """Returns (minimal transmit power in W, feasible flag)."""
-        problem = self._problem(channel, pattern, demands_mbps)
-        if isinstance(problem, tuple):
-            return problem
-        return _answer(solve_beamforming(problem, self.solver_params))
+        """Returns (minimal transmit power in W, feasible flag): a batch of
+        one, which raises its SolverFailure."""
+        answer = self.transmit_powers([channel], [pattern], [demands_mbps])[0]
+        if isinstance(answer, SolverFailure):
+            raise answer
+        return answer
 
     def transmit_powers(self, channels, patterns, demands_mbps) -> list:
-        """Batch form of `transmit_power`, solved in lockstep: one entry per
-        state, its (power, feasible) pair or the SolverFailure solving it
-        raised. Problems with the same number of served users share one
-        stack, whatever their patterns and channels."""
+        """One entry per state: its (power, feasible) pair or the
+        SolverFailure solving it raised. The batch is posed as arrays and
+        solved by `solve_states`, `SOLVE_CHUNK` states at a time. A state
+        whose channel, pattern or demands do not fit the cell, or a negative
+        demand anywhere, raises ValueError before anything is solved."""
+        m, n = self.config.num_rrhs, self.config.num_users
+        for k, (channel, pattern, demands) in enumerate(
+                zip(channels, patterns, demands_mbps)):
+            if (channel.gains.shape != (m, n) or len(pattern) != m
+                    or len(demands) != n):
+                raise ValueError(
+                    f"state {k}: channel {channel.gains.shape[0]}x"
+                    f"{channel.gains.shape[1]}, pattern of {len(pattern)} RRHs and "
+                    f"demands of {len(demands)} users do not fit the {m}x{n} cell")
+        if not len(patterns):
+            return []
+        # Each distinct channel once; states point at theirs.
+        distinct = {id(channel): channel for channel in channels}
+        slot = {key: c for c, key in enumerate(distinct)}
+        gains = np.array([channel.gains for channel in distinct.values()])
+        channel_of = np.array([slot[id(channel)] for channel in channels])
+        active = np.array(patterns, dtype=bool)
+        iota = sinr_targets(np.array(demands_mbps, dtype=float), self.config)[0]
+        caps = np.full(active.shape, self.config.max_tx_power_w)
+        noise = np.full(len(active), self.config.noise_power_w)
         answers = []
-        for start in range(0, len(patterns), SOLVE_CHUNK):
-            end = start + SOLVE_CHUNK
-            chunk = [self._problem(c, p, d) for c, p, d in zip(
-                channels[start:end], patterns[start:end], demands_mbps[start:end])]
-            posed = [k for k, answer in enumerate(chunk)
-                     if isinstance(answer, BeamformingProblem)]
-            solved = solve_batch([chunk[k] for k in posed], self.solver_params)
-            for k, solution in zip(posed, solved):
-                chunk[k] = (solution if isinstance(solution, SolverFailure)
-                            else _answer(solution))
-            answers += chunk
+        for start in range(0, len(active), SOLVE_CHUNK):
+            rows = slice(start, start + SOLVE_CHUNK)
+            solved = solve_states(gains, channel_of[rows], active[rows], iota[rows],
+                                  caps[rows], noise[rows], self.solver_params)
+            answers += [
+                (total, True) if verdict is SolutionStatus.FEASIBLE
+                else verdict if isinstance(verdict, SolverFailure) else (0.0, False)
+                for verdict, total in zip(solved.verdicts, solved.totals.tolist())]
         return answers
-
-
-def _answer(solution):
-    return (solution.total_tx_w, True) if solution.feasible else (0.0, False)
 
 
 class SurrogateReward:

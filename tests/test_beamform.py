@@ -216,6 +216,15 @@ class TestConvergenceBehaviour:
         assert sol.status is SolutionStatus.INFEASIBLE_SINR
 
 
+def empty_solution(problem, status, iterations=0, residual=0.0):
+    """A verdict without beams: zero weights and powers."""
+    na, n = problem.channel.shape
+    return BeamformingSolution(weights=np.zeros((na, n), dtype=complex),
+                               total_tx_w=0.0, per_rrh_tx_w=np.zeros(na),
+                               status=status, iterations=iterations,
+                               residual=residual)
+
+
 def reference_solve(problem, params=SolverParams()):
     """The solver as a loop over one problem on its unrotated channel, kept
     as the reference that the batched fixed point must stay close to."""
@@ -224,14 +233,14 @@ def reference_solve(problem, params=SolverParams()):
     na = len(problem.active_set)
     n = len(iota_all)
     if len(served) == 0:
-        return beamform._empty_solution(problem, SolutionStatus.FEASIBLE)
+        return empty_solution(problem, SolutionStatus.FEASIBLE)
     g = np.conj(problem.channel[:, served])
     iota = iota_all[served]
     ns = len(served)
     noise = problem.noise_w
     gain_sq = np.real(np.sum(np.conj(g) * g, axis=0))
     if np.any(gain_sq <= 0):
-        return beamform._empty_solution(problem, SolutionStatus.INFEASIBLE_SINR)
+        return empty_solution(problem, SolutionStatus.INFEASIBLE_SINR)
     cap_total = float(np.sum(problem.per_rrh_cap_w))
     q_limit = (beamform._DIVERGENCE_FACTOR * cap_total if np.isfinite(cap_total)
                else np.inf)
@@ -254,13 +263,13 @@ def reference_solve(problem, params=SolverParams()):
         residual = float(np.max(np.abs(q_next - q) / np.maximum(q_next, noise)))
         q = q_next
         if np.any(q > q_limit):
-            return beamform._empty_solution(
+            return empty_solution(
                 problem, SolutionStatus.INFEASIBLE_SINR, iterations, residual)
         if residual < params.tolerance:
             converged = True
             break
     if not converged:
-        return beamform._empty_solution(
+        return empty_solution(
             problem, SolutionStatus.INFEASIBLE_SINR, iterations, residual)
     cov = noise * eye + (g * q) @ g.conj().T
     directions = np.linalg.solve(cov, g)
@@ -334,28 +343,40 @@ def assert_close_result(got, want, problem):
 
 
 @st.composite
-def problem_batches(draw, max_rrhs=5, max_users=4):
-    """A random cell and a batch of its states: mixed active sets, some users
-    demanding nothing, now and then an empty pattern or a user out of reach."""
+def cell_states(draw, max_rrhs=5, max_users=4):
+    """A random cell and a batch of its states on up to three channels:
+    mixed active sets, some users demanding nothing, now and then an empty
+    pattern, a user out of every RRH's reach or caps low enough to bind.
+    Returns (config, channels, patterns, demands)."""
     m = draw(st.integers(1, max_rrhs))
     n = draw(st.integers(1, max_users))
-    config = NetworkConfig(num_rrhs=m, num_users=n)
-    gains = sample_channel(config, np.random.default_rng(
-        draw(st.integers(0, 2 ** 32 - 1)))).gains
-    if draw(st.booleans()) and n > 1:
-        gains[:, draw(st.integers(0, n - 1))] = 0.0
-    channel = ChannelRealization(gains=gains)
-    problems = []
+    config = NetworkConfig(num_rrhs=m, num_users=n,
+                           max_tx_power_w=draw(st.sampled_from([1e-3, 0.05, 1.0])))
+    cells = []
+    for _ in range(draw(st.integers(1, 3))):
+        gains = sample_channel(config, np.random.default_rng(
+            draw(st.integers(0, 2 ** 32 - 1)))).gains
+        if draw(st.booleans()) and n > 1:
+            gains[:, draw(st.integers(0, n - 1))] = 0.0
+        cells.append(ChannelRealization(gains=gains))
+    channels, patterns, demands = [], [], []
     for _ in range(draw(st.integers(1, 12))):
+        channels.append(cells[draw(st.integers(0, len(cells) - 1))])
         bits = draw(st.integers(0, 2 ** m - 1))
-        pattern = np.array([(bits >> i) & 1 for i in range(m)], dtype=bool)
-        demands = np.array(draw(st.lists(
-            st.one_of(st.just(0.0), st.floats(5.0, 40.0)), min_size=n, max_size=n)))
-        if not pattern.any():
-            demands[:] = 0.0
-        iota, _ = sinr_targets(demands, config)
-        problems.append(BeamformingProblem.from_state(channel, pattern, iota, config))
-    return problems
+        patterns.append(np.array([(bits >> i) & 1 for i in range(m)], dtype=bool))
+        demands.append(np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(5.0, 40.0)), min_size=n, max_size=n))))
+    return config, channels, patterns, demands
+
+
+@st.composite
+def problem_batches(draw, max_rrhs=5, max_users=4):
+    """The states of `cell_states` as solver problems. Nobody demands
+    anything of an empty pattern, since a problem with no RRH serves no one."""
+    config, channels, patterns, demands = draw(cell_states(max_rrhs, max_users))
+    return [BeamformingProblem.from_state(
+        channel, pattern, sinr_targets(d * pattern.any(), config)[0], config)
+        for channel, pattern, d in zip(channels, patterns, demands)]
 
 
 @st.composite
@@ -368,6 +389,30 @@ def mixed_cell_batches(draw):
     order = draw(st.permutations(range(len(problems))))
     cuts = sorted(draw(st.lists(st.integers(1, len(problems)), max_size=3)))
     return [problems[k] for k in order], cuts
+
+
+def single_answer(config, channel, pattern, demands):
+    """One state's (power, feasible) pair, or its SolverFailure, from
+    `solve_beamforming` on the state's problem: the anchor of the reward path."""
+    iota, _ = sinr_targets(demands, config)
+    if not np.any(pattern):
+        return 0.0, not np.any(iota > 0)
+    try:
+        solution = solve_beamforming(
+            BeamformingProblem.from_state(channel, pattern, iota, config))
+    except SolverFailure as err:
+        return err
+    return (solution.total_tx_w, True) if solution.feasible else (0.0, False)
+
+
+def assert_same_answers(got, want):
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        if isinstance(theirs, SolverFailure):
+            assert isinstance(mine, SolverFailure) and str(mine) == str(theirs)
+        else:
+            assert type(mine[0]) is float and type(mine[1]) is bool
+            assert mine == theirs
 
 
 class TestSolveBatch:
@@ -398,10 +443,10 @@ class TestSolveBatch:
         config = NetworkConfig(num_rrhs=4, num_users=2)
         channel = sample_channel(config, np.random.default_rng(3))
         rng = np.random.default_rng(4)
+        demands = [rng.uniform(20.0, 40.0, 2) for _ in range(5)]
         problems = [BeamformingProblem.from_state(
-            channel, np.ones(4, dtype=bool),
-            sinr_targets(rng.uniform(20.0, 40.0, 2), config)[0], config)
-            for _ in range(5)]
+            channel, np.ones(4, dtype=bool), sinr_targets(d, config)[0], config)
+            for d in demands]
         # Negative noise turns the first iterate negative: the fixed point
         # reports oscillation at once.
         monkeypatch.setattr(problems[2], "noise_w", -problems[2].noise_w)
@@ -414,6 +459,23 @@ class TestSolveBatch:
             assert_close_result(batch[k], reference_result(problems[k]), problems[k])
         with pytest.raises(SolverFailure, match="oscillated"):
             solve_beamforming(problems[2])
+
+        # The reward path: the same failure ends only its own state.
+        solve_states = env.solve_states
+
+        def failing_third(gains, channel_of, active, iota, caps, noise, params):
+            noise = noise.copy()
+            noise[2] = -noise[2]
+            return solve_states(gains, channel_of, active, iota, caps, noise, params)
+
+        monkeypatch.setattr(env, "solve_states", failing_third)
+        source = ExactSolverReward(config)
+        answers = source.transmit_powers([channel] * 5, [np.ones(4, dtype=bool)] * 5,
+                                         demands)
+        assert isinstance(answers[2], SolverFailure)
+        assert str(answers[2]) == str(batch[2])
+        for k in (0, 1, 3, 4):
+            assert answers[k] == (batch[k].total_tx_w, True)
 
     @pytest.mark.parametrize("chunk", [None, 5])
     def test_exact_reward_batch_matches_single_states(self, monkeypatch, chunk):
@@ -432,5 +494,86 @@ class TestSolveBatch:
         channels = [cells[k % 3] for k in range(len(patterns))]
         batch = source.transmit_powers(channels, patterns, demands)
         assert batch[0] == (0.0, True) and batch[-1] == (0.0, False)
-        assert batch == [source.transmit_power(c, p, d)
-                         for c, p, d in zip(channels, patterns, demands)]
+        assert_same_answers(batch, [single_answer(config, c, p, d)
+                                    for c, p, d in zip(channels, patterns, demands)])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(drawn=cell_states(), chunk=st.sampled_from([1, 5, 512]))
+    def test_exact_reward_path_is_solve_beamforming(self, drawn, chunk):
+        config, channels, patterns, demands = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(env, "SOLVE_CHUNK", chunk)
+            batch = ExactSolverReward(config).transmit_powers(channels, patterns, demands)
+        assert_same_answers(batch, [single_answer(config, c, p, d)
+                                    for c, p, d in zip(channels, patterns, demands)])
+
+
+class TestExactRewardInputs:
+    @pytest.fixture
+    def cell(self, table1_config):
+        channel = sample_channel(table1_config, np.random.default_rng(5))
+        demands = np.full(table1_config.num_users, 30.0)
+        return ExactSolverReward(table1_config), channel, demands
+
+    @staticmethod
+    def _no_solve(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("solved a batch it should have refused")
+
+        monkeypatch.setattr(env, "solve_states", refuse)
+
+    @pytest.mark.parametrize("rrhs", [3, 10])
+    def test_pattern_of_the_wrong_length(self, cell, monkeypatch, rrhs):
+        source, channel, demands = cell
+        good = np.ones(8, dtype=bool)
+        self._no_solve(monkeypatch)
+        with pytest.raises(ValueError, match=r"state 1: .*pattern of %d RRHs" % rrhs):
+            source.transmit_powers([channel] * 3, [good, np.ones(rrhs, dtype=bool), good],
+                                   [demands] * 3)
+        with pytest.raises(ValueError, match="state 0"):
+            source.transmit_power(channel, np.ones(rrhs, dtype=bool), demands)
+
+    @pytest.mark.parametrize("users", [3, 5])
+    def test_demands_of_the_wrong_length(self, cell, monkeypatch, users):
+        source, channel, demands = cell
+        self._no_solve(monkeypatch)
+        with pytest.raises(ValueError, match=r"state 2: .*demands of %d users" % users):
+            source.transmit_powers([channel] * 3, [np.ones(8, dtype=bool)] * 3,
+                                   [demands, demands, np.full(users, 30.0)])
+
+    def test_channel_of_another_cell(self, cell, monkeypatch):
+        source, channel, demands = cell
+        other = sample_channel(NetworkConfig(num_rrhs=3, num_users=4),
+                               np.random.default_rng(6))
+        self._no_solve(monkeypatch)
+        with pytest.raises(ValueError, match=r"state 1: channel 3x4"):
+            source.transmit_powers([channel, other], [np.ones(8, dtype=bool)] * 2,
+                                   [demands] * 2)
+
+    def test_negative_demand_anywhere_refuses_the_batch(self, cell, monkeypatch):
+        source, channel, demands = cell
+        self._no_solve(monkeypatch)
+        monkeypatch.setattr(env, "SOLVE_CHUNK", 2)
+        bad = demands.copy()
+        bad[1] = -1.0
+        with pytest.raises(ValueError, match="demands must be >= 0"):
+            source.transmit_powers([channel] * 5, [np.ones(8, dtype=bool)] * 5,
+                                   [demands] * 4 + [bad])
+
+    def test_all_off_and_unreachable_users(self, cell):
+        source, channel, demands = cell
+        off = np.zeros(8, dtype=bool)
+        zero = np.zeros_like(demands)
+        assert source.transmit_powers([channel] * 2, [off] * 2, [zero, demands]) == [
+            (0.0, True), (0.0, False)]
+        gains = channel.gains.copy()
+        gains[:3, 1] = 0.0  # user 1 hears only RRHs 3-7
+        cut = ChannelRealization(gains=gains)
+        near = np.arange(8) < 3
+        low = np.full(4, 5.0)
+        states = ([near, near, ~near], [low, np.where(np.arange(4) == 1, 0.0, low), low])
+        answers = source.transmit_powers([cut] * 3, *states)
+        assert answers[0] == (0.0, False)
+        assert answers[1][1] and answers[2][1]
+        assert answers == [single_answer(source.config, cut, p, d)
+                           for p, d in zip(*states)]

@@ -352,10 +352,14 @@ class TestStepAll:
 
     def test_solver_failure_raised_before_any_env_moves(self, table1_config,
                                                         monkeypatch):
-        def failing(problems, params):
-            return [SolverFailure("forced")] * len(problems)
+        solve_states = env_module.solve_states
 
-        monkeypatch.setattr(env_module, "solve_batch", failing)
+        def failing(*args):
+            solved = solve_states(*args)
+            solved.verdicts = [SolverFailure("forced")] * len(solved.verdicts)
+            return solved
+
+        monkeypatch.setattr(env_module, "solve_states", failing)
         envs = self._envs(table1_config, 4, [0, 1], None)
         before = [env.reset() for env in envs]
         with pytest.raises(SolverFailure):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cranpower import cli, dqn, env, gbdt, pipeline
-from cranpower.beamform import BeamformingProblem, SolverFailure
+from cranpower.beamform import SolverFailure
 from cranpower.env import ExactSolverReward
 from cranpower.netmodel import (
     ConfigError,
@@ -143,16 +143,14 @@ class TestGenDatasetRedraw:
             monkeypatch.setattr(env, "SOLVE_CHUNK", chunk)
         failing = {1, 2, 7, 30, 31, 41}
         calls = itertools.count()
-        from_state = BeamformingProblem.from_state
+        solve_states = env.solve_states
 
-        def failing_from_state(*args):
-            problem = from_state(*args)
-            if next(calls) in failing:
-                # Negative noise makes the fixed point oscillate at once.
-                problem.noise_w = -problem.noise_w
-            return problem
+        def failing_states(gains, channel_of, active, iota, caps, noise, params):
+            # Negative noise makes the fixed point oscillate at once.
+            noise = np.where([next(calls) in failing for _ in noise], -noise, noise)
+            return solve_states(gains, channel_of, active, iota, caps, noise, params)
 
-        monkeypatch.setattr(BeamformingProblem, "from_state", failing_from_state)
+        monkeypatch.setattr(env, "solve_states", failing_states)
         rows = pipeline.gen_dataset(tiny_run_config, count=40)
         assert next(calls) == 40 + len(failing)
         calls = itertools.count()
@@ -370,7 +368,7 @@ class TestLockstepTraining:
         dataset = pipeline.gen_dataset(config, count=100)
         ticks, calls, batches = [], [], []
         step_all, transmit_powers = pipeline.step_all, ExactSolverReward.transmit_powers
-        solve_batch = env.solve_batch
+        solve_states = env.solve_states
 
         def counting_step_all(envs, actions):
             ticks.append(len(envs))
@@ -383,9 +381,8 @@ class TestLockstepTraining:
         monkeypatch.setattr(pipeline, "step_all", counting_step_all)
         monkeypatch.setattr(ExactSolverReward, "transmit_powers",
                             counting_transmit_powers)
-        monkeypatch.setattr(env, "solve_batch",
-                            lambda problems, params: batches.append(1)
-                            or solve_batch(problems, params))
+        monkeypatch.setattr(env, "solve_states",
+                            lambda *args: batches.append(1) or solve_states(*args))
         pipeline.train_offline(config, dataset=dataset)
         assert [size for size, _ in calls] == ticks
         assert len(batches) == len(ticks)
@@ -394,17 +391,17 @@ class TestLockstepTraining:
     def test_solver_failure_in_one_env_aborts(self, monkeypatch):
         config = dataclasses.replace(pipeline.RunConfig.from_file(TINY), offline_envs=4)
         dataset = pipeline.gen_dataset(config, count=100)
-        solve_batch = env.solve_batch
+        solve_states = env.solve_states
         fired = []
 
-        def failing(problems, params):
-            solved = solve_batch(problems, params)
-            if len(problems) >= 2 and not fired:
-                fired.append(len(problems))
-                solved[1] = SolverFailure("forced breakdown")
+        def failing(*args):
+            solved = solve_states(*args)
+            if len(solved.verdicts) >= 2 and not fired:
+                fired.append(len(solved.verdicts))
+                solved.verdicts[1] = SolverFailure("forced breakdown")
             return solved
 
-        monkeypatch.setattr(env, "solve_batch", failing)
+        monkeypatch.setattr(env, "solve_states", failing)
         with pytest.raises(SolverFailure, match="forced breakdown"):
             pipeline.train_offline(config, dataset=dataset)
         assert fired

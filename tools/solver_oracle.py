@@ -1,5 +1,5 @@
 """Solver oracle: solve the same beamforming states with this working tree's
-`beamform.solve_batch` and with a git revision's, and compare the results.
+solver and with a git revision's, and compare the results.
 
     python3 tools/solver_oracle.py --against HEAD
 
@@ -14,16 +14,31 @@ solves them in a subprocess that imports that tree's `cranpower`:
   demands nothing with probability 0.15.
 
 Every state draws its demands and a non-empty on/off pattern, uniform over
-the 2^m - 1 of them. Per cell, the oracle prints how many states differ in
-verdict (feasible, SINR, cap, or the SolverFailure message), in iteration
-count, and in transmit power by more than 1e-12 relative, and lists the
-states whose verdicts or iteration counts differ. It exits 1 on any verdict
-difference or any power difference above 1e-12, else 0.
+the 2^m - 1 of them. Each tree answers every state twice: as a
+`BeamformingProblem` through `beamform.solve_batch`, and as a (channel,
+pattern, demands) state through `env.ExactSolverReward.transmit_powers`,
+the reward path of `gen-data`, training and evaluation. Per cell, the
+oracle prints:
+
+- for `solve_batch`, how many states differ from the revision's in verdict
+  (feasible, SINR, cap, or the SolverFailure message), in iteration count,
+  and in transmit power by more than 1e-12 relative, and lists the states
+  whose verdicts or iteration counts differ;
+- for the reward path, how many (power, feasible) answers (or failure
+  messages) differ from the revision's, feasibility or power by more than
+  1e-12 relative, and how many differ at all from the same tree's
+  `solve_batch` verdicts and powers.
+
+It exits 1 on any verdict or feasibility difference, any power difference
+above 1e-12 between the trees, or any reward answer that is not its own
+tree's `solve_batch` result, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -56,43 +71,54 @@ def draw_states(out: Path) -> list:
                              CELL_STATES, ZERO_DEMAND)
     for seed, (name, (config, count, p_zero)) in enumerate(cells.items()):
         rng = np.random.default_rng([2026, seed])
-        channels, patterns, targets = [], [], []
+        channels, patterns, demands, targets = [], [], [], []
         for _ in range(count):
-            channels.append(run_channel if name == "default"
-                            else netmodel.sample_channel(config, rng).gains)
+            # The default cell's states share its one channel.
+            if name != "default" or not channels:
+                channels.append(run_channel if name == "default"
+                                else netmodel.sample_channel(config, rng).gains)
             bits = int(rng.integers(1, 2 ** config.num_rrhs))
             patterns.append(np.array([(bits >> i) & 1 for i in range(config.num_rrhs)],
                                      dtype=bool))
-            demands = netmodel.sample_demands(config, rng)
-            demands[rng.random(config.num_users) < p_zero] = 0.0
-            targets.append(beamform.sinr_targets(demands, config)[0])
+            demands.append(netmodel.sample_demands(config, rng))
+            demands[-1][rng.random(config.num_users) < p_zero] = 0.0
+            targets.append(beamform.sinr_targets(demands[-1], config)[0])
         np.savez(out / f"{name}.npz", channels=np.array(channels),
-                 patterns=np.array(patterns), targets=np.array(targets),
-                 cap_w=config.max_tx_power_w, noise_w=config.noise_power_w)
+                 channel_of=np.arange(count) % len(channels),
+                 patterns=np.array(patterns), demands=np.array(demands),
+                 targets=np.array(targets),
+                 config=json.dumps(dataclasses.asdict(config)))
     return list(cells)
 
 
 def solve_states(states: Path, out: Path) -> None:
-    """Solve the states in `states` with the `cranpower` on the path and
-    write each state's verdict, iteration count and transmit power."""
-    from cranpower import beamform
+    """Solve the states in `states` with the `cranpower` on the path, through
+    `solve_batch` and through the reward path, and write each state's
+    verdict, iteration count and transmit power, and its reward answer."""
+    from cranpower import beamform, env, netmodel
 
     with np.load(states) as data:
-        problems = [beamform.BeamformingProblem(
-            active_set=np.flatnonzero(pattern), channel=gains[pattern],
-            sinr_targets=iota, per_rrh_cap_w=float(data["cap_w"]),
-            noise_w=float(data["noise_w"]))
-            for gains, pattern, iota in zip(data["channels"], data["patterns"],
-                                            data["targets"])]
+        config = netmodel.NetworkConfig(**json.loads(str(data["config"])))
+        channels = [netmodel.ChannelRealization(gains=gains) for gains in data["channels"]]
+        channels = [channels[c] for c in data["channel_of"]]
+        patterns, demands, targets = data["patterns"], data["demands"], data["targets"]
+    problems = [beamform.BeamformingProblem.from_state(channel, pattern, iota, config)
+                for channel, pattern, iota in zip(channels, patterns, targets)]
     results = []
     for start in range(0, len(problems), CHUNK):
         results += beamform.solve_batch(problems[start:start + CHUNK])
     failed = [isinstance(r, beamform.SolverFailure) for r in results]
+    answers = env.ExactSolverReward(config).transmit_powers(
+        channels, list(patterns), list(demands))
+    lost = [isinstance(a, beamform.SolverFailure) for a in answers]
     np.savez(out,
              verdict=[f"failure: {r}" if bad else r.status.value
                       for r, bad in zip(results, failed)],
              iterations=[-1 if bad else r.iterations for r, bad in zip(results, failed)],
-             power=[np.nan if bad else r.total_tx_w for r, bad in zip(results, failed)])
+             power=[np.nan if bad else r.total_tx_w for r, bad in zip(results, failed)],
+             answer=[f"failure: {a}" if bad else "feasible" if a[1] else "infeasible"
+                     for a, bad in zip(answers, lost)],
+             answer_power=[np.nan if bad else a[0] for a, bad in zip(answers, lost)])
 
 
 def run_tree(tree: Path, states: Path, cells: list, out: Path) -> dict:
@@ -108,13 +134,33 @@ def run_tree(tree: Path, states: Path, cells: list, out: Path) -> dict:
     return record
 
 
+def relative_gap(ours, theirs, differ):
+    """Relative power differences of the states that agree in verdict."""
+    both = ~differ & np.isfinite(ours) & np.isfinite(theirs)
+    rel = np.zeros(len(differ))
+    scale = np.maximum(np.abs(theirs[both]), np.finfo(float).tiny)
+    rel[both] = np.abs(ours[both] - theirs[both]) / scale
+    return rel
+
+
+def unlike_own_batch(record: dict) -> np.ndarray:
+    """The states whose reward answer is not what the same tree's
+    `solve_batch` result implies: feasible at its power, infeasible at 0,
+    or its failure."""
+    verdict = np.array([v if v.startswith("failure") else
+                        "feasible" if v == "feasible" else "infeasible"
+                        for v in record["verdict"]])
+    power = np.where(verdict == "feasible", record["power"],
+                     np.where(np.char.startswith(verdict, "failure"), np.nan, 0.0))
+    same_power = (record["answer_power"] == power) | (
+        np.isnan(record["answer_power"]) & np.isnan(power))
+    return (record["answer"] != verdict) | ~same_power
+
+
 def compare(ours: dict, theirs: dict) -> tuple:
     """Printable lines and the failing count of one cell's results."""
     verdict = ours["verdict"] != theirs["verdict"]
-    both = ~verdict & np.isfinite(ours["power"]) & np.isfinite(theirs["power"])
-    rel = np.zeros(len(verdict))
-    scale = np.maximum(np.abs(theirs["power"][both]), np.finfo(float).tiny)
-    rel[both] = np.abs(ours["power"][both] - theirs["power"][both]) / scale
+    rel = relative_gap(ours["power"], theirs["power"], verdict)
     power = rel > POWER_RTOL
     iterations = ~verdict & (ours["iterations"] != theirs["iterations"])
     counts = {v: int(np.sum([str(x).startswith(v) for x in ours["verdict"]]))
@@ -128,7 +174,24 @@ def compare(ours: dict, theirs: dict) -> tuple:
     for k in np.flatnonzero(iterations):
         lines.append(f"  state {k}: iterations {theirs['iterations'][k]} -> "
                      f"{ours['iterations'][k]} ({ours['verdict'][k]})")
-    return lines, int(verdict.sum() + power.sum())
+    answer = ours["answer"] != theirs["answer"]
+    answer_rel = relative_gap(ours["answer_power"], theirs["answer_power"], answer)
+    answer_power = answer_rel > POWER_RTOL
+    own = {tree: unlike_own_batch(record)
+           for tree, record in (("this tree", ours), ("the revision", theirs))}
+    lines.append(f"  reward path: answers differ {int(answer.sum())}, power differs "
+                 f"{int(answer_power.sum())} (largest relative difference "
+                 f"{answer_rel.max():.2g}); unlike its own solve_batch: "
+                 + ", ".join(f"{tree} {int(mask.sum())}" for tree, mask in own.items()))
+    for k in np.flatnonzero(answer):
+        lines.append(f"  state {k}: answer {theirs['answer'][k]} -> {ours['answer'][k]}")
+    for (tree, mask), record in zip(own.items(), (ours, theirs)):
+        for k in np.flatnonzero(mask):
+            lines.append(f"  state {k} ({tree}): answer {record['answer'][k]} "
+                         f"{record['answer_power'][k]!r}, solve_batch "
+                         f"{record['verdict'][k]} {record['power'][k]!r}")
+    return lines, int(verdict.sum() + power.sum() + answer.sum() + answer_power.sum()
+                      + sum(mask.sum() for mask in own.values()))
 
 
 def main(argv=None) -> int:
