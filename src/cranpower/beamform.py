@@ -17,13 +17,13 @@ is achievable, so unbounded growth or a non-converged monotone run signals
 SINR infeasibility. Per-RRH caps are checked after the fact; a violated cap
 yields an InfeasibleCap verdict rather than a re-optimization.
 
-`solve_states` is the only implementation of the solver. It takes a batch
-of states of one cell posed as arrays (channels, on/off patterns, SINR
-targets, caps, noise) and returns its verdicts, iteration counts and powers
-as arrays, building no object per state; the exact reward path
-(`env.ExactSolverReward`) poses its states to it directly. `solve_batch`
-packs `BeamformingProblem`s into its arrays and wraps its results as
-`BeamformingSolution`s, and `solve_beamforming` is a batch of one.
+`solve_states` is the only way into the solver. It takes a batch of states
+of one cell posed as arrays (channels, on/off patterns, SINR targets, caps,
+noise) and returns its verdicts, iteration counts and powers as arrays,
+building no object per state; the exact reward path
+(`env.ExactSolverReward`) poses its states to it directly.
+`solve_beamforming` solves one `BeamformingProblem` as a batch of one state,
+whose channel is the problem's active rows, all of them on.
 
 `solve_states` groups the states by (served users, active RRHs) and gathers
 each group's conjugated served channel block (na x ns) at once. Each state
@@ -170,51 +170,17 @@ def solve_beamforming(problem: BeamformingProblem,
     SolverFailure on fixed-point oscillation, which cannot happen for an
     exactly evaluated interference map.
     """
-    result = solve_batch([problem], params)[0]
-    if isinstance(result, SolverFailure):
-        raise result
-    return result
-
-
-def solve_batch(problems, params: SolverParams = SolverParams()) -> list:
-    """Solve many instances in lockstep.
-
-    Returns one entry per problem, in order: the BeamformingSolution that
-    `solve_beamforming` returns for it, or the SolverFailure it raises. A
-    failure ends only its own problem. The problems with n users are posed
-    to `solve_states` as one batch of states whose channel is the problem's
-    own (its active RRHs first, zero rows after), so all of them with the
-    same number of served users share one fixed point. A row of the stack
-    sees the same arithmetic whatever else the stack holds, so the results
-    are the same bits as solving one problem at a time.
-    """
-    results = [None] * len(problems)
-    by_users = {}
-    for k, problem in enumerate(problems):
-        by_users.setdefault(len(problem.sinr_targets), []).append(k)
-    for n, ks in by_users.items():
-        picked = [problems[k] for k in ks]
-        sizes = np.array([len(problem.active_set) for problem in picked])
-        gains = np.zeros((len(picked), sizes.max(), n), dtype=complex)
-        caps = np.zeros(gains.shape[:2])
-        for b, (problem, na) in enumerate(zip(picked, sizes.tolist())):
-            gains[b, :na] = problem.channel
-            caps[b, :na] = problem.per_rrh_cap_w
-        solved = solve_states(
-            gains, np.arange(len(picked)), np.arange(gains.shape[1]) < sizes[:, None],
-            np.array([problem.sinr_targets for problem in picked]), caps,
-            np.array([problem.noise_w for problem in picked]), params)
-        for b, (k, na) in enumerate(zip(ks, sizes.tolist())):
-            verdict = solved.verdicts[b]
-            results[k] = verdict if isinstance(verdict, SolverFailure) else (
-                BeamformingSolution(
-                    weights=solved.weights[b, :na],
-                    total_tx_w=float(solved.totals[b]),
-                    per_rrh_tx_w=solved.per_rrh[b, :na],
-                    status=verdict,
-                    iterations=int(solved.iterations[b]),
-                    residual=float(solved.residuals[b])))
-    return results
+    solved = solve_states(problem.channel[None], np.zeros(1, dtype=int),
+                          np.ones((1, len(problem.active_set)), dtype=bool),
+                          problem.sinr_targets[None], problem.per_rrh_cap_w[None],
+                          np.array([problem.noise_w]), params)
+    verdict = solved.verdicts[0]
+    if isinstance(verdict, SolverFailure):
+        raise verdict
+    return BeamformingSolution(
+        weights=solved.weights[0], total_tx_w=float(solved.totals[0]),
+        per_rrh_tx_w=solved.per_rrh[0], status=verdict,
+        iterations=int(solved.iterations[0]), residual=float(solved.residuals[0]))
 
 
 @dataclass

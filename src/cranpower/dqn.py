@@ -1,6 +1,7 @@
 """Action-value learner: a fully-connected Q-network trained by plain
 gradient descent on Bellman targets, with an experience replay buffer and a
-periodically synced fixed target network.
+periodically synced fixed target network. `train_step` takes one batch
+form, a `Batch` of stacked arrays, as the buffer's `sample` gathers it.
 
 The network is rectifier-activated on hidden layers with an identity output,
 one Q-value per action (flip one of the m RRHs, or do nothing). Gradients
@@ -10,7 +11,7 @@ is a load-bearing test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +40,8 @@ class DqnParams:
             raise ValueError("gamma must be in (0, 1]")
         if not 0.0 <= self.epsilon_end <= self.epsilon_start <= 1.0:
             raise ValueError("epsilon schedule must satisfy 0 <= end <= start <= 1")
+        if self.epsilon_decay_steps < 0:
+            raise ValueError("epsilon_decay_steps must be >= 0")
         if self.batch_size < 1 or self.buffer_capacity < self.batch_size:
             raise ValueError("need batch_size >= 1 and buffer_capacity >= batch_size")
         if self.learning_rate <= 0:
@@ -52,7 +55,7 @@ class DqnParams:
 
     def epsilon_at(self, step: int) -> float:
         """Linear decay from epsilon_start to epsilon_end over decay_steps."""
-        if self.epsilon_decay_steps <= 0 or step >= self.epsilon_decay_steps:
+        if step >= self.epsilon_decay_steps:
             return self.epsilon_end
         frac = step / self.epsilon_decay_steps
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
@@ -69,25 +72,14 @@ class Transition:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Transitions stacked row-wise, one array per field; iterating yields
-    them as `Transition`s."""
+    """Transitions stacked row-wise, one array per field: the one batch form
+    that the replay buffer holds and hands out and that `train_step` takes."""
 
     states: np.ndarray
     actions: np.ndarray
     rewards: np.ndarray
     next_states: np.ndarray
     terminals: np.ndarray
-
-    @classmethod
-    def of(cls, batch) -> "Batch":
-        """`batch` itself if it is a Batch, else its transitions stacked."""
-        if isinstance(batch, Batch):
-            return batch
-        return cls(np.stack([t.state for t in batch]),
-                   np.array([t.action for t in batch], dtype=np.int64),
-                   np.array([t.reward for t in batch], dtype=float),
-                   np.stack([t.next_state for t in batch]),
-                   np.array([t.terminal for t in batch], dtype=bool))
 
     def arrays(self) -> tuple:
         return (self.states, self.actions, self.rewards, self.next_states,
@@ -98,12 +90,6 @@ class Batch:
 
     def __len__(self):
         return len(self.actions)
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield Transition(self.states[i], int(self.actions[i]),
-                             float(self.rewards[i]), self.next_states[i],
-                             bool(self.terminals[i]))
 
 
 class QNetwork:
@@ -128,12 +114,6 @@ class QNetwork:
             weights.append(rng.standard_normal((fan_in, fan_out))
                            * np.sqrt(2.0 / fan_in))
             biases.append(np.zeros(fan_out))
-        return cls(weights, biases)
-
-    @classmethod
-    def zeros(cls, layer_sizes) -> "QNetwork":
-        weights = [np.zeros((i, o)) for i, o in zip(layer_sizes[:-1], layer_sizes[1:])]
-        biases = [np.zeros(o) for o in layer_sizes[1:]]
         return cls(weights, biases)
 
     def forward(self, state_features: np.ndarray) -> np.ndarray:
@@ -177,12 +157,11 @@ def select_action(net: QNetwork, state_features, epsilon: float,
     return int(np.argmax(q))
 
 
-def compute_targets(batch, target_net: QNetwork, gamma: float) -> np.ndarray:
+def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
     """Bellman targets: y = r at terminal transitions, else
     y = r + gamma * max_a' Q(s', a') under the fixed target network."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    batch = Batch.of(batch)
     next_q = target_net.forward_batch(batch.next_states).max(axis=1)
     return np.where(batch.terminals, batch.rewards, batch.rewards + gamma * next_q)
 
@@ -225,13 +204,10 @@ def backprop(net: QNetwork, states, actions, targets):
     return loss, grads_w, grads_b
 
 
-def train_step(net: QNetwork, target_net: QNetwork, batch, gamma: float,
+def train_step(net: QNetwork, target_net: QNetwork, batch: Batch, gamma: float,
                learning_rate: float) -> float:
     """One gradient-descent update on the Bellman targets of `batch`;
     returns the pre-update loss."""
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    batch = Batch.of(batch)
     targets = compute_targets(batch, target_net, gamma)
     loss, grads_w, grads_b = backprop(net, batch.states, batch.actions, targets)
     if not np.isfinite(loss):
@@ -256,7 +232,7 @@ class ReplayBuffer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._store = None      # a Batch of at least `len(self)` rows
+        self._store = None      # a Batch with room for at least `len(self)` rows
         self._size = 0
         self._next = 0          # the oldest row once the store is full
 

@@ -7,10 +7,12 @@ the reward P_UB - P_total, and resample demands for the next slot. An
 unservable demand profile ends the episode with the reward -P_UB.
 
 Each environment owns its channel, and a reward source answers (channel,
-pattern, demands) states. `step_all` steps envs that share one reward source
-in lockstep, like a vectorised environment: one `transmit_powers` call
-answers all their next states, each on its env's channel, then each step
-finishes. `Environment.step` is `step_all` on one env: one step path.
+pattern, demands) states of its config's cell; it refuses a batch with any
+state that does not fit the cell (`check_states`) before answering any.
+`step_all` steps envs that share one reward source in lockstep, like a
+vectorised environment: one `transmit_powers` call answers all their next
+states, each on its env's channel, then each step finishes.
+`Environment.step` is `step_all` on one env: one step path.
 
 The exact source poses a batch as arrays (each distinct channel once, the
 patterns, the SINR targets of all demands in one computation) and reads
@@ -77,6 +79,19 @@ def encode_state(state: SystemState, config: NetworkConfig) -> np.ndarray:
                            state.demands_mbps / scale])
 
 
+def check_states(config: NetworkConfig, channels, patterns, demands_mbps):
+    """Raise ValueError, naming the first offender, unless every state's
+    channel, pattern and demands fit the config's cell."""
+    m, n = config.num_rrhs, config.num_users
+    for k, (channel, pattern, demands) in enumerate(
+            zip(channels, patterns, demands_mbps)):
+        if (channel.gains.shape, len(pattern), len(demands)) != ((m, n), m, n):
+            raise ValueError(
+                f"state {k}: channel {channel.gains.shape[0]}x"
+                f"{channel.gains.shape[1]}, pattern of {len(pattern)} RRHs and "
+                f"demands of {len(demands)} users do not fit the {m}x{n} cell")
+
+
 # States `ExactSolverReward.transmit_powers` solves in one batch. The
 # states of a batch with the same number of served users share one stack,
 # which holds about 3 KB a state at its peak. On the default cell (2 vCPUs),
@@ -109,17 +124,7 @@ class ExactSolverReward:
         solved by `solve_states`, `SOLVE_CHUNK` states at a time. A state
         whose channel, pattern or demands do not fit the cell, or a negative
         demand anywhere, raises ValueError before anything is solved."""
-        m, n = self.config.num_rrhs, self.config.num_users
-        for k, (channel, pattern, demands) in enumerate(
-                zip(channels, patterns, demands_mbps)):
-            if (channel.gains.shape != (m, n) or len(pattern) != m
-                    or len(demands) != n):
-                raise ValueError(
-                    f"state {k}: channel {channel.gains.shape[0]}x"
-                    f"{channel.gains.shape[1]}, pattern of {len(pattern)} RRHs and "
-                    f"demands of {len(demands)} users do not fit the {m}x{n} cell")
-        if not len(patterns):
-            return []
+        check_states(self.config, channels, patterns, demands_mbps)
         # Each distinct channel once; states point at theirs.
         distinct = {id(channel): channel for channel in channels}
         slot = {key: c for c, key in enumerate(distinct)}
@@ -146,12 +151,15 @@ class SurrogateReward:
     on solver feasibility labels (1 or 0) gates the infeasibility penalty at
     a score of 0.5."""
 
-    def __init__(self, model: gbdt.GbdtModel, feasibility_model: gbdt.GbdtModel):
+    def __init__(self, config: NetworkConfig, model: gbdt.GbdtModel,
+                 feasibility_model: gbdt.GbdtModel):
+        self.config = config
         self.model = model
         self.feasibility_model = feasibility_model
 
     def transmit_power(self, channel, pattern, demands_mbps):
         """(power, feasible) of one state; the models ignore the channel."""
+        check_states(self.config, [channel], [pattern], [demands_mbps])
         features = np.concatenate([np.asarray(pattern, dtype=float),
                                    np.asarray(demands_mbps, dtype=float)])
         score = gbdt.predict(self.feasibility_model, features)
@@ -161,7 +169,8 @@ class SurrogateReward:
         return max(0.0, gbdt.predict(self.model, features)), True
 
     def transmit_powers(self, channels, patterns, demands_mbps) -> list:
-        """`transmit_power` of each state in turn."""
+        """`transmit_power` of each state in turn, once all fit the cell."""
+        check_states(self.config, channels, patterns, demands_mbps)
         return [self.transmit_power(c, p, d)
                 for c, p, d in zip(channels, patterns, demands_mbps)]
 

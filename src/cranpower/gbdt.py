@@ -260,7 +260,7 @@ class GbdtModel:
     initial_prediction: float
     trees: list
     params: GbdtParams
-    num_features: int = 0
+    num_features: int
     train_mse: list = field(default_factory=list, compare=False)
     # (the tree objects packed, the packed forest), built on the first
     # prediction and again whenever `trees` stops holding exactly those trees.
@@ -337,7 +337,7 @@ def _walk(packed, features: np.ndarray, start, step_length: float) -> np.ndarray
 def _check_width(model: GbdtModel, width: int):
     # The walk reads a flattened block, so a short row would read its
     # neighbour's features instead of failing.
-    if model.num_features and width != model.num_features:
+    if width != model.num_features:
         raise ValueError(
             f"feature vector has {width} entries, model was trained on "
             f"{model.num_features}")

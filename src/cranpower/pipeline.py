@@ -621,7 +621,8 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
 
     network = config.network
     channel = make_channel(config)
-    source = (SurrogateReward(artifacts.gbdt_model, artifacts.feasibility_model)
+    source = (SurrogateReward(network, artifacts.gbdt_model,
+                              artifacts.feasibility_model)
               if scheme == SCHEME_DQN_GBDT
               else ExactSolverReward(network, config.solver))
     policy = _OnlinePolicy(config, artifacts, tuning, slots)

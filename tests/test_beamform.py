@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cranpower import beamform, env
+from cranpower import beamform, env, gbdt
 from cranpower.beamform import (
     BeamformingProblem,
     BeamformingSolution,
@@ -13,11 +13,12 @@ from cranpower.beamform import (
     SolverFailure,
     SolverParams,
     sinr_targets,
-    solve_batch,
     solve_beamforming,
+    solve_states,
     verify_solution,
 )
-from cranpower.env import ExactSolverReward
+from cranpower.env import ExactSolverReward, SurrogateReward
+from cranpower.gbdt import GbdtModel, GbdtParams
 from cranpower.netmodel import ChannelRealization, NetworkConfig, sample_channel
 
 
@@ -299,6 +300,14 @@ def reference_result(problem, params=SolverParams()):
         return err
 
 
+def lone_result(problem, params=SolverParams()):
+    """`solve_beamforming`'s solution of the problem, or its SolverFailure."""
+    try:
+        return solve_beamforming(problem, params)
+    except SolverFailure as err:
+        return err
+
+
 def assert_same_result(got, want):
     """`got` is `want` bit for bit."""
     if isinstance(want, SolverFailure):
@@ -343,7 +352,7 @@ def assert_close_result(got, want, problem):
 
 
 @st.composite
-def cell_states(draw, max_rrhs=5, max_users=4):
+def cell_states(draw, max_rrhs=5, max_users=4, max_states=12):
     """A random cell and a batch of its states on up to three channels:
     mixed active sets, some users demanding nothing, now and then an empty
     pattern, a user out of every RRH's reach or caps low enough to bind.
@@ -360,7 +369,7 @@ def cell_states(draw, max_rrhs=5, max_users=4):
             gains[:, draw(st.integers(0, n - 1))] = 0.0
         cells.append(ChannelRealization(gains=gains))
     channels, patterns, demands = [], [], []
-    for _ in range(draw(st.integers(1, 12))):
+    for _ in range(draw(st.integers(1, max_states))):
         channels.append(cells[draw(st.integers(0, len(cells) - 1))])
         bits = draw(st.integers(0, 2 ** m - 1))
         patterns.append(np.array([(bits >> i) & 1 for i in range(m)], dtype=bool))
@@ -370,25 +379,43 @@ def cell_states(draw, max_rrhs=5, max_users=4):
 
 
 @st.composite
-def problem_batches(draw, max_rrhs=5, max_users=4):
-    """The states of `cell_states` as solver problems. Nobody demands
-    anything of an empty pattern, since a problem with no RRH serves no one."""
-    config, channels, patterns, demands = draw(cell_states(max_rrhs, max_users))
-    return [BeamformingProblem.from_state(
-        channel, pattern, sinr_targets(d * pattern.any(), config)[0], config)
-        for channel, pattern, d in zip(channels, patterns, demands)]
+def split_batches(draw):
+    """The states of `cell_states`, up to 36 of them, with SINR targets, and
+    a split of them into consecutive sub-batches. Up to 9 served users, so
+    that reductions run past numpy's 8-wide pairwise block."""
+    config, channels, patterns, demands = draw(
+        cell_states(max_rrhs=8, max_users=9, max_states=36))
+    targets = [sinr_targets(d, config)[0] for d in demands]
+    cuts = sorted(draw(st.lists(st.integers(1, len(patterns)), max_size=3)))
+    return config, channels, patterns, targets, cuts
 
 
-@st.composite
-def mixed_cell_batches(draw):
-    """States of two or three cells, shuffled together, and a split of them
-    into consecutive sub-batches. Up to 9 served users, so that reductions
-    run past numpy's 8-wide pairwise block."""
-    problems = [p for _ in range(draw(st.integers(2, 3)))
-                for p in draw(problem_batches(max_rrhs=8, max_users=9))]
-    order = draw(st.permutations(range(len(problems))))
-    cuts = sorted(draw(st.lists(st.integers(1, len(problems)), max_size=3)))
-    return [problems[k] for k in order], cuts
+def pose(config, channels, patterns, targets):
+    """The `solve_states` arguments of states of one cell: each distinct
+    channel once, and the cell's caps and noise, as `from_state` sets them."""
+    distinct = {id(channel): channel for channel in channels}
+    slot = {key: c for c, key in enumerate(distinct)}
+    count, m, n = len(patterns), config.num_rrhs, config.num_users
+    return (np.array([channel.gains for channel in distinct.values()]),
+            np.array([slot[id(channel)] for channel in channels], dtype=int),
+            np.array(patterns, dtype=bool).reshape(count, m),
+            np.array(targets, dtype=float).reshape(count, n),
+            np.full((count, m), config.max_tx_power_w),
+            np.full(count, config.noise_power_w))
+
+
+def row_result(solved, k, pattern):
+    """State k of `solved` in the form `solve_beamforming` gives its problem:
+    its SolverFailure, or a solution on its active RRHs. Its sleeping RRHs
+    must carry nothing."""
+    assert not solved.weights[k][~pattern].any() and not solved.per_rrh[k][~pattern].any()
+    verdict = solved.verdicts[k]
+    if isinstance(verdict, SolverFailure):
+        return verdict
+    return BeamformingSolution(
+        weights=solved.weights[k][pattern], total_tx_w=float(solved.totals[k]),
+        per_rrh_tx_w=solved.per_rrh[k][pattern], status=verdict,
+        iterations=int(solved.iterations[k]), residual=float(solved.residuals[k]))
 
 
 def single_answer(config, channel, pattern, demands):
@@ -416,26 +443,41 @@ def assert_same_answers(got, want):
 
 
 class TestSolveBatch:
+    """A batch of states solved together by `solve_states`."""
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(problems=problem_batches(), max_iterations=st.sampled_from([3, 500]))
-    def test_matches_solving_each_alone(self, problems, max_iterations):
+    @given(drawn=cell_states(), max_iterations=st.sampled_from([3, 500]))
+    def test_matches_solving_each_alone(self, drawn, max_iterations):
+        config, channels, patterns, demands = drawn
         params = SolverParams(max_iterations=max_iterations)
-        batch = solve_batch(problems, params)
-        assert len(batch) == len(problems)
-        for problem, got in zip(problems, batch):
-            assert_same_result(got, solve_batch([problem], params)[0])
+        # Nobody demands anything of an empty pattern, since a problem with
+        # no RRH serves no one.
+        targets = [sinr_targets(d * pattern.any(), config)[0]
+                   for pattern, d in zip(patterns, demands)]
+        solved = solve_states(*pose(config, channels, patterns, targets), params)
+        assert len(solved.verdicts) == len(patterns)
+        for k, (channel, pattern, iota) in enumerate(zip(channels, patterns, targets)):
+            problem = BeamformingProblem.from_state(channel, pattern, iota, config)
+            got = row_result(solved, k, pattern)
+            assert_same_result(got, lone_result(problem, params))
             assert_close_result(got, reference_result(problem, params), problem)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(drawn=mixed_cell_batches())
+    @given(drawn=split_batches())
     def test_result_does_not_depend_on_the_batch(self, drawn):
-        problems, cuts = drawn
-        alone = [solve_batch([problem])[0] for problem in problems]
-        for got, want in zip(solve_batch(problems), alone):
+        config, channels, patterns, targets, cuts = drawn
+
+        def solve(lo, hi):
+            solved = solve_states(*pose(config, channels[lo:hi], patterns[lo:hi],
+                                        targets[lo:hi]))
+            return [row_result(solved, k, pattern)
+                    for k, pattern in enumerate(patterns[lo:hi])]
+
+        alone = [solve(k, k + 1)[0] for k in range(len(patterns))]
+        for got, want in zip(solve(0, len(patterns)), alone):
             assert_same_result(got, want)
-        bounds = [0, *cuts, len(problems)]
-        split = [result for lo, hi in zip(bounds, bounds[1:])
-                 for result in solve_batch(problems[lo:hi])]
+        bounds = [0, *cuts, len(patterns)]
+        split = [result for lo, hi in zip(bounds, bounds[1:]) for result in solve(lo, hi)]
         for got, want in zip(split, alone):
             assert_same_result(got, want)
 
@@ -444,25 +486,27 @@ class TestSolveBatch:
         channel = sample_channel(config, np.random.default_rng(3))
         rng = np.random.default_rng(4)
         demands = [rng.uniform(20.0, 40.0, 2) for _ in range(5)]
+        on = np.ones(4, dtype=bool)
         problems = [BeamformingProblem.from_state(
-            channel, np.ones(4, dtype=bool), sinr_targets(d, config)[0], config)
-            for d in demands]
+            channel, on, sinr_targets(d, config)[0], config) for d in demands]
+        posed = pose(config, [channel] * 5, [on] * 5,
+                     [problem.sinr_targets for problem in problems])
         # Negative noise turns the first iterate negative: the fixed point
         # reports oscillation at once.
-        monkeypatch.setattr(problems[2], "noise_w", -problems[2].noise_w)
-        batch = solve_batch(problems)
+        posed[5][2] = -posed[5][2]
+        solved = solve_states(*posed)
+        batch = [row_result(solved, k, on) for k in range(5)]
         assert isinstance(batch[2], SolverFailure)
         assert "oscillated" in str(batch[2])
         for k in (0, 1, 3, 4):
             assert batch[k].feasible
             assert_same_result(batch[k], solve_beamforming(problems[k]))
             assert_close_result(batch[k], reference_result(problems[k]), problems[k])
+        monkeypatch.setattr(problems[2], "noise_w", -problems[2].noise_w)
         with pytest.raises(SolverFailure, match="oscillated"):
             solve_beamforming(problems[2])
 
         # The reward path: the same failure ends only its own state.
-        solve_states = env.solve_states
-
         def failing_third(gains, channel_of, active, iota, caps, noise, params):
             noise = noise.copy()
             noise[2] = -noise[2]
@@ -470,8 +514,7 @@ class TestSolveBatch:
 
         monkeypatch.setattr(env, "solve_states", failing_third)
         source = ExactSolverReward(config)
-        answers = source.transmit_powers([channel] * 5, [np.ones(4, dtype=bool)] * 5,
-                                         demands)
+        answers = source.transmit_powers([channel] * 5, [on] * 5, demands)
         assert isinstance(answers[2], SolverFailure)
         assert str(answers[2]) == str(batch[2])
         for k in (0, 1, 3, 4):
@@ -515,40 +558,71 @@ class TestExactRewardInputs:
         demands = np.full(table1_config.num_users, 30.0)
         return ExactSolverReward(table1_config), channel, demands
 
+    @pytest.fixture
+    def sources(self, table1_config):
+        """Both reward sources of the cell. The surrogate's models read m + n
+        features, so a state whose pattern and demands split them otherwise
+        still fits the models."""
+        width = table1_config.num_rrhs + table1_config.num_users
+        model = GbdtModel(initial_prediction=0.5, trees=[],
+                          params=GbdtParams(num_rounds=1), num_features=width)
+        return [ExactSolverReward(table1_config),
+                SurrogateReward(table1_config, model, model)]
+
     @staticmethod
     def _no_solve(monkeypatch):
         def refuse(*args):
-            raise AssertionError("solved a batch it should have refused")
+            raise AssertionError("answered a batch it should have refused")
 
-        monkeypatch.setattr(env, "solve_states", refuse)
+        for owner, name in ((env, "solve_states"), (gbdt, "predict"),
+                            (gbdt, "predict_batch")):
+            monkeypatch.setattr(owner, name, refuse)
 
     @pytest.mark.parametrize("rrhs", [3, 10])
-    def test_pattern_of_the_wrong_length(self, cell, monkeypatch, rrhs):
-        source, channel, demands = cell
+    def test_pattern_of_the_wrong_length(self, cell, sources, monkeypatch, rrhs):
+        _, channel, demands = cell
         good = np.ones(8, dtype=bool)
         self._no_solve(monkeypatch)
-        with pytest.raises(ValueError, match=r"state 1: .*pattern of %d RRHs" % rrhs):
-            source.transmit_powers([channel] * 3, [good, np.ones(rrhs, dtype=bool), good],
-                                   [demands] * 3)
-        with pytest.raises(ValueError, match="state 0"):
-            source.transmit_power(channel, np.ones(rrhs, dtype=bool), demands)
+        for source in sources:
+            with pytest.raises(ValueError, match=r"state 1: .*pattern of %d RRHs" % rrhs):
+                source.transmit_powers([channel] * 3,
+                                       [good, np.ones(rrhs, dtype=bool), good],
+                                       [demands] * 3)
+            with pytest.raises(ValueError, match="state 0"):
+                source.transmit_power(channel, np.ones(rrhs, dtype=bool), demands)
 
     @pytest.mark.parametrize("users", [3, 5])
-    def test_demands_of_the_wrong_length(self, cell, monkeypatch, users):
-        source, channel, demands = cell
+    def test_demands_of_the_wrong_length(self, cell, sources, monkeypatch, users):
+        _, channel, demands = cell
         self._no_solve(monkeypatch)
-        with pytest.raises(ValueError, match=r"state 2: .*demands of %d users" % users):
-            source.transmit_powers([channel] * 3, [np.ones(8, dtype=bool)] * 3,
-                                   [demands, demands, np.full(users, 30.0)])
+        for source in sources:
+            with pytest.raises(ValueError, match=r"state 2: .*demands of %d users" % users):
+                source.transmit_powers([channel] * 3, [np.ones(8, dtype=bool)] * 3,
+                                       [demands, demands, np.full(users, 30.0)])
 
-    def test_channel_of_another_cell(self, cell, monkeypatch):
-        source, channel, demands = cell
+    @pytest.mark.parametrize("rrhs, users", [(9, 3), (3, 9)])
+    def test_split_of_another_cell(self, cell, sources, monkeypatch, rrhs, users):
+        # 12 entries, as many as the cell's features, split otherwise.
+        _, channel, demands = cell
+        self._no_solve(monkeypatch)
+        split = (np.ones(rrhs, dtype=bool), np.full(users, 30.0))
+        for source in sources:
+            with pytest.raises(ValueError, match=r"state 1: .*pattern of %d RRHs and "
+                               r"demands of %d users" % (rrhs, users)):
+                source.transmit_powers([channel] * 2, [np.ones(8, dtype=bool), split[0]],
+                                       [demands, split[1]])
+            with pytest.raises(ValueError, match="state 0"):
+                source.transmit_power(channel, *split)
+
+    def test_channel_of_another_cell(self, cell, sources, monkeypatch):
+        _, channel, demands = cell
         other = sample_channel(NetworkConfig(num_rrhs=3, num_users=4),
                                np.random.default_rng(6))
         self._no_solve(monkeypatch)
-        with pytest.raises(ValueError, match=r"state 1: channel 3x4"):
-            source.transmit_powers([channel, other], [np.ones(8, dtype=bool)] * 2,
-                                   [demands] * 2)
+        for source in sources:
+            with pytest.raises(ValueError, match=r"state 1: channel 3x4"):
+                source.transmit_powers([channel, other], [np.ones(8, dtype=bool)] * 2,
+                                       [demands] * 2)
 
     def test_negative_demand_anywhere_refuses_the_batch(self, cell, monkeypatch):
         source, channel, demands = cell

@@ -22,6 +22,23 @@ from cranpower.dqn import (
 )
 
 
+def zero_net(layer_sizes) -> QNetwork:
+    """A network whose every weight and bias is zero."""
+    pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
+    return QNetwork([np.zeros(pair) for pair in pairs],
+                    [np.zeros(width) for _, width in pairs])
+
+
+def stack(transitions) -> Batch:
+    """Transitions stacked row-wise into the one batch form `train_step`
+    takes."""
+    return Batch(np.stack([t.state for t in transitions]),
+                 np.array([t.action for t in transitions], dtype=np.int64),
+                 np.array([t.reward for t in transitions], dtype=float),
+                 np.stack([t.next_state for t in transitions]),
+                 np.array([t.terminal for t in transitions], dtype=bool))
+
+
 def relative_grad_error(analytic, numeric):
     return np.abs(analytic - numeric) / np.maximum.reduce(
         [np.abs(analytic), np.abs(numeric), np.full_like(analytic, 1e-6)])
@@ -54,7 +71,7 @@ def finite_difference_grads(net, states, actions, targets, h=1e-5):
 
 class TestForward:
     def test_zero_network_outputs_zeros(self):
-        net = QNetwork.zeros([4, 8, 3])
+        net = zero_net([4, 8, 3])
         q = net.forward(np.ones(4))
         assert np.all(q == 0)
         assert q.shape == (3,)
@@ -83,7 +100,7 @@ class TestForward:
         assert np.array_equal(net.forward(x), net.forward(x))
 
     def test_width_mismatch(self):
-        net = QNetwork.zeros([4, 3])
+        net = zero_net([4, 3])
         with pytest.raises(ValueError):
             net.forward(np.ones(5))
 
@@ -91,7 +108,7 @@ class TestForward:
 class TestSelectAction:
     def _net_with_q(self, q_values):
         # Zero weights, output bias = the desired Q-vector.
-        net = QNetwork.zeros([3, len(q_values)])
+        net = zero_net([3, len(q_values)])
         net.biases[-1][:] = q_values
         return net
 
@@ -129,26 +146,30 @@ class TestComputeTargets:
         return Transition(np.zeros(2), 0, reward, np.zeros(2), terminal)
 
     def test_terminal_returns_reward(self):
-        net = QNetwork.zeros([2, 2])
-        y = compute_targets([self._transition(3.0, True)], net, 0.9)
+        net = zero_net([2, 2])
+        y = compute_targets(stack([self._transition(3.0, True)]), net, 0.9)
         assert y[0] == 3.0
 
     def test_bootstrap_arithmetic(self):
-        net = QNetwork.zeros([2, 2])
+        net = zero_net([2, 2])
         net.biases[-1][:] = [2.0, 1.0]  # max target-Q = 2
-        y = compute_targets([self._transition(1.0, False)], net, 0.9)
+        y = compute_targets(stack([self._transition(1.0, False)]), net, 0.9)
         assert y[0] == pytest.approx(2.8)
 
     def test_gamma_zero(self):
         rng = np.random.default_rng(2)
         net = QNetwork.initialize([2, 4, 2], rng)
-        batch = [self._transition(r, False) for r in (0.5, -1.0, 2.5)]
+        batch = stack([self._transition(r, False) for r in (0.5, -1.0, 2.5)])
         y = compute_targets(batch, net, 1e-12)
         assert np.allclose(y, [0.5, -1.0, 2.5], atol=1e-9)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            compute_targets([], QNetwork.zeros([2, 2]), 0.9)
+        empty = ReplayBuffer(1).contents()
+        net = zero_net([2, 2])
+        with pytest.raises(ValueError, match="non-empty"):
+            compute_targets(empty, net, 0.9)
+        with pytest.raises(ValueError, match="non-empty"):
+            train_step(net, sync_target(net), empty, 0.9, 0.1)
 
 
 class TestGradients:
@@ -173,7 +194,7 @@ class TestGradients:
         tr = Transition(state, 1, 0.0, state, True)
         tr.reward = float(q[1])  # target equals current Q
         before = [w.copy() for w in net.weights]
-        loss = train_step(net, sync_target(net), [tr], 0.9, 0.1)
+        loss = train_step(net, sync_target(net), stack([tr]), 0.9, 0.1)
         assert loss == 0.0
         for w, prev in zip(net.weights, before):
             assert np.array_equal(w, prev)
@@ -187,17 +208,17 @@ class TestGradients:
         tr = Transition(x, 0, 4.0, x, True)
         lr = 0.01
         q0 = float(net.forward(x)[0])
-        train_step(net, sync_target(net), [tr], 0.9, lr)
+        train_step(net, sync_target(net), stack([tr]), 0.9, lr)
         expected = w.copy()
         expected[:, 0] -= lr * 2.0 * (q0 - 4.0) * x
         assert np.allclose(net.weights[0], expected, atol=1e-12)
 
     def test_nonfinite_loss_aborts(self):
-        net = QNetwork.zeros([2, 2])
+        net = zero_net([2, 2])
         net.weights[0][:] = np.inf
         tr = Transition(np.ones(2), 0, 1.0, np.ones(2), True)
         with pytest.raises(FloatingPointError):
-            train_step(net, sync_target(net), [tr], 0.9, 0.1)
+            train_step(net, sync_target(net), stack([tr]), 0.9, 0.1)
 
     def test_two_state_mdp_converges_to_value_iteration(self):
         # Deterministic 2-state / 2-action MDP; tabular value iteration is
@@ -211,8 +232,8 @@ class TestGradients:
                 [rewards[s, a] + gamma * q_star[nxt[s, a]].max() for a in (0, 1)]
                 for s in (0, 1)])
         states = np.eye(2)
-        batch = [Transition(states[s], a, rewards[s, a], states[nxt[s, a]], False)
-                 for s in (0, 1) for a in (0, 1)]
+        batch = stack([Transition(states[s], a, rewards[s, a], states[nxt[s, a]], False)
+                       for s in (0, 1) for a in (0, 1)])
         rng = np.random.default_rng(5)
         net = QNetwork.initialize([2, 32, 2], rng)
         target = sync_target(net)
@@ -249,9 +270,9 @@ class TestSyncTarget:
         rng = np.random.default_rng(8)
         net = QNetwork.initialize([2, 8, 2], rng)
         target = sync_target(net)
-        batch = [Transition(rng.normal(size=2), int(rng.integers(2)),
-                            float(rng.normal()), rng.normal(size=2), False)
-                 for _ in range(4)]
+        batch = stack([Transition(rng.normal(size=2), int(rng.integers(2)),
+                                  float(rng.normal()), rng.normal(size=2), False)
+                       for _ in range(4)])
         y_before = compute_targets(batch, target, 0.9)
         for _ in range(5):
             train_step(net, target, batch, 0.9, 0.05)
@@ -268,15 +289,14 @@ class TestReplayBuffer:
         buf = ReplayBuffer(2)
         for tag in (1, 2, 3):
             buf.push(self._tr(tag))
-        rewards = [t.reward for t in buf.contents()]
-        assert rewards == [2.0, 3.0]
+        assert buf.contents().rewards.tolist() == [2.0, 3.0]
 
     def test_full_sample_is_permutation(self):
         buf = ReplayBuffer(10)
         for tag in range(10):
             buf.push(self._tr(tag))
         batch = buf.sample(10, np.random.default_rng(0))
-        assert sorted(t.reward for t in batch) == [float(i) for i in range(10)]
+        assert sorted(batch.rewards.tolist()) == [float(i) for i in range(10)]
 
     def test_sampling_uniform(self):
         buf = ReplayBuffer(8)
@@ -286,8 +306,8 @@ class TestReplayBuffer:
         counts = np.zeros(8)
         draws = 40_000
         for _ in range(draws):
-            for t in buf.sample(2, rng):
-                counts[int(t.reward)] += 1
+            for reward in buf.sample(2, rng).rewards:
+                counts[int(reward)] += 1
         freqs = counts / (2 * draws)
         assert np.all(np.abs(freqs - 1 / 8) < 0.02 / 8 + 2e-3)
 
@@ -308,10 +328,8 @@ class TestReplayBuffer:
         buf.save(path)
         loaded = ReplayBuffer.load(path)
         assert len(loaded) == len(buf)
-        for a, b in zip(buf.contents(), loaded.contents()):
-            assert np.array_equal(a.state, b.state)
-            assert a.action == b.action and a.reward == b.reward
-            assert a.terminal == b.terminal
+        for a, b in zip(buf.contents().arrays(), loaded.contents().arrays()):
+            assert np.array_equal(a, b)
 
 
 class ListReplay:
@@ -338,9 +356,9 @@ class ListReplay:
         return [self.storage[i] for i in idx]
 
 
-def assert_same_transitions(batch, transitions):
-    reference = Batch.of(transitions)
-    for got, want in zip(Batch.of(batch).arrays(), reference.arrays()):
+def assert_same_rows(batch, reference):
+    """Two batches hold the same rows, bit for bit."""
+    for got, want in zip(batch.arrays(), reference.arrays()):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -367,11 +385,11 @@ class TestArrayReplay:
                 buf.push(transition)
                 ref.push(transition)
             elif op - 8 <= len(ref.storage):
-                assert_same_transitions(buf.sample(op - 8, rng_a),
-                                        ref.sample(op - 8, rng_b))
+                assert_same_rows(buf.sample(op - 8, rng_a),
+                                 stack(ref.sample(op - 8, rng_b)))
             assert len(buf) == len(ref.storage)
         if ref.storage:
-            assert_same_transitions(buf.contents(), ref.contents())
+            assert_same_rows(buf.contents(), stack(ref.contents()))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(capacity=st.integers(1, 9), before=st.integers(0, 20),
@@ -385,14 +403,14 @@ class TestArrayReplay:
             buf.push(transition)
             ref.push(transition)
         if more:
-            buf.extend(Batch.of(more))
+            buf.extend(stack(more))
         for transition in more:
             ref.push(transition)
         assert len(buf) == len(ref)
         if len(ref):
-            assert_same_transitions(buf.contents(), list(ref.contents()))
-            assert_same_transitions(buf.sample(len(ref), np.random.default_rng(seed)),
-                                    ref.sample(len(ref), np.random.default_rng(seed)))
+            assert_same_rows(buf.contents(), ref.contents())
+            assert_same_rows(buf.sample(len(ref), np.random.default_rng(seed)),
+                             ref.sample(len(ref), np.random.default_rng(seed)))
 
     def test_snapshot_bytes_match_list_buffer(self, tmp_path):
         # The snapshot holds the stacked contents, oldest first, written as
@@ -415,8 +433,8 @@ class TestArrayReplay:
             np.save(f, np.array([t.terminal for t in stacked], dtype=bool))
         assert (tmp_path / "array.bin").read_bytes() == \
             (tmp_path / "listed.bin").read_bytes()
-        assert_same_transitions(ReplayBuffer.load(tmp_path / "array.bin").contents(),
-                                ref.contents())
+        assert_same_rows(ReplayBuffer.load(tmp_path / "array.bin").contents(),
+                         stack(ref.contents()))
 
     def test_empty_snapshot_round_trip(self, tmp_path):
         ReplayBuffer(4).save(tmp_path / "empty.bin")
@@ -461,9 +479,9 @@ class TestArrayReplay:
             ref.push(transition)
         assert copy.capacity == new_capacity and len(copy) == len(ref)
         if len(ref):
-            assert_same_transitions(copy.contents(), list(ref.contents()))
-            assert_same_transitions(copy.sample(len(ref), np.random.default_rng(seed)),
-                                    ref.sample(len(ref), np.random.default_rng(seed)))
+            assert_same_rows(copy.contents(), ref.contents())
+            assert_same_rows(copy.sample(len(ref), np.random.default_rng(seed)),
+                             ref.sample(len(ref), np.random.default_rng(seed)))
 
     def test_sample_trains_like_stacked_transitions(self):
         rng = np.random.default_rng(14)
@@ -478,7 +496,7 @@ class TestArrayReplay:
         rng_a, rng_b = np.random.default_rng(16), np.random.default_rng(16)
         for _ in range(20):
             loss_a = train_step(net_a, target, buf.sample(8, rng_a), 0.9, 1e-2)
-            loss_b = train_step(net_b, target, ref.sample(8, rng_b), 0.9, 1e-2)
+            loss_b = train_step(net_b, target, stack(ref.sample(8, rng_b)), 0.9, 1e-2)
             assert loss_a == loss_b
         for a, b in zip(net_a.weights + net_a.biases, net_b.weights + net_b.biases):
             assert np.array_equal(a, b)
@@ -521,7 +539,7 @@ class TestCheckpointing:
 
     def test_version_enforced(self, tmp_path):
         path = tmp_path / "qnet.bin"
-        save_checkpoint(QNetwork.zeros([2, 2]), path)
+        save_checkpoint(zero_net([2, 2]), path)
         raw = path.read_bytes()
         # Corrupt the magic string.
         bad = raw.replace(b"cranpower-qnet", b"cranpower-QNET", 1)

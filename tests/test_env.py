@@ -184,7 +184,7 @@ class TestSurrogateMode:
         # Constant surrogate: the two modes must agree on everything except
         # the transmit term.
         m, n = table1_config.num_rrhs, table1_config.num_users
-        surrogate = SurrogateReward(constant_model(0.123, m + n),
+        surrogate = SurrogateReward(table1_config, constant_model(0.123, m + n),
                                     constant_model(1.0, m + n))
         exact = make_env(table1_config, seed=20)
         surro = make_env(table1_config,
@@ -207,7 +207,7 @@ class TestSurrogateMode:
 
     def test_feasibility_gate_fires_below_threshold(self, table1_config):
         m, n = table1_config.num_rrhs, table1_config.num_users
-        surrogate = SurrogateReward(constant_model(0.1, m + n),
+        surrogate = SurrogateReward(table1_config, constant_model(0.1, m + n),
                                     constant_model(0.2, m + n))
         env = make_env(table1_config, reward_source=lambda ch: surrogate, seed=22)
         env.reset()
@@ -218,7 +218,7 @@ class TestSurrogateMode:
 
     def test_negative_prediction_clamped(self, table1_config):
         m, n = table1_config.num_rrhs, table1_config.num_users
-        surrogate = SurrogateReward(constant_model(-4.0, m + n),
+        surrogate = SurrogateReward(table1_config, constant_model(-4.0, m + n),
                                     constant_model(1.0, m + n))
         env = make_env(table1_config, reward_source=lambda ch: surrogate, seed=23)
         env.reset()
@@ -296,7 +296,7 @@ class TestStepAll:
 
     def test_step_is_the_reference_step(self, table1_config):
         m, n = table1_config.num_rrhs, table1_config.num_users
-        surrogate = SurrogateReward(constant_model(0.5, m + n),
+        surrogate = SurrogateReward(table1_config, constant_model(0.5, m + n),
                                     constant_model(1.0, m + n))
         for source in (None, surrogate):
             env_a, env_b = (self._envs(table1_config, 5, [0], 3, source)[0]

@@ -22,6 +22,7 @@ from cranpower.netmodel import (
     sample_channel,
     sample_demands,
 )
+from test_dqn import stack
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -261,7 +262,7 @@ def reference_dqn_training(config):
                     and global_step % params.train_interval == 0):
                 idx = rng_buffer.choice(len(storage), size=params.batch_size,
                                         replace=False)
-                last_loss = dqn.train_step(net, target, [storage[i] for i in idx],
+                last_loss = dqn.train_step(net, target, stack([storage[i] for i in idx]),
                                            params.gamma, params.learning_rate)
                 log_rows.append((global_step, last_loss, epsilon, last_return))
             if global_step % params.target_sync_interval == 0:
@@ -306,7 +307,7 @@ class TestLockstepTraining:
                              net.weights + net.biases):
             assert got.tobytes() == want.tobytes()
         for got, want in zip(artifacts.replay.contents().arrays(),
-                             dqn.Batch.of(transitions).arrays()):
+                             stack(transitions).arrays()):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         pipeline._write_csv(tmp_path / "reference_log.csv",
                             ["step", "loss", "epsilon", "episode_return"], log_rows)
@@ -617,6 +618,7 @@ class TestStrictConfig:
         ("dqn", "hidden_sizes", [-4]),
         ("dqn", "hidden_sizes", [0]),
         ("dqn", "episode_length", 0),
+        ("dqn", "epsilon_decay_steps", -5),
         (None, "offline_envs", True),
         (None, "offline_envs", 2.5),
         (None, "offline_envs", "4"),

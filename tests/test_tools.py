@@ -1,0 +1,36 @@
+"""The oracle scripts under tools/ stay runnable: what they ask of the CLI
+parses, and the solver oracle's solve step agrees with itself."""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from cranpower import cli
+from cranpower.netmodel import NetworkConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+import byte_oracle  # noqa: E402
+import solver_oracle  # noqa: E402
+
+
+def test_byte_oracle_sequences_parse(tmp_path):
+    runs = byte_oracle._sequences(ROOT, tmp_path, short_default=True)
+    assert {"c9", "sweep", "no-tune", "short-default"} <= runs.keys()
+    parser = cli.build_parser()
+    for run, commands in runs.items():
+        for argv in commands:
+            args = parser.parse_args([*argv, "--out", str(tmp_path / run)])
+            assert args.command == argv[0]
+
+
+def test_solver_oracle_reward_answers_match_its_solves():
+    states = solver_oracle.draw_cell(NetworkConfig(num_rrhs=3, num_users=2), 50,
+                                     solver_oracle.ZERO_DEMAND, np.random.default_rng(7))
+    record = solver_oracle.solve(states)
+    assert len(record["verdict"]) == len(record["answer"]) == 50
+    assert (record["verdict"] == "feasible").any()
+    assert (record["verdict"] != "feasible").any()
+    assert not solver_oracle.unlike_own_solve(record).any()

@@ -14,24 +14,24 @@ solves them in a subprocess that imports that tree's `cranpower`:
   demands nothing with probability 0.15.
 
 Every state draws its demands and a non-empty on/off pattern, uniform over
-the 2^m - 1 of them. Each tree answers every state twice: as a
-`BeamformingProblem` through `beamform.solve_batch`, and as a (channel,
-pattern, demands) state through `env.ExactSolverReward.transmit_powers`,
-the reward path of `gen-data`, training and evaluation. Per cell, the
-oracle prints:
+the 2^m - 1 of them. Each tree answers every state twice: posed as arrays
+(the cell's channels, the patterns, SINR targets, caps and noise) to
+`beamform.solve_states`, and as a (channel, pattern, demands) state through
+`env.ExactSolverReward.transmit_powers`, the reward path of `gen-data`,
+training and evaluation. Per cell, the oracle prints:
 
-- for `solve_batch`, how many states differ from the revision's in verdict
+- for `solve_states`, how many states differ from the revision's in verdict
   (feasible, SINR, cap, or the SolverFailure message), in iteration count,
   and in transmit power by more than 1e-12 relative, and lists the states
   whose verdicts or iteration counts differ;
 - for the reward path, how many (power, feasible) answers (or failure
   messages) differ from the revision's, feasibility or power by more than
   1e-12 relative, and how many differ at all from the same tree's
-  `solve_batch` verdicts and powers.
+  `solve_states` verdicts and powers.
 
 It exits 1 on any verdict or feasibility difference, any power difference
 above 1e-12 between the trees, or any reward answer that is not its own
-tree's `solve_batch` result, else 0.
+tree's `solve_states` result, else 0.
 """
 
 from __future__ import annotations
@@ -58,67 +58,76 @@ CHUNK = 512
 VERDICTS = ("feasible", "infeasible_sinr", "infeasible_cap", "failure")
 
 
+def draw_cell(config, count: int, p_zero: float, rng, channel=None) -> dict:
+    """`count` states of the cell `config`: each on its own drawn channel, or
+    all on `channel` when it is given. Returns the arrays of its states file."""
+    from cranpower import beamform, netmodel
+
+    channels, patterns, demands, targets = [], [], [], []
+    for _ in range(count):
+        if channel is None or not channels:
+            channels.append(netmodel.sample_channel(config, rng).gains
+                            if channel is None else channel)
+        bits = int(rng.integers(1, 2 ** config.num_rrhs))
+        patterns.append(np.array([(bits >> i) & 1 for i in range(config.num_rrhs)],
+                                 dtype=bool))
+        demands.append(netmodel.sample_demands(config, rng))
+        demands[-1][rng.random(config.num_users) < p_zero] = 0.0
+        targets.append(beamform.sinr_targets(demands[-1], config)[0])
+    return dict(channels=np.array(channels), channel_of=np.arange(count) % len(channels),
+                patterns=np.array(patterns), demands=np.array(demands),
+                targets=np.array(targets), config=json.dumps(dataclasses.asdict(config)))
+
+
 def draw_states(out: Path) -> list:
     """Write every cell's states to `out/<cell>.npz`; returns the cell names."""
     sys.path.insert(0, str(ROOT / "src"))
-    from cranpower import beamform, netmodel, pipeline
+    from cranpower import netmodel, pipeline
 
     run = pipeline.RunConfig.from_file(ROOT / "configs" / "default.json")
-    run_channel = pipeline.make_channel(run).gains
-    cells = {"default": (run.network, DEFAULT_STATES, 0.0)}
+    # The default cell's states share its one channel.
+    cells = {"default": (run.network, DEFAULT_STATES, 0.0,
+                         pipeline.make_channel(run).gains)}
     for m, n in CELLS:
         cells[f"{m}x{n}"] = (netmodel.NetworkConfig(num_rrhs=m, num_users=n),
-                             CELL_STATES, ZERO_DEMAND)
-    for seed, (name, (config, count, p_zero)) in enumerate(cells.items()):
+                             CELL_STATES, ZERO_DEMAND, None)
+    for seed, (name, (config, count, p_zero, channel)) in enumerate(cells.items()):
         rng = np.random.default_rng([2026, seed])
-        channels, patterns, demands, targets = [], [], [], []
-        for _ in range(count):
-            # The default cell's states share its one channel.
-            if name != "default" or not channels:
-                channels.append(run_channel if name == "default"
-                                else netmodel.sample_channel(config, rng).gains)
-            bits = int(rng.integers(1, 2 ** config.num_rrhs))
-            patterns.append(np.array([(bits >> i) & 1 for i in range(config.num_rrhs)],
-                                     dtype=bool))
-            demands.append(netmodel.sample_demands(config, rng))
-            demands[-1][rng.random(config.num_users) < p_zero] = 0.0
-            targets.append(beamform.sinr_targets(demands[-1], config)[0])
-        np.savez(out / f"{name}.npz", channels=np.array(channels),
-                 channel_of=np.arange(count) % len(channels),
-                 patterns=np.array(patterns), demands=np.array(demands),
-                 targets=np.array(targets),
-                 config=json.dumps(dataclasses.asdict(config)))
+        np.savez(out / f"{name}.npz", **draw_cell(config, count, p_zero, rng, channel))
     return list(cells)
 
 
-def solve_states(states: Path, out: Path) -> None:
-    """Solve the states in `states` with the `cranpower` on the path, through
-    `solve_batch` and through the reward path, and write each state's
-    verdict, iteration count and transmit power, and its reward answer."""
+def solve(data) -> dict:
+    """Solve the states of a states file's arrays with the `cranpower` on the
+    path, through `solve_states` and through the reward path. Returns each
+    state's verdict, iteration count and transmit power, and its reward
+    answer."""
     from cranpower import beamform, env, netmodel
 
-    with np.load(states) as data:
-        config = netmodel.NetworkConfig(**json.loads(str(data["config"])))
-        channels = [netmodel.ChannelRealization(gains=gains) for gains in data["channels"]]
-        channels = [channels[c] for c in data["channel_of"]]
-        patterns, demands, targets = data["patterns"], data["demands"], data["targets"]
-    problems = [beamform.BeamformingProblem.from_state(channel, pattern, iota, config)
-                for channel, pattern, iota in zip(channels, patterns, targets)]
-    results = []
-    for start in range(0, len(problems), CHUNK):
-        results += beamform.solve_batch(problems[start:start + CHUNK])
-    failed = [isinstance(r, beamform.SolverFailure) for r in results]
+    config = netmodel.NetworkConfig(**json.loads(str(data["config"])))
+    gains, channel_of = data["channels"], data["channel_of"]
+    patterns, targets = data["patterns"], data["targets"]
+    caps = np.full(patterns.shape, config.max_tx_power_w)
+    noise = np.full(len(patterns), config.noise_power_w)
+    verdicts, iterations, power = [], [], []
+    for start in range(0, len(patterns), CHUNK):
+        rows = slice(start, start + CHUNK)
+        solved = beamform.solve_states(gains, channel_of[rows], patterns[rows],
+                                       targets[rows], caps[rows], noise[rows])
+        failed = [isinstance(v, beamform.SolverFailure) for v in solved.verdicts]
+        verdicts += [f"failure: {v}" if bad else v.value
+                     for v, bad in zip(solved.verdicts, failed)]
+        iterations += np.where(failed, -1, solved.iterations).tolist()
+        power += np.where(failed, np.nan, solved.totals).tolist()
+    channels = [netmodel.ChannelRealization(gains=cell) for cell in gains]
     answers = env.ExactSolverReward(config).transmit_powers(
-        channels, list(patterns), list(demands))
+        [channels[c] for c in channel_of], list(patterns), list(data["demands"]))
     lost = [isinstance(a, beamform.SolverFailure) for a in answers]
-    np.savez(out,
-             verdict=[f"failure: {r}" if bad else r.status.value
-                      for r, bad in zip(results, failed)],
-             iterations=[-1 if bad else r.iterations for r, bad in zip(results, failed)],
-             power=[np.nan if bad else r.total_tx_w for r, bad in zip(results, failed)],
-             answer=[f"failure: {a}" if bad else "feasible" if a[1] else "infeasible"
-                     for a, bad in zip(answers, lost)],
-             answer_power=[np.nan if bad else a[0] for a, bad in zip(answers, lost)])
+    return dict(
+        verdict=np.array(verdicts), iterations=np.array(iterations), power=np.array(power),
+        answer=np.array([f"failure: {a}" if bad else "feasible" if a[1] else "infeasible"
+                         for a, bad in zip(answers, lost)]),
+        answer_power=np.array([np.nan if bad else a[0] for a, bad in zip(answers, lost)]))
 
 
 def run_tree(tree: Path, states: Path, cells: list, out: Path) -> dict:
@@ -143,9 +152,9 @@ def relative_gap(ours, theirs, differ):
     return rel
 
 
-def unlike_own_batch(record: dict) -> np.ndarray:
+def unlike_own_solve(record: dict) -> np.ndarray:
     """The states whose reward answer is not what the same tree's
-    `solve_batch` result implies: feasible at its power, infeasible at 0,
+    `solve_states` result implies: feasible at its power, infeasible at 0,
     or its failure."""
     verdict = np.array([v if v.startswith("failure") else
                         "feasible" if v == "feasible" else "infeasible"
@@ -177,18 +186,18 @@ def compare(ours: dict, theirs: dict) -> tuple:
     answer = ours["answer"] != theirs["answer"]
     answer_rel = relative_gap(ours["answer_power"], theirs["answer_power"], answer)
     answer_power = answer_rel > POWER_RTOL
-    own = {tree: unlike_own_batch(record)
+    own = {tree: unlike_own_solve(record)
            for tree, record in (("this tree", ours), ("the revision", theirs))}
     lines.append(f"  reward path: answers differ {int(answer.sum())}, power differs "
                  f"{int(answer_power.sum())} (largest relative difference "
-                 f"{answer_rel.max():.2g}); unlike its own solve_batch: "
+                 f"{answer_rel.max():.2g}); unlike its own solve_states: "
                  + ", ".join(f"{tree} {int(mask.sum())}" for tree, mask in own.items()))
     for k in np.flatnonzero(answer):
         lines.append(f"  state {k}: answer {theirs['answer'][k]} -> {ours['answer'][k]}")
     for (tree, mask), record in zip(own.items(), (ours, theirs)):
         for k in np.flatnonzero(mask):
             lines.append(f"  state {k} ({tree}): answer {record['answer'][k]} "
-                         f"{record['answer_power'][k]!r}, solve_batch "
+                         f"{record['answer_power'][k]!r}, solve_states "
                          f"{record['verdict'][k]} {record['power'][k]!r}")
     return lines, int(verdict.sum() + power.sum() + answer.sum() + answer_power.sum()
                       + sum(mask.sum() for mask in own.values()))
@@ -201,7 +210,8 @@ def main(argv=None) -> int:
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.solve:
-        solve_states(Path(args.solve[0]), Path(args.solve[1]))
+        with np.load(args.solve[0]) as data:
+            np.savez(args.solve[1], **solve(data))
         return 0
     if not args.against:
         parser.error("--against is required")
