@@ -133,6 +133,15 @@ class TestInfeasibility:
         sol = solve_beamforming(problem)
         assert sol.status is SolutionStatus.INFEASIBLE_SINR
 
+    def test_collinear_users_diverge(self):
+        # Load 1.875 is below min(na, ns) = 2, so no certificate: the rank
+        # is 1, and the fixed point finds the infeasibility by diverging.
+        _, ch = random_channel(2, 1, 16)
+        problem = make_problem(np.repeat(ch.gains, 2, axis=1), [15.0, 15.0], caps=1.0)
+        sol = solve_beamforming(problem)
+        assert sol.status is SolutionStatus.INFEASIBLE_SINR and sol.iterations > 0
+        assert_close_result(sol, reference_result(problem), problem)
+
     def test_single_antenna_two_users_under_budget(self):
         _, ch = random_channel(1, 2, 12)
         # iota = 0.4 each: 2 * 0.4/1.4 = 0.57 < 1, feasible.
@@ -226,9 +235,16 @@ def empty_solution(problem, status, iterations=0, residual=0.0):
                                residual=residual)
 
 
-def reference_solve(problem, params=SolverParams()):
+def served_load(iota):
+    """The load sum iota / (1 + iota) of served targets `iota`."""
+    return float(np.sum(iota / (1.0 + iota)))
+
+
+def reference_solve(problem, params=SolverParams(), certify=True):
     """The solver as a loop over one problem on its unrotated channel, kept
-    as the reference that the batched fixed point must stay close to."""
+    as the reference that the batched fixed point must stay close to. With
+    `certify`, a state whose served load reaches its na < ns active RRHs is
+    SINR-infeasible before any iteration, as in `solve_states`."""
     iota_all = problem.sinr_targets
     served = np.flatnonzero(iota_all > 0)
     na = len(problem.active_set)
@@ -240,7 +256,7 @@ def reference_solve(problem, params=SolverParams()):
     ns = len(served)
     noise = problem.noise_w
     gain_sq = np.real(np.sum(np.conj(g) * g, axis=0))
-    if np.any(gain_sq <= 0):
+    if np.any(gain_sq <= 0) or certify and ns > na and served_load(iota) >= na:
         return empty_solution(problem, SolutionStatus.INFEASIBLE_SINR)
     cap_total = float(np.sum(problem.per_rrh_cap_w))
     q_limit = (beamform._DIVERGENCE_FACTOR * cap_total if np.isfinite(cap_total)
@@ -293,9 +309,9 @@ def reference_solve(problem, params=SolverParams()):
                                iterations=iterations, residual=residual)
 
 
-def reference_result(problem, params=SolverParams()):
+def reference_result(problem, params=SolverParams(), certify=True):
     try:
-        return reference_solve(problem, params)
+        return reference_solve(problem, params, certify)
     except SolverFailure as err:
         return err
 
@@ -549,6 +565,105 @@ class TestSolveBatch:
             batch = ExactSolverReward(config).transmit_powers(channels, patterns, demands)
         assert_same_answers(batch, [single_answer(config, c, p, d)
                                     for c, p, d in zip(channels, patterns, demands)])
+
+
+class TestLoadCertificate:
+    """A state whose served load sum iota / (1 + iota) reaches min(na, ns)
+    is SINR-infeasible with no iteration run."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(drawn=cell_states(max_rrhs=4, max_users=6),
+           scale=st.sampled_from([1.0, 0.25]))
+    def test_certified_states_are_infeasible(self, drawn, scale):
+        # Demands scaled to a quarter put many loads below na with ns > na.
+        config, channels, patterns, demands = drawn
+        targets = [sinr_targets(scale * d * pattern.any(), config)[0]
+                   for pattern, d in zip(patterns, demands)]
+        solved = solve_states(*pose(config, channels, patterns, targets))
+        for k, (channel, pattern, iota) in enumerate(zip(channels, patterns, targets)):
+            served = iota > 0
+            if not served.any():
+                continue
+            block = channel.gains[np.ix_(pattern, served)]
+            na, ns = block.shape
+            load = served_load(iota[served])
+            reached = np.all(np.sum(np.abs(block) ** 2, axis=0) > 0)
+            certified = (reached and solved.iterations[k] == 0
+                         and solved.verdicts[k] is SolutionStatus.INFEASIBLE_SINR)
+            assert certified == (reached and ns > na and load >= na)
+            if load < min(na, ns):
+                assert not certified
+            if certified:
+                assert load >= np.linalg.matrix_rank(block)
+                problem = BeamformingProblem.from_state(channel, pattern, iota, config)
+                uncertified = reference_result(problem, certify=False)
+                assert not isinstance(uncertified, SolverFailure)
+                assert uncertified.status is SolutionStatus.INFEASIBLE_SINR
+                assert uncertified.iterations > 0
+
+    def test_load_of_exactly_one_antenna(self):
+        # 1/2 + 1/2 == 1 exactly: the boundary is certified.
+        _, ch = random_channel(1, 2, 13)
+        problem = make_problem(ch.gains, [1.0, 1.0])
+        sol = solve_beamforming(problem)
+        assert sol.status is SolutionStatus.INFEASIBLE_SINR
+        assert sol.iterations == 0 and sol.residual == 0.0
+        assert reference_solve(problem, certify=False).status is (
+            SolutionStatus.INFEASIBLE_SINR)
+        # Below it the fixed point runs, and these targets converge.
+        sol = solve_beamforming(make_problem(ch.gains, [1.0, 0.5]))
+        assert sol.status is SolutionStatus.FEASIBLE and sol.iterations > 0
+
+    @pytest.mark.parametrize("na", [1, 2, 3])
+    def test_never_fires_with_as_many_rrhs_as_users(self, na):
+        # Each load term rounds to 1, so the load equals na; yet with
+        # ns <= na it certifies nothing. The fixed point runs, and with
+        # targets this large its downdate breaks down.
+        for rrhs, seed in ((na, 14), (na + 1, 15)):
+            _, ch = random_channel(rrhs, na, seed)
+            result = lone_result(make_problem(ch.gains, np.full(na, 1e17)))
+            assert isinstance(result, SolverFailure) or result.iterations > 0
+
+
+class TestFixedPointExits:
+    def test_rows_leaving_together_keep_the_exit_priority(self, monkeypatch):
+        _, ch = random_channel(2, 2, 4)
+        r = np.linalg.qr(np.conj(ch.gains))[1]
+        iota = np.array([3.0, 5.0])
+
+        def run(count):
+            return beamform._fixed_point(
+                np.repeat(r[None], count, axis=0), np.tile(iota, (count, 1)),
+                np.full((count, 1), 10 ** -13.2), np.full((count, 1), 1e6),
+                SolverParams())
+
+        verdicts, q_alone, iterations, _ = run(1)
+        assert verdicts[0] is None
+        last = int(iterations[0])
+        # In the iteration where the row converges alone, scale each row's
+        # a_i = r_i^H cov^-1 r_i user by user.
+        scale = np.array([[1e6, 1.0],     # q a > 1: the downdate breaks down
+                          [-1.0, 1.0],    # a < 0: the next q is negative
+                          [1e-20, 1.0],   # a tiny: q passes its limit
+                          [1.0, 1.0],     # untouched: converges
+                          [1e6, 1e-20]])  # breaks down and diverges
+        solve, calls = np.linalg.solve, []
+
+        def spoiled(a, b):
+            calls.append(None)
+            x = solve(a, b)
+            return x * scale[:, None, :] if len(calls) == last else x
+
+        monkeypatch.setattr(np.linalg, "solve", spoiled)
+        verdicts, q_fixed, iterations, _ = run(5)
+        assert iterations.tolist() == [last] * 5
+        breakdown = "interference downdate became non-positive"
+        for k, message in ((0, breakdown), (1, "fixed-point iterates oscillated"),
+                           (4, breakdown)):
+            assert isinstance(verdicts[k], SolverFailure) and str(verdicts[k]) == message
+        assert verdicts[2] is SolutionStatus.INFEASIBLE_SINR
+        assert verdicts[3] is None
+        assert np.array_equal(q_fixed[3], q_alone[0])
 
 
 class TestExactRewardInputs:

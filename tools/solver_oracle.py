@@ -22,12 +22,17 @@ training and evaluation. Per cell, the oracle prints:
 
 - for `solve_states`, how many states differ from the revision's in verdict
   (feasible, SINR, cap, or the SolverFailure message), in iteration count,
-  and in transmit power by more than 1e-12 relative, and lists the states
-  whose verdicts or iteration counts differ;
+  and in transmit power by more than 1e-12 relative; the iteration
+  differences counted per verdict, with how many of them this tree decided
+  before any iteration; and the states whose verdicts or iteration counts
+  differ;
 - for the reward path, how many (power, feasible) answers (or failure
   messages) differ from the revision's, feasibility or power by more than
   1e-12 relative, and how many differ at all from the same tree's
   `solve_states` verdicts and powers.
+
+Each list of differing states stops after its first 20 states and says how
+many it left out.
 
 It exits 1 on any verdict or feasibility difference, any power difference
 above 1e-12 between the trees, or any reward answer that is not its own
@@ -56,6 +61,7 @@ ZERO_DEMAND = 0.15  # probability that an off-default cell's user demands nothin
 POWER_RTOL = 1e-12
 CHUNK = 512
 VERDICTS = ("feasible", "infeasible_sinr", "infeasible_cap", "failure")
+LISTED = 20  # states listed per kind of difference
 
 
 def draw_cell(config, count: int, p_zero: float, rng, channel=None) -> dict:
@@ -166,6 +172,16 @@ def unlike_own_solve(record: dict) -> np.ndarray:
     return (record["answer"] != verdict) | ~same_power
 
 
+def listed(mask, line) -> list:
+    """`line(k)` for the first LISTED states k of `mask`, and a count of the
+    rest."""
+    states = np.flatnonzero(mask)
+    lines = [line(k) for k in states[:LISTED]]
+    if len(states) > LISTED:
+        lines.append(f"  ... and {len(states) - LISTED} more")
+    return lines
+
+
 def compare(ours: dict, theirs: dict) -> tuple:
     """Printable lines and the failing count of one cell's results."""
     verdict = ours["verdict"] != theirs["verdict"]
@@ -178,11 +194,18 @@ def compare(ours: dict, theirs: dict) -> tuple:
              f"verdicts differ {int(verdict.sum())}, iterations differ "
              f"{int(iterations.sum())}, power differs {int(power.sum())} "
              f"(largest relative difference {rel.max():.2g})"]
-    for k in np.flatnonzero(verdict):
-        lines.append(f"  state {k}: verdict {theirs['verdict'][k]} -> {ours['verdict'][k]}")
-    for k in np.flatnonzero(iterations):
-        lines.append(f"  state {k}: iterations {theirs['iterations'][k]} -> "
-                     f"{ours['iterations'][k]} ({ours['verdict'][k]})")
+    lines += listed(verdict, lambda k: f"  state {k}: verdict {theirs['verdict'][k]} -> "
+                                       f"{ours['verdict'][k]}")
+    if iterations.any():
+        per_verdict = []
+        for v in VERDICTS:
+            of = iterations & np.char.startswith(ours["verdict"], v)
+            if of.any():
+                per_verdict.append(f"{v} {int(of.sum())} (now 0: "
+                                   f"{int((of & (ours['iterations'] == 0)).sum())})")
+        lines.append("  iterations differ by verdict: " + ", ".join(per_verdict))
+    lines += listed(iterations, lambda k: f"  state {k}: iterations {theirs['iterations'][k]}"
+                                          f" -> {ours['iterations'][k]} ({ours['verdict'][k]})")
     answer = ours["answer"] != theirs["answer"]
     answer_rel = relative_gap(ours["answer_power"], theirs["answer_power"], answer)
     answer_power = answer_rel > POWER_RTOL
@@ -192,13 +215,12 @@ def compare(ours: dict, theirs: dict) -> tuple:
                  f"{int(answer_power.sum())} (largest relative difference "
                  f"{answer_rel.max():.2g}); unlike its own solve_states: "
                  + ", ".join(f"{tree} {int(mask.sum())}" for tree, mask in own.items()))
-    for k in np.flatnonzero(answer):
-        lines.append(f"  state {k}: answer {theirs['answer'][k]} -> {ours['answer'][k]}")
+    lines += listed(answer, lambda k: f"  state {k}: answer {theirs['answer'][k]} -> "
+                                      f"{ours['answer'][k]}")
     for (tree, mask), record in zip(own.items(), (ours, theirs)):
-        for k in np.flatnonzero(mask):
-            lines.append(f"  state {k} ({tree}): answer {record['answer'][k]} "
-                         f"{record['answer_power'][k]!r}, solve_states "
-                         f"{record['verdict'][k]} {record['power'][k]!r}")
+        lines += listed(mask, lambda k: f"  state {k} ({tree}): answer {record['answer'][k]} "
+                                        f"{record['answer_power'][k]!r}, solve_states "
+                                        f"{record['verdict'][k]} {record['power'][k]!r}")
     return lines, int(verdict.sum() + power.sum() + answer.sum() + answer_power.sum()
                       + sum(mask.sum() for mask in own.values()))
 
