@@ -309,16 +309,56 @@ def _fit_split(data: gbdt.RegressionDataset, config: RunConfig, stream: int):
     return model, gbdt.RegressionDataset(data.features[held], data.targets[held])
 
 
+class _Learner:
+    """The DQN agent as it learns, in pre-training and in online tuning
+    alike: its Q-network, fixed target and replay. Each transition learned
+    is a step. Every `train_interval`-th step trains the net on a batch
+    sampled with `rng`, once the replay holds one, and the target is synced
+    at step 0 and after every `target_sync_interval`-th step."""
+
+    def __init__(self, network: NetworkConfig, params: DqnParams, net: QNetwork,
+                 replay: ReplayBuffer, rng: np.random.Generator):
+        self.network = network
+        self.params = params
+        self.net = net
+        self.replay = replay
+        self.rng = rng
+        self.steps = 0
+        self.loss = math.nan        # the loss of the latest training
+        self._sync_when_due()
+
+    def _sync_when_due(self):
+        if self.steps % self.params.target_sync_interval == 0:
+            self.target = sync_target(self.net)
+
+    def learn(self, features, action: int, result) -> bool:
+        """Learn from `action`, taken in the state encoded as `features`,
+        and its StepResult `result`. Returns whether it trained."""
+        params = self.params
+        self.replay.push(Transition(features, action, result.reward,
+                                    encode_state(result.next_state, self.network),
+                                    result.terminal))
+        self.steps += 1
+        trained = (len(self.replay) >= params.batch_size
+                   and self.steps % params.train_interval == 0)
+        if trained:
+            self.loss = train_step(self.net, self.target,
+                                   self.replay.sample(params.batch_size, self.rng),
+                                   params.gamma, params.learning_rate)
+        self._sync_when_due()
+        return trained
+
+
 def train_offline(config: RunConfig, out_dir=None,
                   dataset: DatasetRows | None = None):
     """Fit the surrogate pair and pre-train the DQN with exact-solver rewards.
 
     The DQN runs `offline_episodes` episodes, up to `offline_envs` of them at
     once in lockstep environments that share one exact reward source and get
-    their rewards in one batch a step, whatever their channels. Each env's
-    transition is then pushed, counted and trained on in env order, and the
-    k-th env's action of a step uses the epsilon of `global_step + k`, so
-    with one env this is the plain one-episode-at-a-time loop.
+    their rewards in one batch a step, whatever their channels. The learner
+    then takes each env's transition in env order, and the k-th env's action
+    of a step uses the epsilon of the learner's step count + k, so with one
+    env this is the plain one-episode-at-a-time loop.
 
     Returns (artifacts, summary). When `out_dir` is given, also persists the
     models, the Q-network checkpoint, the replay memory, the training log,
@@ -355,12 +395,10 @@ def train_offline(config: RunConfig, out_dir=None,
 
     fixed_channel = make_channel(config)
     source = ExactSolverReward(config.network, config.solver)
-    net = QNetwork.initialize([m + n] + list(params.hidden_sizes) + [m + 1], rng_net)
-    target = sync_target(net)
-    buffer = ReplayBuffer(params.buffer_capacity)
+    learner = _Learner(config.network, params, QNetwork.initialize(
+        [m + n] + list(params.hidden_sizes) + [m + 1], rng_net),
+        ReplayBuffer(params.buffer_capacity), rng_buffer)
     log_rows = []
-    global_step = 0
-    last_loss = math.nan
     last_return = math.nan
     started = 0
 
@@ -376,33 +414,23 @@ def train_offline(config: RunConfig, out_dir=None,
 
     # Up to `offline_envs` episodes run in lockstep. A tick picks every
     # env's action, answers all next states in one batch (`step_all`), then
-    # handles the transitions in env order as a one-env loop would. A
+    # learns from the transitions in env order as a one-env loop would. A
     # finished episode's env is replaced in place while episodes remain.
     active = [(start_episode(), 0.0)    # (env, its episode's return so far)
               for _ in range(min(config.offline_envs, config.offline_episodes))]
     while active:
         envs = [env for env, _ in active]
         features = [encode_state(env.current, config.network) for env in envs]
-        epsilons = [params.epsilon_at(global_step + k) for k in range(len(envs))]
-        actions = [select_action(net, f, epsilon, rng_actions)
+        epsilons = [params.epsilon_at(learner.steps + k) for k in range(len(envs))]
+        actions = [select_action(learner.net, f, epsilon, rng_actions)
                    for f, epsilon in zip(features, epsilons)]
         results = step_all(envs, actions)
         running = []
         for (env, episode_return), f, action, epsilon, result in zip(
                 active, features, actions, epsilons, results):
-            buffer.push(Transition(f, action, result.reward,
-                                   encode_state(result.next_state, config.network),
-                                   result.terminal))
+            if learner.learn(f, action, result):
+                log_rows.append((learner.steps, learner.loss, epsilon, last_return))
             episode_return += result.reward
-            global_step += 1
-            if (len(buffer) >= params.batch_size
-                    and global_step % params.train_interval == 0):
-                batch = buffer.sample(params.batch_size, rng_buffer)
-                last_loss = train_step(net, target, batch, params.gamma,
-                                       params.learning_rate)
-                log_rows.append((global_step, last_loss, epsilon, last_return))
-            if global_step % params.target_sync_interval == 0:
-                target = sync_target(net)
             if not result.terminal:
                 running.append((env, episode_return))
                 continue
@@ -413,7 +441,7 @@ def train_offline(config: RunConfig, out_dir=None,
     dqn_seconds = time.perf_counter() - t0
 
     artifacts = Artifacts(gbdt_model=model, feasibility_model=flag_model,
-                          qnet=net, replay=buffer)
+                          qnet=learner.net, replay=learner.replay)
     summary = {
         "dataset_rows": len(dataset),
         "dataset_feasible_rows": int(np.count_nonzero(dataset.feasible)),
@@ -427,11 +455,11 @@ def train_offline(config: RunConfig, out_dir=None,
         "feasibility_model": {"holdout_accuracy": flag_accuracy},
         "dqn": {
             "episodes": config.offline_episodes,
-            "steps": global_step,
-            "final_loss": last_loss,
-            "final_epsilon": params.epsilon_at(global_step),
+            "steps": learner.steps,
+            "final_loss": learner.loss,
+            "final_epsilon": params.epsilon_at(learner.steps),
             "final_episode_return": last_return,
-            "buffer_occupancy": len(buffer),
+            "buffer_occupancy": len(learner.replay),
         },
     }
     timing = {"gbdt_fit_s": gbdt_seconds, "dqn_train_s": dqn_seconds}
@@ -506,25 +534,13 @@ class EvalReport:
         _write_csv(path, header, self.trajectory)
 
 
-def _run_slots(config: RunConfig, channel, source, initial_pattern, slots: int,
-               act, learn=None) -> list:
-    """Control the cell for `slots` slots on the eval demand stream: each
-    slot `act(slot, state)` picks the action and `learn(slot, action,
-    result, env)`, if given, sees its outcome. Returns per slot (action,
-    demands served, StepResult)."""
+def _eval_env(config: RunConfig, channel, source) -> Environment:
+    """The env of an evaluation run: no episode end, the eval demand stream,
+    and every RRH on at the start."""
     env_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_DEMANDS])
     env = Environment(config.network, channel, source, env_rng, episode_length=None)
-    state = env.reset(initial_pattern)
-    steps = []
-    for slot in range(slots):
-        action = act(slot, state)
-        demands_served = state.demands_mbps.copy()
-        result = env.step(action)
-        steps.append((action, demands_served, result))
-        if learn is not None:
-            learn(slot, action, result, env)
-        state = env.current
-    return steps
+    env.reset()
+    return env
 
 
 def _report(scheme: str, network: NetworkConfig, steps, t_start,
@@ -567,48 +583,15 @@ def _report(scheme: str, network: NetworkConfig, steps, t_start,
     )
 
 
-class _OnlinePolicy:
-    """Greedy DQN control that keeps tuning a copy of the pre-trained
-    network on the slots it sees, and wakes every RRH after a slot it
-    believes unservable."""
-
-    def __init__(self, config: RunConfig, artifacts: Artifacts, tuning: bool,
-                 slots: int):
-        self.network = config.network
-        self.params = config.dqn
-        self.tuning = tuning
-        self.rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_TUNING])
-        self.net = artifacts.qnet.copy()
-        self.target = sync_target(self.net)
-        self.buffer = artifacts.replay.copy(self.params.buffer_capacity, slots)
-        self.features = None
-
-    def act(self, slot, state):
-        self.features = encode_state(state, self.network)
-        return select_action(self.net, self.features, 0.0, self.rng)
-
-    def learn(self, slot, action, result, env):
-        params = self.params
-        self.buffer.push(Transition(self.features, action, result.reward,
-                                    encode_state(result.next_state, self.network),
-                                    result.terminal))
-        if self.tuning and len(self.buffer) >= params.batch_size \
-                and (slot + 1) % params.train_interval == 0:
-            train_step(self.net, self.target,
-                       self.buffer.sample(params.batch_size, self.rng),
-                       params.gamma, params.learning_rate)
-            if (slot + 1) % params.target_sync_interval == 0:
-                self.target = sync_target(self.net)
-        if result.terminal:
-            # Recover by waking everything up, without consuming extra
-            # demand draws.
-            env.force_pattern(np.ones(self.network.num_rrhs, dtype=bool))
-
-
 def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
                scheme: str = SCHEME_DQN_GBDT, tuning: bool = True) -> EvalReport:
-    """Greedy online control for `slots` slots from the all-on pattern,
-    tuning the network on the slots it sees unless `tuning` is False.
+    """Greedy online control for `slots` slots from the all-on pattern, with
+    every RRH woken after a slot the controller finds unservable.
+
+    Unless `tuning` is False, the pre-trained agent keeps learning on a copy
+    of its network and replay, on the pre-training schedule with each slot a
+    step: it trains every `train_interval`-th slot and syncs its target
+    every `target_sync_interval`-th. With `tuning` False it never trains.
 
     The reward source follows the scheme, but the reported instant power is
     always ground truth: the exact solver is re-run on the realized
@@ -625,9 +608,23 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
                               artifacts.feasibility_model)
               if scheme == SCHEME_DQN_GBDT
               else ExactSolverReward(network, config.solver))
-    policy = _OnlinePolicy(config, artifacts, tuning, slots)
-    steps = _run_slots(config, channel, source, np.ones(network.num_rrhs, dtype=bool),
-                       slots, policy.act, policy.learn)
+    rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_TUNING])
+    learner = _Learner(network, config.dqn, artifacts.qnet.copy(),
+                       artifacts.replay.copy(config.dqn.buffer_capacity, slots), rng)
+    env = _eval_env(config, channel, source)
+    steps = []      # per slot: (action, demands served, StepResult)
+    for _ in range(slots):
+        state = env.current
+        features = encode_state(state, network)
+        action = select_action(learner.net, features, 0.0, rng)
+        result = env.step(action)
+        steps.append((action, state.demands_mbps, result))
+        if tuning:
+            learner.learn(features, action, result)
+        if result.terminal:
+            # Recover by waking everything up, without consuming extra
+            # demand draws.
+            env.force_pattern(np.ones(network.num_rrhs, dtype=bool))
     truth = None
     if scheme == SCHEME_DQN_GBDT:
         # The ground truth never feeds back into control, so every slot is
@@ -654,9 +651,11 @@ def run_baseline(config: RunConfig, scheme: str, slots: int) -> EvalReport:
     channel = make_channel(config)
     pick_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_OC_PICK])
     first = int(pick_rng.integers(m)) if scheme == SCHEME_OC else m
-    steps = _run_slots(config, channel, ExactSolverReward(network, config.solver),
-                       np.ones(m, dtype=bool), slots,
-                       lambda slot, state: first if slot == 0 else m)
+    env = _eval_env(config, channel, ExactSolverReward(network, config.solver))
+    steps = []
+    for slot in range(slots):
+        action = first if slot == 0 else m
+        steps.append((action, env.current.demands_mbps, env.step(action)))
     return _report(scheme, network, steps, t_start)
 
 

@@ -370,8 +370,10 @@ def assert_close_result(got, want, problem):
 @st.composite
 def cell_states(draw, max_rrhs=5, max_users=4, max_states=12):
     """A random cell and a batch of its states on up to three channels:
-    mixed active sets, some users demanding nothing, now and then an empty
-    pattern, a user out of every RRH's reach or caps low enough to bind.
+    mixed active sets, some users demanding nothing, now and then a user
+    out of every RRH's reach or caps low enough to bind. About one state in
+    ten serves nobody, by an empty pattern or all-zero demands; every other
+    state has an RRH on and a user demanding something.
     Returns (config, channels, patterns, demands)."""
     m = draw(st.integers(1, max_rrhs))
     n = draw(st.integers(1, max_users))
@@ -387,10 +389,15 @@ def cell_states(draw, max_rrhs=5, max_users=4, max_states=12):
     channels, patterns, demands = [], [], []
     for _ in range(draw(st.integers(1, max_states))):
         channels.append(cells[draw(st.integers(0, len(cells) - 1))])
-        bits = draw(st.integers(0, 2 ** m - 1))
+        kind = draw(st.sampled_from(["served"] * 18 + ["empty", "silent"]))
+        bits = 0 if kind == "empty" else draw(st.integers(1, 2 ** m - 1))
         patterns.append(np.array([(bits >> i) & 1 for i in range(m)], dtype=bool))
-        demands.append(np.array(draw(st.lists(
-            st.one_of(st.just(0.0), st.floats(5.0, 40.0)), min_size=n, max_size=n))))
+        silent = [True] * n
+        if kind != "silent":
+            silent = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            silent[draw(st.integers(0, n - 1))] = False
+        demands.append(np.array([0.0 if quiet else draw(st.floats(5.0, 40.0))
+                                 for quiet in silent]))
     return config, channels, patterns, demands
 
 

@@ -409,10 +409,11 @@ class TestLockstepTraining:
 
 
 class TestRunOnline:
-    def test_replay_copy_is_sized_once(self):
-        # A 30,000-row pre-trained replay and 5,000 slots: the copy is
-        # allocated once for both, so no push grows it and there is no
-        # gathered temporary of the rows.
+    def test_replay_copy_is_sized_once(self, monkeypatch):
+        # A 30,000-row pre-trained replay and 5,000 slots: run_online copies
+        # it once into a store sized for both, so no push grows it and there
+        # is no gathered temporary of the rows. The run stops at its first
+        # action, once the learner holds the copy.
         config = pipeline.RunConfig.from_file(DEFAULT)
         width = config.network.num_rrhs + config.network.num_users
         rng = np.random.default_rng(17)
@@ -424,18 +425,56 @@ class TestRunOnline:
         qnet = dqn.QNetwork.initialize([width, 64, 64, 9], rng)
         artifacts = pipeline.Artifacts(None, None, qnet, replay)
         pushed = dqn.Transition(rng.random(width), 3, 1.0, rng.random(width), False)
+        learners = []
+        learner_class = pipeline._Learner
+
+        class FirstAction(Exception):
+            pass
+
+        def first_action(*args):
+            raise FirstAction
+
+        def capture(*args):
+            learners.append(learner_class(*args))
+            return learners[-1]
+
+        monkeypatch.setattr(pipeline, "_Learner", capture)
+        monkeypatch.setattr(pipeline, "select_action", first_action)
         tracemalloc.start()
         try:
-            policy = pipeline._OnlinePolicy(config, artifacts, False, 5_000)
-            reserved = len(policy.buffer._store)
+            with pytest.raises(FirstAction):
+                pipeline.run_online(config, artifacts, 5_000,
+                                    scheme=pipeline.SCHEME_DQN_SOCP)
+            copy = learners[0].replay
+            reserved = len(copy._store)
             for _ in range(5_000):
-                policy.buffer.push(pushed)
+                copy.push(pushed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(policy.buffer) == 35_000
-        assert reserved == len(policy.buffer._store) == 35_000
+        assert copy is not replay and len(replay) == rows
+        assert len(copy) == 35_000
+        assert reserved == len(copy._store) == 35_000
         assert peak <= 13.1 * 2 ** 20
+
+    def test_tuning_syncs_on_the_pretraining_schedule(self, tiny_trained,
+                                                       tiny_run_config, monkeypatch):
+        # Training every 3rd slot and syncing every 5th: the target is copied
+        # at the start and after slots 5, 10, ..., 60, training slot or not.
+        artifacts, _, _ = tiny_trained
+        config = dataclasses.replace(tiny_run_config, dqn=dataclasses.replace(
+            tiny_run_config.dqn, train_interval=3, target_sync_interval=5))
+        calls = {"sync_target": 0, "train_step": 0}
+        for name in calls:
+            def counted(*args, name=name, fn=getattr(pipeline, name)):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(pipeline, name, counted)
+        pipeline.run_online(config, artifacts, 60, scheme=pipeline.SCHEME_DQN_SOCP)
+        assert calls == {"sync_target": 13, "train_step": 20}
+        calls.update(sync_target=0, train_step=0)
+        pipeline.run_online(config, artifacts, 60, tuning=False)
+        assert calls["train_step"] == 0
 
     def test_zero_slots_empty_report(self, tiny_trained, tiny_run_config):
         artifacts, _, _ = tiny_trained

@@ -18,7 +18,7 @@ import solver_oracle  # noqa: E402
 
 def test_byte_oracle_sequences_parse(tmp_path):
     runs = byte_oracle._sequences(ROOT, tmp_path, short_default=True)
-    assert {"c9", "sweep", "no-tune", "short-default"} <= runs.keys()
+    assert {"c9", "sweep", "no-tune", "interval", "short-default"} <= runs.keys()
     parser = cli.build_parser()
     for run, commands in runs.items():
         for argv in commands:

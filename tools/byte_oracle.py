@@ -14,6 +14,9 @@ nothing is written to `.git`. On each tree, from its own `configs/`:
 - no-tune: `evaluate --no-tune` on the c9 artifacts;
 - redraw-k1, redraw-k4: `train --seed 9 --redraw-channel` on the c9 dataset,
   with `offline_envs` 1 and 4;
+- interval: `train` on the c9 dataset with `dqn.train_interval` 3 and
+  `dqn.target_sync_interval` 5, then `evaluate --slots 60` with both DQN
+  schemes: a sync interval that the train interval does not divide;
 - with `--short-default`, also short-default and short-default-redraw: a
   `default.json` gen-data + train cut to 3000 rows, 100 rounds and 30
   episodes, without and with `--redraw-channel`.
@@ -83,6 +86,13 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
     for name, config in (("redraw-k1", tiny), ("redraw-k4", k4)):
         runs[name] = [["train", "--config", config, "--seed", "9", "--redraw-channel",
                        "--dataset", f"{c9}/dataset.csv"]]
+    interval = _variant(tree, "tiny.json", work / "tiny-interval.json", {
+        "dqn.train_interval": 3, "dqn.target_sync_interval": 5})
+    runs["interval"] = [
+        ["train", "--config", interval, "--dataset", f"{c9}/dataset.csv"],
+        ["evaluate", "--config", interval, "--slots", "60"],
+        ["evaluate", "--config", interval, "--slots", "60", "--scheme", "DQN-SOCP"],
+    ]
     if short_default:
         short = _variant(tree, "default.json", work / "default-short.json", {
             "dataset_size": 3000, "gbdt.num_rounds": 100, "offline_episodes": 30})
