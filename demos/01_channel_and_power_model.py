@@ -1,21 +1,22 @@
-"""Walk through the physical model: path loss, channel draws, SINR, rate,
-and the three-part power accounting.
+"""Walk through the physical model: path loss, channel draws, SINR, the
+rate model as the solver uses it (demands to SINR targets), and the
+three-part slot power as one environment step charges it.
 
 Run:  python3 demos/01_channel_and_power_model.py
 """
 
 import numpy as np
 
+from cranpower.beamform import sinr_targets
+from cranpower.env import Environment, ExactSolverReward
 from cranpower.netmodel import (
     ChannelRealization,
     NetworkConfig,
     channel_coefficient,
-    compute_rate,
     compute_sinr,
     path_loss_db,
-    rrh_power,
     sample_channel,
-    total_power,
+    state_and_transition_power,
 )
 
 config = NetworkConfig()
@@ -44,23 +45,37 @@ expected = 10 ** (-path_loss_db(0.25) / 10) * config.antenna_gain_linear
 print(f"  mean |h|^2 = {np.mean(np.abs(h) ** 2):.4e}  "
       f"(model: {expected:.4e})")
 
-print("\n=== SINR and rate for hand-built weights ===")
+print("\n=== SINR for hand-built weights ===")
 noise = config.noise_power_w
 toy = ChannelRealization(gains=np.array([[1.0 + 0j, 1.0 + 0j]]))
 weights = np.array([[2 * np.sqrt(noise), np.sqrt(noise)]], dtype=complex)
 sinr = compute_sinr(weights, toy, 0, noise)
-print(f"user 0: signal 4x noise, interference 1x noise -> SINR {sinr:.2f}, "
-      f"rate {compute_rate(sinr, config):.2f} Mbps")
+print(f"user 0: signal 4x noise, interference 1x noise -> SINR {sinr:.2f}")
 
-print("\n=== Per-RRH power model ===")
-print(f"active @ 0.5 W transmit: {rrh_power(True, 0.5, config):.2f} W")
-print(f"active idle:             {rrh_power(True, 0.0, config):.2f} W")
-print(f"sleeping:                {rrh_power(False, 0.0, config):.2f} W")
+print("\n=== Rate model, from demand to SINR target: margin * (2^(R/B) - 1) ===")
+demands = np.array([0.0, 20.0, 30.0, 40.0])
+iota, _ = sinr_targets(demands, config)
+for d, target in zip(demands, iota):
+    print(f"  {d:4.0f} Mbps -> SINR target {target:6.3f}")
 
-print("\n=== Slot power breakdown (waking one RRH up) ===")
-prev = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool)
-nxt = np.array([1, 1, 1, 1, 1, 0, 0, 0], dtype=bool)
-tx = np.where(nxt, 0.1, 0.0)
-pb = total_power(prev, nxt, tx, config)
-print(f"transmit {pb.transmit_w:.2f} W + standby {pb.state_w:.2f} W + "
+print("\n=== Standby and mode-switch terms ===")
+on = np.ones(config.num_rrhs, dtype=bool)
+off = np.zeros(config.num_rrhs, dtype=bool)
+for name, prev, nxt in (("all on, staying on", on, on),
+                        ("all asleep, staying asleep", off, off),
+                        ("all on, all going to sleep", on, off)):
+    state_w, transition_w = state_and_transition_power(prev, nxt, config)
+    print(f"  {name:27s} standby {state_w:5.2f} W, transition {transition_w:5.2f} W")
+
+print("\n=== One environment step: waking one RRH up, exact solver ===")
+env = Environment(config, channel, ExactSolverReward(config),
+                  np.random.default_rng(0))
+env.reset(np.array([1, 1, 1, 1, 1, 1, 0, 0], dtype=bool))
+print(f"demands {np.round(env.current.demands_mbps, 1)} Mbps")
+result = env.step(6)
+pb = result.power
+print(f"feasible {result.feasible}: transmit {pb.transmit_w:.2f} W (solver power / "
+      f"{config.amplifier_efficiency}) + standby {pb.state_w:.2f} W + "
       f"transition {pb.transition_w:.2f} W = {pb.total_w:.2f} W")
+print(f"reward P_UB - total = {env.p_upper_bound_w:.2f} - {pb.total_w:.2f} "
+      f"= {result.reward:.2f} (an unservable slot earns -P_UB)")

@@ -38,8 +38,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--count", type=int, default=None, help="row count override")
     p.add_argument("--pattern-mode", default=pipeline.PATTERN_RANDOM,
-                   choices=[pipeline.PATTERN_RANDOM, pipeline.PATTERN_ALL_ON,
-                            pipeline.PATTERN_ONE_OFF])
+                   choices=pipeline.PATTERN_MODES)
 
     p = sub.add_parser("train", help="fit the surrogate pair and pre-train the DQN")
     _add_common(p)

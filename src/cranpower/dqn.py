@@ -121,18 +121,26 @@ class QNetwork:
         return self.forward_batch(np.asarray(state_features, dtype=float)[None, :])[0]
 
     def forward_batch(self, states: np.ndarray) -> np.ndarray:
+        return self.forward_layers(states)[1][-1]
+
+    def forward_layers(self, states: np.ndarray):
+        """The forward pass over a (batch, input) array of states: each
+        layer's input and pre-activation, in layer order. A hidden layer's
+        output is the ReLU of its pre-activation; the last pre-activation is
+        the Q-values."""
         states = np.asarray(states, dtype=float)
         if states.shape[1] != self.weights[0].shape[0]:
             raise ValueError(
                 f"input width {states.shape[1]} != network input "
                 f"{self.weights[0].shape[0]}")
+        inputs, pre = [], []
         act = states
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            act = act @ w + b
-            if i < last:
-                act = np.maximum(act, 0.0)
-        return act
+        for w, b in zip(self.weights, self.biases):
+            if pre:
+                act = np.maximum(pre[-1], 0.0)
+            inputs.append(act)
+            pre.append(act @ w + b)
+        return inputs, pre
 
     def copy(self) -> "QNetwork":
         return QNetwork([w.copy() for w in self.weights],
@@ -172,22 +180,12 @@ def backprop(net: QNetwork, states, actions, targets):
     loss = mean((y - Q(s, a))^2) over the batch; only the outputs of the
     actions actually taken receive gradient.
     """
-    states = np.asarray(states, dtype=float)
+    inputs, pre = net.forward_layers(states)
     actions = np.asarray(actions, dtype=np.int64)
     targets = np.asarray(targets, dtype=float)
-    batch = states.shape[0]
+    batch = inputs[0].shape[0]
 
-    activations = [states]
-    pre = []
-    act = states
-    last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = act @ w + b
-        pre.append(z)
-        act = np.maximum(z, 0.0) if i < last else z
-        activations.append(act)
-
-    q = activations[-1]
+    q = pre[-1]
     taken = q[np.arange(batch), actions]
     diff = taken - targets
     loss = float(np.mean(diff ** 2))
@@ -197,7 +195,7 @@ def backprop(net: QNetwork, states, actions, targets):
     grads_w = [None] * len(net.weights)
     grads_b = [None] * len(net.biases)
     for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
+        grads_w[i] = inputs[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)

@@ -20,8 +20,11 @@ every answer from the verdict and power arrays of `beamform.solve_states`;
 it builds no solver problem or solution per state. Its `transmit_power` is
 a batch of one.
 
-Both reward sources share the exact standby/transition accounting; they can
-only differ in the transmit term.
+A step charges the slot's power in `Environment._finish`, where every
+reported watt is summed: `netmodel.state_and_transition_power`'s standby and
+mode-switch terms plus the transmit term, the source's transmit power over
+the amplifier efficiency (0 for an unservable slot). So the two reward
+sources can only differ in the transmit term.
 """
 
 from __future__ import annotations
@@ -146,10 +149,15 @@ class ExactSolverReward:
         return answers
 
 
+# The feasibility model's score at and above which the surrogate counts a
+# state as servable; below it, the state is unservable.
+FEASIBILITY_THRESHOLD = 0.5
+
+
 class SurrogateReward:
     """Transmit power from the boosted-tree model; a companion model trained
     on solver feasibility labels (1 or 0) gates the infeasibility penalty at
-    a score of 0.5."""
+    a score of `FEASIBILITY_THRESHOLD`."""
 
     def __init__(self, config: NetworkConfig, model: gbdt.GbdtModel,
                  feasibility_model: gbdt.GbdtModel):
@@ -163,7 +171,7 @@ class SurrogateReward:
         features = np.concatenate([np.asarray(pattern, dtype=float),
                                    np.asarray(demands_mbps, dtype=float)])
         score = gbdt.predict(self.feasibility_model, features)
-        if score < 0.5:
+        if score < FEASIBILITY_THRESHOLD:
             return 0.0, False
         # Leaf averages can dip below zero where targets do not support them.
         return max(0.0, gbdt.predict(self.model, features)), True

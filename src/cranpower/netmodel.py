@@ -1,6 +1,8 @@
-"""Physical layer of the single-cell C-RAN: channel realizations, SINR,
-achievable rate, and the three-part RRH power accounting (transmit, state,
-transition).
+"""Physical layer of the single-cell C-RAN: the config, channel
+realizations, SINR, demands, and the standby and mode-switch terms of a
+slot's power (`state_and_transition_power`). `env.Environment` adds the
+transmit term and sums the three; `beamform.sinr_targets` holds the rate
+model, from demands to SINR targets.
 
 All physics runs in linear units (W, dimensionless ratios). dB/dBm inputs
 are converted once, at config load time.
@@ -161,14 +163,6 @@ class ChannelRealization:
         if not np.all(np.isfinite(self.gains.view(float))):
             raise ValueError("channel gains must be finite")
 
-    @property
-    def num_rrhs(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def num_users(self) -> int:
-        return self.gains.shape[1]
-
 
 @dataclass
 class SystemState:
@@ -241,24 +235,6 @@ def compute_sinr(weights: np.ndarray, channel: ChannelRealization,
     return float(signal / (interference + noise_w))
 
 
-def compute_rate(sinr: float, config: NetworkConfig) -> float:
-    """Shannon rate with SINR margin, in Mbps."""
-    if sinr < 0:
-        raise ValueError("SINR must be >= 0")
-    return config.bandwidth_hz * math.log2(1.0 + sinr / config.sinr_margin) / 1e6
-
-
-def rrh_power(active: bool, tx_power_w: float, config: NetworkConfig) -> float:
-    """Linear per-RRH power model: standby plus amplifier-scaled transmit."""
-    if tx_power_w < 0:
-        raise ValueError("transmit power must be >= 0")
-    if not active:
-        if tx_power_w != 0:
-            raise ValueError("sleeping RRH cannot transmit")
-        return config.sleep_power_w
-    return config.active_power_w + tx_power_w / config.amplifier_efficiency
-
-
 def state_and_transition_power(prev_pattern, next_pattern, config: NetworkConfig):
     """Standby power of `next_pattern` and the mode-switch cost from `prev_pattern`.
 
@@ -275,23 +251,6 @@ def state_and_transition_power(prev_pattern, next_pattern, config: NetworkConfig
     state_w = n_active * config.active_power_w + (nxt.size - n_active) * config.sleep_power_w
     transition_w = int(np.count_nonzero(prev != nxt)) * config.transition_power_w
     return state_w, transition_w
-
-
-def total_power(prev_pattern, next_pattern, per_rrh_tx_w, config: NetworkConfig) -> PowerBreakdown:
-    """Total system power for one slot, broken into its three parts."""
-    nxt = np.asarray(next_pattern, dtype=bool)
-    tx = np.asarray(per_rrh_tx_w, dtype=float)
-    if tx.shape != nxt.shape:
-        raise ValueError("transmit power vector length must match pattern length")
-    if np.any(tx[~nxt] != 0):
-        raise ValueError("sleeping RRHs must have zero transmit power")
-    if np.any(tx < 0):
-        raise ValueError("transmit powers must be >= 0")
-    state_w, transition_w = state_and_transition_power(prev_pattern, next_pattern, config)
-    transmit_w = float(np.sum(tx[nxt] / config.amplifier_efficiency))
-    total_w = transmit_w + state_w + transition_w
-    return PowerBreakdown(transmit_w=transmit_w, state_w=state_w,
-                          transition_w=transition_w, total_w=total_w)
 
 
 def sample_demands(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:

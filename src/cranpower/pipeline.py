@@ -35,6 +35,7 @@ from .dqn import (
     train_step,
 )
 from .env import (
+    FEASIBILITY_THRESHOLD,
     SOLVE_CHUNK,
     Environment,
     ExactSolverReward,
@@ -61,6 +62,7 @@ DQN_SCHEMES = (SCHEME_DQN_GBDT, SCHEME_DQN_SOCP)
 PATTERN_RANDOM = "random"
 PATTERN_ALL_ON = "all-on"
 PATTERN_ONE_OFF = "one-off"
+PATTERN_MODES = (PATTERN_RANDOM, PATTERN_ALL_ON, PATTERN_ONE_OFF)
 
 # Sub-stream ids hung off the named seeds; never reuse one for a new purpose.
 _STREAM_DATASET = 0
@@ -190,8 +192,12 @@ def gen_dataset(config: RunConfig, count: int | None = None,
     """Label `count` random (pattern, demands) states with the exact solver.
 
     Rows on which the solver breaks down numerically are skipped (and
-    counted); the returned row count is always exactly `count`.
+    counted); the returned row count is always exactly `count`. A
+    `pattern_mode` outside `PATTERN_MODES` raises ValueError.
     """
+    if pattern_mode not in PATTERN_MODES:
+        raise ValueError(f"unknown pattern mode {pattern_mode!r}; expected one "
+                         f"of {', '.join(PATTERN_MODES)}")
     count = config.dataset_size if count is None else count
     network = config.network
     channel = make_channel(config)
@@ -381,7 +387,8 @@ def train_offline(config: RunConfig, out_dir=None,
 
     flag_model, flag_holdout = _fit_split(dataset.feasibility_view(), config, 101)
     flag_preds = gbdt.predict_batch(flag_model, flag_holdout.features)
-    flag_accuracy = float(np.mean((flag_preds >= 0.5) == (flag_holdout.targets >= 0.5)))
+    flag_accuracy = float(np.mean((flag_preds >= FEASIBILITY_THRESHOLD)
+                                  == flag_holdout.targets.astype(bool)))
     gbdt_seconds = time.perf_counter() - t0
 
     # --- DQN pre-training with exact rewards (the offline branch) -----------
@@ -591,7 +598,8 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     Unless `tuning` is False, the pre-trained agent keeps learning on a copy
     of its network and replay, on the pre-training schedule with each slot a
     step: it trains every `train_interval`-th slot and syncs its target
-    every `target_sync_interval`-th. With `tuning` False it never trains.
+    every `target_sync_interval`-th. With `tuning` False it never trains and
+    copies nothing: it acts on the pre-trained network itself.
 
     The reward source follows the scheme, but the reported instant power is
     always ground truth: the exact solver is re-run on the realized
@@ -609,14 +617,16 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
               if scheme == SCHEME_DQN_GBDT
               else ExactSolverReward(network, config.solver))
     rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_TUNING])
-    learner = _Learner(network, config.dqn, artifacts.qnet.copy(),
-                       artifacts.replay.copy(config.dqn.buffer_capacity, slots), rng)
+    learner = (_Learner(network, config.dqn, artifacts.qnet.copy(),
+                        artifacts.replay.copy(config.dqn.buffer_capacity, slots), rng)
+               if tuning else None)
+    net = learner.net if tuning else artifacts.qnet
     env = _eval_env(config, channel, source)
     steps = []      # per slot: (action, demands served, StepResult)
     for _ in range(slots):
         state = env.current
         features = encode_state(state, network)
-        action = select_action(learner.net, features, 0.0, rng)
+        action = select_action(net, features, 0.0, rng)
         result = env.step(action)
         steps.append((action, state.demands_mbps, result))
         if tuning:

@@ -19,3 +19,18 @@ def tiny_config():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+class FixedAnswer:
+    """A reward source that answers every state with `answer`, the
+    (transmit power, feasible) pair a test sets."""
+
+    answer = (0.0, True)
+
+    def transmit_powers(self, channels, patterns, demands_mbps):
+        return [self.answer] * len(patterns)
+
+
+@pytest.fixture
+def fixed_answer():
+    return FixedAnswer()

@@ -23,7 +23,8 @@ from cranpower.beamform import (
     verify_solution,
 )
 from cranpower.dqn import QNetwork, backprop
-from cranpower.netmodel import NetworkConfig, sample_channel, total_power
+from cranpower.env import Environment, p_upper_bound
+from cranpower.netmodel import NetworkConfig, sample_channel
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = ROOT / "configs" / "default.json"
@@ -343,19 +344,46 @@ def test_criterion_09_cli_determinism(tmp_path):
             + (f"; DIFFERING: {diffs}" if diffs else "") + f", {elapsed:.1f}s")
 
 
-def test_criterion_10_power_accounting():
+def test_criterion_10_power_accounting(fixed_answer):
+    # 10^4 Environment steps, each from a drawn pattern by a drawn action,
+    # with a drawn (transmit power, feasible) answer: every term of the
+    # step's power and its reward equal their closed forms, and the total is
+    # the exact sum of the three terms.
     t0 = time.time()
     cfg = NetworkConfig()
+    m = cfg.num_rrhs
+    p_ub = m * (cfg.active_power_w + cfg.max_tx_power_w / cfg.amplifier_efficiency
+                + cfg.transition_power_w)
     rng = np.random.default_rng(9)
-    exact = True
+    env = Environment(cfg, sample_channel(cfg, rng), fixed_answer, rng)
+    env.reset()
+    exact = p_upper_bound(cfg) == p_ub
+    matched = 0
     for _ in range(10_000):
-        prev = rng.random(8) < 0.5
-        nxt = rng.random(8) < 0.5
-        tx = np.where(nxt, rng.uniform(0.0, 1.0, 8), 0.0)
-        pb = total_power(prev, nxt, tx, cfg)
-        if pb.total_w != pb.transmit_w + pb.state_w + pb.transition_w:
-            exact = False
+        pattern = rng.random(m) < 0.5
+        action = int(rng.integers(m + 1))
+        tx = float(rng.uniform(0.0, m * cfg.max_tx_power_w))
+        feasible = bool(rng.random() < 0.8)
+        fixed_answer.answer = (tx, feasible)
+        env.force_pattern(pattern)
+        result = env.step(action)
+        pb = result.power
+        nxt = pattern.copy()
+        nxt[action:action + 1] ^= True     # action m flips nothing
+        on = int(nxt.sum())
+        transmit_w = tx / cfg.amplifier_efficiency if feasible else 0.0
+        total_w = pb.transmit_w + pb.state_w + pb.transition_w
+        exact = (exact
+                 and np.array_equal(result.next_state.rrh_active, nxt)
+                 and pb.state_w == on * cfg.active_power_w + (m - on) * cfg.sleep_power_w
+                 and pb.transition_w == (cfg.transition_power_w if action < m else 0.0)
+                 and pb.transmit_w == transmit_w
+                 and pb.total_w == total_w
+                 and result.reward == (p_ub - total_w if feasible else -p_ub)
+                 and result.feasible == feasible)
+        if not exact:
             break
+        matched += 1
     zero_demand = pipeline.RunConfig(
         network=NetworkConfig(demand_min_mbps=0.0, demand_max_mbps=0.0),
         dataset_size=10, eval_slots=5, offline_episodes=1)
@@ -363,5 +391,6 @@ def test_criterion_10_power_accounting():
     ao_exact = np.allclose(ao.instant_w, 54.4, rtol=1e-12, atol=0.0)
     elapsed = time.time() - t0
     _report(10, "power-accounting", exact and ao_exact and elapsed < 5.0,
-            f"10^4 breakdowns sum exactly; AO zero-demand instant power "
+            f"{matched} of 10^4 env steps match the closed forms and sum "
+            f"exactly; AO zero-demand instant power "
             f"{float(ao.instant_w[0])!r} W (expected 54.4), {elapsed:.2f}s")

@@ -58,6 +58,10 @@ class TestSinrTargets:
         with pytest.raises(ValueError):
             sinr_targets([-1.0], table1_config)
 
+    def test_strictly_increasing(self, table1_config, rng):
+        iota, _ = sinr_targets(np.sort(rng.uniform(0, 100, 50)), table1_config)
+        assert np.all(np.diff(iota) > 0)
+
 
 class TestSingleUser:
     def test_matches_analytic_optimum(self):
@@ -199,7 +203,7 @@ class TestOptimalityProperties:
                 assert full.status is SolutionStatus.FEASIBLE
                 assert reduced.total_tx_w >= full.total_tx_w * (1 - 1e-9)
 
-    def test_duality_total_power_identity(self):
+    def test_duality_tx_power_identity(self):
         # Sum of downlink powers equals the sum of virtual uplink powers at
         # the fixed point; cross-check through the per-RRH decomposition.
         _, ch = random_channel(5, 3, 21)

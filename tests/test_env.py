@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cranpower import env as env_module
 from cranpower.beamform import SolverFailure
 from cranpower.env import (
+    FEASIBILITY_THRESHOLD,
     Environment,
     ExactSolverReward,
     SurrogateReward,
@@ -207,14 +208,17 @@ class TestSurrogateMode:
 
     def test_feasibility_gate_fires_below_threshold(self, table1_config):
         m, n = table1_config.num_rrhs, table1_config.num_users
+        below = np.nextafter(FEASIBILITY_THRESHOLD, 0.0)
         surrogate = SurrogateReward(table1_config, constant_model(0.1, m + n),
-                                    constant_model(0.2, m + n))
+                                    constant_model(below, m + n))
         env = make_env(table1_config, reward_source=lambda ch: surrogate, seed=22)
         env.reset()
         result = env.step(m)
         assert not result.feasible
         assert result.terminal
         assert result.reward == -env.p_upper_bound_w
+        surrogate.feasibility_model = constant_model(FEASIBILITY_THRESHOLD, m + n)
+        assert env.step(m).feasible
 
     def test_negative_prediction_clamped(self, table1_config):
         m, n = table1_config.num_rrhs, table1_config.num_users

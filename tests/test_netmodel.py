@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from cranpower.env import Environment
 from cranpower.netmodel import (
     ChannelRealization,
     ConfigError,
     NetworkConfig,
     channel_coefficient,
-    compute_rate,
     compute_sinr,
     config_from_dict,
     dbm_to_w,
     path_loss_db,
-    rrh_power,
     sample_channel,
     sample_demands,
-    total_power,
+    state_and_transition_power,
 )
 
 
@@ -146,81 +145,73 @@ class TestSinr:
             compute_sinr(np.ones((3, 2), dtype=complex), ch, 0, 1.0)
 
 
-class TestRate:
-    def test_zero_sinr(self, table1_config):
-        assert compute_rate(0.0, table1_config) == 0.0
-
-    def test_twenty_mbps(self, table1_config):
-        assert compute_rate(3.0, table1_config) == pytest.approx(20.0, rel=1e-12)
-
-    def test_forty_mbps(self, table1_config):
-        assert compute_rate(15.0, table1_config) == pytest.approx(40.0, rel=1e-12)
-
-    def test_strictly_increasing(self, table1_config, rng):
-        s = np.sort(rng.uniform(0, 100, 50))
-        rates = [compute_rate(x, table1_config) for x in s]
-        assert all(b > a for a, b in zip(rates, rates[1:]))
+def step_power(config, source, prev, action):
+    """The PowerBreakdown of one Environment step by `action` from the
+    pattern `prev`, with the transmit power `source` answers."""
+    env = Environment(config, sample_channel(config, np.random.default_rng(0)),
+                      source, np.random.default_rng(0))
+    env.reset(prev)
+    return env.step(action).power
 
 
 class TestPower:
-    def test_active_with_tx(self, table1_config):
-        assert rrh_power(True, 0.5, table1_config) == pytest.approx(8.8, rel=1e-12)
+    """A slot's power as runs charge it: the standby and mode-switch terms
+    of `state_and_transition_power`, and one Environment step for the
+    transmit term and the total."""
 
-    def test_sleeping(self, table1_config):
-        assert rrh_power(False, 0.0, table1_config) == 4.3
+    def test_active_with_tx(self, fixed_answer):
+        cfg = NetworkConfig(num_rrhs=1, num_users=1)
+        fixed_answer.answer = (0.5, True)
+        pb = step_power(cfg, fixed_answer, [True], 1)
+        assert pb.total_w == pytest.approx(8.8, rel=1e-12)
 
-    def test_active_idle(self, table1_config):
-        assert rrh_power(True, 0.0, table1_config) == 6.8
+    def test_sleeping(self):
+        cfg = NetworkConfig(num_rrhs=1, num_users=1)
+        assert state_and_transition_power([False], [False], cfg) == (4.3, 0.0)
 
-    def test_sleeping_with_tx_rejected(self, table1_config):
-        with pytest.raises(ValueError):
-            rrh_power(False, 0.1, table1_config)
+    def test_active_idle(self):
+        cfg = NetworkConfig(num_rrhs=1, num_users=1)
+        assert state_and_transition_power([True], [True], cfg) == (6.8, 0.0)
 
     def test_all_sleeping(self, table1_config):
         off = np.zeros(8, dtype=bool)
-        pb = total_power(off, off, np.zeros(8), table1_config)
-        assert pb.total_w == pytest.approx(34.4, rel=1e-12)
-        assert pb.transition_w == 0.0
+        state_w, transition_w = state_and_transition_power(off, off, table1_config)
+        assert state_w == pytest.approx(34.4, rel=1e-12)
+        assert transition_w == 0.0
 
     def test_all_active(self, table1_config):
         on = np.ones(8, dtype=bool)
-        pb = total_power(on, on, np.zeros(8), table1_config)
-        assert pb.total_w == pytest.approx(54.4, rel=1e-12)
+        state_w, _ = state_and_transition_power(on, on, table1_config)
+        assert state_w == pytest.approx(54.4, rel=1e-12)
 
-    def test_breakdown_example(self):
+    def test_breakdown_example(self, fixed_answer):
+        # RRH 1 wakes up; the solver's 0.25 W costs 1 W through the amplifier.
         cfg = NetworkConfig(num_rrhs=2, num_users=1)
-        prev = np.array([True, False])
-        nxt = np.array([True, True])
-        pb = total_power(prev, nxt, np.array([0.25, 0.0]), cfg)
+        fixed_answer.answer = (0.25, True)
+        pb = step_power(cfg, fixed_answer, [True, False], 1)
         assert pb.transmit_w == pytest.approx(1.0, rel=1e-12)
         assert pb.state_w == pytest.approx(13.6, rel=1e-12)
         assert pb.transition_w == pytest.approx(2.0, rel=1e-12)
         assert pb.total_w == pytest.approx(16.6, rel=1e-12)
 
-    def test_total_is_exact_sum(self, table1_config, rng):
+    def test_total_is_exact_sum(self, table1_config, fixed_answer, rng):
         for _ in range(200):
-            prev = rng.random(8) < 0.5
-            nxt = rng.random(8) < 0.5
-            tx = np.where(nxt, rng.uniform(0, 1, 8), 0.0)
-            pb = total_power(prev, nxt, tx, table1_config)
+            fixed_answer.answer = (float(rng.uniform(0, 8)), bool(rng.random() < 0.8))
+            pb = step_power(table1_config, fixed_answer, rng.random(8) < 0.5,
+                            int(rng.integers(9)))
             assert pb.total_w == pb.transmit_w + pb.state_w + pb.transition_w
 
     def test_no_change_no_transition(self, table1_config, rng):
         pat = rng.random(8) < 0.5
-        tx = np.where(pat, rng.uniform(0, 1, 8), 0.0)
-        assert total_power(pat, pat, tx, table1_config).transition_w == 0.0
+        assert state_and_transition_power(pat, pat, table1_config)[1] == 0.0
 
     def test_length_mismatch(self, table1_config):
         with pytest.raises(ValueError):
-            total_power(np.ones(7, dtype=bool), np.ones(8, dtype=bool),
-                        np.zeros(8), table1_config)
-
-    def test_sleeping_tx_rejected(self, table1_config):
-        nxt = np.zeros(8, dtype=bool)
-        tx = np.zeros(8)
-        tx[3] = 0.2
-        with pytest.raises(ValueError):
-            total_power(nxt, nxt, tx, table1_config)
+            state_and_transition_power(np.ones(7, dtype=bool), np.ones(8, dtype=bool),
+                                       table1_config)
+        with pytest.raises(ValueError, match="num_rrhs"):
+            state_and_transition_power(np.ones(7, dtype=bool), np.ones(7, dtype=bool),
+                                       table1_config)
 
 
 class TestDemands:

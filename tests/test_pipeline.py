@@ -99,6 +99,16 @@ class TestGenDataset:
         rnd = pipeline.gen_dataset(tiny_run_config, count=15)
         assert np.all(rnd.features[:, :m].sum(axis=1) >= 1)
 
+    def test_unknown_pattern_mode_refused(self, tiny_run_config, monkeypatch):
+        drawn = []
+        for name in ("make_channel", "_sample_pattern", "sample_demands"):
+            monkeypatch.setattr(pipeline, name,
+                                lambda *args, name=name: drawn.append(name))
+        with pytest.raises(ValueError) as err:
+            pipeline.gen_dataset(tiny_run_config, count=5, pattern_mode="all_on")
+        assert all(mode in str(err.value) for mode in pipeline.PATTERN_MODES)
+        assert drawn == []
+
     def test_csv_round_trip(self, tiny_run_config, tmp_path):
         rows = pipeline.gen_dataset(tiny_run_config, count=25)
         path = tmp_path / "dataset.csv"
@@ -475,6 +485,20 @@ class TestRunOnline:
         calls.update(sync_target=0, train_step=0)
         pipeline.run_online(config, artifacts, 60, tuning=False)
         assert calls["train_step"] == 0
+
+    def test_no_tune_copies_nothing(self, tiny_trained, tiny_run_config,
+                                    monkeypatch):
+        artifacts, _, _ = tiny_trained
+        copies = []
+        for owner in (dqn.ReplayBuffer, dqn.QNetwork):
+            def counted(*args, owner=owner, fn=owner.copy):
+                copies.append(owner.__name__)
+                return fn(*args)
+            monkeypatch.setattr(owner, "copy", counted)
+        pipeline.run_online(tiny_run_config, artifacts, 30, tuning=False)
+        assert copies == []
+        pipeline.run_online(tiny_run_config, artifacts, 30)
+        assert sorted(set(copies)) == ["QNetwork", "ReplayBuffer"]
 
     def test_zero_slots_empty_report(self, tiny_trained, tiny_run_config):
         artifacts, _, _ = tiny_trained
