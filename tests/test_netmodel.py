@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cranpower.beamform import BeamformingProblem, sinr_targets, solve_beamforming
 from cranpower.env import Environment
 from cranpower.netmodel import (
     ChannelRealization,
@@ -143,6 +144,37 @@ class TestSinr:
         ch = ChannelRealization(gains=np.ones((2, 2), dtype=complex))
         with pytest.raises(ValueError):
             compute_sinr(np.ones((3, 2), dtype=complex), ch, 0, 1.0)
+
+
+def delivered_sinr(config, demands_mbps):
+    """The SINR each user receives when every RRH of `config` serves
+    `demands_mbps` through `sinr_targets` and the beamforming solver."""
+    ch = sample_channel(config, np.random.default_rng(0))
+    iota, _ = sinr_targets(demands_mbps, config)
+    problem = BeamformingProblem.from_state(
+        ch, np.ones(config.num_rrhs, dtype=bool), iota, config)
+    sol = solve_beamforming(problem)
+    assert sol.feasible
+    return [compute_sinr(sol.weights, ch, i, config.noise_power_w)
+            for i in range(config.num_users)]
+
+
+class TestRate:
+    """The rate model R = B log2(1 + SINR) as runs apply it: the SINR a
+    served demand receives."""
+
+    DEMANDS = [20.0, 40.0, 0.0, 20.0]
+
+    def test_zero_sinr(self, table1_config):
+        assert delivered_sinr(table1_config, self.DEMANDS)[2] == 0.0
+
+    def test_twenty_mbps(self, table1_config):
+        sinr = delivered_sinr(table1_config, self.DEMANDS)
+        assert sinr[0] == pytest.approx(3.0, rel=1e-6)
+        assert sinr[3] == pytest.approx(3.0, rel=1e-6)
+
+    def test_forty_mbps(self, table1_config):
+        assert delivered_sinr(table1_config, self.DEMANDS)[1] == pytest.approx(15.0, rel=1e-6)
 
 
 def step_power(config, source, prev, action):
