@@ -14,11 +14,15 @@ vectorised environment: one `transmit_powers` call answers all their next
 states, each on its env's channel, then each step finishes.
 `Environment.step` is `step_all` on one env: one step path.
 
-The exact source poses a batch as arrays (each distinct channel once, the
-patterns, the SINR targets of all demands in one computation) and reads
-every answer from the verdict and power arrays of `beamform.solve_states`;
-it builds no solver problem or solution per state. Its `transmit_power` is
-a batch of one.
+The exact source has one array entry, `ExactSolverReward.solve`: channels
+by index, patterns (B, m) and demands (B, n) in, powers, feasible flags and
+the failed states out. It builds the SINR targets, caps and noise of the
+whole batch at once and reads every answer from the verdict and power arrays
+of `beamform.solve_states`, so it builds no solver problem or solution per
+state. It is the only code outside `beamform` that poses states to the
+solver. Its list form `transmit_powers` (for `step_all` and the
+ground-truth re-solves) and its single-state `transmit_power` are adapters
+over it.
 
 A step charges the slot's power in `Environment._finish`, where every
 reported watt is summed: `netmodel.state_and_transition_power`'s standby and
@@ -95,7 +99,7 @@ def check_states(config: NetworkConfig, channels, patterns, demands_mbps):
                 f"demands of {len(demands)} users do not fit the {m}x{n} cell")
 
 
-# States `ExactSolverReward.transmit_powers` solves in one batch. The
+# States `ExactSolverReward.solve` poses to `solve_states` at once. The
 # states of a batch with the same number of served users share one stack,
 # which holds about 3 KB a state at its peak. On the default cell (2 vCPUs),
 # `gen-data` (20,000 rows) took 2.31 s in batches of 256, 2.12 s in batches
@@ -106,46 +110,83 @@ SOLVE_CHUNK = 512
 
 
 class ExactSolverReward:
-    """Transmit power from the exact beamforming solver."""
+    """Transmit power from the exact beamforming solver. `solve` is its one
+    way into the solver and takes a batch posed as arrays; `transmit_powers`
+    and `transmit_power` are the list and single-state adapters over it."""
 
     def __init__(self, config: NetworkConfig,
                  solver_params: SolverParams = SolverParams()):
         self.config = config
         self.solver_params = solver_params
 
+    def solve(self, channels, channel_of, patterns, demands_mbps):
+        """The answers of a batch posed as arrays: `channels` holds the
+        distinct channels and `channel_of` (B,) each state's index into them,
+        `patterns` (B, m) the on/off patterns and `demands_mbps` (B, n) the
+        demands. It builds the SINR targets, caps and noise of the batch and
+        solves it `SOLVE_CHUNK` states at a time with `solve_states`.
+
+        Returns (power, feasible, failures): the minimal transmit power (B,)
+        in W, 0 where the state is not feasible; the feasible flags (B,);
+        and {state index: SolverFailure} of the states whose solve broke
+        down, which count as not feasible. Arrays that do not fit the cell,
+        or a negative demand anywhere, raise ValueError before anything is
+        solved."""
+        m, n = self.config.num_rrhs, self.config.num_users
+        gains = np.array([channel.gains for channel in channels])
+        count = len(channel_of)
+        if (gains.shape[1:], patterns.shape, demands_mbps.shape) != (
+                (m, n), (count, m), (count, n)):
+            raise ValueError(
+                f"channels {gains.shape[1:]}, patterns {patterns.shape} and "
+                f"demands {demands_mbps.shape} do not fit {count} states of "
+                f"the {m}x{n} cell")
+        iota = sinr_targets(demands_mbps, self.config)[0]
+        caps = np.full(patterns.shape, self.config.max_tx_power_w)
+        noise = np.full(count, self.config.noise_power_w)
+        verdicts, totals = [], np.zeros(count)
+        for start in range(0, count, SOLVE_CHUNK):
+            rows = slice(start, start + SOLVE_CHUNK)
+            solved = solve_states(gains, channel_of[rows], patterns[rows], iota[rows],
+                                  caps[rows], noise[rows], self.solver_params)
+            verdicts += solved.verdicts
+            totals[rows] = solved.totals
+        feasible = np.array([verdict is SolutionStatus.FEASIBLE for verdict in verdicts],
+                            dtype=bool)
+        failures = {k: verdict for k, verdict in enumerate(verdicts)
+                    if isinstance(verdict, SolverFailure)}
+        return np.where(feasible, totals, 0.0), feasible, failures
+
     def transmit_power(self, channel, pattern, demands_mbps):
-        """Returns (minimal transmit power in W, feasible flag): a batch of
-        one, which raises its SolverFailure."""
-        answer = self.transmit_powers([channel], [pattern], [demands_mbps])[0]
-        if isinstance(answer, SolverFailure):
-            raise answer
-        return answer
+        """Returns (minimal transmit power in W, feasible flag): `solve` on a
+        batch of one, which raises its SolverFailure."""
+        check_states(self.config, [channel], [pattern], [demands_mbps])
+        power, feasible, failures = self.solve(
+            [channel], np.zeros(1, dtype=np.intp),
+            np.asarray(pattern, dtype=bool)[None],
+            np.asarray(demands_mbps, dtype=float)[None])
+        if failures:
+            raise failures[0]
+        return float(power[0]), bool(feasible[0])
 
     def transmit_powers(self, channels, patterns, demands_mbps) -> list:
         """One entry per state: its (power, feasible) pair or the
-        SolverFailure solving it raised. The batch is posed as arrays and
-        solved by `solve_states`, `SOLVE_CHUNK` states at a time. A state
-        whose channel, pattern or demands do not fit the cell, or a negative
-        demand anywhere, raises ValueError before anything is solved."""
+        SolverFailure solving it raised, from one `solve` of the list posed
+        as arrays with each distinct channel once. A state whose channel,
+        pattern or demands do not fit the cell, or a negative demand
+        anywhere, raises ValueError before anything is solved."""
         check_states(self.config, channels, patterns, demands_mbps)
-        # Each distinct channel once; states point at theirs.
+        if not channels:
+            return []
         distinct = {id(channel): channel for channel in channels}
         slot = {key: c for c, key in enumerate(distinct)}
-        gains = np.array([channel.gains for channel in distinct.values()])
-        channel_of = np.array([slot[id(channel)] for channel in channels])
-        active = np.array(patterns, dtype=bool)
-        iota = sinr_targets(np.array(demands_mbps, dtype=float), self.config)[0]
-        caps = np.full(active.shape, self.config.max_tx_power_w)
-        noise = np.full(len(active), self.config.noise_power_w)
-        answers = []
-        for start in range(0, len(active), SOLVE_CHUNK):
-            rows = slice(start, start + SOLVE_CHUNK)
-            solved = solve_states(gains, channel_of[rows], active[rows], iota[rows],
-                                  caps[rows], noise[rows], self.solver_params)
-            answers += [
-                (total, True) if verdict is SolutionStatus.FEASIBLE
-                else verdict if isinstance(verdict, SolverFailure) else (0.0, False)
-                for verdict, total in zip(solved.verdicts, solved.totals.tolist())]
+        power, feasible, failures = self.solve(
+            list(distinct.values()),
+            np.array([slot[id(channel)] for channel in channels], dtype=np.intp),
+            np.array(patterns, dtype=bool), np.array(demands_mbps, dtype=float))
+        answers = list(zip(power.tolist(), feasible.tolist()))
+        for k, failure in failures.items():
+            answers[k] = failure
         return answers
 
 

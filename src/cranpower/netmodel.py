@@ -93,6 +93,11 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+# The most RRHs a cell may have: a random on/off pattern is drawn as the
+# bits of one int64 below 2^num_rrhs.
+MAX_RRHS = 63
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """All physical constants of the cell plus topology sizes and demand ranges.
@@ -134,6 +139,8 @@ def _validate_config(cfg: NetworkConfig):
             raise ConfigError(key, "must be strictly positive")
     if cfg.num_rrhs < 1:
         raise ConfigError("num_rrhs", "need at least one RRH")
+    if cfg.num_rrhs > MAX_RRHS:
+        raise ConfigError("num_rrhs", f"must be <= {MAX_RRHS}")
     if cfg.num_users < 1:
         raise ConfigError("num_users", "need at least one user")
     if not 0 < cfg.amplifier_efficiency <= 1:

@@ -174,16 +174,32 @@ class DatasetRows:
         return gbdt.RegressionDataset(self.features, self.feasible.astype(float))
 
 
-def _sample_pattern(m: int, mode: str, rng: np.random.Generator) -> np.ndarray:
+def _draw_states(network: NetworkConfig, mode: str, rng: np.random.Generator,
+                 count: int, demands: bool = True):
+    """`count` states drawn from `rng` in stream order: for each, its pattern
+    code and then, unless `demands` is False, its demands. The code is
+    nothing for all-on, the sleeping RRH for one-off, and for random the
+    bits of an active set drawn uniformly from the 2^m - 1 non-empty ones.
+    The codes are expanded into patterns in one array op, exact for up to
+    63 RRHs (`netmodel.MAX_RRHS`).
+
+    Returns (patterns (count, m) bool, demands (count, n) or None)."""
+    m = network.num_rrhs
+    code_range = {PATTERN_ONE_OFF: (0, m), PATTERN_RANDOM: (1, 2 ** m)}.get(mode)
+    codes = np.zeros(count, dtype=np.int64)
+    drawn = np.empty((count, network.num_users)) if demands else None
+    for i in range(count):
+        if code_range:
+            codes[i] = rng.integers(*code_range)
+        if demands:
+            drawn[i] = sample_demands(network, rng)
     if mode == PATTERN_ALL_ON:
-        return np.ones(m, dtype=bool)
-    if mode == PATTERN_ONE_OFF:
-        pattern = np.ones(m, dtype=bool)
-        pattern[int(rng.integers(m))] = False
-        return pattern
-    # Uniform over the 2^m - 1 non-empty active sets.
-    bits = int(rng.integers(1, 2 ** m))
-    return np.array([(bits >> i) & 1 for i in range(m)], dtype=bool)
+        patterns = np.ones((count, m), dtype=bool)
+    elif mode == PATTERN_ONE_OFF:
+        patterns = codes[:, None] != np.arange(m)
+    else:
+        patterns = ((codes[:, None] >> np.arange(m)) & 1).astype(bool)
+    return patterns, drawn
 
 
 def gen_dataset(config: RunConfig, count: int | None = None,
@@ -191,9 +207,14 @@ def gen_dataset(config: RunConfig, count: int | None = None,
                 stream: int = _STREAM_DATASET) -> DatasetRows:
     """Label `count` random (pattern, demands) states with the exact solver.
 
-    Rows on which the solver breaks down numerically are skipped (and
-    counted); the returned row count is always exactly `count`. A
-    `pattern_mode` outside `PATTERN_MODES` raises ValueError.
+    Each round draws the shortfall, `SOLVE_CHUNK` states at most, in stream
+    order as arrays (`_draw_states`), poses them to the exact source's array
+    entry `ExactSolverReward.solve` at once, and writes the kept rows with
+    array ops. Rows on which the solver breaks down numerically are skipped
+    (and counted) and made up by the next round, so the rows are those of
+    skipping a failed state and drawing the next one state by state; the
+    returned row count is always exactly `count`. A `pattern_mode` outside
+    `PATTERN_MODES` raises ValueError before anything is drawn.
     """
     if pattern_mode not in PATTERN_MODES:
         raise ValueError(f"unknown pattern mode {pattern_mode!r}; expected one "
@@ -204,31 +225,29 @@ def gen_dataset(config: RunConfig, count: int | None = None,
     rng = np.random.default_rng([config.seeds.data, stream])
     source = ExactSolverReward(network, config.solver)
 
-    m, n = network.num_rrhs, network.num_users
-    features = np.empty((count, m + n))
+    m = network.num_rrhs
+    features = np.empty((count, m + network.num_users))
     tx_power = np.empty(count)
     feasible = np.empty(count, dtype=bool)
     failures = 0
     row = 0
     while row < count:
-        # Draw the shortfall, a chunk at most, in stream order and label it
-        # in one batch. A failed draw is skipped and made up by a later
-        # round, so the rows are those of skipping it and drawing again one
-        # state at a time.
-        states = [(_sample_pattern(m, pattern_mode, rng),
-                   sample_demands(network, rng))
-                  for _ in range(min(count - row, SOLVE_CHUNK))]
-        answers = source.transmit_powers([channel] * len(states), *zip(*states))
-        for (pattern, demands), answer in zip(states, answers):
-            if isinstance(answer, SolverFailure):
-                failures += 1
-                continue
-            tx, ok = answer
-            features[row, :m] = pattern
-            features[row, m:] = demands
-            tx_power[row] = tx if ok else np.nan
-            feasible[row] = ok
-            row += 1
+        patterns, demands = _draw_states(network, pattern_mode, rng,
+                                         min(count - row, SOLVE_CHUNK))
+        power, ok, failed = source.solve(
+            [channel], np.zeros(len(patterns), dtype=np.intp), patterns, demands)
+        if failed:
+            kept = np.ones(len(patterns), dtype=bool)
+            kept[list(failed)] = False
+            patterns, demands, power, ok = (patterns[kept], demands[kept],
+                                            power[kept], ok[kept])
+            failures += len(failed)
+        rows = slice(row, row + len(patterns))
+        features[rows, :m] = patterns
+        features[rows, m:] = demands
+        tx_power[rows] = np.where(ok, power, np.nan)
+        feasible[rows] = ok
+        row = rows.stop
     return DatasetRows(features=features, tx_power_w=tx_power,
                        feasible=feasible, solver_failures=failures)
 
@@ -416,7 +435,8 @@ def train_offline(config: RunConfig, out_dir=None,
                    if config.redraw_channel else fixed_channel)
         env = Environment(config.network, channel, source, rng_env,
                           episode_length=params.episode_length)
-        env.reset(_sample_pattern(m, PATTERN_RANDOM, rng_env))
+        env.reset(_draw_states(config.network, PATTERN_RANDOM, rng_env, 1,
+                               demands=False)[0][0])
         return env
 
     # Up to `offline_envs` episodes run in lockstep. A tick picks every
@@ -689,10 +709,8 @@ def bench_timing(config: RunConfig, artifacts: Artifacts, inputs: int = 1000,
     m, n = network.num_rrhs, network.num_users
     channel = make_channel(config)
     rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_BENCH])
-    states = np.empty((inputs, m + n))
-    for i in range(inputs):
-        states[i, :m] = _sample_pattern(m, PATTERN_RANDOM, rng)
-        states[i, m:] = sample_demands(network, rng)
+    patterns, demands = _draw_states(network, PATTERN_RANDOM, rng, inputs)
+    states = np.concatenate([patterns, demands], axis=1)
 
     model = artifacts.gbdt_model
     solver = ExactSolverReward(network, config.solver)

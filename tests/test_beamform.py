@@ -760,6 +760,48 @@ class TestExactRewardInputs:
             source.transmit_powers([channel] * 5, [np.ones(8, dtype=bool)] * 5,
                                    [demands] * 4 + [bad])
 
+    @pytest.mark.parametrize("patterns, demands, channel_of", [
+        ((3, 7), (3, 4), [0, 0, 0]),     # patterns of another cell
+        ((3, 8), (3, 5), [0, 0, 0]),     # demands of another cell
+        ((3, 8), (2, 4), [0, 0, 0]),     # fewer demand rows than states
+        ((2, 8), (2, 4), [0, 0, 0]),     # more channel indices than states
+    ])
+    def test_array_entry_refuses_arrays_of_another_shape(self, cell, monkeypatch,
+                                                         patterns, demands, channel_of):
+        source, channel, _ = cell
+        self._no_solve(monkeypatch)
+        with pytest.raises(ValueError, match="do not fit"):
+            source.solve([channel], np.array(channel_of), np.ones(patterns, dtype=bool),
+                         np.full(demands, 30.0))
+        other = sample_channel(NetworkConfig(num_rrhs=4, num_users=8),
+                               np.random.default_rng(6))
+        with pytest.raises(ValueError, match="do not fit"):
+            source.solve([other], np.zeros(3, dtype=int), np.ones((3, 8), dtype=bool),
+                         np.full((3, 4), 30.0))
+
+    def test_array_entry_answers_as_the_list_form(self, cell, monkeypatch):
+        # The failed state of a batch is reported by index, at power 0 and
+        # not feasible; the others read as the list form's pairs.
+        source, channel, demands = cell
+        solve_states = env.solve_states
+
+        def failing_second(gains, channel_of, active, iota, caps, noise, params):
+            noise = noise.copy()
+            noise[1] = -noise[1]
+            return solve_states(gains, channel_of, active, iota, caps, noise, params)
+
+        patterns = np.ones((4, 8), dtype=bool)
+        patterns[3, 2:] = False
+        rows = np.stack([demands, demands, np.zeros_like(demands), demands])
+        listed = source.transmit_powers([channel] * 4, list(patterns), list(rows))
+        monkeypatch.setattr(env, "solve_states", failing_second)
+        power, feasible, failures = source.solve([channel], np.zeros(4, dtype=int),
+                                                 patterns, rows)
+        assert list(failures) == [1] and isinstance(failures[1], SolverFailure)
+        assert (power[1], feasible[1]) == (0.0, False)
+        assert [(power[k], feasible[k]) for k in (0, 2, 3)] == [listed[k] for k in (0, 2, 3)]
+        assert feasible[0] and feasible[2] and power[2] == 0.0
+
     def test_all_off_and_unreachable_users(self, cell):
         source, channel, demands = cell
         off = np.zeros(8, dtype=bool)

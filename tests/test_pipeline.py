@@ -101,7 +101,7 @@ class TestGenDataset:
 
     def test_unknown_pattern_mode_refused(self, tiny_run_config, monkeypatch):
         drawn = []
-        for name in ("make_channel", "_sample_pattern", "sample_demands"):
+        for name in ("make_channel", "_draw_states", "sample_demands"):
             monkeypatch.setattr(pipeline, name,
                                 lambda *args, name=name: drawn.append(name))
         with pytest.raises(ValueError) as err:
@@ -121,7 +121,20 @@ class TestGenDataset:
         assert np.array_equal(loaded.feasible, rows.feasible)
 
 
-def per_row_dataset(config, count):
+def per_row_pattern(m, mode, rng):
+    """One state's pattern drawn from `rng` as `gen_dataset` draws it, one
+    RRH at a time: the reference for its pattern codes and their expansion."""
+    if mode == pipeline.PATTERN_ALL_ON:
+        return np.ones(m, dtype=bool)
+    if mode == pipeline.PATTERN_ONE_OFF:
+        pattern = np.ones(m, dtype=bool)
+        pattern[int(rng.integers(m))] = False
+        return pattern
+    bits = int(rng.integers(1, 2 ** m))
+    return np.array([(bits >> i) & 1 for i in range(m)], dtype=bool)
+
+
+def per_row_dataset(config, count, mode=pipeline.PATTERN_RANDOM):
     """Rows of `gen_dataset` as a loop over single states that skips a state
     the solver fails on and draws another: the reference for its order."""
     network = config.network
@@ -131,7 +144,7 @@ def per_row_dataset(config, count):
     m = network.num_rrhs
     rows, failures = [], 0
     while len(rows) < count:
-        pattern = pipeline._sample_pattern(m, pipeline.PATTERN_RANDOM, rng)
+        pattern = per_row_pattern(m, mode, rng)
         demands = sample_demands(network, rng)
         try:
             tx, ok = source.transmit_power(channel, pattern, demands)
@@ -146,14 +159,13 @@ class TestGenDatasetRedraw:
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_failed_draws_are_redrawn_in_stream_order(self, tiny_run_config,
                                                       monkeypatch, chunk):
-        # Draws 1, 2, 7, 30 and 31 fail among the first 40, and draw 41 fails
-        # again among their replacements. A small chunk splits the draws
-        # into many rounds and batches.
+        # In every pattern mode, draws 1, 2, 7, 30 and 31 fail among the
+        # first 40, and draw 41 fails again among their replacements. A
+        # small chunk splits the draws into many rounds and batches.
         if chunk is not None:
             monkeypatch.setattr(pipeline, "SOLVE_CHUNK", chunk)
             monkeypatch.setattr(env, "SOLVE_CHUNK", chunk)
         failing = {1, 2, 7, 30, 31, 41}
-        calls = itertools.count()
         solve_states = env.solve_states
 
         def failing_states(gains, channel_of, active, iota, caps, noise, params):
@@ -162,15 +174,30 @@ class TestGenDatasetRedraw:
             return solve_states(gains, channel_of, active, iota, caps, noise, params)
 
         monkeypatch.setattr(env, "solve_states", failing_states)
-        rows = pipeline.gen_dataset(tiny_run_config, count=40)
-        assert next(calls) == 40 + len(failing)
-        calls = itertools.count()
-        reference, failures = per_row_dataset(tiny_run_config, 40)
-        assert rows.solver_failures == failures == len(failing)
-        assert np.array_equal(rows.features, np.array([r[0] for r in reference]))
-        assert np.array_equal(rows.tx_power_w, np.array([r[1] for r in reference]),
-                              equal_nan=True)
-        assert np.array_equal(rows.feasible, np.array([r[2] for r in reference]))
+        for mode in pipeline.PATTERN_MODES:
+            calls = itertools.count()
+            rows = pipeline.gen_dataset(tiny_run_config, count=40, pattern_mode=mode)
+            assert next(calls) == 40 + len(failing)
+            calls = itertools.count()
+            reference, failures = per_row_dataset(tiny_run_config, 40, mode)
+            assert rows.solver_failures == failures == len(failing)
+            assert np.array_equal(rows.features, np.array([r[0] for r in reference]))
+            assert np.array_equal(rows.tx_power_w, np.array([r[1] for r in reference]),
+                                  equal_nan=True)
+            assert np.array_equal(rows.feasible, np.array([r[2] for r in reference]))
+
+    @pytest.mark.parametrize("mode", pipeline.PATTERN_MODES)
+    def test_patterns_exact_up_to_63_rrhs(self, mode):
+        # The largest cell a config accepts: bit 62 is a pattern's last.
+        network = NetworkConfig(num_rrhs=63, num_users=2)
+        patterns, demands = pipeline._draw_states(
+            network, mode, np.random.default_rng(11), 200)
+        rng = np.random.default_rng(11)
+        for pattern, row in zip(patterns, demands):
+            assert np.array_equal(pattern, per_row_pattern(63, mode, rng))
+            assert np.array_equal(row, sample_demands(network, rng))
+        if mode == pipeline.PATTERN_RANDOM:
+            assert patterns[:, 62].any() and not patterns[:, 62].all()
 
 
 class TestTrainOffline:
@@ -249,8 +276,7 @@ def reference_dqn_training(config):
             config.network, channel,
             ExactSolverReward(config.network, config.solver),
             rng_env, episode_length=params.episode_length)
-        state = environment.reset(pipeline._sample_pattern(
-            m, pipeline.PATTERN_RANDOM, rng_env))
+        state = environment.reset(per_row_pattern(m, pipeline.PATTERN_RANDOM, rng_env))
         episode_return = 0.0
         while True:
             epsilon = params.epsilon_at(global_step)
@@ -600,6 +626,33 @@ class TestBenchAndEte:
         assert row["gbdt_s_per_input"] == pytest.approx(2e-6)
         assert row["socp_s_per_input"] == pytest.approx(12e-6)
 
+    def test_bench_times_the_per_input_draws(self, tiny_trained, monkeypatch):
+        # The states timed are those of drawing each input's pattern and
+        # then its demands from the bench stream, one input at a time.
+        artifacts, _, _ = tiny_trained
+        config = pipeline.RunConfig.from_file(DEFAULT)
+        network = config.network
+        m = network.num_rrhs
+        predicted, solved = [], []
+        monkeypatch.setattr(pipeline.gbdt, "predict",
+                            lambda model, x: predicted.append(x.copy()))
+        monkeypatch.setattr(ExactSolverReward, "transmit_power",
+                            lambda source, channel, pattern, demands:
+                            solved.append((channel, pattern.copy(), demands.copy())))
+        pipeline.bench_timing(config, artifacts, inputs=120, repeats=2)
+        rng = np.random.default_rng([config.seeds.eval, pipeline._STREAM_EVAL_BENCH])
+        expected = [np.concatenate([per_row_pattern(m, pipeline.PATTERN_RANDOM, rng),
+                                    sample_demands(network, rng)])
+                    for _ in range(120)] * 2
+        channel = pipeline.make_channel(config)
+        assert len(predicted) == len(solved) == len(expected)
+        for x, (on, pattern, demands), state in zip(predicted, solved, expected):
+            assert np.array_equal(x, state)
+            assert np.array_equal(on.gains, channel.gains)
+            assert pattern.dtype == bool
+            assert np.array_equal(pattern, state[:m] > 0.5)
+            assert np.array_equal(demands, state[m:])
+
     def test_ete_stub_identity(self, tiny_trained, tiny_run_config):
         # An oracle surrogate that returns exact solver values is exactly the
         # exact reward source; pairing it with itself must give a zero gap.
@@ -687,6 +740,8 @@ class TestStrictConfig:
         (None, "offline_envs", "4"),
         (None, "offline_envs", 0),
         (None, "offline_envs", -3),
+        # A random pattern is drawn as the bits of one int64.
+        ("network", "num_rrhs", 64),
     ])
     def test_bad_value_is_config_error(self, tmp_path, capsys, section, key, value):
         path = _tiny_variant(tmp_path, section, key, value)

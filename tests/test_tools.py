@@ -18,7 +18,11 @@ import solver_oracle  # noqa: E402
 
 def test_byte_oracle_sequences_parse(tmp_path):
     runs = byte_oracle._sequences(ROOT, tmp_path, short_default=True)
-    assert {"c9", "sweep", "no-tune", "interval", "short-default"} <= runs.keys()
+    assert {"c9", "sweep", "no-tune", "modes", "interval", "short-default"} <= runs.keys()
+    assert [argv[argv.index("--pattern-mode") + 1] for argv in runs["modes"]] == [
+        "all-on", "one-off"]
+    # Each mode's dataset goes to its own directory, so neither overwrites.
+    assert len({argv[argv.index("--out") + 1] for argv in runs["modes"]}) == 2
     parser = cli.build_parser()
     for run, commands in runs.items():
         for argv in commands:

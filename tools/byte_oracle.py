@@ -12,6 +12,8 @@ nothing is written to `.git`. On each tree, from its own `configs/`:
 - sweep: `evaluate` (both schemes) and both baselines with
   `--demand-max-sweep 10,15,200`, on the c9 artifacts;
 - no-tune: `evaluate --no-tune` on the c9 artifacts;
+- modes: `gen-data --pattern-mode all-on` and `--pattern-mode one-off`,
+  each into its own subdirectory of the run's output;
 - redraw-k1, redraw-k4: `train --seed 9 --redraw-channel` on the c9 dataset,
   with `offline_envs` 1 and 4;
 - interval: `train` on the c9 dataset with `dqn.train_interval` 3 and
@@ -55,7 +57,8 @@ def _variant(tree: Path, name: str, path: Path, changes: dict) -> str:
 
 
 def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
-    """Run name -> list of CLI argument lists; each run writes to `work/<run>`."""
+    """Run name -> list of CLI argument lists; each run writes to `work/<run>`,
+    or a command to the `--out` it names."""
     tiny = str(tree / "configs" / "tiny.json")
     c9 = str(work / "c9")
     k4 = _variant(tree, "tiny.json", work / "tiny-k4.json", {"offline_envs": 4})
@@ -81,6 +84,11 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
         "no-tune": [
             ["evaluate", "--config", tiny, "--slots", "30", "--artifacts", c9,
              "--no-tune"],
+        ],
+        "modes": [
+            ["gen-data", "--config", tiny, "--pattern-mode", mode,
+             "--out", str(work / "modes" / mode)]
+            for mode in ("all-on", "one-off")
         ],
     }
     for name, config in (("redraw-k1", tiny), ("redraw-k4", k4)):
@@ -113,9 +121,10 @@ def run_tree(tree: Path, work: Path, short_default: bool) -> dict:
     for run, commands in _sequences(tree, work, short_default).items():
         out = work / run
         for k, argv in enumerate(commands):
-            proc = subprocess.run(
-                [sys.executable, "-m", "cranpower.cli", *argv, "--out", str(out)],
-                capture_output=True, env=env, cwd=work)
+            if "--out" not in argv:
+                argv = [*argv, "--out", str(out)]
+            proc = subprocess.run([sys.executable, "-m", "cranpower.cli", *argv],
+                                  capture_output=True, env=env, cwd=work)
             stdout = proc.stdout.replace(str(work).encode(), b"<work>")
             if argv[0] == "bench":
                 stdout = b""
@@ -123,9 +132,9 @@ def run_tree(tree: Path, work: Path, short_default: bool) -> dict:
             record[f"{tag} exit"] = str(proc.returncode).encode()
             record[f"{tag} stdout"] = stdout
             record[f"{tag} stderr"] = proc.stderr.replace(str(work).encode(), b"<work>")
-        for path in sorted(out.iterdir()):
-            if "timing" not in path.name:
-                record[f"{run}/{path.name}"] = path.read_bytes()
+        for path in sorted(out.rglob("*")):
+            if path.is_file() and "timing" not in path.name:
+                record[f"{run}/{path.relative_to(out).as_posix()}"] = path.read_bytes()
     return record
 
 
