@@ -3,8 +3,8 @@
 Subcommands: gen-data, train, evaluate, baseline, bench, ete. Each takes
 --config <path>, an optional --seed override (applied to the seed the
 command consumes: data for gen-data, train for train, eval otherwise) and
---out <dir>. Exit codes: 0 success, 1 configuration error, 2 runtime
-failure.
+--out <dir>. Exit codes: 0 success, 1 configuration error (artifacts or a
+dataset of another cell included), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -121,8 +121,27 @@ def _check_options(args, config):
             raise ValueError(f"--demand-max-sweep entry {entry!r}: {err}") from None
 
 
-def _artifacts_dir(args):
-    return Path(args.artifacts) if getattr(args, "artifacts", None) else Path(args.out)
+def _read_given(args, config):
+    """What the command reads besides its config, which `main` keeps in
+    `args.given`: the artifacts of evaluate, bench and ete (from
+    --artifacts, default --out), the --dataset of train, or None. Inputs
+    made for a cell other than the config's raise ConfigError."""
+    if args.command == "train":
+        return pipeline.read_dataset_csv(args.dataset, config) if args.dataset else None
+    if args.command not in ("evaluate", "bench", "ete"):
+        return None
+    where = Path(args.artifacts or args.out)
+    artifacts = pipeline.Artifacts.load(where)
+    m, n = config.network.num_rrhs, config.network.num_users
+    for what, got, want in (
+            ("Q-network input", artifacts.qnet.layer_sizes[0], m + n),
+            ("Q-network output", artifacts.qnet.layer_sizes[-1], m + 1),
+            ("power model input", artifacts.gbdt_model.num_features, m + n),
+            ("feasibility model input", artifacts.feasibility_model.num_features, m + n)):
+        if got != want:
+            raise ConfigError("network", f"the artifacts in {where} are of another "
+                              f"cell: {what} {got}, the {m}x{n} cell needs {want}")
+    return artifacts
 
 
 def _write_run(args, config, out, report, artifacts, prefix, tag):
@@ -152,10 +171,7 @@ def _cmd_gen_data(args, config, out):
 
 
 def _cmd_train(args, config, out):
-    dataset = None
-    if args.dataset:
-        dataset = pipeline.read_dataset_csv(args.dataset, config)
-    _, summary = pipeline.train_offline(config, out_dir=out, dataset=dataset)
+    _, summary = pipeline.train_offline(config, out_dir=out, dataset=args.given)
     print(json.dumps({k: v for k, v in summary.items() if k != "timing"},
                      indent=2, sort_keys=True))
     print(f"artifacts saved under {out}")
@@ -163,14 +179,13 @@ def _cmd_train(args, config, out):
 
 def _cmd_evaluate(args, config, out):
     slots = args.slots if args.slots is not None else config.eval_slots
-    artifacts = pipeline.Artifacts.load(_artifacts_dir(args))
-    report = pipeline.run_online(config, artifacts, slots, scheme=args.scheme,
+    report = pipeline.run_online(config, args.given, slots, scheme=args.scheme,
                                  tuning=not args.no_tune)
     tag = args.scheme.lower().replace("-", "_")
     with open(out / f"eval_{tag}_timing.json", "w") as f:
         json.dump(report.timing, f, indent=2, sort_keys=True)
         f.write("\n")
-    _write_run(args, config, out, report, artifacts, "eval", tag)
+    _write_run(args, config, out, report, args.given, "eval", tag)
 
 
 def _cmd_baseline(args, config, out):
@@ -180,8 +195,7 @@ def _cmd_baseline(args, config, out):
 
 
 def _cmd_bench(args, config, out):
-    artifacts = pipeline.Artifacts.load(_artifacts_dir(args))
-    row = pipeline.bench_timing(config, artifacts, inputs=args.inputs,
+    row = pipeline.bench_timing(config, args.given, inputs=args.inputs,
                                 repeats=args.repeats)
     pipeline.write_timing_csv([row], out / "timing.csv")
     print(f"{row['num_rrhs']} RRHs / {row['num_users']} users: "
@@ -192,8 +206,7 @@ def _cmd_bench(args, config, out):
 
 def _cmd_ete(args, config, out):
     slots = args.slots if args.slots is not None else config.eval_slots
-    artifacts = pipeline.Artifacts.load(_artifacts_dir(args))
-    result = pipeline.ete_compare(config, artifacts, slots)
+    result = pipeline.ete_compare(config, args.given, slots)
     result.to_csv(out / "ete.csv")
     print(f"average-power gap {result.average_gap_rel * 100:.3f}%, "
           f"action agreement {result.action_agreement * 100:.2f}% "
@@ -219,9 +232,13 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        args.given = _read_given(args, config)
+        out.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.command](args, config, out)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 1
     except Exception as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return 2

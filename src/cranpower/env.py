@@ -6,23 +6,24 @@ solver or the boosted-tree surrogate), account the full system power, emit
 the reward P_UB - P_total, and resample demands for the next slot. An
 unservable demand profile ends the episode with the reward -P_UB.
 
-Each environment owns its channel, and a reward source answers (channel,
-pattern, demands) states of its config's cell; it refuses a batch with any
-state that does not fit the cell (`check_states`) before answering any.
-`step_all` steps envs that share one reward source in lockstep, like a
-vectorised environment: one `transmit_powers` call answers all their next
-states, each on its env's channel, then each step finishes.
-`Environment.step` is `step_all` on one env: one step path.
+Each environment owns its channel. Both reward sources answer a batch of
+states of their config's cell through one contract, `solve(channels,
+channel_of, patterns, demands) -> (power, feasible, failures)`: the
+channels and each state's index into them, patterns (B, m) and demands
+(B, n) in; transmit powers (0 where not servable), feasible flags and
+{state index: SolverFailure} out. Both refuse a batch that does not fit the
+cell (`check_states`) before answering any state, and both answer one state
+through the same batch-of-one `transmit_power`. `step_all` steps envs that
+share one reward source in lockstep, like a vectorised environment: one
+`solve` answers all their next states, each on its env's channel, and the
+first SolverFailure is raised before any env moves. `Environment.step` is
+`step_all` on one env: one step path.
 
-The exact source has one array entry, `ExactSolverReward.solve`: channels
-by index, patterns (B, m) and demands (B, n) in, powers, feasible flags and
-the failed states out. It builds the SINR targets, caps and noise of the
-whole batch at once and reads every answer from the verdict and power arrays
-of `beamform.solve_states`, so it builds no solver problem or solution per
-state. It is the only code outside `beamform` that poses states to the
-solver. Its list form `transmit_powers` (for `step_all` and the
-ground-truth re-solves) and its single-state `transmit_power` are adapters
-over it.
+The exact source reads every answer from the verdict and power arrays of
+`beamform.solve_states`, with no solver problem or solution per state; it
+is the only code outside `beamform` that poses states to the solver. The
+surrogate makes one feasibility prediction of a batch and one power
+prediction of the states that pass the gate, and never fails.
 
 A step charges the slot's power in `Environment._finish`, where every
 reported watt is summed: `netmodel.state_and_transition_power`'s standby and
@@ -42,7 +43,6 @@ from . import gbdt
 # this module's name, so the name stays.
 from .beamform import (  # noqa: F401
     SolutionStatus,
-    SolverFailure,
     SolverParams,
     sinr_targets,
     solve_beamforming,
@@ -86,17 +86,26 @@ def encode_state(state: SystemState, config: NetworkConfig) -> np.ndarray:
                            state.demands_mbps / scale])
 
 
-def check_states(config: NetworkConfig, channels, patterns, demands_mbps):
-    """Raise ValueError, naming the first offender, unless every state's
-    channel, pattern and demands fit the config's cell."""
+def check_states(config: NetworkConfig, channels, channel_of, patterns,
+                 demands_mbps):
+    """Raise ValueError unless a batch posed as arrays fits the config's
+    cell: every channel is m x n, `channel_of` (B,) indexes into `channels`,
+    `patterns` is (B, m) and `demands_mbps` (B, n)."""
     m, n = config.num_rrhs, config.num_users
-    for k, (channel, pattern, demands) in enumerate(
-            zip(channels, patterns, demands_mbps)):
-        if (channel.gains.shape, len(pattern), len(demands)) != ((m, n), m, n):
-            raise ValueError(
-                f"state {k}: channel {channel.gains.shape[0]}x"
-                f"{channel.gains.shape[1]}, pattern of {len(pattern)} RRHs and "
-                f"demands of {len(demands)} users do not fit the {m}x{n} cell")
+    for c, channel in enumerate(channels):
+        if channel.gains.shape != (m, n):
+            raise ValueError(f"channel {c} is {channel.gains.shape[0]}x"
+                             f"{channel.gains.shape[1]}, not the {m}x{n} cell's")
+    count = len(channel_of)
+    if (patterns.shape, demands_mbps.shape) != ((count, m), (count, n)):
+        raise ValueError(
+            f"patterns {patterns.shape} and demands {demands_mbps.shape} do not "
+            f"fit {count} states of the {m}x{n} cell")
+    # A negative index would quietly pick a channel from the end.
+    indices = channel_of.tolist()
+    if indices and not 0 <= min(indices) <= max(indices) < len(channels):
+        raise ValueError(f"channel indices {min(indices)}..{max(indices)} do not "
+                         f"index {len(channels)} channels")
 
 
 # States `ExactSolverReward.solve` poses to `solve_states` at once. The
@@ -109,10 +118,24 @@ def check_states(config: NetworkConfig, channels, patterns, demands_mbps):
 SOLVE_CHUNK = 512
 
 
-class ExactSolverReward:
+class _RewardSource:
+    """What the two reward sources share: `solve` answers a batch posed as
+    arrays, and `transmit_power` is `solve` on a batch of one."""
+
+    def transmit_power(self, channel, pattern, demands_mbps):
+        """Returns (minimal transmit power in W, feasible flag) of one
+        state, and raises its SolverFailure."""
+        power, feasible, failures = self.solve(
+            [channel], np.zeros(1, dtype=np.intp), np.asarray(pattern, dtype=bool)[None],
+            np.asarray(demands_mbps, dtype=float)[None])
+        if failures:
+            raise failures[0]
+        return float(power[0]), bool(feasible[0])
+
+
+class ExactSolverReward(_RewardSource):
     """Transmit power from the exact beamforming solver. `solve` is its one
-    way into the solver and takes a batch posed as arrays; `transmit_powers`
-    and `transmit_power` are the list and single-state adapters over it."""
+    way into the solver."""
 
     def __init__(self, config: NetworkConfig,
                  solver_params: SolverParams = SolverParams()):
@@ -120,27 +143,16 @@ class ExactSolverReward:
         self.solver_params = solver_params
 
     def solve(self, channels, channel_of, patterns, demands_mbps):
-        """The answers of a batch posed as arrays: `channels` holds the
-        distinct channels and `channel_of` (B,) each state's index into them,
-        `patterns` (B, m) the on/off patterns and `demands_mbps` (B, n) the
-        demands. It builds the SINR targets, caps and noise of the batch and
-        solves it `SOLVE_CHUNK` states at a time with `solve_states`.
-
-        Returns (power, feasible, failures): the minimal transmit power (B,)
-        in W, 0 where the state is not feasible; the feasible flags (B,);
-        and {state index: SolverFailure} of the states whose solve broke
-        down, which count as not feasible. Arrays that do not fit the cell,
-        or a negative demand anywhere, raise ValueError before anything is
+        """The minimal transmit powers, feasible flags and failures of a
+        batch, as the module docstring sets them out. It builds the SINR
+        targets, caps and noise of the batch and solves it `SOLVE_CHUNK`
+        states at a time with `solve_states`. A state whose solve broke down
+        counts as not feasible. Arrays that do not fit the cell, or a
+        negative demand anywhere, raise ValueError before anything is
         solved."""
-        m, n = self.config.num_rrhs, self.config.num_users
-        gains = np.array([channel.gains for channel in channels])
+        check_states(self.config, channels, channel_of, patterns, demands_mbps)
         count = len(channel_of)
-        if (gains.shape[1:], patterns.shape, demands_mbps.shape) != (
-                (m, n), (count, m), (count, n)):
-            raise ValueError(
-                f"channels {gains.shape[1:]}, patterns {patterns.shape} and "
-                f"demands {demands_mbps.shape} do not fit {count} states of "
-                f"the {m}x{n} cell")
+        gains = np.array([channel.gains for channel in channels])
         iota = sinr_targets(demands_mbps, self.config)[0]
         caps = np.full(patterns.shape, self.config.max_tx_power_w)
         noise = np.full(count, self.config.noise_power_w)
@@ -154,40 +166,8 @@ class ExactSolverReward:
         feasible = np.array([verdict is SolutionStatus.FEASIBLE for verdict in verdicts],
                             dtype=bool)
         failures = {k: verdict for k, verdict in enumerate(verdicts)
-                    if isinstance(verdict, SolverFailure)}
+                    if not isinstance(verdict, SolutionStatus)}
         return np.where(feasible, totals, 0.0), feasible, failures
-
-    def transmit_power(self, channel, pattern, demands_mbps):
-        """Returns (minimal transmit power in W, feasible flag): `solve` on a
-        batch of one, which raises its SolverFailure."""
-        check_states(self.config, [channel], [pattern], [demands_mbps])
-        power, feasible, failures = self.solve(
-            [channel], np.zeros(1, dtype=np.intp),
-            np.asarray(pattern, dtype=bool)[None],
-            np.asarray(demands_mbps, dtype=float)[None])
-        if failures:
-            raise failures[0]
-        return float(power[0]), bool(feasible[0])
-
-    def transmit_powers(self, channels, patterns, demands_mbps) -> list:
-        """One entry per state: its (power, feasible) pair or the
-        SolverFailure solving it raised, from one `solve` of the list posed
-        as arrays with each distinct channel once. A state whose channel,
-        pattern or demands do not fit the cell, or a negative demand
-        anywhere, raises ValueError before anything is solved."""
-        check_states(self.config, channels, patterns, demands_mbps)
-        if not channels:
-            return []
-        distinct = {id(channel): channel for channel in channels}
-        slot = {key: c for c, key in enumerate(distinct)}
-        power, feasible, failures = self.solve(
-            list(distinct.values()),
-            np.array([slot[id(channel)] for channel in channels], dtype=np.intp),
-            np.array(patterns, dtype=bool), np.array(demands_mbps, dtype=float))
-        answers = list(zip(power.tolist(), feasible.tolist()))
-        for k, failure in failures.items():
-            answers[k] = failure
-        return answers
 
 
 # The feasibility model's score at and above which the surrogate counts a
@@ -195,7 +175,7 @@ class ExactSolverReward:
 FEASIBILITY_THRESHOLD = 0.5
 
 
-class SurrogateReward:
+class SurrogateReward(_RewardSource):
     """Transmit power from the boosted-tree model; a companion model trained
     on solver feasibility labels (1 or 0) gates the infeasibility penalty at
     a score of `FEASIBILITY_THRESHOLD`."""
@@ -206,22 +186,21 @@ class SurrogateReward:
         self.model = model
         self.feasibility_model = feasibility_model
 
-    def transmit_power(self, channel, pattern, demands_mbps):
-        """(power, feasible) of one state; the models ignore the channel."""
-        check_states(self.config, [channel], [pattern], [demands_mbps])
-        features = np.concatenate([np.asarray(pattern, dtype=float),
-                                   np.asarray(demands_mbps, dtype=float)])
-        score = gbdt.predict(self.feasibility_model, features)
-        if score < FEASIBILITY_THRESHOLD:
-            return 0.0, False
+    def solve(self, channels, channel_of, patterns, demands_mbps):
+        """`ExactSolverReward.solve`'s answers from the models, which ignore
+        the channels: one feasibility prediction of the batch, and one power
+        prediction of the states that pass the gate. Nothing fails."""
+        check_states(self.config, channels, channel_of, patterns, demands_mbps)
+        features = np.concatenate([patterns, demands_mbps], axis=1, dtype=float)
+        feasible = (gbdt.predict_batch(self.feasibility_model, features)
+                    >= FEASIBILITY_THRESHOLD)
+        power = np.zeros(len(features))
+        if feasible.all():
+            power = gbdt.predict_batch(self.model, features)
+        elif feasible.any():
+            power[feasible] = gbdt.predict_batch(self.model, features[feasible])
         # Leaf averages can dip below zero where targets do not support them.
-        return max(0.0, gbdt.predict(self.model, features)), True
-
-    def transmit_powers(self, channels, patterns, demands_mbps) -> list:
-        """`transmit_power` of each state in turn, once all fit the cell."""
-        check_states(self.config, channels, patterns, demands_mbps)
-        return [self.transmit_power(c, p, d)
-                for c, p, d in zip(channels, patterns, demands_mbps)]
+        return np.where(power > 0.0, power, 0.0), feasible, {}
 
 
 @dataclass
@@ -276,11 +255,10 @@ class Environment:
     def step(self, action: int) -> StepResult:
         return step_all([self], [action])[0]
 
-    def _finish(self, next_pattern, answer) -> StepResult:
+    def _finish(self, next_pattern, tx_w: float, feasible: bool) -> StepResult:
         """The rest of a step to `next_pattern` once the reward source's
-        (transmit power, feasible) answer is known: power accounting,
+        transmit power and feasible flag are known: power accounting,
         reward, the next slot's demands and the terminal flag."""
-        tx_w, feasible = answer
         prev_pattern = self.current.rrh_active
         state_w, transition_w = state_and_transition_power(
             prev_pattern, next_pattern, self.config)
@@ -303,8 +281,8 @@ class Environment:
 
 def step_all(envs, actions) -> list:
     """Step every env with its action, in order. The envs must share one
-    reward source, which answers all their next states in one
-    `transmit_powers` call. A bad env or action, or a SolverFailure in any
+    reward source, which answers all their next states in one `solve`, one
+    channel per env. A bad env or action, or the first SolverFailure of any
     env, is raised before any env moves on."""
     source = envs[0].reward_source
     for env in envs:
@@ -314,10 +292,10 @@ def step_all(envs, actions) -> list:
             raise RuntimeError("environment must be reset before stepping")
     patterns = [apply_action(env.current.rrh_active, action)
                 for env, action in zip(envs, actions)]
-    answers = source.transmit_powers([env.channel for env in envs], patterns,
-                                     [env.current.demands_mbps for env in envs])
-    for answer in answers:
-        if isinstance(answer, SolverFailure):
-            raise answer
-    return [env._finish(pattern, answer)
-            for env, pattern, answer in zip(envs, patterns, answers)]
+    power, feasible, failures = source.solve(
+        [env.channel for env in envs], np.arange(len(envs)), np.array(patterns),
+        np.array([env.current.demands_mbps for env in envs]))
+    if failures:
+        raise failures[min(failures)]
+    return [env._finish(pattern, tx_w, ok) for env, pattern, tx_w, ok
+            in zip(envs, patterns, power.tolist(), feasible.tolist())]

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gbdt
-from .beamform import SolverFailure, SolverParams
+from .beamform import SolverParams
 from .dqn import (
     DqnParams,
     QNetwork,
@@ -276,7 +276,8 @@ def read_dataset_csv(path, config: RunConfig) -> DatasetRows:
     with open(path) as f:
         header = f.readline().strip().split(",")
         if header != expected:
-            raise ValueError(f"dataset header mismatch in {path}")
+            raise ConfigError("network", f"the dataset {path} is of another cell: "
+                              f"its header is not the {m}x{n} cell's")
         raw = np.loadtxt(f, delimiter=",", ndmin=2)
     if raw.size == 0:
         raw = raw.reshape(0, m + n + 2)
@@ -580,8 +581,6 @@ def _report(scheme: str, network: NetworkConfig, steps, t_start,
     for slot, (action, demands_served, result) in enumerate(steps):
         power, feasible, instant = result.power, result.feasible, result.power.total_w
         if truth is not None:
-            if isinstance(truth[slot], SolverFailure):
-                raise truth[slot]
             true_tx, true_ok = truth[slot]
             feasible = feasible and true_ok
             instant = (power.state_w + power.transition_w
@@ -659,10 +658,14 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     if scheme == SCHEME_DQN_GBDT:
         # The ground truth never feeds back into control, so every slot is
         # re-solved in one batch after the run.
-        truth = ExactSolverReward(network, config.solver).transmit_powers(
-            [channel] * len(steps),
-            [result.next_state.rrh_active for _, _, result in steps],
-            [demands for _, demands, _ in steps])
+        power, feasible, failures = ExactSolverReward(network, config.solver).solve(
+            [channel], np.zeros(len(steps), dtype=np.intp),
+            np.array([result.next_state.rrh_active for _, _, result in steps],
+                     dtype=bool).reshape(-1, network.num_rrhs),
+            np.array([demands for _, demands, _ in steps]).reshape(-1, network.num_users))
+        if failures:
+            raise failures[min(failures)]
+        truth = list(zip(power.tolist(), feasible.tolist()))
     return _report(scheme, network, steps, t_start, truth)
 
 

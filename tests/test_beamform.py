@@ -459,6 +459,19 @@ def single_answer(config, channel, pattern, demands):
     return (solution.total_tx_w, True) if solution.feasible else (0.0, False)
 
 
+def solved_answers(source, channels, patterns, demands):
+    """`source.solve` of states listed one by one, each distinct channel
+    posed once: each state's (power, feasible) pair, or its SolverFailure."""
+    distinct = list({id(channel): channel for channel in channels}.values())
+    _, channel_of, patterns, demands, _, _ = pose(source.config, channels, patterns,
+                                                  demands)
+    power, feasible, failures = source.solve(distinct, channel_of, patterns, demands)
+    answers = list(zip(power.tolist(), feasible.tolist()))
+    for k, failure in failures.items():
+        answers[k] = failure
+    return answers
+
+
 def assert_same_answers(got, want):
     assert len(got) == len(want)
     for mine, theirs in zip(got, want):
@@ -541,11 +554,12 @@ class TestSolveBatch:
 
         monkeypatch.setattr(env, "solve_states", failing_third)
         source = ExactSolverReward(config)
-        answers = source.transmit_powers([channel] * 5, [on] * 5, demands)
-        assert isinstance(answers[2], SolverFailure)
-        assert str(answers[2]) == str(batch[2])
+        power, feasible, failures = source.solve(
+            [channel], np.zeros(5, dtype=np.intp), np.tile(on, (5, 1)), np.array(demands))
+        assert list(failures) == [2] and str(failures[2]) == str(batch[2])
+        assert (power[2], feasible[2]) == (0.0, False)
         for k in (0, 1, 3, 4):
-            assert answers[k] == (batch[k].total_tx_w, True)
+            assert (power[k], feasible[k]) == (batch[k].total_tx_w, True)
 
     @pytest.mark.parametrize("chunk", [None, 5])
     def test_exact_reward_batch_matches_single_states(self, monkeypatch, chunk):
@@ -562,7 +576,7 @@ class TestSolveBatch:
         patterns.append(np.zeros(3, dtype=bool))
         demands.append(np.array([0.0, 10.0]))
         channels = [cells[k % 3] for k in range(len(patterns))]
-        batch = source.transmit_powers(channels, patterns, demands)
+        batch = solved_answers(source, channels, patterns, demands)
         assert batch[0] == (0.0, True) and batch[-1] == (0.0, False)
         assert_same_answers(batch, [single_answer(config, c, p, d)
                                     for c, p, d in zip(channels, patterns, demands)])
@@ -573,7 +587,7 @@ class TestSolveBatch:
         config, channels, patterns, demands = drawn
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(env, "SOLVE_CHUNK", chunk)
-            batch = ExactSolverReward(config).transmit_powers(channels, patterns, demands)
+            batch = solved_answers(ExactSolverReward(config), channels, patterns, demands)
         assert_same_answers(batch, [single_answer(config, c, p, d)
                                     for c, p, d in zip(channels, patterns, demands)])
 
@@ -704,17 +718,20 @@ class TestExactRewardInputs:
                             (gbdt, "predict_batch")):
             monkeypatch.setattr(owner, name, refuse)
 
+    @staticmethod
+    def _states(count, rrhs=8, users=4):
+        """`solve`'s arrays for `count` states on the first of the channels."""
+        return (np.zeros(count, dtype=np.intp), np.ones((count, rrhs), dtype=bool),
+                np.full((count, users), 30.0))
+
     @pytest.mark.parametrize("rrhs", [3, 10])
     def test_pattern_of_the_wrong_length(self, cell, sources, monkeypatch, rrhs):
         _, channel, demands = cell
-        good = np.ones(8, dtype=bool)
         self._no_solve(monkeypatch)
         for source in sources:
-            with pytest.raises(ValueError, match=r"state 1: .*pattern of %d RRHs" % rrhs):
-                source.transmit_powers([channel] * 3,
-                                       [good, np.ones(rrhs, dtype=bool), good],
-                                       [demands] * 3)
-            with pytest.raises(ValueError, match="state 0"):
+            with pytest.raises(ValueError, match=r"patterns \(3, %d\)" % rrhs):
+                source.solve([channel], *self._states(3, rrhs=rrhs))
+            with pytest.raises(ValueError, match=r"patterns \(1, %d\)" % rrhs):
                 source.transmit_power(channel, np.ones(rrhs, dtype=bool), demands)
 
     @pytest.mark.parametrize("users", [3, 5])
@@ -722,9 +739,11 @@ class TestExactRewardInputs:
         _, channel, demands = cell
         self._no_solve(monkeypatch)
         for source in sources:
-            with pytest.raises(ValueError, match=r"state 2: .*demands of %d users" % users):
-                source.transmit_powers([channel] * 3, [np.ones(8, dtype=bool)] * 3,
-                                       [demands, demands, np.full(users, 30.0)])
+            with pytest.raises(ValueError, match=r"demands \(3, %d\)" % users):
+                source.solve([channel], *self._states(3, users=users))
+            with pytest.raises(ValueError, match=r"demands \(1, %d\)" % users):
+                source.transmit_power(channel, np.ones(8, dtype=bool),
+                                      np.full(users, 30.0))
 
     @pytest.mark.parametrize("rrhs, users", [(9, 3), (3, 9)])
     def test_split_of_another_cell(self, cell, sources, monkeypatch, rrhs, users):
@@ -733,11 +752,10 @@ class TestExactRewardInputs:
         self._no_solve(monkeypatch)
         split = (np.ones(rrhs, dtype=bool), np.full(users, 30.0))
         for source in sources:
-            with pytest.raises(ValueError, match=r"state 1: .*pattern of %d RRHs and "
-                               r"demands of %d users" % (rrhs, users)):
-                source.transmit_powers([channel] * 2, [np.ones(8, dtype=bool), split[0]],
-                                       [demands, split[1]])
-            with pytest.raises(ValueError, match="state 0"):
+            with pytest.raises(ValueError, match=r"patterns \(2, %d\) and demands "
+                               r"\(2, %d\) do not fit 2 states" % (rrhs, users)):
+                source.solve([channel], *self._states(2, rrhs, users))
+            with pytest.raises(ValueError, match="do not fit 1 states"):
                 source.transmit_power(channel, *split)
 
     def test_channel_of_another_cell(self, cell, sources, monkeypatch):
@@ -746,19 +764,32 @@ class TestExactRewardInputs:
                                np.random.default_rng(6))
         self._no_solve(monkeypatch)
         for source in sources:
-            with pytest.raises(ValueError, match=r"state 1: channel 3x4"):
-                source.transmit_powers([channel, other], [np.ones(8, dtype=bool)] * 2,
-                                       [demands] * 2)
+            with pytest.raises(ValueError, match=r"channel 1 is 3x4"):
+                source.solve([channel, other], np.array([0, 0]),
+                             *self._states(2)[1:])
+            with pytest.raises(ValueError, match=r"channel 0 is 3x4"):
+                source.transmit_power(other, np.ones(8, dtype=bool), demands)
+
+    @pytest.mark.parametrize("channel_of", [[-1], [2], [0, 1, 2, 1], [1, -2]])
+    def test_channel_index_out_of_range(self, cell, sources, monkeypatch, channel_of):
+        # Two channels: index -1 would quietly pick the second, and 2 would
+        # reach past the end.
+        _, channel, _ = cell
+        second = sample_channel(NetworkConfig(), np.random.default_rng(7))
+        self._no_solve(monkeypatch)
+        for source in sources:
+            with pytest.raises(ValueError, match="do not index 2 channels"):
+                source.solve([channel, second], np.array(channel_of),
+                             *self._states(len(channel_of))[1:])
 
     def test_negative_demand_anywhere_refuses_the_batch(self, cell, monkeypatch):
         source, channel, demands = cell
         self._no_solve(monkeypatch)
         monkeypatch.setattr(env, "SOLVE_CHUNK", 2)
-        bad = demands.copy()
-        bad[1] = -1.0
+        channel_of, patterns, rows = self._states(5)
+        rows[4, 1] = -1.0
         with pytest.raises(ValueError, match="demands must be >= 0"):
-            source.transmit_powers([channel] * 5, [np.ones(8, dtype=bool)] * 5,
-                                   [demands] * 4 + [bad])
+            source.solve([channel], channel_of, patterns, rows)
 
     @pytest.mark.parametrize("patterns, demands, channel_of", [
         ((3, 7), (3, 4), [0, 0, 0]),     # patterns of another cell
@@ -766,22 +797,22 @@ class TestExactRewardInputs:
         ((3, 8), (2, 4), [0, 0, 0]),     # fewer demand rows than states
         ((2, 8), (2, 4), [0, 0, 0]),     # more channel indices than states
     ])
-    def test_array_entry_refuses_arrays_of_another_shape(self, cell, monkeypatch,
+    def test_array_entry_refuses_arrays_of_another_shape(self, cell, sources, monkeypatch,
                                                          patterns, demands, channel_of):
-        source, channel, _ = cell
+        _, channel, _ = cell
         self._no_solve(monkeypatch)
-        with pytest.raises(ValueError, match="do not fit"):
-            source.solve([channel], np.array(channel_of), np.ones(patterns, dtype=bool),
-                         np.full(demands, 30.0))
         other = sample_channel(NetworkConfig(num_rrhs=4, num_users=8),
                                np.random.default_rng(6))
-        with pytest.raises(ValueError, match="do not fit"):
-            source.solve([other], np.zeros(3, dtype=int), np.ones((3, 8), dtype=bool),
-                         np.full((3, 4), 30.0))
+        for source in sources:
+            with pytest.raises(ValueError, match="do not fit"):
+                source.solve([channel], np.array(channel_of),
+                             np.ones(patterns, dtype=bool), np.full(demands, 30.0))
+            with pytest.raises(ValueError, match="channel 0 is 4x8"):
+                source.solve([other], *self._states(3))
 
     def test_array_entry_answers_as_the_list_form(self, cell, monkeypatch):
         # The failed state of a batch is reported by index, at power 0 and
-        # not feasible; the others read as the list form's pairs.
+        # not feasible; the others read as each state solved alone.
         source, channel, demands = cell
         solve_states = env.solve_states
 
@@ -793,20 +824,21 @@ class TestExactRewardInputs:
         patterns = np.ones((4, 8), dtype=bool)
         patterns[3, 2:] = False
         rows = np.stack([demands, demands, np.zeros_like(demands), demands])
-        listed = source.transmit_powers([channel] * 4, list(patterns), list(rows))
+        alone = [single_answer(source.config, channel, p, d)
+                 for p, d in zip(patterns, rows)]
         monkeypatch.setattr(env, "solve_states", failing_second)
         power, feasible, failures = source.solve([channel], np.zeros(4, dtype=int),
                                                  patterns, rows)
         assert list(failures) == [1] and isinstance(failures[1], SolverFailure)
         assert (power[1], feasible[1]) == (0.0, False)
-        assert [(power[k], feasible[k]) for k in (0, 2, 3)] == [listed[k] for k in (0, 2, 3)]
+        assert [(power[k], feasible[k]) for k in (0, 2, 3)] == [alone[k] for k in (0, 2, 3)]
         assert feasible[0] and feasible[2] and power[2] == 0.0
 
     def test_all_off_and_unreachable_users(self, cell):
         source, channel, demands = cell
         off = np.zeros(8, dtype=bool)
         zero = np.zeros_like(demands)
-        assert source.transmit_powers([channel] * 2, [off] * 2, [zero, demands]) == [
+        assert solved_answers(source, [channel] * 2, [off] * 2, [zero, demands]) == [
             (0.0, True), (0.0, False)]
         gains = channel.gains.copy()
         gains[:3, 1] = 0.0  # user 1 hears only RRHs 3-7
@@ -814,7 +846,7 @@ class TestExactRewardInputs:
         near = np.arange(8) < 3
         low = np.full(4, 5.0)
         states = ([near, near, ~near], [low, np.where(np.arange(4) == 1, 0.0, low), low])
-        answers = source.transmit_powers([cut] * 3, *states)
+        answers = solved_answers(source, [cut] * 3, *states)
         assert answers[0] == (0.0, False)
         assert answers[1][1] and answers[2][1]
         assert answers == [single_answer(source.config, cut, p, d)

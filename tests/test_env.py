@@ -15,13 +15,38 @@ from cranpower.env import (
     p_upper_bound,
     step_all,
 )
-from cranpower.gbdt import GbdtModel, GbdtParams
+from cranpower import gbdt
+from cranpower.gbdt import GbdtModel, GbdtParams, RegressionDataset
 from cranpower.netmodel import NetworkConfig, sample_channel
 
 
 def constant_model(value, num_features):
     return GbdtModel(initial_prediction=float(value), trees=[],
                      params=GbdtParams(num_rounds=1), num_features=num_features)
+
+
+def surrogate_answer(source, pattern, demands):
+    """The surrogate's (power, feasible) answer of one state from per-row
+    `gbdt.predict`: the gate, then the power model clamped at zero."""
+    features = np.concatenate([np.asarray(pattern, dtype=float), demands])
+    if gbdt.predict(source.feasibility_model, features) < FEASIBILITY_THRESHOLD:
+        return 0.0, False
+    return max(0.0, gbdt.predict(source.model, features)), True
+
+
+def fitted_surrogate(config, seed):
+    """A surrogate of the cell whose models are small fits to random rows,
+    so that its answers vary: some states fail the gate, and some power
+    predictions are negative and clamped."""
+    rng = np.random.default_rng(seed)
+    m, n = config.num_rrhs, config.num_users
+    rows = np.concatenate([rng.random((60, m)) < 0.5,
+                           rng.uniform(0.0, config.demand_max_mbps, (60, n))], axis=1)
+    load = rows[:, m:].sum(axis=1) / config.demand_max_mbps - rows[:, :m].sum(axis=1) / m
+    params = GbdtParams(num_rounds=8, max_depth=3, min_samples_leaf=2, step_length=0.5)
+    return SurrogateReward(
+        config, gbdt.train(RegressionDataset(rows, load), params),
+        gbdt.train(RegressionDataset(rows, rng.random(60) < 0.6), params))
 
 
 def make_env(config, reward_source=None, seed=0, **kwargs):
@@ -229,6 +254,40 @@ class TestSurrogateMode:
         result = env.step(m)
         assert result.power.transmit_w == 0.0
 
+    @pytest.mark.parametrize("passing", ["none", "some", "all"])
+    def test_batch_matches_per_row_predict(self, table1_config, monkeypatch, passing):
+        # One feasibility prediction of the batch and one power prediction
+        # of the rows that pass the gate, equal bit for bit to `predict` on
+        # each row.
+        m, n = table1_config.num_rrhs, table1_config.num_users
+        surrogate = fitted_surrogate(table1_config, 24)
+        rng = np.random.default_rng(25)
+        patterns = rng.random((60, m)) < 0.5
+        demands = rng.uniform(0.0, table1_config.demand_max_mbps, (60, n))
+        answers = [surrogate_answer(surrogate, p, d) for p, d in zip(patterns, demands)]
+        gated = np.array([ok for _, ok in answers])
+        rows = {"none": np.flatnonzero(~gated)[:7], "all": np.flatnonzero(gated)[:7],
+                "some": np.arange(12)}[passing]
+        assert gated[rows].any() == (passing != "none")
+        assert gated[rows].all() == (passing == "all")
+        calls = []
+        predict_batch = gbdt.predict_batch
+
+        def counting(model, features):
+            calls.append(len(features))
+            return predict_batch(model, features)
+
+        monkeypatch.setattr(gbdt, "predict_batch", counting)
+        monkeypatch.setattr(gbdt, "predict", None)
+        channel = sample_channel(table1_config, rng)
+        power, feasible, failures = surrogate.solve(
+            [channel], np.zeros(len(rows), dtype=np.intp), patterns[rows], demands[rows])
+        assert failures == {}
+        assert feasible.tolist() == gated[rows].tolist()
+        want = np.array([answers[k][0] for k in rows])
+        assert power.tobytes() == want.tobytes()
+        assert calls == [len(rows)] + ([int(gated[rows].sum())] if passing != "none" else [])
+
 
 class TestEncodeState:
     def test_scaling(self, table1_config):
@@ -249,12 +308,16 @@ def _same_result(a, b):
 
 def reference_step(env, action):
     """The single-env step before it went through `step_all`: the flip, the
-    reward source's answer for the env's own channel, then `_finish`."""
+    reward source's answer for the env's own channel (the surrogate's from
+    per-row predictions), then `_finish`."""
     if env.current is None:
         raise RuntimeError("environment must be reset before stepping")
     pattern = apply_action(env.current.rrh_active, action)
-    return env._finish(pattern, env.reward_source.transmit_power(
-        env.channel, pattern, env.current.demands_mbps))
+    demands = env.current.demands_mbps
+    if isinstance(env.reward_source, SurrogateReward):
+        return env._finish(pattern, *surrogate_answer(env.reward_source, pattern, demands))
+    return env._finish(pattern, *env.reward_source.transmit_power(
+        env.channel, pattern, demands))
 
 
 class TestStepAll:
@@ -276,13 +339,14 @@ class TestStepAll:
            demand_max=st.sampled_from([5.0, 40.0, 200.0]),
            owners=st.lists(st.integers(0, 2), min_size=1, max_size=6),
            ticks=st.integers(1, 6), episode_length=st.sampled_from([None, 2]),
-           seed=st.integers(0, 2 ** 16))
+           seed=st.integers(0, 2 ** 16), surrogate=st.booleans())
     def test_equals_stepping_each_env_alone(self, m, n, demand_max, owners, ticks,
-                                            episode_length, seed):
+                                            episode_length, seed, surrogate):
         config = NetworkConfig(num_rrhs=m, num_users=n, demand_min_mbps=0.0,
                                demand_max_mbps=demand_max)
-        together = self._envs(config, seed, owners, episode_length)
-        alone = self._envs(config, seed, owners, episode_length)
+        source = fitted_surrogate(config, seed) if surrogate else None
+        together = self._envs(config, seed, owners, episode_length, source)
+        alone = self._envs(config, seed, owners, episode_length, source)
         pick = np.random.default_rng(seed)
         for env_a, env_b in zip(together, alone):
             pattern = pick.random(m) < 0.5
@@ -316,18 +380,18 @@ class TestStepAll:
 
     def test_one_batch_per_shared_source(self, table1_config, monkeypatch):
         calls = []
-        original = ExactSolverReward.transmit_powers
+        original = ExactSolverReward.solve
 
-        def counting(source, channels, patterns, demands):
-            calls.append(len(patterns))
-            return original(source, channels, patterns, demands)
+        def counting(source, channels, channel_of, patterns, demands):
+            calls.append((channels, channel_of.tolist()))
+            return original(source, channels, channel_of, patterns, demands)
 
-        monkeypatch.setattr(ExactSolverReward, "transmit_powers", counting)
+        monkeypatch.setattr(ExactSolverReward, "solve", counting)
         envs = self._envs(table1_config, 3, [0, 0, 1, 0], None)
         for env in envs:
             env.reset()
         step_all(envs, [0, 1, 2, table1_config.num_rrhs])
-        assert calls == [4]
+        assert calls == [([env.channel for env in envs], [0, 1, 2, 3])]
 
     @staticmethod
     def _assert_unmoved(envs, before):
@@ -359,13 +423,15 @@ class TestStepAll:
         solve_states = env_module.solve_states
 
         def failing(*args):
+            # The first state solves; each later one fails with its index.
             solved = solve_states(*args)
-            solved.verdicts = [SolverFailure("forced")] * len(solved.verdicts)
+            solved.verdicts[1:] = [SolverFailure(f"forced {k}")
+                                   for k in range(1, len(solved.verdicts))]
             return solved
 
         monkeypatch.setattr(env_module, "solve_states", failing)
-        envs = self._envs(table1_config, 4, [0, 1], None)
+        envs = self._envs(table1_config, 4, [0, 1, 0], None)
         before = [env.reset() for env in envs]
-        with pytest.raises(SolverFailure):
-            step_all(envs, [table1_config.num_rrhs] * 2)
+        with pytest.raises(SolverFailure, match="forced 1"):
+            step_all(envs, [table1_config.num_rrhs] * 3)
         self._assert_unmoved(envs, before)

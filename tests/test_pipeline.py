@@ -404,20 +404,19 @@ class TestLockstepTraining:
                                      redraw_channel=True, offline_episodes=12)
         dataset = pipeline.gen_dataset(config, count=100)
         ticks, calls, batches = [], [], []
-        step_all, transmit_powers = pipeline.step_all, ExactSolverReward.transmit_powers
+        step_all, solve = pipeline.step_all, ExactSolverReward.solve
         solve_states = env.solve_states
 
         def counting_step_all(envs, actions):
             ticks.append(len(envs))
             return step_all(envs, actions)
 
-        def counting_transmit_powers(source, channels, patterns, demands):
+        def counting_solve(source, channels, channel_of, patterns, demands):
             calls.append((len(patterns), len({id(c) for c in channels})))
-            return transmit_powers(source, channels, patterns, demands)
+            return solve(source, channels, channel_of, patterns, demands)
 
         monkeypatch.setattr(pipeline, "step_all", counting_step_all)
-        monkeypatch.setattr(ExactSolverReward, "transmit_powers",
-                            counting_transmit_powers)
+        monkeypatch.setattr(ExactSolverReward, "solve", counting_solve)
         monkeypatch.setattr(env, "solve_states",
                             lambda *args: batches.append(1) or solve_states(*args))
         pipeline.train_offline(config, dataset=dataset)
@@ -531,6 +530,23 @@ class TestRunOnline:
         report = pipeline.run_online(tiny_run_config, artifacts, 0)
         assert len(report.instant_w) == 0
         assert report.infeasible_count == 0
+
+    def test_ground_truth_failure_raises_the_first(self, tiny_trained, tiny_run_config,
+                                                   monkeypatch):
+        # DQN-GBDT steps on the surrogate, so only the ground-truth re-solve
+        # reaches the solver; slots 3 and 5 break down there.
+        artifacts, _, _ = tiny_trained
+        solve_states = env.solve_states
+
+        def failing(*args):
+            solved = solve_states(*args)
+            for slot in (5, 3):
+                solved.verdicts[slot] = SolverFailure(f"slot {slot}")
+            return solved
+
+        monkeypatch.setattr(env, "solve_states", failing)
+        with pytest.raises(SolverFailure, match="slot 3"):
+            pipeline.run_online(tiny_run_config, artifacts, 8)
 
     def test_no_tune_same_seed_identical(self, tiny_trained, tiny_run_config):
         artifacts, _, _ = tiny_trained
@@ -698,6 +714,59 @@ class TestCliExitCodes:
         proc = self._run("evaluate", "--config", str(TINY),
                          "--out", str(tmp_path), "--slots", "5")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--scheme", "DQN-GBDT", "--slots", "5"],
+        ["evaluate", "--scheme", "DQN-SOCP", "--slots", "5"],
+        ["bench", "--inputs", "5", "--repeats", "1"],
+        ["ete", "--slots", "5"],
+    ])
+    def test_artifacts_of_another_cell_are_config_error(self, tiny_trained, tmp_path,
+                                                        capsys, argv):
+        # The tiny cell's artifacts read 3 features; the default cell has 12.
+        _, _, artifacts = tiny_trained
+        out = tmp_path / "out"
+        code = cli.main([*argv, "--config", str(DEFAULT), "--artifacts", str(artifacts),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "Q-network input 3" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part, saved", [
+        ("Q-network output 2", lambda path: dqn.save_checkpoint(
+            dqn.QNetwork.initialize([3, 4, 2], np.random.default_rng(0)),
+            path / pipeline.QNET_FILE)),
+        ("power model input 4", lambda path: gbdt.save_model(
+            gbdt.GbdtModel(0.0, [], gbdt.GbdtParams(num_rounds=1), 4),
+            path / pipeline.GBDT_MODEL_FILE)),
+        ("feasibility model input 2", lambda path: gbdt.save_model(
+            gbdt.GbdtModel(1.0, [], gbdt.GbdtParams(num_rounds=1), 2),
+            path / pipeline.FEASIBILITY_MODEL_FILE)),
+    ])
+    def test_each_artifact_is_checked(self, tiny_trained, tmp_path, capsys, part, saved):
+        artifacts, _, _ = tiny_trained
+        artifacts.save(tmp_path / "artifacts")
+        saved(tmp_path / "artifacts")
+        code = cli.main(["evaluate", "--slots", "5", "--config", str(TINY),
+                         "--artifacts", str(tmp_path / "artifacts"),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and part in err
+
+    def test_dataset_of_another_cell_is_config_error(self, tiny_run_config, tmp_path,
+                                                     capsys):
+        dataset = tmp_path / "dataset.csv"
+        pipeline.write_dataset_csv(pipeline.gen_dataset(tiny_run_config, count=10),
+                                   dataset, tiny_run_config)
+        out = tmp_path / "out"
+        code = cli.main(["train", "--dataset", str(dataset), "--config", str(DEFAULT),
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and "dataset" in err
+        assert not out.exists()
 
     def test_gen_data_succeeds(self, tmp_path):
         proc = self._run("gen-data", "--config", str(TINY),

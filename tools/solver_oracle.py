@@ -14,11 +14,10 @@ solves them in a subprocess that imports that tree's `cranpower`:
   demands nothing with probability 0.15.
 
 Every state draws its demands and a non-empty on/off pattern, uniform over
-the 2^m - 1 of them. Each tree answers every state twice: posed as arrays
-(the cell's channels, the patterns, SINR targets, caps and noise) to
-`beamform.solve_states`, and as a (channel, pattern, demands) state through
-`env.ExactSolverReward.transmit_powers`, the reward path of `gen-data`,
-training and evaluation. Per cell, the oracle prints:
+the 2^m - 1 of them. Each tree answers every state twice, both times posed
+as arrays: with its SINR targets, caps and noise to `beamform.solve_states`,
+and with its demands to `env.ExactSolverReward.solve`, the reward path of
+`gen-data`, training and evaluation. Per cell, the oracle prints:
 
 - for `solve_states`, how many states differ from the revision's in verdict
   (feasible, SINR, cap, or the SolverFailure message), in iteration count,
@@ -125,15 +124,16 @@ def solve(data) -> dict:
                      for v, bad in zip(solved.verdicts, failed)]
         iterations += np.where(failed, -1, solved.iterations).tolist()
         power += np.where(failed, np.nan, solved.totals).tolist()
-    channels = [netmodel.ChannelRealization(gains=cell) for cell in gains]
-    answers = env.ExactSolverReward(config).transmit_powers(
-        [channels[c] for c in channel_of], list(patterns), list(data["demands"]))
-    lost = [isinstance(a, beamform.SolverFailure) for a in answers]
+    answer_power, feasible, failures = env.ExactSolverReward(config).solve(
+        [netmodel.ChannelRealization(gains=cell) for cell in gains], channel_of,
+        patterns, data["demands"])
+    answer = np.where(feasible, "feasible", "infeasible").astype(object)
+    for k, failure in failures.items():
+        answer[k] = f"failure: {failure}"
+        answer_power[k] = np.nan
     return dict(
         verdict=np.array(verdicts), iterations=np.array(iterations), power=np.array(power),
-        answer=np.array([f"failure: {a}" if bad else "feasible" if a[1] else "infeasible"
-                         for a, bad in zip(answers, lost)]),
-        answer_power=np.array([np.nan if bad else a[0] for a, bad in zip(answers, lost)]))
+        answer=answer.astype(str), answer_power=answer_power)
 
 
 def run_tree(tree: Path, states: Path, cells: list, out: Path) -> dict:
