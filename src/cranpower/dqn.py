@@ -4,13 +4,18 @@ periodically synced fixed target network. `train_step` takes one batch
 form, a `Batch` of stacked arrays, as the buffer's `sample` gathers it.
 
 The network is rectifier-activated on hidden layers with an identity output,
-one Q-value per action (flip one of the m RRHs, or do nothing). Gradients
-are computed by hand; their correctness against central finite differences
-is a load-bearing test.
+one Q-value per action (flip one of the m RRHs, or do nothing). Its weights
+and biases are views into one parameter vector, so `backprop` writes the
+gradient into one vector of the same layout, an update is two whole-vector
+operations and a target sync is one vector copy. The arithmetic per
+parameter is that of separate per-layer arrays, bit for bit. Gradients are
+computed by hand; their correctness against central finite differences is
+a load-bearing test.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,14 +98,45 @@ class Batch:
 
 
 class QNetwork:
-    """Affine + ReLU stack; identity output layer."""
+    """Affine + ReLU stack; identity output layer.
+
+    Every weight and bias lives in one float64 vector, `params`, in the
+    order W0, b0, W1, b1, ...; `weights` and `biases` are views into it.
+    Edit them in place (`net.weights[i][:] = ...`, `+=`): rebinding an
+    entry detaches it from `params`, so training and copies no longer see
+    it."""
 
     def __init__(self, weights, biases):
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        for w, b in zip(self.weights, self.biases):
-            if w.shape[1] != b.shape[0]:
-                raise ValueError("bias width must match weight output width")
+        weights = [np.asarray(w, dtype=float) for w in weights]
+        biases = [np.asarray(b, dtype=float) for b in biases]
+        if not weights or len(weights) != len(biases):
+            raise ValueError("need one bias per weight matrix, and at least one layer")
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2:
+                raise ValueError(f"layer {i}: weight is {w.ndim}-D, not a matrix")
+            if i and w.shape[0] != weights[i - 1].shape[1]:
+                raise ValueError(
+                    f"layer {i}: weight takes {w.shape[0]} inputs, but layer "
+                    f"{i - 1} gives {weights[i - 1].shape[1]}")
+            if b.shape != (w.shape[1],):
+                raise ValueError(f"layer {i}: bias of shape {b.shape} does not fit "
+                                 f"the layer's {w.shape[1]} outputs")
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        # (start, end, shape) of each array's view, in the order of `params`.
+        self._layout, start = [], 0
+        for a in arrays:
+            self._layout.append((start, start + a.size, a.shape))
+            start += a.size
+        self._adopt(np.concatenate([a.ravel() for a in arrays]))
+
+    def _adopt(self, params: np.ndarray):
+        self.params = params
+        self.weights, self.biases = self.unflatten(params)
+
+    def unflatten(self, flat: np.ndarray):
+        """(weights, biases): views into a vector laid out as `params`."""
+        views = [flat[start:end].reshape(shape) for start, end, shape in self._layout]
+        return views[0::2], views[1::2]
 
     @property
     def layer_sizes(self):
@@ -143,8 +179,10 @@ class QNetwork:
         return inputs, pre
 
     def copy(self) -> "QNetwork":
-        return QNetwork([w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
+        """A twin whose parameters are one copy of `params`."""
+        twin = copy.copy(self)
+        twin._adopt(self.params.copy())
+        return twin
 
 
 def sync_target(net: QNetwork) -> QNetwork:
@@ -178,7 +216,8 @@ def backprop(net: QNetwork, states, actions, targets):
     """Loss and parameter gradients for the taken-action squared error.
 
     loss = mean((y - Q(s, a))^2) over the batch; only the outputs of the
-    actions actually taken receive gradient.
+    actions actually taken receive gradient. Returns (loss, gradient),
+    with the gradient one vector laid out as `net.params`.
     """
     inputs, pre = net.forward_layers(states)
     actions = np.asarray(actions, dtype=np.int64)
@@ -192,14 +231,14 @@ def backprop(net: QNetwork, states, actions, targets):
 
     delta = np.zeros_like(q)
     delta[np.arange(batch), actions] = 2.0 * diff / batch
-    grads_w = [None] * len(net.weights)
-    grads_b = [None] * len(net.biases)
+    grad = np.empty_like(net.params)
+    grads_w, grads_b = net.unflatten(grad)
     for i in range(len(net.weights) - 1, -1, -1):
-        grads_w[i] = inputs[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(inputs[i].T, delta, out=grads_w[i])
+        delta.sum(axis=0, out=grads_b[i])
         if i > 0:
             delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
-    return loss, grads_w, grads_b
+    return loss, grad
 
 
 def train_step(net: QNetwork, target_net: QNetwork, batch: Batch, gamma: float,
@@ -207,13 +246,12 @@ def train_step(net: QNetwork, target_net: QNetwork, batch: Batch, gamma: float,
     """One gradient-descent update on the Bellman targets of `batch`;
     returns the pre-update loss."""
     targets = compute_targets(batch, target_net, gamma)
-    loss, grads_w, grads_b = backprop(net, batch.states, batch.actions, targets)
+    loss, grad = backprop(net, batch.states, batch.actions, targets)
     if not np.isfinite(loss):
         raise FloatingPointError(
             f"non-finite training loss ({loss}); aborting before the update")
-    for i in range(len(net.weights)):
-        net.weights[i] -= learning_rate * grads_w[i]
-        net.biases[i] -= learning_rate * grads_b[i]
+    grad *= learning_rate
+    net.params -= grad
     return loss
 
 

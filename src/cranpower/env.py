@@ -188,19 +188,15 @@ class SurrogateReward(_RewardSource):
 
     def solve(self, channels, channel_of, patterns, demands_mbps):
         """`ExactSolverReward.solve`'s answers from the models, which ignore
-        the channels: one feasibility prediction of the batch, and one power
-        prediction of the states that pass the gate. Nothing fails."""
+        the channels: one walk of both models over the batch, whose power
+        prediction counts only for the states that pass the gate. Nothing
+        fails."""
         check_states(self.config, channels, channel_of, patterns, demands_mbps)
         features = np.concatenate([patterns, demands_mbps], axis=1, dtype=float)
-        feasible = (gbdt.predict_batch(self.feasibility_model, features)
-                    >= FEASIBILITY_THRESHOLD)
-        power = np.zeros(len(features))
-        if feasible.all():
-            power = gbdt.predict_batch(self.model, features)
-        elif feasible.any():
-            power[feasible] = gbdt.predict_batch(self.model, features[feasible])
+        score, power = gbdt.predict_pair(self.feasibility_model, self.model, features)
+        feasible = score >= FEASIBILITY_THRESHOLD
         # Leaf averages can dip below zero where targets do not support them.
-        return np.where(power > 0.0, power, 0.0), feasible, {}
+        return np.where(feasible & (power > 0.0), power, 0.0), feasible, {}
 
 
 @dataclass

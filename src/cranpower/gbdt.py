@@ -15,11 +15,17 @@ rows a side. The same sums in the same sequence as a per-feature search
 make the same trees bit for bit, with the same tie rules: the lowest
 feature index, then the smallest threshold.
 
-Prediction packs the forest into flat arrays whose leaves loop back to
-themselves, so one level-by-level walk serves a single row, a batch and the
-per-round update of training. It sums f0 + sl * v_1 + sl * v_2 + ... left to
-right, the order of training, so a prediction on a training row replays the
-training-time partial sums bit for bit.
+Prediction packs the trees of one or more models into one compact forest:
+flat arrays of one entry a node, with each node's feature, threshold,
+first child and value stored once, and leaves that loop back to
+themselves. One level-by-level walk of it serves a single row, a batch,
+both surrogate models at once (`predict_pair`) and the per-round update of
+training; `predict` and `predict_batch` are its one-model case. Each
+model's sum f0 + sl * v_1 + sl * v_2 + ... runs left to right from its own
+f0, the order of training, so a prediction on a training row replays the
+training-time partial sums bit for bit, and a model answers the same bits
+alone or paired. A model keeps its packings and rebuilds one when its
+trees, f0 or step length change. The model file format is unchanged.
 
 Determinism contract: models are pure functions of (dataset, params). Rows
 are canonicalized by a lexicographic sort before training so that permuting
@@ -262,85 +268,139 @@ class GbdtModel:
     params: GbdtParams
     num_features: int
     train_mse: list = field(default_factory=list, compare=False)
-    # (the tree objects packed, the packed forest), built on the first
-    # prediction and again whenever `trees` stops holding exactly those trees.
-    _packed: tuple = field(default=None, repr=False, compare=False)
-
-    def _pack(self):
-        # Trees compare by identity, so this is one C-level scan of the list.
-        if self._packed is None or self._packed[0] != self.trees:
-            self._packed = (list(self.trees), _pack(self.trees))
-        return self._packed[1]
+    # The packed forests of this model alone and of this model followed by
+    # the model `predict_pair` last paired it with, each built on first use
+    # and again whenever a packed model's trees, f0 or step length change.
+    _alone: "_Forest" = field(default=None, repr=False, compare=False)
+    _paired: "_Forest" = field(default=None, repr=False, compare=False)
 
 
-def _pack(trees) -> tuple:
-    """(roots, feature, threshold, child, value, depth) of the trees laid
-    end to end, two slots a node: node i's slot 2i + 1 is taken when
-    x[feature] <= threshold and leads to its left child's slot 2 * left,
-    slot 2i to 2 * right. Leaves loop back to themselves on feature 0 with
-    threshold +inf, so the walk needs no leaf masking."""
-    roots = np.cumsum([0] + [t.num_nodes() for t in trees], dtype=np.int64)[:-1]
-
-    def joined(parts, dtype=float):
-        return np.concatenate([np.zeros(0, dtype)] + list(parts))
-
-    feat = joined((t.split_feature for t in trees), np.int64)
-    leaf = feat < 0
-    node = np.arange(len(feat), dtype=np.int64)
-    left = joined((t.left + r for t, r in zip(trees, roots)), np.int64)
-    right = joined((t.right + r for t, r in zip(trees, roots)), np.int64)
-    return (2 * roots,
-            np.repeat(np.where(leaf, 0, feat), 2),
-            np.repeat(np.where(leaf, np.inf, joined(t.threshold for t in trees)), 2),
-            2 * np.stack([np.where(leaf, node, right), np.where(leaf, node, left)],
-                         axis=1).ravel(),
-            np.repeat(joined(t.value for t in trees), 2),
-            max((t.max_depth for t in trees), default=0))
+# The one-leaf tree that pads a model's trees in a `_Forest`.
+_PAD = RegressionTree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]),
+                      np.array([-0.0]), max_depth=0)
 
 
-def _walk(packed, features: np.ndarray, start, step_length: float) -> np.ndarray:
-    """start + sl * tree_1(x) + sl * tree_2(x) + ... for each row x.
+class _Forest:
+    """The trees of one or more models packed for one level-by-level walk,
+    one entry a node with each field stored once, and each model's f0 and
+    step length.
 
-    A block of rows goes through every tree at once, one tree level a step,
-    and its terms are summed left to right by add.accumulate, which never
-    reorders: this is training's order, so the same bits.
-    """
-    roots, feat, thr, child, val, depth = packed
-    out = np.array(start, dtype=float)
-    rows, width = features.shape
-    trees = len(roots)
-    if trees == 0:
+    Every model gets as many trees as the largest has: the others are
+    padded with one-leaf trees of value -0.0, and x + (-0.0) is x for every
+    float x, so a pad changes no sum. Tree t's root is node t, and the
+    children of the inner nodes follow, right then left: inner node i sends
+    x to first[i] + 1, its left child, when x[feature[i]] <= threshold[i],
+    and to first[i], its right child, otherwise (NaN included). A leaf has
+    threshold NaN, which no comparison passes, and first[i] = i, so it
+    leads back to itself and the walk needs no leaf masking. Indices stay
+    intp: `take` casts any narrower index array to intp on every call."""
+
+    def __init__(self, models):
+        self.key = [(list(model.trees), model.initial_prediction, model.params.step_length)
+                    for model in models]
+        consts = np.array([(f0, step_length) for _, f0, step_length in self.key])
+        self.starts, self.step_lengths = consts[:, :1], consts[:, 1:, None]
+        self.per_model = max(len(model.trees) for model in models)
+        forest = []
+        for trees, _, _ in self.key:
+            forest += trees + [_PAD] * (self.per_model - len(trees))
+        roots = np.cumsum([0] + [tree.num_nodes() for tree in forest], dtype=np.int64)[:-1]
+
+        def joined(parts, dtype=float):
+            return np.concatenate([np.zeros(0, dtype)] + list(parts))
+
+        feat = joined((tree.split_feature for tree in forest), np.int64)
+        leaf = feat < 0
+        node = np.arange(len(feat), dtype=np.int64)
+        right = np.where(leaf, node, joined(
+            (tree.right + r for tree, r in zip(forest, roots)), np.int64))
+        left = joined((tree.left + r for tree, r in zip(forest, roots)), np.int64)
+        inner = np.flatnonzero(~leaf)
+        if len(feat) != len(forest) + 2 * len(inner):
+            raise ValueError(f"{len(feat)} nodes in {len(forest)} trees with "
+                             f"{len(inner)} splits: not binary trees")
+        # Node k of the trees laid end to end goes to moved[k].
+        moved = np.empty(len(feat), dtype=np.int64)
+        moved[roots] = np.arange(len(forest))
+        moved[right[inner]] = len(forest) + 2 * np.arange(len(inner))
+        moved[left[inner]] = moved[right[inner]] + 1
+
+        def placed(values, dtype=float):
+            out = np.empty(len(values), dtype)
+            out[moved] = values
+            return out
+
+        self.roots = np.arange(len(forest))
+        self.feature = placed(np.where(leaf, 0, feat), np.intp)
+        self.threshold = placed(np.where(leaf, np.nan, joined(t.threshold for t in forest)))
+        self.first = placed(moved[right], np.intp)
+        self.value = placed(joined(tree.value for tree in forest))
+        self.depth = max((tree.max_depth for tree in forest), default=0)
+
+    @classmethod
+    def of(cls, packed: "_Forest | None", models) -> "_Forest":
+        """`packed` when it packs exactly the trees, f0 and step length that
+        `models` hold now, else a new packing of them. Trees compare by
+        identity, so a tree list compares in one C-level scan."""
+        if packed is not None and packed.key == [
+                (model.trees, model.initial_prediction, model.params.step_length)
+                for model in models]:
+            return packed
+        return cls(models)
+
+    def walk(self, features: np.ndarray) -> np.ndarray:
+        """f0 + sl * tree_1(x) + sl * tree_2(x) + ... of each packed model
+        and row x, as a (models, rows) array.
+
+        A block of rows goes through every tree of every model at once, one
+        tree level a step. Each model's terms are summed left to right from
+        its own f0 by add.accumulate, which never reorders: this is
+        training's order, so the same bits.
+        """
+        feat, thr, first = self.feature, self.threshold, self.first
+        rows, width = features.shape
+        out = np.empty((len(self.key), rows))
+        trees = len(self.roots)
+        block = max(1, WALK_BLOCK // max(trees, 1))
+        for lo in range(0, rows, block):
+            x = features[lo:lo + block]
+            n = len(x)
+            # Node pointers, tree-major: entry t * n + r is row r in tree t,
+            # and feature f of row r is x.ravel()[r * width + f].
+            ptr, offsets = self.roots, None
+            if n > 1:
+                ptr = np.repeat(self.roots, n)
+                offsets = np.tile(np.arange(0, x.size, width), trees)
+            x = x.ravel()
+            for _ in range(self.depth):
+                at = feat.take(ptr)
+                if offsets is not None:
+                    at += offsets
+                ptr = first.take(ptr) + (x.take(at) <= thr.take(ptr))
+            terms = np.empty((len(self.key), self.per_model + 1, n))
+            terms[:, 0] = self.starts
+            np.multiply(self.value.take(ptr).reshape(len(self.key), self.per_model, n),
+                        self.step_lengths, out=terms[:, 1:])
+            out[:, lo:lo + n] = np.add.accumulate(terms, axis=1)[:, -1]
         return out
-    block = max(1, WALK_BLOCK // trees)
-    for lo in range(0, rows, block):
-        x = features[lo:lo + block]
-        n = len(x)
-        # Slot pointers, tree-major: entry t * n + r is row r in tree t, and
-        # feature f of row r is x.ravel()[r * width + f].
-        ptr, offsets = roots, None
-        if n > 1:
-            ptr = np.repeat(roots, n)
-            offsets = np.tile(np.arange(0, x.size, width), trees)
-        x = x.ravel()
-        for _ in range(depth):
-            at = feat.take(ptr)
-            if offsets is not None:
-                at += offsets
-            ptr = child.take(ptr + (x.take(at) <= thr.take(ptr)))
-        terms = np.empty((trees + 1, n))
-        terms[0] = out[lo:lo + block]
-        np.multiply(val.take(ptr).reshape(trees, n), step_length, out=terms[1:])
-        out[lo:lo + block] = np.add.accumulate(terms)[-1]
-    return out
 
 
-def _check_width(model: GbdtModel, width: int):
-    # The walk reads a flattened block, so a short row would read its
-    # neighbour's features instead of failing.
-    if width != model.num_features:
-        raise ValueError(
-            f"feature vector has {width} entries, model was trained on "
-            f"{model.num_features}")
+def _predict(models, features: np.ndarray) -> np.ndarray:
+    """Each model's row-wise predictions, as a (models, rows) array, from
+    one walk of the models' packing, which the first model keeps."""
+    for model in models:
+        # The walk reads a flattened block, so a short row would read its
+        # neighbour's features instead of failing.
+        if features.shape[1] != model.num_features:
+            raise ValueError(
+                f"feature vector has {features.shape[1]} entries, model was "
+                f"trained on {model.num_features}")
+    first = models[0]
+    if len(models) == 1:
+        first._alone = packed = _Forest.of(first._alone, models)
+    else:
+        first._paired = packed = _Forest.of(first._paired, models)
+    return packed.walk(features)
 
 
 def predict(model: GbdtModel, feature_vector) -> float:
@@ -348,18 +408,19 @@ def predict(model: GbdtModel, feature_vector) -> float:
     x = np.asarray(feature_vector, dtype=float)
     if x.ndim != 1:
         raise ValueError("predict takes a single 1-D feature vector")
-    _check_width(model, x.shape[0])
-    return float(_walk(model._pack(), x[None, :], (model.initial_prediction,),
-                       model.params.step_length)[0])
+    return float(_predict((model,), x[None, :])[0, 0])
 
 
 def predict_batch(model: GbdtModel, features: np.ndarray) -> np.ndarray:
     """Row-wise predictions, equal bit for bit to `predict` on each row."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    _check_width(model, features.shape[1])
-    return _walk(model._pack(), features,
-                 np.full(features.shape[0], model.initial_prediction),
-                 model.params.step_length)
+    return _predict((model,), np.atleast_2d(np.asarray(features, dtype=float)))[0]
+
+
+def predict_pair(first: GbdtModel, second: GbdtModel, features: np.ndarray) -> tuple:
+    """Both models' row-wise predictions from one walk over their trees,
+    each equal bit for bit to `predict_batch` of that model alone."""
+    return tuple(_predict((first, second),
+                          np.atleast_2d(np.asarray(features, dtype=float))))
 
 
 def _canonical_order(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -391,7 +452,10 @@ def train(dataset: RegressionDataset, params: GbdtParams) -> GbdtModel:
     for _ in range(params.num_rounds):
         tree = fit_tree(features, targets - predictions, params, presorted)
         trees.append(tree)
-        predictions = _walk(_pack([tree]), features, predictions, params.step_length)
+        # With f0 = -0.0 the walk gives the tree's term sl * v exactly, so
+        # this is the sum a prediction's walk makes, bit for bit.
+        predictions = predictions + _Forest(
+            [GbdtModel(-0.0, [tree], params, features.shape[1])]).walk(features)[0]
         mse = float(np.mean((targets - predictions) ** 2))
         if params.lambda_leaf == 0.0:
             # Guaranteed for mean-valued leaves with step length in (0, 1].

@@ -258,7 +258,8 @@ def test_criterion_07_gradient_check():
     states = rng.normal(size=(10, 12))
     actions = rng.integers(0, 9, size=10)
     targets = rng.normal(size=10)
-    _, grads_w, grads_b = backprop(net, states, actions, targets)
+    _, grad = backprop(net, states, actions, targets)
+    grads_w, grads_b = net.unflatten(grad)
 
     def loss_at():
         q = net.forward_batch(states)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -67,6 +68,59 @@ def finite_difference_grads(net, states, actions, targets, h=1e-5):
                 flat[k] = orig
                 gflat[k] = (up - down) / (2 * h)
     return grads_w, grads_b
+
+
+def write_checkpoint_arrays(path, layer_sizes, shapes):
+    """A checkpoint file in `save_checkpoint`'s format whose layers have the
+    given weight shapes, zero weights and biases as wide as each weight's
+    outputs, whatever `layer_sizes` claims."""
+    with open(path, "wb") as f:
+        dqn._write_header(f, dqn.CHECKPOINT_MAGIC, dqn.CHECKPOINT_VERSION)
+        np.save(f, np.array(layer_sizes, dtype=np.int64))
+        for shape in shapes:
+            np.save(f, np.zeros(shape))
+            np.save(f, np.zeros(shape[1]))
+
+
+def per_array_forward(weights, biases, states):
+    inputs, pre = [], []
+    act = states
+    for w, b in zip(weights, biases):
+        if pre:
+            act = np.maximum(pre[-1], 0.0)
+        inputs.append(act)
+        pre.append(act @ w + b)
+    return inputs, pre
+
+
+def per_array_train_step(weights, biases, target, batch, gamma, lr):
+    """One update of separate weight and bias arrays, updated in place: each
+    gradient its own array and each parameter its own subtraction. Returns
+    the pre-update loss."""
+    next_q = per_array_forward(*target, batch.next_states)[1][-1].max(axis=1)
+    targets = np.where(batch.terminals, batch.rewards, batch.rewards + gamma * next_q)
+    inputs, pre = per_array_forward(weights, biases, batch.states)
+    rows = np.arange(len(batch))
+    diff = pre[-1][rows, batch.actions] - targets
+    loss = float(np.mean(diff ** 2))
+    delta = np.zeros_like(pre[-1])
+    delta[rows, batch.actions] = 2.0 * diff / len(batch)
+    grads_w, grads_b = [None] * len(weights), [None] * len(biases)
+    for i in range(len(weights) - 1, -1, -1):
+        grads_w[i] = inputs[i].T @ delta
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ weights[i].T) * (pre[i - 1] > 0.0)
+    for i in range(len(weights)):
+        weights[i] -= lr * grads_w[i]
+        biases[i] -= lr * grads_b[i]
+    return loss
+
+
+def random_batch(rng, rows, width, actions, terminal_share):
+    return Batch(rng.normal(size=(rows, width)), rng.integers(0, actions, rows),
+                 rng.uniform(-100.0, 60.0, rows), rng.normal(size=(rows, width)),
+                 rng.random(rows) < terminal_share)
 
 
 class TestForward:
@@ -179,7 +233,8 @@ class TestGradients:
         states = rng.normal(size=(10, 6))
         actions = rng.integers(0, 4, size=10)
         targets = rng.normal(size=10)
-        _, gw, gb = backprop(net, states, actions, targets)
+        _, grad = backprop(net, states, actions, targets)
+        gw, gb = net.unflatten(grad)
         fw, fb = finite_difference_grads(net, states, actions, targets)
         worst = 0.0
         for a, n in zip(gw + gb, fw + fb):
@@ -216,9 +271,11 @@ class TestGradients:
     def test_nonfinite_loss_aborts(self):
         net = zero_net([2, 2])
         net.weights[0][:] = np.inf
+        before = net.params.tobytes()
         tr = Transition(np.ones(2), 0, 1.0, np.ones(2), True)
         with pytest.raises(FloatingPointError):
             train_step(net, sync_target(net), stack([tr]), 0.9, 0.1)
+        assert net.params.tobytes() == before
 
     def test_two_state_mdp_converges_to_value_iteration(self):
         # Deterministic 2-state / 2-action MDP; tabular value iteration is
@@ -525,6 +582,106 @@ class TestReproducibility:
 
     def test_same_seed_identical_losses(self):
         assert self._run(100) == self._run(100)
+
+
+class TestFlatLearner:
+    """The learner keeps its parameters in one vector; it must train as
+    separate per-layer arrays would, bit for bit."""
+
+    @pytest.mark.parametrize("hidden", [(64,), (64, 64), (32, 32, 32)])
+    def test_matches_per_array_reference(self, hidden):
+        rng = np.random.default_rng(len(hidden) * 100 + hidden[0])
+        width, actions, gamma, lr = 12, 9, 0.9, 1e-3
+        net = QNetwork.initialize([width, *hidden, actions], rng)
+        target = net.copy()
+        weights = [w.copy() for w in net.weights]
+        biases = [b.copy() for b in net.biases]
+        ref_target = ([w.copy() for w in weights], [b.copy() for b in biases])
+        for step in range(300):
+            # Every 50th batch is all terminal: its targets are the rewards.
+            batch = random_batch(rng, 64, width, actions, 1.0 if step % 50 == 0 else 0.2)
+            loss = train_step(net, target, batch, gamma, lr)
+            assert loss == per_array_train_step(weights, biases, ref_target, batch,
+                                                gamma, lr)
+            if step % 40 == 39:
+                target = net.copy()
+                ref_target = ([w.copy() for w in weights], [b.copy() for b in biases])
+        for got, want in zip(net.weights + net.biases, weights + biases):
+            assert got.tobytes() == want.tobytes()
+
+    def test_params_hold_every_layer_in_order(self):
+        net = QNetwork.initialize([5, 7, 3], np.random.default_rng(30))
+        assert net.params.tobytes() == np.concatenate(
+            [net.weights[0].ravel(), net.biases[0], net.weights[1].ravel(),
+             net.biases[1]]).tobytes()
+        for view in net.weights + net.biases:
+            assert np.shares_memory(view, net.params)
+
+    def test_copy_shares_no_memory(self):
+        net = QNetwork.initialize([5, 7, 3], np.random.default_rng(31))
+        twin = net.copy()
+        assert twin.params.tobytes() == net.params.tobytes()
+        for mine in [net.params, *net.weights, *net.biases]:
+            for theirs in [twin.params, *twin.weights, *twin.biases]:
+                assert not np.shares_memory(mine, theirs)
+
+    def test_in_place_edit_is_trained(self):
+        rng = np.random.default_rng(32)
+        net = QNetwork.initialize([4, 8, 3], rng)
+        target = net.copy()
+        weights = [w.copy() for w in net.weights]
+        biases = [b.copy() for b in net.biases]
+        ref_target = ([w.copy() for w in weights], [b.copy() for b in biases])
+        net.weights[1][:] = 0.25
+        net.biases[0] += 1.0
+        weights[1][:] = 0.25
+        biases[0] += 1.0
+        batch = random_batch(rng, 16, 4, 3, 0.2)
+        loss = train_step(net, target, batch, 0.9, 1e-2)
+        assert loss == per_array_train_step(weights, biases, ref_target, batch, 0.9, 1e-2)
+        for got, want in zip(net.weights + net.biases, weights + biases):
+            assert got.tobytes() == want.tobytes()
+
+    def test_save_load_save_writes_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(33)
+        net = QNetwork.initialize([6, 16, 16, 7], rng)
+        target = net.copy()
+        for _ in range(5):
+            train_step(net, target, random_batch(rng, 8, 6, 7, 0.2), 0.9, 1e-2)
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_checkpoint(net, first)
+        loaded = load_checkpoint(first)
+        save_checkpoint(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.params.tobytes() == net.params.tobytes()
+
+
+class TestLayerChain:
+    @pytest.mark.parametrize("weights, biases, message", [
+        ([(12, 64), (32, 64), (64, 9)], [64, 64, 9],
+         "layer 1: weight takes 32 inputs, but layer 0 gives 64"),
+        ([(12, 64), (64, 64), (32, 9)], [64, 64, 9],
+         "layer 2: weight takes 32 inputs, but layer 1 gives 64"),
+        ([(12, 64), (64, 9)], [64, 64], "layer 1: bias of shape (64,)"),
+        ([(12, 64), (64, 9)], [(1, 64), 9], "layer 0: bias of shape (1, 64)"),
+        ([(12,), (12, 9)], [12, 9], "layer 0: weight is 1-D"),
+    ])
+    def test_layers_that_do_not_chain_are_refused(self, weights, biases, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            QNetwork([np.zeros(shape) for shape in weights],
+                     [np.zeros(shape) for shape in biases])
+
+    def test_one_bias_per_layer(self):
+        with pytest.raises(ValueError, match="one bias per weight"):
+            QNetwork([np.zeros((3, 4)), np.zeros((4, 2))], [np.zeros(4)])
+        with pytest.raises(ValueError, match="at least one layer"):
+            QNetwork([], [])
+
+    def test_checkpoint_of_layers_that_do_not_chain_is_refused(self, tmp_path):
+        path = tmp_path / "qnet.ckpt"
+        write_checkpoint_arrays(path, [12, 64, 64, 9], [(12, 64), (32, 64), (64, 9)])
+        with pytest.raises(ValueError, match="layer 1: weight takes 32 inputs"):
+            load_checkpoint(path)
 
 
 class TestCheckpointing:

@@ -256,9 +256,8 @@ class TestSurrogateMode:
 
     @pytest.mark.parametrize("passing", ["none", "some", "all"])
     def test_batch_matches_per_row_predict(self, table1_config, monkeypatch, passing):
-        # One feasibility prediction of the batch and one power prediction
-        # of the rows that pass the gate, equal bit for bit to `predict` on
-        # each row.
+        # One walk of both models over the batch, equal bit for bit to
+        # `predict` on each row, with the power counted only past the gate.
         m, n = table1_config.num_rrhs, table1_config.num_users
         surrogate = fitted_surrogate(table1_config, 24)
         rng = np.random.default_rng(25)
@@ -271,13 +270,14 @@ class TestSurrogateMode:
         assert gated[rows].any() == (passing != "none")
         assert gated[rows].all() == (passing == "all")
         calls = []
-        predict_batch = gbdt.predict_batch
+        predict_pair = gbdt.predict_pair
 
-        def counting(model, features):
-            calls.append(len(features))
-            return predict_batch(model, features)
+        def counting(first, second, features):
+            calls.append((first, second, len(features)))
+            return predict_pair(first, second, features)
 
-        monkeypatch.setattr(gbdt, "predict_batch", counting)
+        monkeypatch.setattr(gbdt, "predict_pair", counting)
+        monkeypatch.setattr(gbdt, "predict_batch", None)
         monkeypatch.setattr(gbdt, "predict", None)
         channel = sample_channel(table1_config, rng)
         power, feasible, failures = surrogate.solve(
@@ -286,7 +286,7 @@ class TestSurrogateMode:
         assert feasible.tolist() == gated[rows].tolist()
         want = np.array([answers[k][0] for k in rows])
         assert power.tobytes() == want.tobytes()
-        assert calls == [len(rows)] + ([int(gated[rows].sum())] if passing != "none" else [])
+        assert calls == [(surrogate.feasibility_model, surrogate.model, len(rows))]
 
 
 class TestEncodeState:

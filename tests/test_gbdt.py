@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cranpower import gbdt
+from cranpower.env import FEASIBILITY_THRESHOLD
 from cranpower.gbdt import (
     GbdtParams,
     RegressionDataset,
@@ -371,6 +373,29 @@ class TestPredict:
         assert predict(model, x[0]) == predict(fresh, x[0]) != before
         assert np.array_equal(predict_batch(model, x), predict_batch(fresh, x))
 
+    def test_nan_feature_goes_right_and_stays_at_leaves(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(120, 3))
+        model = train(RegressionDataset(x, x[:, 0] - x[:, 1]),
+                      GbdtParams(num_rounds=10, max_depth=3, min_samples_leaf=2))
+        rows = x[:6].copy()
+        rows[::2, 0] = np.nan
+        rows[1::2, 1] = np.nan
+        want = [_sequential_sum(model, row) for row in rows]
+        assert [predict(model, row) for row in rows] == want
+        assert predict_batch(model, rows).tolist() == want
+
+    def test_tree_with_a_stray_node_is_refused(self):
+        from cranpower.gbdt import GbdtModel
+        tree = RegressionTree(split_feature=np.array([0, -1, -1, -1]),
+                              threshold=np.zeros(4), left=np.array([1, -1, -1, -1]),
+                              right=np.array([2, -1, -1, -1]), value=np.zeros(4),
+                              max_depth=1)
+        model = GbdtModel(initial_prediction=0.0, trees=[tree],
+                          params=GbdtParams(num_rounds=1), num_features=1)
+        with pytest.raises(ValueError, match="not binary trees"):
+            predict(model, np.array([1.0]))
+
     def test_width_mismatch(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(50, 3))
@@ -395,6 +420,86 @@ class TestPredict:
             predict(rebuilt, x[0, :2])
         with pytest.raises(ValueError, match="2 entries"):
             predict_batch(rebuilt, x[:, :2])
+
+
+class TestPredictPair:
+    """One walk over two models answers as each model's own `predict`."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(400, 5))
+        power = train(RegressionDataset(x[:300], np.sin(x[:300, 0]) + x[:300, 1] ** 2),
+                      GbdtParams(num_rounds=40, max_depth=5, min_samples_leaf=3))
+        flag = train(RegressionDataset(x[:300], (x[:300, 2] + 0.3 * x[:300, 3] > 0)
+                                       .astype(float)),
+                     GbdtParams(num_rounds=30, max_depth=3, min_samples_leaf=2,
+                                step_length=0.3))
+        return flag, power, x[300:]
+
+    @staticmethod
+    def assert_per_row(flag, power, rows, got_flag, got_power):
+        assert got_flag.tobytes() == np.array([predict(flag, r) for r in rows]).tobytes()
+        assert got_power.tobytes() == np.array([predict(power, r) for r in rows]).tobytes()
+
+    @pytest.mark.parametrize("passing", ["none", "some", "all"])
+    def test_matches_per_model_predict(self, pair, passing):
+        flag, power, held = pair
+        scores = np.array([predict(flag, r) for r in held])
+        gated = scores >= FEASIBILITY_THRESHOLD
+        rows = {"none": held[~gated][:9], "all": held[gated][:9], "some": held[:20]}[passing]
+        passed = np.array([predict(flag, r) for r in rows]) >= FEASIBILITY_THRESHOLD
+        assert passed.any() == (passing != "none") and passed.all() == (passing == "all")
+        self.assert_per_row(flag, power, rows, *gbdt.predict_pair(flag, power, rows))
+
+    def test_models_read_back(self, pair, tmp_path):
+        flag, power, held = pair
+        save_model(flag, tmp_path / "flag.json")
+        save_model(power, tmp_path / "power.json")
+        got = gbdt.predict_pair(load_model(tmp_path / "flag.json"),
+                                load_model(tmp_path / "power.json"), held)
+        self.assert_per_row(flag, power, held, *got)
+
+    def test_batch_of_more_than_one_block(self, pair):
+        flag, power, held = pair
+        rows = np.concatenate([held] * 6)
+        assert len(rows) > gbdt.WALK_BLOCK // (len(flag.trees) + len(power.trees))
+        self.assert_per_row(flag, power, rows, *gbdt.predict_pair(flag, power, rows))
+
+    def test_one_entry_a_node(self, pair):
+        # Each node once, and a one-node pad for each tree the smaller
+        # model lacks.
+        flag, power, held = pair
+        gbdt.predict_pair(flag, power, held[:1])
+        packed = flag._paired
+        nodes = sum(tree.num_nodes() for tree in flag.trees + power.trees)
+        pads = abs(len(flag.trees) - len(power.trees))
+        assert {len(packed.feature), len(packed.threshold), len(packed.first),
+                len(packed.value)} == {nodes + pads}
+
+    def test_follows_changed_models(self, pair):
+        flag, power, held = pair
+        gbdt.predict_pair(flag, power, held)
+        other = train(RegressionDataset(held, held[:, 4]), GbdtParams(num_rounds=5))
+        self.assert_per_row(flag, other, held, *gbdt.predict_pair(flag, other, held))
+        # The copy keeps the cached packing, which holds the old f0.
+        shifted = dataclasses.replace(flag, initial_prediction=flag.initial_prediction + 1)
+        self.assert_per_row(shifted, power, held, *gbdt.predict_pair(shifted, power, held))
+
+    def test_pads_change_no_bit(self, pair):
+        # A model of no trees and f0 = -0.0 is padded to the other's tree
+        # count; its answer keeps the sign of its zero.
+        flag, power, held = pair
+        empty = gbdt.GbdtModel(-0.0, [], GbdtParams(num_rounds=1), held.shape[1])
+        got_empty, got_power = gbdt.predict_pair(empty, power, held[:3])
+        assert got_empty.tobytes() == np.full(3, -0.0).tobytes()
+        assert got_power.tobytes() == predict_batch(power, held[:3]).tobytes()
+
+    def test_width_checked_for_each_model(self, pair):
+        flag, power, held = pair
+        narrow = train(RegressionDataset(held[:, :4], held[:, 0]), GbdtParams(num_rounds=2))
+        with pytest.raises(ValueError, match="trained on 4"):
+            gbdt.predict_pair(flag, narrow, held)
 
 
 class TestEvaluate:

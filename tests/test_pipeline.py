@@ -22,7 +22,7 @@ from cranpower.netmodel import (
     sample_channel,
     sample_demands,
 )
-from test_dqn import stack
+from test_dqn import stack, write_checkpoint_arrays
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -754,6 +754,22 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error:") and part in err
+
+    def test_checkpoint_whose_layers_do_not_chain_is_runtime_failure(
+            self, tiny_trained, tmp_path, capsys):
+        # The tiny cell's 3-32-32-3 net with a second layer that takes 16
+        # inputs: its layer sizes still read [3, 32, 32, 3].
+        artifacts, _, _ = tiny_trained
+        artifacts.save(tmp_path / "artifacts")
+        write_checkpoint_arrays(tmp_path / "artifacts" / pipeline.QNET_FILE,
+                                [3, 32, 32, 3], [(3, 32), (16, 32), (32, 3)])
+        code = cli.main(["evaluate", "--slots", "5", "--config", str(TINY),
+                         "--artifacts", str(tmp_path / "artifacts"),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.rstrip().endswith("layer 1: weight takes 16 inputs, but layer 0 "
+                                     "gives 32")
 
     def test_dataset_of_another_cell_is_config_error(self, tiny_run_config, tmp_path,
                                                      capsys):

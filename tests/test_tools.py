@@ -24,10 +24,19 @@ def test_byte_oracle_sequences_parse(tmp_path):
     # Each mode's dataset goes to its own directory, so neither overwrites.
     assert len({argv[argv.index("--out") + 1] for argv in runs["modes"]}) == 2
     parser = cli.build_parser()
+    parsed = {}
     for run, commands in runs.items():
-        for argv in commands:
-            args = parser.parse_args([*argv, "--out", str(tmp_path / run)])
-            assert args.command == argv[0]
+        parsed[run] = [parser.parse_args([*argv, "--out", str(tmp_path / run)])
+                       for argv in commands]
+        assert [args.command for args in parsed[run]] == [argv[0] for argv in commands]
+    # After its train, the short default run tunes online on its own
+    # artifacts with both DQN schemes.
+    short = parsed["short-default"]
+    assert [args.command for args in short] == ["gen-data", "train", "evaluate",
+                                                "evaluate"]
+    assert [(args.scheme, args.slots, args.artifacts, args.no_tune)
+            for args in short[2:]] == [("DQN-GBDT", 300, None, False),
+                                       ("DQN-SOCP", 300, None, False)]
 
 
 def test_solver_oracle_reward_answers_match_its_solves():

@@ -21,7 +21,9 @@ nothing is written to `.git`. On each tree, from its own `configs/`:
   schemes: a sync interval that the train interval does not divide;
 - with `--short-default`, also short-default and short-default-redraw: a
   `default.json` gen-data + train cut to 3000 rows, 100 rounds and 30
-  episodes, without and with `--redraw-channel`.
+  episodes, without and with `--redraw-channel`; short-default then runs
+  `evaluate --slots 300` with both DQN schemes on its artifacts, so the
+  tuned online path runs on the default cell's net and 100-round forests.
 
 Compared: every output file whose name does not contain "timing", each
 command's exit code and stderr, and its stdout once the output directory is
@@ -106,7 +108,10 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
             "dataset_size": 3000, "gbdt.num_rounds": 100, "offline_episodes": 30})
         runs["short-default"] = [["gen-data", "--config", short],
                                  ["train", "--config", short, "--dataset",
-                                  f"{work}/short-default/dataset.csv"]]
+                                  f"{work}/short-default/dataset.csv"],
+                                 ["evaluate", "--config", short, "--slots", "300"],
+                                 ["evaluate", "--config", short, "--slots", "300",
+                                  "--scheme", "DQN-SOCP"]]
         runs["short-default-redraw"] = [["train", "--config", short,
                                          "--redraw-channel", "--dataset",
                                          f"{work}/short-default/dataset.csv"]]
