@@ -98,12 +98,15 @@ _OPTION_FLOORS = (("count", 1), ("slots", 0), ("inputs", 1), ("repeats", 1))
 
 def _check_options(args, config):
     """Reject bad numeric options before any work runs or any file is
-    written. Builds the config of each --demand-max-sweep ceiling into
-    `args.swept`, so that the network checks every ceiling up front."""
+    written; an unset --slots is the config's `eval_slots`. Builds the config
+    of each --demand-max-sweep ceiling into `args.swept`, so that the
+    network checks every ceiling up front."""
     for option, least in _OPTION_FLOORS:
         value = getattr(args, option, None)
         if value is not None and value < least:
             raise ValueError(f"--{option} must be >= {least}, got {value}")
+    if getattr(args, "slots", 0) is None:
+        args.slots = config.eval_slots
     args.swept = []
     for entry in (getattr(args, "demand_max_sweep", None) or "").split(","):
         if not entry.strip():
@@ -161,8 +164,7 @@ def _write_run(args, config, out, report, artifacts, prefix, tag):
 
 
 def _cmd_gen_data(args, config, out):
-    count = args.count if args.count is not None else config.dataset_size
-    rows = pipeline.gen_dataset(config, count=count, pattern_mode=args.pattern_mode)
+    rows = pipeline.gen_dataset(config, count=args.count, pattern_mode=args.pattern_mode)
     path = out / "dataset.csv"
     pipeline.write_dataset_csv(rows, path, config)
     print(f"wrote {len(rows)} rows to {path} "
@@ -178,19 +180,15 @@ def _cmd_train(args, config, out):
 
 
 def _cmd_evaluate(args, config, out):
-    slots = args.slots if args.slots is not None else config.eval_slots
-    report = pipeline.run_online(config, args.given, slots, scheme=args.scheme,
+    report = pipeline.run_online(config, args.given, args.slots, scheme=args.scheme,
                                  tuning=not args.no_tune)
     tag = args.scheme.lower().replace("-", "_")
-    with open(out / f"eval_{tag}_timing.json", "w") as f:
-        json.dump(report.timing, f, indent=2, sort_keys=True)
-        f.write("\n")
+    pipeline._write_json(out / f"eval_{tag}_timing.json", report.timing)
     _write_run(args, config, out, report, args.given, "eval", tag)
 
 
 def _cmd_baseline(args, config, out):
-    slots = args.slots if args.slots is not None else config.eval_slots
-    report = pipeline.run_baseline(config, args.scheme, slots)
+    report = pipeline.run_baseline(config, args.scheme, args.slots)
     _write_run(args, config, out, report, None, "baseline", args.scheme.lower())
 
 
@@ -205,12 +203,11 @@ def _cmd_bench(args, config, out):
 
 
 def _cmd_ete(args, config, out):
-    slots = args.slots if args.slots is not None else config.eval_slots
-    result = pipeline.ete_compare(config, args.given, slots)
+    result = pipeline.ete_compare(config, args.given, args.slots)
     result.to_csv(out / "ete.csv")
     print(f"average-power gap {result.average_gap_rel * 100:.3f}%, "
           f"action agreement {result.action_agreement * 100:.2f}% "
-          f"over {slots} paired slots")
+          f"over {args.slots} paired slots")
 
 
 _COMMANDS = {

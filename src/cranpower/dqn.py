@@ -261,7 +261,10 @@ class ReplayBuffer:
     The transitions live row-wise in numpy ring arrays, one per field. The
     arrays grow by doubling up to `capacity` as rows arrive, so memory
     follows occupancy; once they are full, each push overwrites the oldest
-    row. `sample` and `contents` gather their rows with one fancy index.
+    row. The cursor `_next` is always the row written next: it equals
+    `len(self)` while the ring fills, and it is the oldest row once the
+    ring is full. `sample` and `contents` gather their rows with one fancy
+    index.
     """
 
     def __init__(self, capacity: int):
@@ -270,7 +273,7 @@ class ReplayBuffer:
         self.capacity = capacity
         self._store = None      # a Batch with room for at least `len(self)` rows
         self._size = 0
-        self._next = 0          # the oldest row once the store is full
+        self._next = 0          # the row written next
 
     def __len__(self):
         return self._size
@@ -288,14 +291,17 @@ class ReplayBuffer:
                 new[:self._size] = old[:self._size]
         self._store = grown
 
+    def _advance(self, rows: int, width: int) -> int:
+        """Make room for `rows` more rows and move the cursor past them;
+        returns the row the first of them goes to, before the ring wraps."""
+        size = min(self._size + rows, self.capacity)
+        self._reserve(size, width)
+        first, self._size = self._next, size
+        self._next = (first + rows) % self.capacity
+        return first
+
     def push(self, transition: Transition):
-        if self._size < self.capacity:
-            self._reserve(self._size + 1, len(transition.state))
-            slot = self._size
-            self._size += 1
-        else:
-            slot = self._next
-            self._next = (self._next + 1) % self.capacity
+        slot = self._advance(1, len(transition.state))
         store = self._store
         store.states[slot] = transition.state
         store.actions[slot] = transition.action
@@ -304,24 +310,16 @@ class ReplayBuffer:
         store.terminals[slot] = transition.terminal
 
     def extend(self, batch: "Batch"):
-        """Push the rows of `batch` in order, as one `push` each would."""
+        """Push the rows of `batch` in order, as one `push` each would: of
+        more than a whole ring, only the last `capacity` rows survive."""
         rows = len(batch)
         if rows == 0:
             return
-        fill = min(rows, self.capacity - self._size)
-        if fill:
-            self._reserve(self._size + fill, batch.states.shape[1])
-            for new, arr in zip(self._store.arrays(), batch.arrays()):
-                new[self._size:self._size + fill] = arr[:fill]
-            self._size += fill
-        # The rest overwrite the oldest rows in ring order; of more than a
-        # whole ring, only the last `capacity` rows survive.
-        rest = rows - fill
-        skip = max(0, rest - self.capacity)
-        slots = (self._next + np.arange(skip, rest)) % self.capacity
+        kept = min(rows, self.capacity)
+        slots = (self._advance(rows, batch.states.shape[1])
+                 + np.arange(rows - kept, rows)) % self.capacity
         for new, arr in zip(self._store.arrays(), batch.arrays()):
-            new[slots] = arr[fill + skip:]
-        self._next = (self._next + rest) % self.capacity
+            new[slots] = arr[rows - kept:]
 
     def copy(self, capacity: int, room: int) -> "ReplayBuffer":
         """A buffer of `capacity` with this one's transitions pushed in
@@ -340,7 +338,8 @@ class ReplayBuffer:
         if self._store is None:
             return Batch(np.zeros((0, 0)), np.zeros(0, dtype=np.int64),
                          np.zeros(0), np.zeros((0, 0)), np.zeros(0, dtype=bool))
-        return self._store.take((np.arange(self._size) + self._next) % self._size)
+        return self._store.take(
+            (np.arange(self._size) + self._next - self._size) % self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> "Batch":
         if batch_size > self._size:

@@ -142,6 +142,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_json(path, obj):
+    """`obj` as JSON: sorted keys, two-space indent, a trailing newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _write_csv(path, header, rows):
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
@@ -498,14 +505,10 @@ def train_offline(config: RunConfig, out_dir=None,
         artifacts.save(out_dir)
         _write_csv(out_dir / TRAIN_LOG_FILE,
                    ["step", "loss", "epsilon", "episode_return"], log_rows)
-        with open(out_dir / SUMMARY_FILE, "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(out_dir / SUMMARY_FILE, summary)
         if config.fit_scatter_rows > 0:
             _write_fit_scatter(config, artifacts, out_dir / FIT_SCATTER_FILE)
-        with open(out_dir / "train_timing.json", "w") as f:
-            json.dump(timing, f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(out_dir / "train_timing.json", timing)
     summary["timing"] = timing
     return artifacts, summary
 

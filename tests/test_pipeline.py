@@ -18,6 +18,7 @@ from cranpower.env import ExactSolverReward
 from cranpower.netmodel import (
     ConfigError,
     NetworkConfig,
+    SystemState,
     config_from_dict,
     sample_channel,
     sample_demands,
@@ -547,6 +548,53 @@ class TestRunOnline:
         monkeypatch.setattr(env, "solve_states", failing)
         with pytest.raises(SolverFailure, match="slot 3"):
             pipeline.run_online(tiny_run_config, artifacts, 8)
+
+    @pytest.mark.parametrize("scripted", [False, True])
+    def test_recovery_wakes_every_rrh_without_a_demand_draw(
+            self, tiny_trained, tiny_run_config, scripted, monkeypatch):
+        # With a 200 Mbps ceiling most tuned slots of the tiny cell are
+        # unservable. After each, every RRH is woken in place: no demand is
+        # drawn, so slot k serves the k-th draw of the eval demand stream,
+        # and the next slot's action is chosen on, and applied to, all-on.
+        # The scripted policy cycles through the actions, so an unservable
+        # slot can end with an RRH off and the wake-up shows in the pattern.
+        artifacts, _, _ = tiny_trained
+        network = dataclasses.replace(tiny_run_config.network, demand_max_mbps=200.0)
+        config = dataclasses.replace(tiny_run_config, network=network)
+        m, n, slots = network.num_rrhs, network.num_users, 40
+        seen, forced = [], []
+        select, force_pattern = pipeline.select_action, env.Environment.force_pattern
+
+        def recording_select(net, features, epsilon, rng):
+            seen.append(features)
+            action = select(net, features, epsilon, rng)
+            return len(seen) % (m + 1) if scripted else action
+
+        monkeypatch.setattr(pipeline, "select_action", recording_select)
+        monkeypatch.setattr(env.Environment, "force_pattern",
+                            lambda self, pattern: forced.append(np.array(pattern))
+                            or force_pattern(self, pattern))
+        report = pipeline.run_online(config, artifacts, slots,
+                                     scheme=pipeline.SCHEME_DQN_SOCP)
+        unservable = np.flatnonzero(~report.feasible)
+        assert len(forced) == len(unservable) >= 1
+        assert all(pattern.all() for pattern in forced)
+        draws = np.random.default_rng([config.seeds.eval, pipeline._STREAM_EVAL_DEMANDS])
+        for row in report.trajectory:
+            assert np.array_equal(row[3:3 + n], sample_demands(network, draws))
+        all_on = np.ones(m, dtype=bool)
+        woken = unservable[unservable < slots - 1] + 1
+        assert len(woken) >= 1
+        for k in woken:
+            _, action, pattern = report.trajectory[k][:3]
+            assert np.array_equal(seen[k], env.encode_state(
+                SystemState(all_on, np.asarray(report.trajectory[k][3:3 + n])),
+                network))
+            assert pattern == "".join(
+                "1" if on else "0" for on in env.apply_action(all_on, action))
+        if scripted:
+            # Some unservable slot left an RRH off, so waking it mattered.
+            assert any("0" in report.trajectory[k - 1][2] for k in woken)
 
     def test_no_tune_same_seed_identical(self, tiny_trained, tiny_run_config):
         artifacts, _, _ = tiny_trained

@@ -18,7 +18,8 @@ import solver_oracle  # noqa: E402
 
 def test_byte_oracle_sequences_parse(tmp_path):
     runs = byte_oracle._sequences(ROOT, tmp_path, short_default=True)
-    assert {"c9", "sweep", "no-tune", "modes", "interval", "short-default"} <= runs.keys()
+    assert {"c9", "sweep", "no-tune", "modes", "interval", "wrap",
+            "short-default"} <= runs.keys()
     assert [argv[argv.index("--pattern-mode") + 1] for argv in runs["modes"]] == [
         "all-on", "one-off"]
     # Each mode's dataset goes to its own directory, so neither overwrites.

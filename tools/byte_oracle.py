@@ -19,6 +19,10 @@ nothing is written to `.git`. On each tree, from its own `configs/`:
 - interval: `train` on the c9 dataset with `dqn.train_interval` 3 and
   `dqn.target_sync_interval` 5, then `evaluate --slots 60` with both DQN
   schemes: a sync interval that the train interval does not divide;
+- wrap: `train` on the c9 dataset with `dqn.buffer_capacity` 64, then
+  `evaluate --slots 60` with both DQN schemes: pre-training wraps the replay
+  ring, and each tuned run copies the full, wrapped ring and keeps wrapping
+  it;
 - with `--short-default`, also short-default and short-default-redraw: a
   `default.json` gen-data + train cut to 3000 rows, 100 rounds and 30
   episodes, without and with `--redraw-channel`; short-default then runs
@@ -102,6 +106,13 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
         ["train", "--config", interval, "--dataset", f"{c9}/dataset.csv"],
         ["evaluate", "--config", interval, "--slots", "60"],
         ["evaluate", "--config", interval, "--slots", "60", "--scheme", "DQN-SOCP"],
+    ]
+    wrap = _variant(tree, "tiny.json", work / "tiny-wrap.json",
+                    {"dqn.buffer_capacity": 64})
+    runs["wrap"] = [
+        ["train", "--config", wrap, "--dataset", f"{c9}/dataset.csv"],
+        ["evaluate", "--config", wrap, "--slots", "60"],
+        ["evaluate", "--config", wrap, "--slots", "60", "--scheme", "DQN-SOCP"],
     ]
     if short_default:
         short = _variant(tree, "default.json", work / "default-short.json", {
