@@ -15,17 +15,19 @@ rows a side. The same sums in the same sequence as a per-feature search
 make the same trees bit for bit, with the same tie rules: the lowest
 feature index, then the smallest threshold.
 
-Prediction packs the trees of one or more models into one compact forest:
-flat arrays of one entry a node, with each node's feature, threshold,
-first child and value stored once, and leaves that loop back to
-themselves. One level-by-level walk of it serves a single row, a batch,
-both surrogate models at once (`predict_pair`) and the per-round update of
-training; `predict` and `predict_batch` are its one-model case. Each
-model's sum f0 + sl * v_1 + sl * v_2 + ... runs left to right from its own
-f0, the order of training, so a prediction on a training row replays the
+Prediction lays the trees of one or more models end to end in one compact
+forest: flat arrays of one entry a node, in the order `fit_tree` stores the
+nodes, with each node's feature, threshold, value and one pointer stored
+once. A split's children sit side by side, left first, so the pointer is
+the right child and the left one is one before it; a leaf points to itself.
+One level-by-level walk of it serves a single row, a batch, both surrogate
+models at once (`predict_pair`) and the per-round update of training;
+`predict` and `predict_batch` are its one-model case. Each model's sum
+f0 + sl * v_1 + sl * v_2 + ... runs left to right from its own f0, the
+order of training, so a prediction on a training row replays the
 training-time partial sums bit for bit, and a model answers the same bits
 alone or paired. A model keeps its packings and rebuilds one when its
-trees, f0 or step length change. The model file format is unchanged.
+trees, f0 or step length change.
 
 Determinism contract: models are pure functions of (dataset, params). Rows
 are canonicalized by a lexicographic sort before training so that permuting
@@ -33,7 +35,9 @@ dataset rows cannot change a single bit of the result, and candidate splits
 are scanned in fixed (feature index, threshold) order.
 
 Model files (format version 2) hold f0, the params, the input width and each
-tree's flat arrays, with split_feature == -1 marking a leaf.
+tree's flat arrays, with split_feature == -1 marking a leaf. Every file
+`fit_tree` has written puts a split's right child right after its left
+child; a model laid out otherwise is refused when it is first walked.
 """
 
 from __future__ import annotations
@@ -281,72 +285,52 @@ _PAD = RegressionTree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array(
 
 
 class _Forest:
-    """The trees of one or more models packed for one level-by-level walk,
-    one entry a node with each field stored once, and each model's f0 and
-    step length.
+    """The trees of one or more models laid end to end for one
+    level-by-level walk, one entry a node with each field stored once, and
+    each model's f0 and step length, from `key`: each model's (trees, f0,
+    step length).
 
     Every model gets as many trees as the largest has: the others are
     padded with one-leaf trees of value -0.0, and x + (-0.0) is x for every
-    float x, so a pad changes no sum. Tree t's root is node t, and the
-    children of the inner nodes follow, right then left: inner node i sends
-    x to first[i] + 1, its left child, when x[feature[i]] <= threshold[i],
-    and to first[i], its right child, otherwise (NaN included). A leaf has
-    threshold NaN, which no comparison passes, and first[i] = i, so it
-    leads back to itself and the walk needs no leaf masking. Indices stay
-    intp: `take` casts any narrower index array to intp on every call."""
+    float x, so a pad changes no sum. Each tree keeps the node order
+    `fit_tree` stores, its root first and a split's two children side by
+    side, left first; a split laid out otherwise is refused. A node stores
+    one pointer, next: inner node i sends x to next[i] - 1, its left child,
+    when x[feature[i]] <= threshold[i], and to next[i], its right child,
+    otherwise (NaN included). A leaf has threshold NaN, which no comparison
+    passes, and next[i] = i, so it leads back to itself and the walk needs
+    no leaf masking. Indices stay intp: `take` casts any
+narrower index array to intp on every call."""
 
-    def __init__(self, models):
-        self.key = [(list(model.trees), model.initial_prediction, model.params.step_length)
-                    for model in models]
-        consts = np.array([(f0, step_length) for _, f0, step_length in self.key])
+    def __init__(self, key):
+        self.key = [(list(trees), f0, step_length) for trees, f0, step_length in key]
+        consts = np.array([(f0, step_length) for _, f0, step_length in key])
         self.starts, self.step_lengths = consts[:, :1], consts[:, 1:, None]
-        self.per_model = max(len(model.trees) for model in models)
+        self.per_model = max(len(trees) for trees, _, _ in key)
         forest = []
-        for trees, _, _ in self.key:
+        for trees, _, _ in key:
             forest += trees + [_PAD] * (self.per_model - len(trees))
-        roots = np.cumsum([0] + [tree.num_nodes() for tree in forest], dtype=np.int64)[:-1]
+        self.roots = np.cumsum([0] + [tree.num_nodes() for tree in forest],
+                               dtype=np.intp)[:-1]
 
         def joined(parts, dtype=float):
             return np.concatenate([np.zeros(0, dtype)] + list(parts))
 
-        feat = joined((tree.split_feature for tree in forest), np.int64)
+        feat = joined((tree.split_feature for tree in forest), np.intp)
         leaf = feat < 0
-        node = np.arange(len(feat), dtype=np.int64)
-        right = np.where(leaf, node, joined(
-            (tree.right + r for tree, r in zip(forest, roots)), np.int64))
-        left = joined((tree.left + r for tree, r in zip(forest, roots)), np.int64)
-        inner = np.flatnonzero(~leaf)
-        if len(feat) != len(forest) + 2 * len(inner):
+        right = joined((tree.right + r for tree, r in zip(forest, self.roots)), np.intp)
+        gap = joined((tree.right - tree.left for tree in forest), np.intp)
+        splits = np.count_nonzero(~leaf)
+        if len(feat) != len(forest) + 2 * splits:
             raise ValueError(f"{len(feat)} nodes in {len(forest)} trees with "
-                             f"{len(inner)} splits: not binary trees")
-        # Node k of the trees laid end to end goes to moved[k].
-        moved = np.empty(len(feat), dtype=np.int64)
-        moved[roots] = np.arange(len(forest))
-        moved[right[inner]] = len(forest) + 2 * np.arange(len(inner))
-        moved[left[inner]] = moved[right[inner]] + 1
-
-        def placed(values, dtype=float):
-            out = np.empty(len(values), dtype)
-            out[moved] = values
-            return out
-
-        self.roots = np.arange(len(forest))
-        self.feature = placed(np.where(leaf, 0, feat), np.intp)
-        self.threshold = placed(np.where(leaf, np.nan, joined(t.threshold for t in forest)))
-        self.first = placed(moved[right], np.intp)
-        self.value = placed(joined(tree.value for tree in forest))
+                             f"{splits} splits: not binary trees")
+        if np.any(gap[~leaf] != 1):
+            raise ValueError("a split's right child does not follow its left child")
+        self.feature = np.where(leaf, 0, feat)
+        self.threshold = np.where(leaf, np.nan, joined(tree.threshold for tree in forest))
+        self.next = np.where(leaf, np.arange(len(feat)), right)
+        self.value = joined(tree.value for tree in forest)
         self.depth = max((tree.max_depth for tree in forest), default=0)
-
-    @classmethod
-    def of(cls, packed: "_Forest | None", models) -> "_Forest":
-        """`packed` when it packs exactly the trees, f0 and step length that
-        `models` hold now, else a new packing of them. Trees compare by
-        identity, so a tree list compares in one C-level scan."""
-        if packed is not None and packed.key == [
-                (model.trees, model.initial_prediction, model.params.step_length)
-                for model in models]:
-            return packed
-        return cls(models)
 
     def walk(self, features: np.ndarray) -> np.ndarray:
         """f0 + sl * tree_1(x) + sl * tree_2(x) + ... of each packed model
@@ -357,7 +341,7 @@ class _Forest:
         its own f0 by add.accumulate, which never reorders: this is
         training's order, so the same bits.
         """
-        feat, thr, first = self.feature, self.threshold, self.first
+        feat, thr, nxt = self.feature, self.threshold, self.next
         rows, width = features.shape
         out = np.empty((len(self.key), rows))
         trees = len(self.roots)
@@ -376,7 +360,7 @@ class _Forest:
                 at = feat.take(ptr)
                 if offsets is not None:
                     at += offsets
-                ptr = first.take(ptr) + (x.take(at) <= thr.take(ptr))
+                ptr = nxt.take(ptr) - (x.take(at) <= thr.take(ptr))
             terms = np.empty((len(self.key), self.per_model + 1, n))
             terms[:, 0] = self.starts
             np.multiply(self.value.take(ptr).reshape(len(self.key), self.per_model, n),
@@ -395,11 +379,17 @@ def _predict(models, features: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"feature vector has {features.shape[1]} entries, model was "
                 f"trained on {model.num_features}")
+    key = [(model.trees, model.initial_prediction, model.params.step_length)
+           for model in models]
     first = models[0]
-    if len(models) == 1:
-        first._alone = packed = _Forest.of(first._alone, models)
-    else:
-        first._paired = packed = _Forest.of(first._paired, models)
+    packed = first._alone if len(models) == 1 else first._paired
+    # Trees compare by identity, so a tree list compares in one C-level scan.
+    if packed is None or packed.key != key:
+        packed = _Forest(key)
+        if len(models) == 1:
+            first._alone = packed
+        else:
+            first._paired = packed
     return packed.walk(features)
 
 
@@ -455,7 +445,7 @@ def train(dataset: RegressionDataset, params: GbdtParams) -> GbdtModel:
         # With f0 = -0.0 the walk gives the tree's term sl * v exactly, so
         # this is the sum a prediction's walk makes, bit for bit.
         predictions = predictions + _Forest(
-            [GbdtModel(-0.0, [tree], params, features.shape[1])]).walk(features)[0]
+            [([tree], -0.0, params.step_length)]).walk(features)[0]
         mse = float(np.mean((targets - predictions) ** 2))
         if params.lambda_leaf == 0.0:
             # Guaranteed for mean-valued leaves with step length in (0, 1].

@@ -354,13 +354,29 @@ class TestPredict:
         assert np.array_equal(batch, singles)
 
     def test_batch_on_training_rows_is_sequential_sum(self):
+        # `_leaf_value` follows left/right itself, so the walk's node order
+        # is checked against the stored pointers: at depths 1 to 6, for a
+        # one-round model, on rows with NaN entries, and per model of a pair
+        # whose round counts differ.
         rng = np.random.default_rng(12)
         x = rng.normal(size=(300, 4))
         y = np.where(x[:, 1] > 0, x[:, 0] ** 2, -x[:, 2]) + 0.1 * rng.normal(size=300)
-        model = train(RegressionDataset(x, y), GbdtParams(num_rounds=40, max_depth=5,
-                                                          min_samples_leaf=2))
-        expected = np.array([_sequential_sum(model, row) for row in x])
-        assert np.array_equal(predict_batch(model, x), expected)
+        rows = np.concatenate([x, x[:30]])
+        rows[300::3, 0] = np.nan
+        rows[301::3, 1] = np.nan
+        rows[302::3, 2:] = np.nan
+        for rounds, depth in ((40, 5), (40, 1), (40, 6), (1, 4)):
+            model = train(RegressionDataset(x, y), GbdtParams(
+                num_rounds=rounds, max_depth=depth, min_samples_leaf=2))
+            other = train(RegressionDataset(x, x[:, 3] - x[:, 0]), GbdtParams(
+                num_rounds=rounds + 7, max_depth=3, min_samples_leaf=2))
+            expected = np.array([_sequential_sum(model, row) for row in rows])
+            assert predict_batch(model, rows).tobytes() == expected.tobytes()
+            assert np.array_equal(predict_batch(model, x), expected[:300])
+            pair = gbdt.predict_pair(model, other, rows)
+            assert pair[0].tobytes() == expected.tobytes()
+            assert pair[1].tobytes() == np.array(
+                [_sequential_sum(other, row) for row in rows]).tobytes()
 
     def test_follows_changes_to_the_tree_list(self):
         rng = np.random.default_rng(13)
@@ -395,6 +411,26 @@ class TestPredict:
                           params=GbdtParams(num_rounds=1), num_features=1)
         with pytest.raises(ValueError, match="not binary trees"):
             predict(model, np.array([1.0]))
+
+    @pytest.mark.parametrize("left, right, leaf", [
+        ([1, 2, -1, -1, -1], [4, 3, -1, -1, -1], 3),
+        ([2, 3, -1, -1, -1], [1, 4, -1, -1, -1], 2)], ids=["apart", "right-first"])
+    def test_split_whose_children_are_not_side_by_side_is_refused(
+            self, left, right, leaf, tmp_path):
+        # Binary trees whose pointers `_leaf_value` can follow, but a split's
+        # right child is not its left child + 1, which `fit_tree` never writes.
+        from cranpower.gbdt import GbdtModel
+        tree = RegressionTree(split_feature=np.array([0, 1, -1, -1, -1]),
+                              threshold=np.zeros(5), left=np.array(left),
+                              right=np.array(right), value=np.arange(5.0),
+                              max_depth=2)
+        model = GbdtModel(initial_prediction=0.0, trees=[tree],
+                          params=GbdtParams(num_rounds=1), num_features=2)
+        assert _sequential_sum(model, np.array([-1.0, 1.0])) == 0.1 * leaf
+        save_model(model, tmp_path / "model.json")
+        for walked in (model, load_model(tmp_path / "model.json")):
+            with pytest.raises(ValueError, match="does not follow its left child"):
+                predict(walked, np.array([-1.0, 1.0]))
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(6)
@@ -474,7 +510,7 @@ class TestPredictPair:
         packed = flag._paired
         nodes = sum(tree.num_nodes() for tree in flag.trees + power.trees)
         pads = abs(len(flag.trees) - len(power.trees))
-        assert {len(packed.feature), len(packed.threshold), len(packed.first),
+        assert {len(packed.feature), len(packed.threshold), len(packed.next),
                 len(packed.value)} == {nodes + pads}
 
     def test_follows_changed_models(self, pair):

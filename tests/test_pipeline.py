@@ -596,6 +596,19 @@ class TestRunOnline:
             # Some unservable slot left an RRH off, so waking it mattered.
             assert any("0" in report.trajectory[k - 1][2] for k in woken)
 
+    @pytest.mark.parametrize("scheme", pipeline.DQN_SCHEMES)
+    def test_tuning_at_the_oracle_rate_changes_actions(self, tiny_trained,
+                                                       tiny_run_config, scheme):
+        # The byte oracle's tune run: training every slot at a 0.01 learning
+        # rate moves some greedy actions of the tiny artifacts within 60
+        # slots, so that run sees what the tuner learns.
+        artifacts, _, _ = tiny_trained
+        config = dataclasses.replace(tiny_run_config, dqn=dataclasses.replace(
+            tiny_run_config.dqn, learning_rate=0.01, train_interval=1))
+        tuned = pipeline.run_online(config, artifacts, 60, scheme=scheme)
+        fixed = pipeline.run_online(config, artifacts, 60, scheme=scheme, tuning=False)
+        assert not np.array_equal(tuned.actions, fixed.actions)
+
     def test_no_tune_same_seed_identical(self, tiny_trained, tiny_run_config):
         artifacts, _, _ = tiny_trained
         a = pipeline.run_online(tiny_run_config, artifacts, 25, tuning=False)

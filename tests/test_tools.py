@@ -18,18 +18,23 @@ import solver_oracle  # noqa: E402
 
 def test_byte_oracle_sequences_parse(tmp_path):
     runs = byte_oracle._sequences(ROOT, tmp_path, short_default=True)
-    assert {"c9", "sweep", "no-tune", "modes", "interval", "wrap",
+    assert {"c9", "sweep", "no-tune", "modes", "interval", "wrap", "tune",
             "short-default"} <= runs.keys()
     assert [argv[argv.index("--pattern-mode") + 1] for argv in runs["modes"]] == [
         "all-on", "one-off"]
-    # Each mode's dataset goes to its own directory, so neither overwrites.
+    # Each mode's dataset goes to its own directory, so neither overwrites;
+    # so do the tuned and untuned evaluations of the tune run.
     assert len({argv[argv.index("--out") + 1] for argv in runs["modes"]}) == 2
+    assert len({argv[argv.index("--out") + 1] for argv in runs["tune"]}) == 2
     parser = cli.build_parser()
     parsed = {}
     for run, commands in runs.items():
         parsed[run] = [parser.parse_args([*argv, "--out", str(tmp_path / run)])
                        for argv in commands]
         assert [args.command for args in parsed[run]] == [argv[0] for argv in commands]
+    assert [(args.scheme, args.slots, args.no_tune) for args in parsed["tune"]] == [
+        ("DQN-GBDT", 60, False), ("DQN-GBDT", 60, True),
+        ("DQN-SOCP", 60, False), ("DQN-SOCP", 60, True)]
     # After its train, the short default run tunes online on its own
     # artifacts with both DQN schemes.
     short = parsed["short-default"]

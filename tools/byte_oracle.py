@@ -23,6 +23,11 @@ nothing is written to `.git`. On each tree, from its own `configs/`:
   `evaluate --slots 60` with both DQN schemes: pre-training wraps the replay
   ring, and each tuned run copies the full, wrapped ring and keeps wrapping
   it;
+- tune: `evaluate --slots 60` with both DQN schemes on the c9 artifacts,
+  with `dqn.learning_rate` 0.01 and `dqn.train_interval` 1, tuned and with
+  `--no-tune`, each into its own subdirectory: at that rate the tuned
+  greedy actions part from the untuned ones within the 60 slots, so a
+  tuner that learns from other rows changes an output;
 - with `--short-default`, also short-default and short-default-redraw: a
   `default.json` gen-data + train cut to 3000 rows, 100 rounds and 30
   episodes, without and with `--redraw-channel`; short-default then runs
@@ -114,6 +119,13 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
         ["evaluate", "--config", wrap, "--slots", "60"],
         ["evaluate", "--config", wrap, "--slots", "60", "--scheme", "DQN-SOCP"],
     ]
+    tune = _variant(tree, "tiny.json", work / "tiny-tune.json", {
+        "dqn.learning_rate": 0.01, "dqn.train_interval": 1})
+    runs["tune"] = [
+        ["evaluate", "--config", tune, "--slots", "60", "--artifacts", c9, *scheme,
+         *flags, "--out", str(work / "tune" / sub)]
+        for scheme in ([], ["--scheme", "DQN-SOCP"])
+        for sub, flags in (("tuned", []), ("no-tune", ["--no-tune"]))]
     if short_default:
         short = _variant(tree, "default.json", work / "default-short.json", {
             "dataset_size": 3000, "gbdt.num_rounds": 100, "offline_episodes": 30})
