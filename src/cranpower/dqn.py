@@ -11,11 +11,19 @@ operations and a target sync is one vector copy. The arithmetic per
 parameter is that of separate per-layer arrays, bit for bit. Gradients are
 computed by hand; their correctness against central finite differences is
 a load-bearing test.
+
+On arrays this small, numpy's Python wrappers (`np.mean`, `ndarray.sum`,
+`ndarray.max`) cost as much as the arithmetic, so the per-step code calls
+the ufuncs' `reduce` and adds biases in place, as `beamform._fixed_point`
+does. Each such call does the arithmetic of the plain form on the same
+operands in the same order, so the results are those of the plain forms,
+bit for bit.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +99,8 @@ class Batch:
                 self.terminals)
 
     def take(self, rows) -> "Batch":
-        return Batch(*(arr[rows] for arr in self.arrays()))
+        return Batch(self.states[rows], self.actions[rows], self.rewards[rows],
+                     self.next_states[rows], self.terminals[rows])
 
     def __len__(self):
         return len(self.actions)
@@ -175,7 +184,9 @@ class QNetwork:
             if pre:
                 act = np.maximum(pre[-1], 0.0)
             inputs.append(act)
-            pre.append(act @ w + b)
+            z = act @ w
+            z += b
+            pre.append(z)
         return inputs, pre
 
     def copy(self) -> "QNetwork":
@@ -199,8 +210,7 @@ def select_action(net: QNetwork, state_features, epsilon: float,
     num_actions = net.weights[-1].shape[1]
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(num_actions))
-    q = net.forward(state_features)
-    return int(np.argmax(q))
+    return int(net.forward(state_features).argmax())
 
 
 def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndarray:
@@ -208,7 +218,7 @@ def compute_targets(batch: Batch, target_net: QNetwork, gamma: float) -> np.ndar
     y = r + gamma * max_a' Q(s', a') under the fixed target network."""
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
-    next_q = target_net.forward_batch(batch.next_states).max(axis=1)
+    next_q = np.maximum.reduce(target_net.forward_batch(batch.next_states), axis=1)
     return np.where(batch.terminals, batch.rewards, batch.rewards + gamma * next_q)
 
 
@@ -225,19 +235,20 @@ def backprop(net: QNetwork, states, actions, targets):
     batch = inputs[0].shape[0]
 
     q = pre[-1]
-    taken = q[np.arange(batch), actions]
-    diff = taken - targets
-    loss = float(np.mean(diff ** 2))
+    rows = np.arange(batch)
+    diff = q[rows, actions] - targets
+    loss = float(np.add.reduce(diff * diff) / batch)
 
-    delta = np.zeros_like(q)
-    delta[np.arange(batch), actions] = 2.0 * diff / batch
+    delta = np.zeros(q.shape)
+    delta[rows, actions] = 2.0 * diff / batch
     grad = np.empty_like(net.params)
     grads_w, grads_b = net.unflatten(grad)
     for i in range(len(net.weights) - 1, -1, -1):
         np.matmul(inputs[i].T, delta, out=grads_w[i])
-        delta.sum(axis=0, out=grads_b[i])
+        np.add.reduce(delta, axis=0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ net.weights[i].T) * (pre[i - 1] > 0.0)
+            delta = delta @ net.weights[i].T
+            delta *= pre[i - 1] > 0.0
     return loss, grad
 
 
@@ -247,7 +258,7 @@ def train_step(net: QNetwork, target_net: QNetwork, batch: Batch, gamma: float,
     returns the pre-update loss."""
     targets = compute_targets(batch, target_net, gamma)
     loss, grad = backprop(net, batch.states, batch.actions, targets)
-    if not np.isfinite(loss):
+    if not math.isfinite(loss):
         raise FloatingPointError(
             f"non-finite training loss ({loss}); aborting before the update")
     grad *= learning_rate

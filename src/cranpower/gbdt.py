@@ -37,7 +37,8 @@ are scanned in fixed (feature index, threshold) order.
 Model files (format version 2) hold f0, the params, the input width and each
 tree's flat arrays, with split_feature == -1 marking a leaf. Every file
 `fit_tree` has written puts a split's right child right after its left
-child; a model laid out otherwise is refused when it is first walked.
+child, both inside the split's own tree; a model laid out otherwise is
+refused when it is first walked.
 """
 
 from __future__ import annotations
@@ -294,13 +295,14 @@ class _Forest:
     padded with one-leaf trees of value -0.0, and x + (-0.0) is x for every
     float x, so a pad changes no sum. Each tree keeps the node order
     `fit_tree` stores, its root first and a split's two children side by
-    side, left first; a split laid out otherwise is refused. A node stores
+    side, left first, both in the split's own tree; a split laid out
+    otherwise, or with a child outside its tree, is refused. A node stores
     one pointer, next: inner node i sends x to next[i] - 1, its left child,
     when x[feature[i]] <= threshold[i], and to next[i], its right child,
     otherwise (NaN included). A leaf has threshold NaN, which no comparison
     passes, and next[i] = i, so it leads back to itself and the walk needs
-    no leaf masking. Indices stay intp: `take` casts any
-narrower index array to intp on every call."""
+    no leaf masking. Indices stay intp: `take` casts any narrower index
+    array to intp on every call."""
 
     def __init__(self, key):
         self.key = [(list(trees), f0, step_length) for trees, f0, step_length in key]
@@ -310,8 +312,8 @@ narrower index array to intp on every call."""
         forest = []
         for trees, _, _ in key:
             forest += trees + [_PAD] * (self.per_model - len(trees))
-        self.roots = np.cumsum([0] + [tree.num_nodes() for tree in forest],
-                               dtype=np.intp)[:-1]
+        sizes = [tree.num_nodes() for tree in forest]
+        self.roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
 
         def joined(parts, dtype=float):
             return np.concatenate([np.zeros(0, dtype)] + list(parts))
@@ -326,6 +328,11 @@ narrower index array to intp on every call."""
                              f"{splits} splits: not binary trees")
         if np.any(gap[~leaf] != 1):
             raise ValueError("a split's right child does not follow its left child")
+        # A split's children are nodes of its own tree, neither its root.
+        first = np.repeat(self.roots, sizes)[~leaf]
+        end = first + np.repeat(sizes, sizes)[~leaf]
+        if np.any((right[~leaf] - 1 <= first) | (right[~leaf] >= end)):
+            raise ValueError("a split's children lie outside its own tree")
         self.feature = np.where(leaf, 0, feat)
         self.threshold = np.where(leaf, np.nan, joined(tree.threshold for tree in forest))
         self.next = np.where(leaf, np.arange(len(feat)), right)

@@ -349,9 +349,8 @@ class _Learner:
     sampled with `rng`, once the replay holds one, and the target is synced
     at step 0 and after every `target_sync_interval`-th step."""
 
-    def __init__(self, network: NetworkConfig, params: DqnParams, net: QNetwork,
-                 replay: ReplayBuffer, rng: np.random.Generator):
-        self.network = network
+    def __init__(self, params: DqnParams, net: QNetwork, replay: ReplayBuffer,
+                 rng: np.random.Generator):
         self.params = params
         self.net = net
         self.replay = replay
@@ -364,12 +363,12 @@ class _Learner:
         if self.steps % self.params.target_sync_interval == 0:
             self.target = sync_target(self.net)
 
-    def learn(self, features, action: int, result) -> bool:
+    def learn(self, features, action: int, result, next_features) -> bool:
         """Learn from `action`, taken in the state encoded as `features`,
-        and its StepResult `result`. Returns whether it trained."""
+        and its StepResult `result`, whose next state is encoded as
+        `next_features`. Returns whether it trained."""
         params = self.params
-        self.replay.push(Transition(features, action, result.reward,
-                                    encode_state(result.next_state, self.network),
+        self.replay.push(Transition(features, action, result.reward, next_features,
                                     result.terminal))
         self.steps += 1
         trained = (len(self.replay) >= params.batch_size
@@ -429,7 +428,7 @@ def train_offline(config: RunConfig, out_dir=None,
 
     fixed_channel = make_channel(config)
     source = ExactSolverReward(config.network, config.solver)
-    learner = _Learner(config.network, params, QNetwork.initialize(
+    learner = _Learner(params, QNetwork.initialize(
         [m + n] + list(params.hidden_sizes) + [m + 1], rng_net),
         ReplayBuffer(params.buffer_capacity), rng_buffer)
     log_rows = []
@@ -437,41 +436,43 @@ def train_offline(config: RunConfig, out_dir=None,
     started = 0
 
     def start_episode():
+        """A new episode's env, its first state's features and its return
+        so far."""
         nonlocal started
         started += 1
         channel = (sample_channel(config.network, rng_channels)
                    if config.redraw_channel else fixed_channel)
         env = Environment(config.network, channel, source, rng_env,
                           episode_length=params.episode_length)
-        env.reset(_draw_states(config.network, PATTERN_RANDOM, rng_env, 1,
-                               demands=False)[0][0])
-        return env
+        state = env.reset(_draw_states(config.network, PATTERN_RANDOM, rng_env, 1,
+                                       demands=False)[0][0])
+        return env, encode_state(state, config.network), 0.0
 
     # Up to `offline_envs` episodes run in lockstep. A tick picks every
     # env's action, answers all next states in one batch (`step_all`), then
     # learns from the transitions in env order as a one-env loop would. A
-    # finished episode's env is replaced in place while episodes remain.
-    active = [(start_episode(), 0.0)    # (env, its episode's return so far)
+    # next state's features serve its transition and the env's next action.
+    # A finished episode's env is replaced in place while episodes remain.
+    active = [start_episode()
               for _ in range(min(config.offline_envs, config.offline_episodes))]
     while active:
-        envs = [env for env, _ in active]
-        features = [encode_state(env.current, config.network) for env in envs]
-        epsilons = [params.epsilon_at(learner.steps + k) for k in range(len(envs))]
+        epsilons = [params.epsilon_at(learner.steps + k) for k in range(len(active))]
         actions = [select_action(learner.net, f, epsilon, rng_actions)
-                   for f, epsilon in zip(features, epsilons)]
-        results = step_all(envs, actions)
+                   for (_, f, _), epsilon in zip(active, epsilons)]
+        results = step_all([env for env, _, _ in active], actions)
         running = []
-        for (env, episode_return), f, action, epsilon, result in zip(
-                active, features, actions, epsilons, results):
-            if learner.learn(f, action, result):
+        for (env, f, episode_return), action, epsilon, result in zip(
+                active, actions, epsilons, results):
+            next_f = encode_state(result.next_state, config.network)
+            if learner.learn(f, action, result, next_f):
                 log_rows.append((learner.steps, learner.loss, epsilon, last_return))
             episode_return += result.reward
             if not result.terminal:
-                running.append((env, episode_return))
+                running.append((env, next_f, episode_return))
                 continue
             last_return = episode_return
             if started < config.offline_episodes:
-                running.append((start_episode(), 0.0))
+                running.append(start_episode())
         active = running
     dqn_seconds = time.perf_counter() - t0
 
@@ -590,9 +591,9 @@ def _report(scheme: str, network: NetworkConfig, steps, t_start,
                        + true_tx / network.amplifier_efficiency)
         instants.append(instant if feasible else p_ub)
         feasibles.append(feasible)
+        pattern = result.next_state.rrh_active.view(np.uint8) + ord("0")
         trajectory.append(
-            (slot, action,
-             "".join("1" if b else "0" for b in result.next_state.rrh_active))
+            (slot, action, pattern.tobytes().decode())
             + tuple(demands_served)
             + (power.transmit_w, power.state_w, power.transition_w, power.total_w,
                result.reward, bool(result.feasible)))
@@ -639,24 +640,27 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
               if scheme == SCHEME_DQN_GBDT
               else ExactSolverReward(network, config.solver))
     rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_TUNING])
-    learner = (_Learner(network, config.dqn, artifacts.qnet.copy(),
+    learner = (_Learner(config.dqn, artifacts.qnet.copy(),
                         artifacts.replay.copy(config.dqn.buffer_capacity, slots), rng)
                if tuning else None)
     net = learner.net if tuning else artifacts.qnet
     env = _eval_env(config, channel, source)
     steps = []      # per slot: (action, demands served, StepResult)
+    features = encode_state(env.current, network)
     for _ in range(slots):
-        state = env.current
-        features = encode_state(state, network)
+        demands = env.current.demands_mbps
         action = select_action(net, features, 0.0, rng)
         result = env.step(action)
-        steps.append((action, state.demands_mbps, result))
+        steps.append((action, demands, result))
+        next_features = encode_state(result.next_state, network)
         if tuning:
-            learner.learn(features, action, result)
+            learner.learn(features, action, result, next_features)
         if result.terminal:
             # Recover by waking everything up, without consuming extra
             # demand draws.
             env.force_pattern(np.ones(network.num_rrhs, dtype=bool))
+            next_features = encode_state(env.current, network)
+        features = next_features
     truth = None
     if scheme == SCHEME_DQN_GBDT:
         # The ground truth never feeds back into control, so every slot is

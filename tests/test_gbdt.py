@@ -432,6 +432,34 @@ class TestPredict:
             with pytest.raises(ValueError, match="does not follow its left child"):
                 predict(walked, np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("left", [3, 4, 9], ids=["next-root", "next-leaves",
+                                                     "past-the-end"])
+    def test_split_whose_children_are_outside_its_tree_is_refused(self, left, tmp_path):
+        # Three 3-node trees laid end to end: the first tree's root points
+        # at nodes of the second tree, at its leaves, or past the last node.
+        # Unchecked, the walk answers from another tree or indexes out of
+        # bounds.
+        from cranpower.gbdt import GbdtModel
+
+        def stump(left, values):
+            return RegressionTree(split_feature=np.array([0, -1, -1]),
+                                  threshold=np.zeros(3), left=np.array([left, -1, -1]),
+                                  right=np.array([left + 1, -1, -1]),
+                                  value=np.array(values), max_depth=1)
+
+        model = GbdtModel(initial_prediction=0.0,
+                          trees=[stump(left, [0.0, 1.0, 2.0]),
+                                 stump(1, [0.0, 10.0, 20.0]),
+                                 stump(1, [0.0, 30.0, 40.0])],
+                          params=GbdtParams(num_rounds=3, step_length=1.0),
+                          num_features=1)
+        save_model(model, tmp_path / "model.json")
+        for walked in (model, load_model(tmp_path / "model.json")):
+            for predicted in (lambda: predict(walked, np.array([1.0])),
+                              lambda: predict_batch(walked, np.array([[1.0], [-1.0]]))):
+                with pytest.raises(ValueError, match="outside its own tree"):
+                    predicted()
+
     def test_width_mismatch(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(50, 3))

@@ -390,6 +390,40 @@ class TestLockstepTraining:
         # Every episode ends on exactly one terminal transition.
         assert int(np.count_nonzero(artifacts.replay.contents().terminals)) == 12
 
+    def test_each_action_is_chosen_on_its_env_current_state(self, monkeypatch):
+        # Four tiny envs run short episodes that often end on an infeasible
+        # state, and a finished env is replaced mid-run. In every tick, the
+        # features each action is chosen on must encode that env's current
+        # state, also in the first tick of a replacement env.
+        config = dataclasses.replace(pipeline.RunConfig.from_file(TINY), offline_envs=4)
+        dataset = pipeline.gen_dataset(config, count=100)
+        chosen, ticks = [], []      # ticks: (envs, their current states encoded)
+        select, step_all = pipeline.select_action, pipeline.step_all
+
+        def recording_select(net, features, epsilon, rng):
+            chosen.append(np.array(features))
+            return select(net, features, epsilon, rng)
+
+        def recording_step_all(envs, actions):
+            ticks.append((list(envs), [env.encode_state(e.current, config.network)
+                                       for e in envs]))
+            return step_all(envs, actions)
+
+        monkeypatch.setattr(pipeline, "select_action", recording_select)
+        monkeypatch.setattr(pipeline, "step_all", recording_step_all)
+        _, summary = pipeline.train_offline(config, dataset=dataset)
+        assert len(chosen) == sum(len(envs) for envs, _ in ticks) == \
+            summary["dqn"]["steps"]
+        at = 0
+        seen, replaced = set(), 0
+        for envs, current in ticks:
+            for e, want in zip(envs, current):
+                assert chosen[at].tobytes() == want.tobytes()
+                at += 1
+                replaced += bool(seen) and id(e) not in seen
+            seen |= {id(e) for e in envs}
+        assert replaced == config.offline_episodes - config.offline_envs
+
     def test_lockstep_differs_from_one_env(self, tmp_path):
         tiny = pipeline.RunConfig.from_file(TINY)
         _, one = _train(tiny, tmp_path / "one")
