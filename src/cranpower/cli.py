@@ -136,11 +136,13 @@ def _read_given(args, config):
     where = Path(args.artifacts or args.out)
     artifacts = pipeline.Artifacts.load(where)
     m, n = config.network.num_rrhs, config.network.num_users
-    for what, got, want in (
-            ("Q-network input", artifacts.qnet.layer_sizes[0], m + n),
-            ("Q-network output", artifacts.qnet.layer_sizes[-1], m + 1),
-            ("power model input", artifacts.gbdt_model.num_features, m + n),
-            ("feasibility model input", artifacts.feasibility_model.num_features, m + n)):
+    checks = [("Q-network input", artifacts.qnet.layer_sizes[0], m + n),
+              ("Q-network output", artifacts.qnet.layer_sizes[-1], m + 1),
+              ("power model input", artifacts.gbdt_model.num_features, m + n),
+              ("feasibility model input", artifacts.feasibility_model.num_features, m + n)]
+    if len(artifacts.replay):
+        checks.append(("replay state", artifacts.replay.contents().states.shape[1], m + n))
+    for what, got, want in checks:
         if got != want:
             raise ConfigError("network", f"the artifacts in {where} are of another "
                               f"cell: {what} {got}, the {m}x{n} cell needs {want}")

@@ -20,14 +20,14 @@ forest: flat arrays of one entry a node, in the order `fit_tree` stores the
 nodes, with each node's feature, threshold, value and one pointer stored
 once. A split's children sit side by side, left first, so the pointer is
 the right child and the left one is one before it; a leaf points to itself.
-One level-by-level walk of it serves a single row, a batch, both surrogate
-models at once (`predict_pair`) and the per-round update of training;
-`predict` and `predict_batch` are its one-model case. Each model's sum
-f0 + sl * v_1 + sl * v_2 + ... runs left to right from its own f0, the
-order of training, so a prediction on a training row replays the
-training-time partial sums bit for bit, and a model answers the same bits
-alone or paired. A model keeps its packings and rebuilds one when its
-trees, f0 or step length change.
+One level-by-level walk of it, down to its deepest leaf, serves a single
+row, a batch, both surrogate models at once (`predict_pair`) and the
+per-round update of training; `predict` and `predict_batch` are its
+one-model case. Each model's sum f0 + sl * v_1 + sl * v_2 + ... runs left
+to right from its own f0, the order of training, so a prediction on a
+training row replays the training-time partial sums bit for bit, and a
+model answers the same bits alone or paired. A model keeps its packings
+and rebuilds one when its trees, f0 or step length change.
 
 Determinism contract: models are pure functions of (dataset, params). Rows
 are canonicalized by a lexicographic sort before training so that permuting
@@ -35,10 +35,12 @@ dataset rows cannot change a single bit of the result, and candidate splits
 are scanned in fixed (feature index, threshold) order.
 
 Model files (format version 2) hold f0, the params, the input width and each
-tree's flat arrays, with split_feature == -1 marking a leaf. Every file
-`fit_tree` has written puts a split's right child right after its left
-child, both inside the split's own tree; a model laid out otherwise is
-refused when it is first walked.
+tree's flat arrays, with split_feature == -1 marking a leaf, its `left`
+(right - 1 at a split, -1 at a leaf) and the params' `max_depth`; a tree
+entry with other ones, or with arrays of unequal length, is refused. A
+model is walked only if, in each tree, every node but the root is the child
+of exactly one split that comes before it in that tree, and every split
+reads a feature the model has.
 """
 
 from __future__ import annotations
@@ -109,16 +111,15 @@ class RegressionDataset:
 class RegressionTree:
     """Binary tree in flat arrays; split_feature == -1 marks a leaf.
 
-    Routing rule: x[feature] <= threshold goes left. Trees compare by
-    identity.
+    Routing rule: x[feature] <= threshold goes left. A split i's children
+    are right[i] - 1, its left child, and right[i]; a leaf's right is -1.
+    Trees compare by identity.
     """
 
     split_feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    max_depth: int
 
     def num_nodes(self) -> int:
         return len(self.split_feature)
@@ -215,20 +216,11 @@ def fit_tree(features: np.ndarray, residuals: np.ndarray,
     goes_left = np.zeros(features.shape[0], dtype=bool)
     width = features.shape[1]
 
-    split_feature, threshold, left, right, value = [], [], [], [], []
-
-    def new_node():
-        split_feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(split_feature) - 1
-
-    root = new_node()
+    # The root; a node is a leaf until it splits and appends its children.
+    split_feature, threshold, right, value = [-1], [0.0], [-1], [0.0]
     # Each node carries its rows in ascending order and its presort slice;
     # partitioning both by a mask keeps both orders.
-    stack = [(root, np.arange(features.shape[0]), presorted, 0)]
+    stack = [(0, np.arange(features.shape[0]), presorted, 0)]
     lam = params.lambda_leaf
     while stack:
         node, rows, order, depth = stack.pop()
@@ -245,25 +237,19 @@ def fit_tree(features: np.ndarray, residuals: np.ndarray,
         go_left = features[rows, j] <= thr
         goes_left[rows] = go_left
         in_left = goes_left.take(order)
-        left_id = new_node()
-        right_id = new_node()
-        split_feature[node] = j
-        threshold[node] = thr
-        left[node] = left_id
-        right[node] = right_id
+        right_id = len(value) + 1
+        split_feature[node], threshold[node], right[node] = j, thr, right_id
+        for column, blank in ((split_feature, -1), (threshold, 0.0), (right, -1),
+                              (value, 0.0)):
+            column += [blank, blank]
         stack.append((right_id, rows[~go_left], order[~in_left].reshape(width, -1),
                       depth + 1))
-        stack.append((left_id, rows[go_left], order[in_left].reshape(width, -1),
+        stack.append((right_id - 1, rows[go_left], order[in_left].reshape(width, -1),
                       depth + 1))
 
-    return RegressionTree(
-        split_feature=np.array(split_feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=float),
-        max_depth=params.max_depth,
-    )
+    return RegressionTree(np.array(split_feature, dtype=np.int64),
+                          np.array(threshold, dtype=float),
+                          np.array(right, dtype=np.int64), np.array(value, dtype=float))
 
 
 @dataclass
@@ -281,28 +267,25 @@ class GbdtModel:
 
 
 # The one-leaf tree that pads a model's trees in a `_Forest`.
-_PAD = RegressionTree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]),
-                      np.array([-0.0]), max_depth=0)
+_PAD = RegressionTree(np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-0.0]))
 
 
 class _Forest:
     """The trees of one or more models laid end to end for one
     level-by-level walk, one entry a node with each field stored once, and
     each model's f0 and step length, from `key`: each model's (trees, f0,
-    step length).
+    step length), whose trees `_check_layout` passes.
 
     Every model gets as many trees as the largest has: the others are
     padded with one-leaf trees of value -0.0, and x + (-0.0) is x for every
-    float x, so a pad changes no sum. Each tree keeps the node order
-    `fit_tree` stores, its root first and a split's two children side by
-    side, left first, both in the split's own tree; a split laid out
-    otherwise, or with a child outside its tree, is refused. A node stores
-    one pointer, next: inner node i sends x to next[i] - 1, its left child,
-    when x[feature[i]] <= threshold[i], and to next[i], its right child,
+    float x, so a pad changes no sum. A node stores one pointer, next:
+    inner node i sends x to next[i] - 1, its left child, when
+    x[feature[i]] <= threshold[i], and to next[i], its right child,
     otherwise (NaN included). A leaf has threshold NaN, which no comparison
     passes, and next[i] = i, so it leads back to itself and the walk needs
-    no leaf masking. Indices stay intp: `take` casts any narrower index
-    array to intp on every call."""
+    no leaf masking: a row that reaches a leaf in fewer than `depth` steps,
+    the deepest tree's level count, stays there. Indices stay intp: `take`
+    casts any narrower index array to intp on every call."""
 
     def __init__(self, key):
         self.key = [(list(trees), f0, step_length) for trees, f0, step_length in key]
@@ -312,8 +295,8 @@ class _Forest:
         forest = []
         for trees, _, _ in key:
             forest += trees + [_PAD] * (self.per_model - len(trees))
-        sizes = [tree.num_nodes() for tree in forest]
-        self.roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+        self.roots = np.cumsum([0] + [tree.num_nodes() for tree in forest],
+                               dtype=np.intp)[:-1]
 
         def joined(parts, dtype=float):
             return np.concatenate([np.zeros(0, dtype)] + list(parts))
@@ -321,23 +304,15 @@ class _Forest:
         feat = joined((tree.split_feature for tree in forest), np.intp)
         leaf = feat < 0
         right = joined((tree.right + r for tree, r in zip(forest, self.roots)), np.intp)
-        gap = joined((tree.right - tree.left for tree in forest), np.intp)
-        splits = np.count_nonzero(~leaf)
-        if len(feat) != len(forest) + 2 * splits:
-            raise ValueError(f"{len(feat)} nodes in {len(forest)} trees with "
-                             f"{splits} splits: not binary trees")
-        if np.any(gap[~leaf] != 1):
-            raise ValueError("a split's right child does not follow its left child")
-        # A split's children are nodes of its own tree, neither its root.
-        first = np.repeat(self.roots, sizes)[~leaf]
-        end = first + np.repeat(sizes, sizes)[~leaf]
-        if np.any((right[~leaf] - 1 <= first) | (right[~leaf] >= end)):
-            raise ValueError("a split's children lie outside its own tree")
+        # A level pass from the roots, down to the deepest leaf.
+        self.depth, level = 0, self.roots
+        while (level := level[~leaf.take(level)]).size:
+            self.depth += 1
+            level = np.concatenate((right.take(level) - 1, right.take(level)))
         self.feature = np.where(leaf, 0, feat)
         self.threshold = np.where(leaf, np.nan, joined(tree.threshold for tree in forest))
         self.next = np.where(leaf, np.arange(len(feat)), right)
         self.value = joined(tree.value for tree in forest)
-        self.depth = max((tree.max_depth for tree in forest), default=0)
 
     def walk(self, features: np.ndarray) -> np.ndarray:
         """f0 + sl * tree_1(x) + sl * tree_2(x) + ... of each packed model
@@ -376,9 +351,27 @@ class _Forest:
         return out
 
 
+def _check_layout(models):
+    """Refuse a tree in which a node other than the root is not the child of
+    exactly one split before it, or a split reads a feature its model lacks."""
+    for model in models:
+        for k, tree in enumerate(model.trees):
+            splits = np.flatnonzero(tree.split_feature >= 0)
+            right = tree.right[splits]
+            nodes = np.sort(np.concatenate(([0], right - 1, right)))
+            if np.any(right - 1 <= splits) or not np.array_equal(
+                    nodes, np.arange(tree.num_nodes())):
+                raise ValueError(f"tree {k}: a node other than the root is not the "
+                                 f"child of exactly one split before it")
+            if np.any(tree.split_feature >= model.num_features):
+                raise ValueError(f"tree {k} splits on feature {tree.split_feature.max()} "
+                                 f"of a model that reads {model.num_features}")
+
+
 def _predict(models, features: np.ndarray) -> np.ndarray:
     """Each model's row-wise predictions, as a (models, rows) array, from
     one walk of the models' packing, which the first model keeps."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
     for model in models:
         # The walk reads a flattened block, so a short row would read its
         # neighbour's features instead of failing.
@@ -388,15 +381,13 @@ def _predict(models, features: np.ndarray) -> np.ndarray:
                 f"trained on {model.num_features}")
     key = [(model.trees, model.initial_prediction, model.params.step_length)
            for model in models]
-    first = models[0]
-    packed = first._alone if len(models) == 1 else first._paired
+    cache = "_alone" if len(models) == 1 else "_paired"
+    packed = getattr(models[0], cache)
     # Trees compare by identity, so a tree list compares in one C-level scan.
     if packed is None or packed.key != key:
+        _check_layout(models)
         packed = _Forest(key)
-        if len(models) == 1:
-            first._alone = packed
-        else:
-            first._paired = packed
+        setattr(models[0], cache, packed)
     return packed.walk(features)
 
 
@@ -410,14 +401,13 @@ def predict(model: GbdtModel, feature_vector) -> float:
 
 def predict_batch(model: GbdtModel, features: np.ndarray) -> np.ndarray:
     """Row-wise predictions, equal bit for bit to `predict` on each row."""
-    return _predict((model,), np.atleast_2d(np.asarray(features, dtype=float)))[0]
+    return _predict((model,), features)[0]
 
 
 def predict_pair(first: GbdtModel, second: GbdtModel, features: np.ndarray) -> tuple:
     """Both models' row-wise predictions from one walk over their trees,
     each equal bit for bit to `predict_batch` of that model alone."""
-    return tuple(_predict((first, second),
-                          np.atleast_2d(np.asarray(features, dtype=float))))
+    return tuple(_predict((first, second), features))
 
 
 def _canonical_order(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -485,11 +475,6 @@ def evaluate(model: GbdtModel, dataset: RegressionDataset) -> dict:
     return {"mse": mse, "r2": r2}
 
 
-# A tree's flat arrays, in file order, and their element types.
-_TREE_ARRAYS = (("split_feature", np.int64), ("threshold", float),
-                ("left", np.int64), ("right", np.int64), ("value", float))
-
-
 def model_to_dict(model: GbdtModel) -> dict:
     return {
         "format": MODEL_FORMAT,
@@ -497,8 +482,11 @@ def model_to_dict(model: GbdtModel) -> dict:
         "initial_prediction": model.initial_prediction,
         "num_features": model.num_features,
         "params": asdict(model.params),
-        "trees": [{**{name: getattr(t, name).tolist() for name, _ in _TREE_ARRAYS},
-                   "max_depth": t.max_depth} for t in model.trees],
+        "trees": [{"split_feature": t.split_feature.tolist(),
+                   "threshold": t.threshold.tolist(),
+                   "left": np.where(t.split_feature < 0, -1, t.right - 1).tolist(),
+                   "right": t.right.tolist(), "value": t.value.tolist(),
+                   "max_depth": model.params.max_depth} for t in model.trees],
     }
 
 
@@ -508,16 +496,25 @@ def model_from_dict(raw: dict) -> GbdtModel:
     if raw.get("version") != MODEL_VERSION:
         raise ValueError(
             f"model version {raw.get('version')} unsupported (expected {MODEL_VERSION})")
-    trees = [RegressionTree(**{name: np.array(t[name], dtype=kind)
-                               for name, kind in _TREE_ARRAYS},
-                            max_depth=int(t["max_depth"]))
-             for t in raw["trees"]]
-    return GbdtModel(
+    for k, t in enumerate(raw["trees"]):
+        if len({len(t[name]) for name in ("split_feature", "threshold", "left", "right",
+                                          "value")}) != 1:
+            raise ValueError(f"tree {k}: its arrays differ in length")
+    model = GbdtModel(
         initial_prediction=float(raw["initial_prediction"]),
-        trees=trees,
+        trees=[RegressionTree(np.array(t["split_feature"], dtype=np.int64),
+                              np.array(t["threshold"], dtype=float),
+                              np.array(t["right"], dtype=np.int64),
+                              np.array(t["value"], dtype=float)) for t in raw["trees"]],
         params=GbdtParams(**raw["params"]),
         num_features=int(raw["num_features"]),
     )
+    for k, (t, written) in enumerate(zip(raw["trees"], model_to_dict(model)["trees"])):
+        for name in ("left", "max_depth"):
+            if t[name] != written[name]:
+                raise ValueError(f"tree {k}: its {name} is not the one its nodes "
+                                 f"and params give")
+    return model
 
 
 def save_model(model: GbdtModel, path):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ def _leaf_value(tree, row):
     node = 0
     while tree.split_feature[node] >= 0:
         go_left = row[tree.split_feature[node]] <= tree.threshold[node]
-        node = tree.left[node] if go_left else tree.right[node]
+        node = tree.right[node] - 1 if go_left else tree.right[node]
     return float(tree.value[node])
 
 
@@ -56,7 +57,7 @@ class TestFitTree:
                         GbdtParams(num_rounds=1, max_depth=1, min_samples_leaf=1))
         assert tree.split_feature[0] == 0
         assert -0.1 < tree.threshold[0] < 0.1
-        left_val = tree.value[tree.left[0]]
+        left_val = tree.value[tree.right[0] - 1]
         right_val = tree.value[tree.right[0]]
         assert left_val == pytest.approx(-2.0)
         assert right_val == pytest.approx(4.0)
@@ -95,7 +96,7 @@ class TestFitTree:
             assert tree.split_feature[0] == feat
             assert tree.threshold[0] == pytest.approx(thr, rel=1e-12)
             go_left = x[:, feat] <= thr
-            for child, rows in ((tree.left[0], go_left), (tree.right[0], ~go_left)):
+            for child, rows in ((tree.right[0] - 1, go_left), (tree.right[0], ~go_left)):
                 if tree.split_feature[child] < 0:
                     continue
                 cf, ct = _brute_force_split(x[rows], r[rows], 5)
@@ -125,10 +126,8 @@ def _leaf_counts(tree, x):
     for row in x:
         node = 0
         while tree.split_feature[node] >= 0:
-            if row[tree.split_feature[node]] <= tree.threshold[node]:
-                node = tree.left[node]
-            else:
-                node = tree.right[node]
+            go_left = row[tree.split_feature[node]] <= tree.threshold[node]
+            node = tree.right[node] - 1 if go_left else tree.right[node]
         counts[node] = counts.get(node, 0) + 1
     return counts
 
@@ -169,11 +168,11 @@ def _reference_fit_tree(features, residuals, params, presorted=None):
     `presorted` is ignored; it lets `train` call this in place of `fit_tree`."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     residuals = np.asarray(residuals, dtype=float)
-    split_feature, threshold, left, right, value = [], [], [], [], []
+    split_feature, threshold, right, value = [], [], [], []
 
     def new_node():
-        for arr, init in ((split_feature, -1), (threshold, 0.0), (left, -1),
-                          (right, -1), (value, 0.0)):
+        for arr, init in ((split_feature, -1), (threshold, 0.0), (right, -1),
+                          (value, 0.0)):
             arr.append(init)
         return len(split_feature) - 1
 
@@ -197,24 +196,20 @@ def _reference_fit_tree(features, residuals, params, presorted=None):
         _, j, thr = best
         go_left = features[rows, j] <= thr
         left_id, right_id = new_node(), new_node()
-        split_feature[node], threshold[node] = j, thr
-        left[node], right[node] = left_id, right_id
+        split_feature[node], threshold[node], right[node] = j, thr, right_id
         stack.append((right_id, rows[~go_left], depth + 1))
         stack.append((left_id, rows[go_left], depth + 1))
     return RegressionTree(
         split_feature=np.array(split_feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.int64),
         right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=float),
-        max_depth=params.max_depth)
+        value=np.array(value, dtype=float))
 
 
 def _assert_same_tree(got, want):
-    for name in ("split_feature", "threshold", "left", "right", "value"):
+    for name in ("split_feature", "threshold", "right", "value"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert got.max_depth == want.max_depth
 
 
 @st.composite
@@ -317,10 +312,8 @@ class TestPredict:
         tree = RegressionTree(
             split_feature=np.array([0, -1, -1]),
             threshold=np.array([0.0, 0.0, 0.0]),
-            left=np.array([1, -1, -1]),
             right=np.array([2, -1, -1]),
             value=np.array([0.0, 0.0, 2.0]),
-            max_depth=1,
         )
         model = GbdtModel(initial_prediction=10.0, trees=[tree],
                           params=GbdtParams(num_rounds=1, step_length=0.1),
@@ -354,8 +347,8 @@ class TestPredict:
         assert np.array_equal(batch, singles)
 
     def test_batch_on_training_rows_is_sequential_sum(self):
-        # `_leaf_value` follows left/right itself, so the walk's node order
-        # is checked against the stored pointers: at depths 1 to 6, for a
+        # `_leaf_value` follows the stored pointers itself, so the walk's
+        # node order is checked against them: at depths 1 to 6, for a
         # one-round model, on rows with NaN entries, and per model of a pair
         # whose round counts differ.
         rng = np.random.default_rng(12)
@@ -404,33 +397,31 @@ class TestPredict:
     def test_tree_with_a_stray_node_is_refused(self):
         from cranpower.gbdt import GbdtModel
         tree = RegressionTree(split_feature=np.array([0, -1, -1, -1]),
-                              threshold=np.zeros(4), left=np.array([1, -1, -1, -1]),
-                              right=np.array([2, -1, -1, -1]), value=np.zeros(4),
-                              max_depth=1)
+                              threshold=np.zeros(4), right=np.array([2, -1, -1, -1]),
+                              value=np.zeros(4))
         model = GbdtModel(initial_prediction=0.0, trees=[tree],
                           params=GbdtParams(num_rounds=1), num_features=1)
-        with pytest.raises(ValueError, match="not binary trees"):
+        with pytest.raises(ValueError, match="tree 0: a node other than the root"):
             predict(model, np.array([1.0]))
 
-    @pytest.mark.parametrize("left, right, leaf", [
-        ([1, 2, -1, -1, -1], [4, 3, -1, -1, -1], 3),
-        ([2, 3, -1, -1, -1], [1, 4, -1, -1, -1], 2)], ids=["apart", "right-first"])
+    @pytest.mark.parametrize("left, right", [
+        ([1, 2, -1, -1, -1], [4, 3, -1, -1, -1]),
+        ([2, 3, -1, -1, -1], [1, 4, -1, -1, -1])], ids=["apart", "right-first"])
     def test_split_whose_children_are_not_side_by_side_is_refused(
-            self, left, right, leaf, tmp_path):
-        # Binary trees whose pointers `_leaf_value` can follow, but a split's
-        # right child is not its left child + 1, which `fit_tree` never writes.
-        from cranpower.gbdt import GbdtModel
-        tree = RegressionTree(split_feature=np.array([0, 1, -1, -1, -1]),
-                              threshold=np.zeros(5), left=np.array(left),
-                              right=np.array(right), value=np.arange(5.0),
-                              max_depth=2)
-        model = GbdtModel(initial_prediction=0.0, trees=[tree],
-                          params=GbdtParams(num_rounds=1), num_features=2)
-        assert _sequential_sum(model, np.array([-1.0, 1.0])) == 0.1 * leaf
-        save_model(model, tmp_path / "model.json")
-        for walked in (model, load_model(tmp_path / "model.json")):
-            with pytest.raises(ValueError, match="does not follow its left child"):
-                predict(walked, np.array([-1.0, 1.0]))
+            self, left, right, tmp_path):
+        # Files of binary trees whose stored pointers lead to every leaf, but
+        # a split's right child is not its left child + 1, which no fit
+        # writes: the file is refused before any walk.
+        rng = np.random.default_rng(15)
+        x = rng.normal(size=(60, 2))
+        raw = model_to_dict(train(RegressionDataset(x, x[:, 0] - x[:, 1]),
+                                  GbdtParams(num_rounds=2, max_depth=2)))
+        raw["trees"][1].update(split_feature=[0, 1, -1, -1, -1], threshold=[0.0] * 5,
+                               left=left, right=right, value=[0.0, 0.0, 1.0, 2.0, 3.0])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="tree 1: its left is not"):
+            load_model(path)
 
     @pytest.mark.parametrize("left", [3, 4, 9], ids=["next-root", "next-leaves",
                                                      "past-the-end"])
@@ -443,9 +434,8 @@ class TestPredict:
 
         def stump(left, values):
             return RegressionTree(split_feature=np.array([0, -1, -1]),
-                                  threshold=np.zeros(3), left=np.array([left, -1, -1]),
-                                  right=np.array([left + 1, -1, -1]),
-                                  value=np.array(values), max_depth=1)
+                                  threshold=np.zeros(3), right=np.array([left + 1, -1, -1]),
+                                  value=np.array(values))
 
         model = GbdtModel(initial_prediction=0.0,
                           trees=[stump(left, [0.0, 1.0, 2.0]),
@@ -453,12 +443,67 @@ class TestPredict:
                                  stump(1, [0.0, 30.0, 40.0])],
                           params=GbdtParams(num_rounds=3, step_length=1.0),
                           num_features=1)
+        _assert_refused(model, [[1.0], [-1.0]], "tree 0: a node other than the root",
+                        tmp_path)
+
+    @pytest.mark.parametrize("right", [
+        # The root's children are 1/2, and split 2's are itself and node 1:
+        # nodes 3 and 4 are unreached.
+        [2, -1, 2, -1, -1],
+        # Splits 1 and 2 share the leaves 3/4; leaves 5 and 6 are unreached.
+        [2, 4, 4, -1, -1, -1, -1],
+        # The root's children are 3/4, and split 1's are itself and node 2,
+        # so no earlier split reaches nodes 1 and 2.
+        [4, 2, -1, -1, -1],
+        # Split 3's children, 1/2, come before it.
+        [4, -1, -1, 2, -1],
+    ], ids=["back-pointing", "shared-children", "unreached-pair", "children-first"])
+    def test_node_that_is_not_the_child_of_one_earlier_split_is_refused(
+            self, right, tmp_path):
+        # Unchecked, each walks without error: the back-pointing tree
+        # answers from node 1 or 2 and never from its leaves 3 and 4.
+        from cranpower.gbdt import GbdtModel
+        nodes = len(right)
+        split = np.array(right) >= 0
+        tree = RegressionTree(split_feature=np.where(split, 0, -1),
+                              threshold=np.where(split, 0.5, 0.0),
+                              right=np.array(right), value=np.arange(float(nodes)))
+        model = GbdtModel(initial_prediction=0.0, trees=[tree],
+                          params=GbdtParams(num_rounds=1, max_depth=2), num_features=1)
+        _assert_refused(model, [[1.0], [0.0]], "tree 0: a node other than the root",
+                        tmp_path)
+
+    def test_split_on_a_feature_the_model_lacks_is_refused(self, tmp_path):
+        # A 2-feature model whose left child splits on feature 2. Unchecked,
+        # the flattened walk reads the next row's first feature in its place,
+        # and the last row's read runs past the block.
+        from cranpower.gbdt import GbdtModel
+        tree = RegressionTree(split_feature=np.array([0, 2, -1, -1, -1]),
+                              threshold=np.full(5, 0.5), right=np.array([2, 4, -1, -1, -1]),
+                              value=np.array([0.0, 0.0, 30.0, 10.0, 20.0]))
+        model = GbdtModel(initial_prediction=0.0, trees=[tree],
+                          params=GbdtParams(num_rounds=1, max_depth=2, step_length=1.0),
+                          num_features=2)
+        _assert_refused(model, [[0.0, 0.0], [1.0, 1.0]],
+                        "tree 0 splits on feature 2 of a model that reads 2", tmp_path)
+
+    def test_tree_deeper_than_its_params_is_walked_to_its_leaves(self, tmp_path):
+        # A depth-2 tree in a model whose params say depth 1: every row
+        # ends at a leaf (1, 10 or 20), never at the split's own value 7.
+        from cranpower.gbdt import GbdtModel
+        tree = RegressionTree(split_feature=np.array([0, -1, 0, -1, -1]),
+                              threshold=np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+                              right=np.array([2, -1, 4, -1, -1]),
+                              value=np.array([0.0, 1.0, 7.0, 10.0, 20.0]))
+        model = GbdtModel(initial_prediction=0.0, trees=[tree],
+                          params=GbdtParams(num_rounds=1, max_depth=1, step_length=1.0),
+                          num_features=1)
+        rows = np.array([[-1.0], [0.5], [2.0]])
         save_model(model, tmp_path / "model.json")
         for walked in (model, load_model(tmp_path / "model.json")):
-            for predicted in (lambda: predict(walked, np.array([1.0])),
-                              lambda: predict_batch(walked, np.array([[1.0], [-1.0]]))):
-                with pytest.raises(ValueError, match="outside its own tree"):
-                    predicted()
+            assert [predict(walked, row) for row in rows] == [1.0, 10.0, 20.0]
+            assert predict_batch(walked, rows).tolist() == [
+                _sequential_sum(walked, row) for row in rows]
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(6)
@@ -484,6 +529,16 @@ class TestPredict:
             predict(rebuilt, x[0, :2])
         with pytest.raises(ValueError, match="2 entries"):
             predict_batch(rebuilt, x[:, :2])
+
+
+def _assert_refused(model, rows, match, tmp_path):
+    """`predict` and `predict_batch` refuse the model, as saved and read back."""
+    save_model(model, tmp_path / "model.json")
+    for walked in (model, load_model(tmp_path / "model.json")):
+        for predicted in (lambda: predict(walked, np.array(rows[0])),
+                          lambda: predict_batch(walked, np.array(rows))):
+            with pytest.raises(ValueError, match=match):
+                predicted()
 
 
 class TestPredictPair:
@@ -611,6 +666,25 @@ class TestSerialization:
         assert model_to_dict(loaded) == model_to_dict(model)
         for row in x[:5]:
             assert predict(loaded, row) == predict(model, row)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"value": [0.0]}, "tree 1: its arrays differ in length"),
+        ({"max_depth": 2}, "tree 1: its max_depth is not"),
+        ({"left": [1, 0, -1]}, "tree 1: its left is not"),
+    ], ids=["short-values", "max_depth", "leaf-left"])
+    def test_tree_entry_unlike_what_is_written_is_refused(self, change, match):
+        # Every tree entry read is the one `model_to_dict` writes back.
+        rng = np.random.default_rng(16)
+        x = rng.normal(size=(60, 2))
+        raw = model_to_dict(train(RegressionDataset(x, x[:, 0]),
+                                  GbdtParams(num_rounds=2, max_depth=3)))
+        raw["trees"][1] = {"split_feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0],
+                           "left": [1, -1, -1], "right": [2, -1, -1],
+                           "value": [0.0, 1.0, 2.0], "max_depth": 3}
+        assert model_to_dict(model_from_dict(raw)) == raw
+        raw["trees"][1].update(change)
+        with pytest.raises(ValueError, match=match):
+            model_from_dict(raw)
 
     def test_version_mismatch_rejected(self):
         raw = {"format": "cranpower-gbdt", "version": 99, "trees": []}

@@ -223,6 +223,20 @@ class TestTrainOffline:
             assert gbdt.predict(artifacts.gbdt_model, probe) == \
                 gbdt.predict(reloaded.gbdt_model, probe)
 
+    def test_model_files_save_back_to_the_same_bytes(self, tiny_trained, tmp_path):
+        # The surrogate pair as `train` writes it: each tree's `left` is
+        # right - 1 at a split and -1 at a leaf and its `max_depth` is the
+        # params', and the file read and written again keeps its bytes.
+        _, _, out = tiny_trained
+        for name in (pipeline.GBDT_MODEL_FILE, pipeline.FEASIBILITY_MODEL_FILE):
+            raw = json.loads((Path(out) / name).read_text())
+            for tree in raw["trees"]:
+                assert tree["left"] == [right - 1 if feature >= 0 else -1 for feature, right
+                                        in zip(tree["split_feature"], tree["right"])]
+                assert tree["max_depth"] == raw["params"]["max_depth"]
+            gbdt.save_model(gbdt.load_model(Path(out) / name), tmp_path / name)
+            assert (tmp_path / name).read_bytes() == (Path(out) / name).read_bytes(), name
+
     def test_r2_floor_enforced(self, tiny_run_config):
         strict = pipeline.RunConfig.from_file(TINY)
         strict.r2_floor = 0.99999999
@@ -788,6 +802,12 @@ class TestBenchAndEte:
         assert all(r[2] > 0 for r in rows)
 
 
+def _replay_of_width(width):
+    replay = dqn.ReplayBuffer(4)
+    replay.push(dqn.Transition(np.zeros(width), 0, 0.0, np.zeros(width), False))
+    return replay
+
+
 class TestCliExitCodes:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "cranpower.cli", *args],
@@ -838,6 +858,8 @@ class TestCliExitCodes:
         ("feasibility model input 2", lambda path: gbdt.save_model(
             gbdt.GbdtModel(1.0, [], gbdt.GbdtParams(num_rounds=1), 2),
             path / pipeline.FEASIBILITY_MODEL_FILE)),
+        ("replay state 5", lambda path: _replay_of_width(5).save(
+            path / pipeline.REPLAY_FILE)),
     ])
     def test_each_artifact_is_checked(self, tiny_trained, tmp_path, capsys, part, saved):
         artifacts, _, _ = tiny_trained
@@ -849,6 +871,32 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("config error:") and part in err
+
+    @pytest.mark.parametrize("doctor", ["max_depth", "back-pointing"])
+    def test_doctored_power_model_is_runtime_failure(self, tiny_trained, tmp_path,
+                                                     capsys, doctor):
+        # A model file whose trees all claim depth 1, below their params'
+        # and their own, refused when it is read; or one whose last split
+        # points back at itself and the node before it, refused when it is
+        # first walked. Unchecked, both answer wrong without an error.
+        artifacts, _, _ = tiny_trained
+        where = tmp_path / "artifacts"
+        artifacts.save(where)
+        raw = json.loads((where / pipeline.GBDT_MODEL_FILE).read_text())
+        if doctor == "max_depth":
+            for tree in raw["trees"]:
+                tree["max_depth"] = 1
+        else:
+            tree = next(t for t in raw["trees"] if max(
+                i for i, r in enumerate(t["right"]) if r >= 0) >= 2)
+            split = max(i for i, r in enumerate(tree["right"]) if r >= 0)
+            tree["left"][split], tree["right"][split] = split - 1, split
+        (where / pipeline.GBDT_MODEL_FILE).write_text(json.dumps(raw))
+        code = cli.main(["evaluate", "--slots", "5", "--config", str(TINY),
+                         "--artifacts", str(where), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("runtime failure: tree ") and "Traceback" not in err
 
     def test_checkpoint_whose_layers_do_not_chain_is_runtime_failure(
             self, tiny_trained, tmp_path, capsys):
