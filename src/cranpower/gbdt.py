@@ -6,14 +6,22 @@ negative gradient of the L2 loss), adding each tree with a small step length.
 
 Split search: `train` sorts each feature column once (a stable sort, so
 tied values keep row-index order), since features never change between
-rounds. Each node carries that sort order restricted to its own rows, as a
-(features, rows) index matrix; a split partitions it by the routing mask,
-which keeps the order, so no node sorts again. A node gathers every
-feature's sorted values and residuals at once, takes prefix sums along the
-value order, and scores only the value changes that leave min_samples_leaf
-rows a side. The same sums in the same sequence as a per-feature search
-make the same trees bit for bit, with the same tie rules: the lowest
-feature index, then the smallest threshold.
+rounds. The sort order is kept as flat cell indexes, row * width +
+feature, into the row-major features. A node carries its rows and, if it
+will be searched, that sort order restricted to its rows, as a
+(features, rows) cell matrix. A split partitions both by the routing mask,
+which keeps the order, so no node sorts again. A child at max_depth, or
+with fewer than 2 * min_samples_leaf rows, is a leaf whatever its rows, so
+it gets no matrix, and a child on which the split's feature is constant
+does not carry that feature, which can no longer split it. A node gathers every carried feature's sorted values
+and residuals at once, takes prefix sums along the value order, and scores
+only the value changes that leave min_samples_leaf rows a side. The same
+sums in the same sequence as a per-feature search make the same trees bit
+for bit, with the same tie rules: the lowest feature index, then the
+smallest threshold. `fit_tree` also reports the leaf each training row
+reached, and `train` adds sl * value[leaf] to each row's prediction: the
+term a prediction's walk adds, so training's partial sums are a
+prediction's, bit for bit.
 
 Prediction lays the trees of one or more models end to end in one compact
 forest: flat arrays of one entry a node, in the order `fit_tree` stores the
@@ -21,13 +29,13 @@ nodes, with each node's feature, threshold, value and one pointer stored
 once. A split's children sit side by side, left first, so the pointer is
 the right child and the left one is one before it; a leaf points to itself.
 One level-by-level walk of it, down to its deepest leaf, serves a single
-row, a batch, both surrogate models at once (`predict_pair`) and the
-per-round update of training; `predict` and `predict_batch` are its
-one-model case. Each model's sum f0 + sl * v_1 + sl * v_2 + ... runs left
-to right from its own f0, the order of training, so a prediction on a
-training row replays the training-time partial sums bit for bit, and a
-model answers the same bits alone or paired. A model keeps its packings
-and rebuilds one when its trees, f0 or step length change.
+row, a batch and both surrogate models at once (`predict_pair`);
+`predict` and `predict_batch` are its one-model case. Each model's sum
+f0 + sl * v_1 + sl * v_2 + ... runs left to right from its own f0, the
+order of training, so a prediction on a training row replays the
+training-time partial sums bit for bit, and a model answers the same bits
+alone or paired. A model keeps its packings and rebuilds one when its
+trees, f0, step length or width change.
 
 Determinism contract: models are pure functions of (dataset, params). Rows
 are canonicalized by a lexicographic sort before training so that permuting
@@ -126,55 +134,61 @@ class RegressionTree:
 
 
 def _presort(features: np.ndarray) -> np.ndarray:
-    """(features, rows) matrix whose row j lists the row indices by the value
-    of feature j, ties in row-index order (a stable sort)."""
-    return np.argsort(features.T, axis=1, kind="stable")
+    """(features, rows) matrix whose row j lists feature j's cells by value,
+    ties in row-index order (a stable sort). Cell row * width + j is that
+    entry's index in the flattened row-major features."""
+    width = features.shape[1]
+    order = np.argsort(features.T, axis=1, kind="stable")
+    order *= width
+    order += np.arange(width)[:, None]
+    return order
 
 
-def _node_split(features: np.ndarray, order: np.ndarray, sums: np.ndarray,
-                min_leaf: int):
-    """(feature, threshold) of a node's best split, or None.
+def _node_split(cells: np.ndarray, order: np.ndarray, sums: np.ndarray,
+                min_leaf: int, width: int):
+    """(row of `order`, threshold) of a node's best split, or None.
 
-    `order` is the node's (features, rows) presort slice and `sums` holds
-    each row's residual r + 1j * r^2, so that one cumulative sum along each
-    feature's value order gives the prefix sums of r and of r^2 (complex
-    addition adds the parts separately, in the same sequence). The score is
-    the summed squared error of the two child means, evaluated only at value
-    changes that leave at least min_leaf rows a side. Thresholds are
-    midpoints between consecutive distinct values, and the first minimum in
-    (feature, threshold) order wins ties. Features are scanned in blocks of
-    at most SPLIT_BLOCK cells, which bounds the work arrays of a large node.
+    `cells` is the flattened row-major features, `width` their row length,
+    and `order` is the node's presort slice: one row of cells per feature
+    the node carries, in ascending feature order. `sums` holds each row's
+    residual r + 1j * r^2, so that one cumulative sum along each feature's
+    value order gives the prefix sums of r and of r^2 (complex addition adds
+    the parts separately, in the same sequence). The score is the summed
+    squared error of the two child means, evaluated only at value changes
+    that leave at least min_leaf rows a side. Thresholds are midpoints
+    between consecutive distinct values, and the first minimum in (feature,
+    threshold) order wins ties. Features are scanned in blocks of at most
+    SPLIT_BLOCK cells, which bounds the work arrays of a large node.
     """
-    width, n = order.shape
+    carried, n = order.shape
     # Boundary b splits value-sorted positions [:b] from [b:].
     lo, hi = min_leaf, n - min_leaf
     best = None
     step = max(1, SPLIT_BLOCK // n)
-    for first in range(0, width, step):
+    for first in range(0, carried, step):
         block = order[first:first + step]
-        # Row r's feature j sits at r * width + j of the row-major features.
-        at = block * width
-        at += np.arange(first, first + len(block))[:, None]
-        values = features.ravel().take(at)
-        del at
-        feat, bound = (values[:, lo - 1:hi] < values[:, lo:hi + 1]).nonzero()
+        values = cells.take(block)
+        # changes[f, b - 1] marks a value change at boundary b of feature f,
+        # so a candidate's flat index is that of its left prefix sums.
+        changes = np.zeros(block.shape, dtype=bool)
+        np.less(values[:, lo - 1:hi], values[:, lo:hi + 1], out=changes[:, lo - 1:hi])
         del values
-        if len(feat) == 0:
+        at = np.flatnonzero(changes)
+        del changes
+        if len(at) == 0:
             continue
-        bound += lo
+        feat = at // n
 
-        prefix = sums.take(block)
+        prefix = sums.take(block // width)
         prefix.cumsum(axis=1, out=prefix)
         right = prefix[:, -1].take(feat)
-        at = feat * n
-        at += bound
-        at -= 1
         left = prefix.ravel().take(at)
-        del prefix, at
+        del prefix
         right -= left
 
         # (left_sq - left_sum^2 / left_n) + (right_sq - right_sum^2 / right_n)
-        left_n = bound.astype(float)
+        left_n = np.subtract(at, feat * n, dtype=float)
+        left_n += 1
         sse = left.real * left.real
         sse /= left_n
         np.subtract(left.imag, sse, out=sse)
@@ -185,21 +199,42 @@ def _node_split(features: np.ndarray, order: np.ndarray, sums: np.ndarray,
         i = int(sse.argmin())
         # Strict comparison keeps the earlier block on ties.
         if best is None or sse[i] < best[0]:
-            best = (sse[i], first + int(feat[i]), int(bound[i]))
+            best = (sse[i], first + int(feat[i]), int(at[i] % n) + 1)
     if best is None:
         return None
-    _, j, b = best
-    return j, 0.5 * (features[order[j, b - 1], j] + features[order[j, b], j])
+    _, k, b = best
+    return k, 0.5 * (cells[order[k, b - 1]] + cells[order[k, b]])
 
 
-def fit_tree(features: np.ndarray, residuals: np.ndarray,
-             params: GbdtParams, presorted: np.ndarray | None = None) -> RegressionTree:
+def _child_slice(order: np.ndarray, mask: np.ndarray, k: int, drop: bool):
+    """The cells of the presort slice `order` that `mask` keeps, one row a
+    feature, without row k if `drop`; None if no row is left."""
+    carried = len(order)
+    if drop:
+        mask[k] = False
+        carried -= 1
+    return order.compress(mask.ravel()).reshape(carried, -1) if carried else None
+
+
+def fit_tree(features: np.ndarray, residuals: np.ndarray, params: GbdtParams,
+             presorted: np.ndarray | None = None,
+             leaf_of: np.ndarray | None = None) -> RegressionTree:
     """Greedy top-down CART regression tree fit to the residuals.
 
     Leaf value is sum(residuals) / (count + lambda_leaf). Splitting stops at
     max_depth, min_samples_leaf, or a zero-variance node. `presorted` is
-    the rows' per-feature sort order (`_presort(features)`), which `train`
-    computes once for all its rounds; it is computed here when not given.
+    the rows' per-feature sort order of cells (`_presort(features)`), which
+    `train` computes once for all its rounds; it is computed here when not
+    given. If `leaf_of` is given, leaf_of[r] is set to the node index of the
+    leaf that training row r reaches; `train` adds each row's term from it
+    instead of walking the tree.
+
+    A node carries its rows in ascending order and, if it will be searched,
+    its presort slice; a split partitions both by its routing mask, which
+    keeps both orders. A node at max_depth, or with fewer than
+    2 * min_samples_leaf rows, is a leaf whatever its rows, so it carries no
+    slice. Nor does a slice carry the split's feature into a child on which
+    that feature is constant, since a constant feature cannot split a node.
     """
     features = np.ascontiguousarray(np.atleast_2d(np.asarray(features, dtype=float)))
     residuals = np.asarray(residuals, dtype=float)
@@ -207,45 +242,60 @@ def fit_tree(features: np.ndarray, residuals: np.ndarray,
         raise ValueError("cannot fit a tree to an empty dataset")
     if features.shape[0] != residuals.shape[0]:
         raise ValueError("row counts of features and residuals differ")
+    num_rows, width = features.shape
     if presorted is None:
         presorted = _presort(features)
-    sums = np.empty(len(residuals), dtype=complex)
+    cells = features.ravel()
+    sums = np.empty(num_rows, dtype=complex)
     sums.real = residuals
     sums.imag = residuals * residuals
     # Per row, whether the split being applied sends it left.
-    goes_left = np.zeros(features.shape[0], dtype=bool)
-    width = features.shape[1]
+    goes_left = np.zeros(num_rows, dtype=bool)
+    lam, min_leaf, max_depth = params.lambda_leaf, params.min_samples_leaf, params.max_depth
+
+    def searched(depth, rows):
+        return depth < max_depth and len(rows) >= 2 * min_leaf
 
     # The root; a node is a leaf until it splits and appends its children.
     split_feature, threshold, right, value = [-1], [0.0], [-1], [0.0]
-    # Each node carries its rows in ascending order and its presort slice;
-    # partitioning both by a mask keeps both orders.
-    stack = [(0, np.arange(features.shape[0]), presorted, 0)]
-    lam = params.lambda_leaf
+    rows = np.arange(num_rows)
+    stack = [(0, rows, presorted if searched(0, rows) else None, 0)]
     while stack:
         node, rows, order, depth = stack.pop()
-        res = residuals[rows]
-        value[node] = float(res.sum() / (len(rows) + lam))
-        if depth >= params.max_depth or len(rows) < 2 * params.min_samples_leaf:
-            continue
-        if res.max() == res.min():
-            continue
-        best = _node_split(features, order, sums, params.min_samples_leaf)
+        res = residuals.take(rows)
+        value[node] = float(np.add.reduce(res) / (len(rows) + lam))
+        best = None
+        if order is not None and np.maximum.reduce(res) != np.minimum.reduce(res):
+            best = _node_split(cells, order, sums, min_leaf, width)
         if best is None:
+            if leaf_of is not None:
+                leaf_of[rows] = node
             continue
-        j, thr = best
-        go_left = features[rows, j] <= thr
-        goes_left[rows] = go_left
-        in_left = goes_left.take(order)
+        k, thr = best
+        j = int(order[k, 0] % width)
+        go_left = cells.take(rows * width + j) <= thr
         right_id = len(value) + 1
         split_feature[node], threshold[node], right[node] = j, thr, right_id
         for column, blank in ((split_feature, -1), (threshold, 0.0), (right, -1),
                               (value, 0.0)):
             column += [blank, blank]
-        stack.append((right_id, rows[~go_left], order[~in_left].reshape(width, -1),
-                      depth + 1))
-        stack.append((right_id - 1, rows[go_left], order[in_left].reshape(width, -1),
-                      depth + 1))
+        rows_left, rows_right = rows.compress(go_left), rows.compress(~go_left)
+        order_left = order_right = None
+        if searched(depth + 1, rows_left) or searched(depth + 1, rows_right):
+            goes_left[rows] = go_left
+            in_left = goes_left.take(order // width)
+            in_right = ~in_left
+            # Row k of a child's slice is a run of row k here; the left
+            # child's is the first len(rows_left) cells, those of the values
+            # <= thr. A child on whose run feature j is constant drops row k.
+            cut = len(rows_left)
+            first, last, low, high = cells.take(order[k, [0, cut - 1, cut, -1]]).tolist()
+            if searched(depth + 1, rows_left):
+                order_left = _child_slice(order, in_left, k, first == last)
+            if searched(depth + 1, rows_right):
+                order_right = _child_slice(order, in_right, k, low == high)
+        stack.append((right_id, rows_right, order_right, depth + 1))
+        stack.append((right_id - 1, rows_left, order_left, depth + 1))
 
     return RegressionTree(np.array(split_feature, dtype=np.int64),
                           np.array(threshold, dtype=float),
@@ -261,7 +311,8 @@ class GbdtModel:
     train_mse: list = field(default_factory=list, compare=False)
     # The packed forests of this model alone and of this model followed by
     # the model `predict_pair` last paired it with, each built on first use
-    # and again whenever a packed model's trees, f0 or step length change.
+    # and again whenever a packed model's trees, f0, step length or width
+    # change.
     _alone: "_Forest" = field(default=None, repr=False, compare=False)
     _paired: "_Forest" = field(default=None, repr=False, compare=False)
 
@@ -274,7 +325,7 @@ class _Forest:
     """The trees of one or more models laid end to end for one
     level-by-level walk, one entry a node with each field stored once, and
     each model's f0 and step length, from `key`: each model's (trees, f0,
-    step length), whose trees `_check_layout` passes.
+    step length, width), whose trees `_check_layout` passes.
 
     Every model gets as many trees as the largest has: the others are
     padded with one-leaf trees of value -0.0, and x + (-0.0) is x for every
@@ -288,12 +339,12 @@ class _Forest:
     casts any narrower index array to intp on every call."""
 
     def __init__(self, key):
-        self.key = [(list(trees), f0, step_length) for trees, f0, step_length in key]
-        consts = np.array([(f0, step_length) for _, f0, step_length in key])
+        self.key = [(list(trees), *rest) for trees, *rest in key]
+        consts = np.array([(f0, step_length) for _, f0, step_length, _ in key])
         self.starts, self.step_lengths = consts[:, :1], consts[:, 1:, None]
-        self.per_model = max(len(trees) for trees, _, _ in key)
+        self.per_model = max(len(trees) for trees, *_ in key)
         forest = []
-        for trees, _, _ in key:
+        for trees, *_ in key:
             forest += trees + [_PAD] * (self.per_model - len(trees))
         self.roots = np.cumsum([0] + [tree.num_nodes() for tree in forest],
                                dtype=np.intp)[:-1]
@@ -379,8 +430,10 @@ def _predict(models, features: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"feature vector has {features.shape[1]} entries, model was "
                 f"trained on {model.num_features}")
-    key = [(model.trees, model.initial_prediction, model.params.step_length)
-           for model in models]
+    # The width is in the key because `_check_layout` checked the trees
+    # against it: a copy of the model with fewer features is checked again.
+    key = [(model.trees, model.initial_prediction, model.params.step_length,
+            model.num_features) for model in models]
     cache = "_alone" if len(models) == 1 else "_paired"
     packed = getattr(models[0], cache)
     # Trees compare by identity, so a tree list compares in one C-level scan.
@@ -435,14 +488,15 @@ def train(dataset: RegressionDataset, params: GbdtParams) -> GbdtModel:
     predictions = np.full(len(targets), f0)
     trees = []
     mse_history = [float(np.mean((targets - predictions) ** 2))]
+    leaf_of = np.empty(len(targets), dtype=np.intp)
 
     for _ in range(params.num_rounds):
-        tree = fit_tree(features, targets - predictions, params, presorted)
+        tree = fit_tree(features, targets - predictions, params, presorted, leaf_of)
         trees.append(tree)
-        # With f0 = -0.0 the walk gives the tree's term sl * v exactly, so
-        # this is the sum a prediction's walk makes, bit for bit.
-        predictions = predictions + _Forest(
-            [([tree], -0.0, params.step_length)]).walk(features)[0]
+        # Each row's term sl * v, from the leaf it reached in the fit: the
+        # term a prediction's walk adds after its f0, so training's partial
+        # sums are a prediction's, bit for bit.
+        predictions = predictions + params.step_length * tree.value.take(leaf_of)
         mse = float(np.mean((targets - predictions) ** 2))
         if params.lambda_leaf == 0.0:
             # Guaranteed for mean-valued leaves with step length in (0, 1].

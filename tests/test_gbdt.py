@@ -25,12 +25,17 @@ from cranpower.gbdt import (
 )
 
 
-def _leaf_value(tree, row):
+def _leaf(tree, row):
+    """The node index of the leaf that `row` reaches, by the routing rule."""
     node = 0
     while tree.split_feature[node] >= 0:
         go_left = row[tree.split_feature[node]] <= tree.threshold[node]
         node = tree.right[node] - 1 if go_left else tree.right[node]
-    return float(tree.value[node])
+    return node
+
+
+def _leaf_value(tree, row):
+    return float(tree.value[_leaf(tree, row)])
 
 
 def _sequential_sum(model, row):
@@ -162,10 +167,12 @@ def _reference_best_split(col, residuals, min_leaf):
     return float(sse[best]), 0.5 * (sorted_col[b - 1] + sorted_col[b])
 
 
-def _reference_fit_tree(features, residuals, params, presorted=None):
+def _reference_fit_tree(features, residuals, params, presorted=None, leaf_of=None):
     """The tree fit before the presorted search: one `_reference_best_split`
     per (node, feature), lowest feature index on ties. Same DFS node order.
-    `presorted` is ignored; it lets `train` call this in place of `fit_tree`."""
+    `presorted` is ignored; it lets `train` call this in place of `fit_tree`.
+    If `leaf_of` is given, leaf_of[r] is set to the leaf that this fit's own
+    routing sends training row r to."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     residuals = np.asarray(residuals, dtype=float)
     split_feature, threshold, right, value = [], [], [], []
@@ -181,17 +188,17 @@ def _reference_fit_tree(features, residuals, params, presorted=None):
         node, rows, depth = stack.pop()
         res = residuals[rows]
         value[node] = float(np.sum(res) / (len(rows) + params.lambda_leaf))
-        if depth >= params.max_depth or len(rows) < 2 * params.min_samples_leaf:
-            continue
-        if np.ptp(res) == 0.0:
-            continue
         best = None
-        for j in range(features.shape[1]):
-            found = _reference_best_split(features[rows, j], res,
-                                          params.min_samples_leaf)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = (found[0], j, found[1])
+        if (depth < params.max_depth and len(rows) >= 2 * params.min_samples_leaf
+                and np.ptp(res) != 0.0):
+            for j in range(features.shape[1]):
+                found = _reference_best_split(features[rows, j], res,
+                                              params.min_samples_leaf)
+                if found is not None and (best is None or found[0] < best[0]):
+                    best = (found[0], j, found[1])
         if best is None:
+            if leaf_of is not None:
+                leaf_of[rows] = node
             continue
         _, j, thr = best
         go_left = features[rows, j] <= thr
@@ -213,7 +220,7 @@ def _assert_same_tree(got, want):
 
 
 @st.composite
-def split_problems(draw):
+def split_problems(draw, max_depth=st.integers(1, 6), min_samples_leaf=st.integers(1, 7)):
     """Small datasets with tied, binary, rounded and constant columns, tied
     residuals, and tree params down to nodes too small to split."""
     n = draw(st.integers(1, 40))
@@ -233,11 +240,24 @@ def split_problems(draw):
     if draw(st.booleans()):
         targets = np.round(targets)
     params = GbdtParams(num_rounds=draw(st.integers(1, 4)),
-                        max_depth=draw(st.integers(1, 6)),
-                        min_samples_leaf=draw(st.integers(1, 7)),
+                        max_depth=draw(max_depth),
+                        min_samples_leaf=draw(min_samples_leaf),
                         step_length=draw(st.sampled_from([0.1, 1.0])),
                         lambda_leaf=draw(st.sampled_from([0.0, 0.5, 3.0])))
     return np.column_stack(columns), targets, params
+
+
+def _assert_fits_as_reference(features, residuals, params):
+    """`fit_tree` gives `_reference_fit_tree`'s tree bit for bit, with and
+    without a presort, and reports for each training row the leaf that the
+    reference and the routing rule send it to."""
+    want_leaf = np.full(len(residuals), -1)
+    want = _reference_fit_tree(features, residuals, params, leaf_of=want_leaf)
+    assert want_leaf.tolist() == [_leaf(want, row) for row in features]
+    for presorted in (None, gbdt._presort(features)):
+        got_leaf = np.full(len(residuals), -1)
+        _assert_same_tree(fit_tree(features, residuals, params, presorted, got_leaf), want)
+        assert got_leaf.tolist() == want_leaf.tolist()
 
 
 class TestPresortedSearch:
@@ -247,12 +267,16 @@ class TestPresortedSearch:
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(problem=split_problems(), split_block=st.sampled_from([1, 7, gbdt.SPLIT_BLOCK]))
     def test_fit_tree_matches_per_feature_search(self, problem, split_block):
-        features, residuals, params = problem
-        want = _reference_fit_tree(features, residuals, params)
         with mock.patch.object(gbdt, "SPLIT_BLOCK", split_block):
-            _assert_same_tree(fit_tree(features, residuals, params), want)
-            _assert_same_tree(fit_tree(features, residuals, params,
-                                       gbdt._presort(features)), want)
+            _assert_fits_as_reference(*problem)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(problem=split_problems(max_depth=st.integers(1, 2),
+                                  min_samples_leaf=st.integers(3, 15)))
+    def test_unsearched_children_match_per_feature_search(self, problem):
+        # Nodes at max_depth, or with fewer than 2 * min_samples_leaf rows,
+        # carry no presort slice: most children here are such leaves.
+        _assert_fits_as_reference(*problem)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(problem=split_problems())
@@ -486,6 +510,18 @@ class TestPredict:
                           num_features=2)
         _assert_refused(model, [[0.0, 0.0], [1.0, 1.0]],
                         "tree 0 splits on feature 2 of a model that reads 2", tmp_path)
+
+    def test_copy_with_fewer_features_is_checked_again(self):
+        # The copy shares the packing that predicting on the model built;
+        # walked, that packing would read past each 2-wide row.
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(50, 3))
+        model = train(RegressionDataset(x, x[:, 2]), GbdtParams(num_rounds=3))
+        predict_batch(model, x)
+        narrowed = dataclasses.replace(model, num_features=2)
+        with pytest.raises(ValueError,
+                           match="tree 0 splits on feature 2 of a model that reads 2"):
+            predict_batch(narrowed, x[:, :2])
 
     def test_tree_deeper_than_its_params_is_walked_to_its_leaves(self, tmp_path):
         # A depth-2 tree in a model whose params say depth 1: every row

@@ -1,6 +1,7 @@
 """The oracle scripts under tools/ stay runnable: what they ask of the CLI
 parses, and the solver oracle's solve step agrees with itself."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -18,8 +19,10 @@ import solver_oracle  # noqa: E402
 
 def test_byte_oracle_sequences_parse(tmp_path):
     runs = byte_oracle._sequences(ROOT, tmp_path, short_default=True)
-    assert {"c9", "sweep", "no-tune", "modes", "interval", "wrap", "tune",
+    assert {"c9", "sweep", "no-tune", "modes", "interval", "wrap", "gbdt", "tune",
             "short-default"} <= runs.keys()
+    assert json.loads((tmp_path / "tiny-gbdt.json").read_text())["gbdt"] == {
+        "num_rounds": 60, "max_depth": 3, "min_samples_leaf": 40, "lambda_leaf": 0.5}
     assert [argv[argv.index("--pattern-mode") + 1] for argv in runs["modes"]] == [
         "all-on", "one-off"]
     # Each mode's dataset goes to its own directory, so neither overwrites;

@@ -23,6 +23,10 @@ nothing is written to `.git`. On each tree, from its own `configs/`:
   `evaluate --slots 60` with both DQN schemes: pre-training wraps the replay
   ring, and each tuned run copies the full, wrapped ring and keeps wrapping
   it;
+- gbdt: `train` on the c9 dataset with `gbdt.max_depth` 3,
+  `gbdt.min_samples_leaf` 40 and `gbdt.lambda_leaf` 0.5, then
+  `evaluate --slots 60` with both DQN schemes: most tree nodes are too
+  small or too deep to be searched, and the leaves are regularized;
 - tune: `evaluate --slots 60` with both DQN schemes on the c9 artifacts,
   with `dqn.learning_rate` 0.01 and `dqn.train_interval` 1, tuned and with
   `--no-tune`, each into its own subdirectory: at that rate the tuned
@@ -105,20 +109,17 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
     for name, config in (("redraw-k1", tiny), ("redraw-k4", k4)):
         runs[name] = [["train", "--config", config, "--seed", "9", "--redraw-channel",
                        "--dataset", f"{c9}/dataset.csv"]]
-    interval = _variant(tree, "tiny.json", work / "tiny-interval.json", {
-        "dqn.train_interval": 3, "dqn.target_sync_interval": 5})
-    runs["interval"] = [
-        ["train", "--config", interval, "--dataset", f"{c9}/dataset.csv"],
-        ["evaluate", "--config", interval, "--slots", "60"],
-        ["evaluate", "--config", interval, "--slots", "60", "--scheme", "DQN-SOCP"],
-    ]
-    wrap = _variant(tree, "tiny.json", work / "tiny-wrap.json",
-                    {"dqn.buffer_capacity": 64})
-    runs["wrap"] = [
-        ["train", "--config", wrap, "--dataset", f"{c9}/dataset.csv"],
-        ["evaluate", "--config", wrap, "--slots", "60"],
-        ["evaluate", "--config", wrap, "--slots", "60", "--scheme", "DQN-SOCP"],
-    ]
+    for name, changes in (
+            ("interval", {"dqn.train_interval": 3, "dqn.target_sync_interval": 5}),
+            ("wrap", {"dqn.buffer_capacity": 64}),
+            ("gbdt", {"gbdt.max_depth": 3, "gbdt.min_samples_leaf": 40,
+                      "gbdt.lambda_leaf": 0.5})):
+        config = _variant(tree, "tiny.json", work / f"tiny-{name}.json", changes)
+        runs[name] = [
+            ["train", "--config", config, "--dataset", f"{c9}/dataset.csv"],
+            ["evaluate", "--config", config, "--slots", "60"],
+            ["evaluate", "--config", config, "--slots", "60", "--scheme", "DQN-SOCP"],
+        ]
     tune = _variant(tree, "tiny.json", work / "tiny-tune.json", {
         "dqn.learning_rate": 0.01, "dqn.train_interval": 1})
     runs["tune"] = [
