@@ -67,15 +67,19 @@ for name, prev, nxt in (("all on, staying on", on, on),
     state_w, transition_w = state_and_transition_power(prev, nxt, config)
     print(f"  {name:27s} standby {state_w:5.2f} W, transition {transition_w:5.2f} W")
 
-print("\n=== One environment step: waking one RRH up, exact solver ===")
-env = Environment(config, channel, ExactSolverReward(config),
+print("\n=== One environment step of three envs at once, exact solver ===")
+# One Environment holds K envs as rows; one step solves all K next states.
+env = Environment(config, [channel] * 3, ExactSolverReward(config),
                   np.random.default_rng(0))
 env.reset(np.array([1, 1, 1, 1, 1, 1, 0, 0], dtype=bool))
-print(f"demands {np.round(env.current.demands_mbps, 1)} Mbps")
-result = env.step(6)
-pb = result.power
-print(f"feasible {result.feasible}: transmit {pb.transmit_w:.2f} W (solver power / "
-      f"{config.amplifier_efficiency}) + standby {pb.state_w:.2f} W + "
-      f"transition {pb.transition_w:.2f} W = {pb.total_w:.2f} W")
-print(f"reward P_UB - total = {env.p_upper_bound_w:.2f} - {pb.total_w:.2f} "
-      f"= {result.reward:.2f} (an unservable slot earns -P_UB)")
+print(f"demands of row 0 {np.round(env.demands[0], 1)} Mbps")
+actions = [6, config.num_rrhs, 0]
+slot = env.step(actions)
+for k, action in enumerate(actions):
+    what = "no-op" if action == config.num_rrhs else f"flip RRH {action}"
+    print(f"row {k} ({what}): feasible {slot.feasible[k]}: transmit "
+          f"{slot.transmit_w[k]:.2f} W (solver power / {config.amplifier_efficiency}) "
+          f"+ standby {slot.state_w[k]:.2f} W + transition {slot.transition_w[k]:.2f} W "
+          f"= {slot.total_w[k]:.2f} W")
+print(f"reward of row 0: P_UB - total = {env.p_upper_bound_w:.2f} - "
+      f"{slot.total_w[0]:.2f} = {slot.reward[0]:.2f} (an unservable slot earns -P_UB)")

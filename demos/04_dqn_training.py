@@ -10,7 +10,7 @@ import numpy as np
 
 from cranpower import pipeline
 from cranpower.dqn import select_action
-from cranpower.env import Environment, ExactSolverReward, encode_state
+from cranpower.env import Environment, ExactSolverReward, encode_states
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 config = pipeline.RunConfig.from_file(TINY)
@@ -28,24 +28,23 @@ print(f"replay memory holds {dqn_stats['buffer_occupancy']} transitions")
 print("\n=== Greedy rollout ===")
 network = config.network
 channel = pipeline.make_channel(config)
-env = Environment(network, channel, ExactSolverReward(network, config.solver),
+env = Environment(network, [channel], ExactSolverReward(network, config.solver),
                   np.random.default_rng(99))
-state = env.reset()
+env.reset()
 net = artifacts.qnet
 print(f"{'slot':>4}  {'pattern':>8}  {'action':>6}  {'power W':>8}  {'reward':>7}")
 for slot in range(12):
-    action = select_action(net, encode_state(state, network), 0.0,
-                           np.random.default_rng(0))
-    result = env.step(action)
+    features = encode_states(env.patterns, env.demands, network.demand_max_mbps)[0]
+    action = select_action(net, features, 0.0, np.random.default_rng(0))
+    result = env.step([action])
     label = "no-op" if action == network.num_rrhs else f"flip {action}"
-    pattern = "".join("1" if b else "0" for b in result.next_state.rrh_active)
-    print(f"{slot:>4}  {pattern:>8}  {label:>6}  {result.power.total_w:8.2f}  "
-          f"{result.reward:7.2f}")
-    state = result.next_state
-    if result.terminal:
-        state = env.reset()
+    pattern = "".join("1" if b else "0" for b in env.patterns[0])
+    print(f"{slot:>4}  {pattern:>8}  {label:>6}  {result.total_w[0]:8.2f}  "
+          f"{result.reward[0]:7.2f}")
+    if result.terminal[0]:
+        env.reset()
         print("      (episode ended, reset)")
 
-q = net.forward(encode_state(state, network))
+q = net.forward(encode_states(env.patterns, env.demands, network.demand_max_mbps)[0])
 print("\nQ-values at the final state:", np.round(q, 1))
 print("(one entry per action: flip RRH 0..m-1, or do nothing)")

@@ -1,23 +1,24 @@
-"""The RRH on/off control environment.
+"""The RRH on/off control environment: K envs of one cell, as arrays.
 
-One step: apply the chosen flip (or no-op) to the on/off pattern, obtain the
-minimal transmit power needed to serve the current demands (from the exact
-solver or the boosted-tree surrogate), account the full system power, emit
-the reward P_UB - P_total, and resample demands for the next slot. An
-unservable demand profile ends the episode with the reward -P_UB.
+`Environment` holds K envs as rows that share one reward source and one
+demand generator: patterns (K, m), demands (K, n), slot counters (K,) and
+each row's channel. One `step(actions)` applies every row's flip (or no-op)
+to its pattern, obtains the minimal transmit powers needed to serve the
+rows' current demands in one `solve` of the reward source, accounts the
+full system power, emits the rewards P_UB - P_total, and draws every row's
+next demands in one (K, n) draw, which equals K draws of one row each in
+row order. An unservable demand profile ends its row's episode with the
+reward -P_UB. A bad action, or the first SolverFailure of any row, is
+raised before any row moves. A run of one env is the same thing with K = 1.
 
-Each environment owns its channel. Both reward sources answer a batch of
-states of their config's cell through one contract, `solve(channels,
-channel_of, patterns, demands) -> (power, feasible, failures)`: the
-channels and each state's index into them, patterns (B, m) and demands
-(B, n) in; transmit powers (0 where not servable), feasible flags and
-{state index: SolverFailure} out. Both refuse a batch that does not fit the
-cell (`check_states`) before answering any state, and both answer one state
-through the same batch-of-one `transmit_power`. `step_all` steps envs that
-share one reward source in lockstep, like a vectorised environment: one
-`solve` answers all their next states, each on its env's channel, and the
-first SolverFailure is raised before any env moves. `Environment.step` is
-`step_all` on one env: one step path.
+Both reward sources answer a batch of states of their config's cell
+through one contract, `solve(channels, channel_of, patterns, demands) ->
+(power, feasible, failures)`: the channels and each state's index into
+them, patterns (B, m) and demands (B, n) in; transmit powers (0 where not
+servable), feasible flags and {state index: SolverFailure} out. Both refuse
+a batch that does not fit the cell (`check_states`) before answering any
+state, and both answer one state through the same batch-of-one
+`transmit_power`.
 
 The exact source reads every answer from the verdict and power arrays of
 `beamform.solve_states`, with no solver problem or solution per state; it
@@ -25,16 +26,16 @@ is the only code outside `beamform` that poses states to the solver. The
 surrogate makes one feasibility prediction of a batch and one power
 prediction of the states that pass the gate, and never fails.
 
-A step charges the slot's power in `Environment._finish`, where every
-reported watt is summed: `netmodel.state_and_transition_power`'s standby and
-mode-switch terms plus the transmit term, the source's transmit power over
-the amplifier efficiency (0 for an unservable slot). So the two reward
-sources can only differ in the transmit term.
+A step charges the slot's power with array ops, all in `Environment.step`:
+`netmodel.state_and_transition_power`'s standby and mode-switch terms plus
+the transmit term, the source's transmit power over the amplifier
+efficiency (0 for an unservable slot). So the two reward sources can only
+differ in the transmit term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,24 +50,25 @@ from .beamform import (  # noqa: F401
     solve_states,
 )
 from .netmodel import (
-    ChannelRealization,
     NetworkConfig,
-    PowerBreakdown,
-    SystemState,
     sample_demands,
     state_and_transition_power,
 )
 
 
-def apply_action(pattern, action: int) -> np.ndarray:
-    """Flip RRH `action`, or leave the pattern alone when action == m."""
-    pattern = np.asarray(pattern, dtype=bool)
-    if not 0 <= action <= pattern.size:
-        raise ValueError(f"action {action} out of range [0, {pattern.size}]")
-    out = pattern.copy()
-    if action < pattern.size:
-        out[action] = ~out[action]
-    return out
+def apply_action(patterns, actions) -> np.ndarray:
+    """Flip RRH `actions[k]` of each pattern `patterns[k]` (..., m), or
+    leave the pattern alone where the action is m; a pattern (m,) takes one
+    action."""
+    patterns = np.asarray(patterns, dtype=bool)
+    actions = np.asarray(actions)
+    m = patterns.shape[-1]
+    if actions.shape != patterns.shape[:-1] or actions.dtype.kind not in "iu":
+        raise ValueError(f"actions {actions.shape} of {actions.dtype} do not fit "
+                         f"patterns {patterns.shape}: one integer a pattern")
+    if actions.size and not 0 <= actions.min() <= actions.max() <= m:
+        raise ValueError(f"actions {actions.min()}..{actions.max()} out of range [0, {m}]")
+    return patterns ^ (actions[..., None] == np.arange(m))
 
 
 def p_upper_bound(config: NetworkConfig) -> float:
@@ -79,11 +81,12 @@ def p_upper_bound(config: NetworkConfig) -> float:
     )
 
 
-def encode_state(state: SystemState, config: NetworkConfig) -> np.ndarray:
-    """Network input features: on/off bits as 0/1, demands scaled to [0, 1]."""
-    scale = config.demand_max_mbps if config.demand_max_mbps > 0 else 1.0
-    return np.concatenate([state.rrh_active.astype(float),
-                           state.demands_mbps / scale])
+def encode_states(patterns, demands_mbps, demand_max_mbps: float) -> np.ndarray:
+    """Network input features of states (..., m) and (..., n): the on/off
+    bits as 0/1, then the demands over `demand_max_mbps` (over 1 when it is
+    0)."""
+    scale = demand_max_mbps if demand_max_mbps > 0 else 1.0
+    return np.concatenate([patterns.astype(float), demands_mbps / scale], axis=-1)
 
 
 def check_states(config: NetworkConfig, channels, channel_of, patterns,
@@ -199,99 +202,88 @@ class SurrogateReward(_RewardSource):
         return np.where(feasible & (power > 0.0), power, 0.0), feasible, {}
 
 
-@dataclass
-class StepResult:
-    next_state: SystemState
-    reward: float
-    power: PowerBreakdown
-    feasible: bool
-    terminal: bool
+class Slot(NamedTuple):
+    """What one step charged each row, as (K,) arrays: the transmit,
+    standby, mode-switch and total watts, the reward, and whether the row
+    was servable and whether its episode ended."""
+
+    transmit_w: np.ndarray
+    state_w: np.ndarray
+    transition_w: np.ndarray
+    total_w: np.ndarray
+    reward: np.ndarray
+    feasible: np.ndarray
+    terminal: np.ndarray
 
 
 class Environment:
-    """Single-threaded slot-by-slot simulation of the controlled cell."""
+    """K envs of one cell, stepped in lockstep as arrays. Row k is an
+    episode on `channels[k]`, at the on/off pattern `patterns[k]` with the
+    demands `demands[k]`, `slots[k]` slots in. The rows share one reward
+    source and one demand generator."""
 
-    def __init__(self, config: NetworkConfig, channel: ChannelRealization,
-                 reward_source, rng: np.random.Generator,
-                 episode_length: int | None = None):
-        if channel.gains.shape != (config.num_rrhs, config.num_users):
-            raise ValueError("channel dimensions do not match the config")
+    def __init__(self, config: NetworkConfig, channels, reward_source,
+                 rng: np.random.Generator, episode_length: int | None = None):
+        for channel in channels:
+            if channel.gains.shape != (config.num_rrhs, config.num_users):
+                raise ValueError("channel dimensions do not match the config")
         self.config = config
-        self.channel = channel
+        self.channels = list(channels)
         self.reward_source = reward_source
         self.rng = rng
         self.episode_length = episode_length
         self.p_upper_bound_w = p_upper_bound(config)
-        self.slot_counter = 0
-        self.current = None
+        self.patterns = self.demands = None
+        self.slots = np.zeros(len(self.channels), dtype=np.int64)
 
-    def reset(self, initial_pattern=None) -> SystemState:
-        """Start an episode: set the pattern, draw fresh demands, zero the
-        slot counter."""
-        if initial_pattern is None:
-            pattern = np.ones(self.config.num_rrhs, dtype=bool)
-        else:
-            pattern = np.asarray(initial_pattern, dtype=bool).copy()
-            if pattern.size != self.config.num_rrhs:
-                raise ValueError("initial pattern length must equal num_rrhs")
-        self.current = SystemState(rrh_active=pattern,
-                                   demands_mbps=sample_demands(self.config, self.rng))
-        self.slot_counter = 0
-        return self.current
+    def reset(self, patterns=None, demands=None):
+        """Start an episode in every row: from `patterns` (K, m), or one
+        pattern (m,) for every row, by default every RRH on; with `demands`
+        (K, n), by default all rows' drawn at once; slot counters at 0."""
+        shape = (len(self.channels), self.config.num_rrhs)
+        self.patterns = np.broadcast_to(
+            True if patterns is None else np.asarray(patterns, dtype=bool), shape).copy()
+        self.demands = (sample_demands(self.config, self.rng, shape[0])
+                        if demands is None else np.array(demands, dtype=float))
+        self.slots = np.zeros(shape[0], dtype=np.int64)
 
-    def force_pattern(self, pattern):
-        """Override the pattern without consuming demand draws (recovery after
-        an infeasible slot in a continuous run)."""
-        pattern = np.asarray(pattern, dtype=bool).copy()
-        if pattern.size != self.config.num_rrhs:
-            raise ValueError("pattern length must equal num_rrhs")
-        self.current = SystemState(rrh_active=pattern,
-                                   demands_mbps=self.current.demands_mbps)
+    def restart(self, rows, channels, patterns, demands):
+        """Start a new episode in each of `rows`, in place: on its channel
+        of `channels`, from its pattern and demands."""
+        for row, channel in zip(rows, channels):
+            self.channels[row] = channel
+        self.patterns[rows] = patterns
+        self.demands[rows] = demands
+        self.slots[rows] = 0
 
-    def step(self, action: int) -> StepResult:
-        return step_all([self], [action])[0]
+    def keep(self, rows):
+        """Keep only `rows`, in their order; the others are dropped."""
+        self.channels = [self.channels[row] for row in rows]
+        self.patterns, self.demands, self.slots = (
+            self.patterns[rows], self.demands[rows], self.slots[rows])
 
-    def _finish(self, next_pattern, tx_w: float, feasible: bool) -> StepResult:
-        """The rest of a step to `next_pattern` once the reward source's
-        transmit power and feasible flag are known: power accounting,
-        reward, the next slot's demands and the terminal flag."""
-        prev_pattern = self.current.rrh_active
-        state_w, transition_w = state_and_transition_power(
-            prev_pattern, next_pattern, self.config)
-        transmit_w = tx_w / self.config.amplifier_efficiency if feasible else 0.0
-        total_w = transmit_w + state_w + transition_w
-        reward = self.p_upper_bound_w - total_w if feasible else -self.p_upper_bound_w
-        power = PowerBreakdown(transmit_w=transmit_w, state_w=state_w,
-                               transition_w=transition_w, total_w=total_w)
-
-        self.slot_counter += 1
-        terminal = not feasible or (self.episode_length is not None
-                                    and self.slot_counter >= self.episode_length)
-        next_state = SystemState(
-            rrh_active=next_pattern,
-            demands_mbps=sample_demands(self.config, self.rng))
-        self.current = next_state
-        return StepResult(next_state=next_state, reward=reward, power=power,
-                          feasible=feasible, terminal=terminal)
-
-
-def step_all(envs, actions) -> list:
-    """Step every env with its action, in order. The envs must share one
-    reward source, which answers all their next states in one `solve`, one
-    channel per env. A bad env or action, or the first SolverFailure of any
-    env, is raised before any env moves on."""
-    source = envs[0].reward_source
-    for env in envs:
-        if env.reward_source is not source:
-            raise ValueError("step_all needs envs that share one reward source")
-        if env.current is None:
+    def step(self, actions) -> Slot:
+        """Step every row by its action: flip the patterns, answer all next
+        states in one `solve` of the reward source, each on its row's
+        channel, charge the slot's power, and draw every row's next demands
+        at once. A bad action, or the first SolverFailure of any row, is
+        raised before any row moves."""
+        if self.patterns is None:
             raise RuntimeError("environment must be reset before stepping")
-    patterns = [apply_action(env.current.rrh_active, action)
-                for env, action in zip(envs, actions)]
-    power, feasible, failures = source.solve(
-        [env.channel for env in envs], np.arange(len(envs)), np.array(patterns),
-        np.array([env.current.demands_mbps for env in envs]))
-    if failures:
-        raise failures[min(failures)]
-    return [env._finish(pattern, tx_w, ok) for env, pattern, tx_w, ok
-            in zip(envs, patterns, power.tolist(), feasible.tolist())]
+        config = self.config
+        patterns = apply_action(self.patterns, actions)
+        tx_w, feasible, failures = self.reward_source.solve(
+            self.channels, np.arange(len(patterns)), patterns, self.demands)
+        if failures:
+            raise failures[min(failures)]
+        state_w, transition_w = state_and_transition_power(self.patterns, patterns, config)
+        transmit_w = np.where(feasible, tx_w / config.amplifier_efficiency, 0.0)
+        total_w = transmit_w + state_w + transition_w
+        reward = np.where(feasible, self.p_upper_bound_w - total_w, -self.p_upper_bound_w)
+        self.slots = self.slots + 1
+        terminal = ~feasible
+        if self.episode_length is not None:
+            terminal |= self.slots >= self.episode_length
+        self.patterns = patterns
+        self.demands = sample_demands(config, self.rng, len(patterns))
+        return Slot(transmit_w, state_w, transition_w, total_w, reward, feasible, terminal)

@@ -1,8 +1,9 @@
 """Physical layer of the single-cell C-RAN: the config, channel
 realizations, SINR, demands, and the standby and mode-switch terms of a
-slot's power (`state_and_transition_power`). `env.Environment` adds the
-transmit term and sums the three; `beamform.sinr_targets` holds the rate
-model, from demands to SINR targets.
+slot's power (`state_and_transition_power`). Demands and both power terms
+come as arrays of many states at once. `env.Environment` adds the transmit
+term and sums the three; `beamform.sinr_targets` holds the rate model, from
+demands to SINR targets.
 
 All physics runs in linear units (W, dimensionless ratios). dB/dBm inputs
 are converted once, at config load time.
@@ -171,26 +172,6 @@ class ChannelRealization:
             raise ValueError("channel gains must be finite")
 
 
-@dataclass
-class SystemState:
-    """RRH on/off pattern plus per-user demands; the RL state."""
-
-    rrh_active: np.ndarray
-    demands_mbps: np.ndarray
-
-    def __post_init__(self):
-        self.rrh_active = np.asarray(self.rrh_active, dtype=bool)
-        self.demands_mbps = np.asarray(self.demands_mbps, dtype=float)
-
-
-@dataclass(frozen=True)
-class PowerBreakdown:
-    transmit_w: float
-    state_w: float
-    transition_w: float
-    total_w: float
-
-
 def path_loss_db(distance_km: float) -> float:
     """Macro-cell path loss, 148.1 + 37.6*log10(d[km])."""
     if np.any(np.asarray(distance_km) <= 0):
@@ -243,24 +224,29 @@ def compute_sinr(weights: np.ndarray, channel: ChannelRealization,
 
 
 def state_and_transition_power(prev_pattern, next_pattern, config: NetworkConfig):
-    """Standby power of `next_pattern` and the mode-switch cost from `prev_pattern`.
+    """Standby power of `next_pattern` and the mode-switch cost from
+    `prev_pattern`, for patterns of one shape (..., m): one figure of each
+    per pattern, of the leading shape.
 
     Shared by the exact and surrogate reward paths so the two modes can only
     ever differ in the transmit term.
     """
     prev = np.asarray(prev_pattern, dtype=bool)
     nxt = np.asarray(next_pattern, dtype=bool)
-    if prev.shape != nxt.shape or prev.ndim != 1:
-        raise ValueError("patterns must be equal-length 1-D boolean vectors")
-    if prev.size != config.num_rrhs:
-        raise ValueError(f"pattern length {prev.size} != num_rrhs {config.num_rrhs}")
-    n_active = int(np.count_nonzero(nxt))
-    state_w = n_active * config.active_power_w + (nxt.size - n_active) * config.sleep_power_w
-    transition_w = int(np.count_nonzero(prev != nxt)) * config.transition_power_w
+    if prev.shape != nxt.shape or prev.ndim == 0:
+        raise ValueError("patterns must be boolean arrays of one shape (..., m)")
+    if prev.shape[-1] != config.num_rrhs:
+        raise ValueError(f"pattern length {prev.shape[-1]} != num_rrhs {config.num_rrhs}")
+    n_active = np.count_nonzero(nxt, axis=-1)
+    state_w = (n_active * config.active_power_w
+               + (config.num_rrhs - n_active) * config.sleep_power_w)
+    transition_w = np.count_nonzero(prev != nxt, axis=-1) * config.transition_power_w
     return state_w, transition_w
 
 
-def sample_demands(config: NetworkConfig, rng: np.random.Generator) -> np.ndarray:
-    """Per-user demands, continuous uniform on [demand_min, demand_max] Mbps."""
-    return rng.uniform(config.demand_min_mbps, config.demand_max_mbps,
-                       size=config.num_users)
+def sample_demands(config: NetworkConfig, rng: np.random.Generator,
+                   rows: int | None = None) -> np.ndarray:
+    """Per-user demands, continuous uniform on [demand_min, demand_max] Mbps:
+    (n,), or (rows, n), which is `rows` draws of (n,) in order."""
+    shape = config.num_users if rows is None else (rows, config.num_users)
+    return rng.uniform(config.demand_min_mbps, config.demand_max_mbps, size=shape)

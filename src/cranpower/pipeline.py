@@ -1,8 +1,9 @@
 """Orchestration of the whole workbench: dataset generation through the
 exact solver, offline training of the boosted-tree surrogate and of the DQN
-(in lockstep environments that share one batched exact solve a step),
-online greedy evaluation with regular tuning, the all-on / one-closed
-baselines, the timing benchmark, and the paired error-tolerance comparison.
+(its episodes the rows of one `env.Environment`, with one batched exact
+solve a step), online greedy evaluation with regular tuning, the all-on /
+one-closed baselines (both on an environment of one row), the timing
+benchmark, and the paired error-tolerance comparison.
 
 Every command is a pure function of (config, seeds): rerunning it with the
 same inputs reproduces every non-timing output byte for byte. Randomness is
@@ -40,9 +41,8 @@ from .env import (
     Environment,
     ExactSolverReward,
     SurrogateReward,
-    encode_state,
+    encode_states,
     p_upper_bound,
-    step_all,
 )
 from .netmodel import (
     ChannelRealization,
@@ -363,13 +363,13 @@ class _Learner:
         if self.steps % self.params.target_sync_interval == 0:
             self.target = sync_target(self.net)
 
-    def learn(self, features, action: int, result, next_features) -> bool:
+    def learn(self, features, action: int, reward: float, next_features,
+              terminal: bool) -> bool:
         """Learn from `action`, taken in the state encoded as `features`,
-        and its StepResult `result`, whose next state is encoded as
-        `next_features`. Returns whether it trained."""
+        its reward, the next state encoded as `next_features`, and whether
+        it ended the episode. Returns whether it trained."""
         params = self.params
-        self.replay.push(Transition(features, action, result.reward, next_features,
-                                    result.terminal))
+        self.replay.push(Transition(features, action, reward, next_features, terminal))
         self.steps += 1
         trained = (len(self.replay) >= params.batch_size
                    and self.steps % params.train_interval == 0)
@@ -426,8 +426,8 @@ def train_offline(config: RunConfig, out_dir=None,
     rng_buffer = np.random.default_rng([config.seeds.train, _STREAM_TRAIN_BUFFER])
     rng_channels = np.random.default_rng([config.seeds.train, _STREAM_TRAIN_CHANNELS])
 
+    network = config.network
     fixed_channel = make_channel(config)
-    source = ExactSolverReward(config.network, config.solver)
     learner = _Learner(params, QNetwork.initialize(
         [m + n] + list(params.hidden_sizes) + [m + 1], rng_net),
         ReplayBuffer(params.buffer_capacity), rng_buffer)
@@ -435,45 +435,54 @@ def train_offline(config: RunConfig, out_dir=None,
     last_return = math.nan
     started = 0
 
-    def start_episode():
-        """A new episode's env, its first state's features and its return
-        so far."""
+    def draw_episodes(count):
+        """The channels, patterns and demands of the next `count` episodes,
+        one episode after the other."""
         nonlocal started
-        started += 1
-        channel = (sample_channel(config.network, rng_channels)
-                   if config.redraw_channel else fixed_channel)
-        env = Environment(config.network, channel, source, rng_env,
-                          episode_length=params.episode_length)
-        state = env.reset(_draw_states(config.network, PATTERN_RANDOM, rng_env, 1,
-                                       demands=False)[0][0])
-        return env, encode_state(state, config.network), 0.0
+        started += count
+        channels = [sample_channel(network, rng_channels) if config.redraw_channel
+                    else fixed_channel for _ in range(count)]
+        return (channels, *_draw_states(network, PATTERN_RANDOM, rng_env, count))
 
-    # Up to `offline_envs` episodes run in lockstep. A tick picks every
-    # env's action, answers all next states in one batch (`step_all`), then
-    # learns from the transitions in env order as a one-env loop would. A
-    # next state's features serve its transition and the env's next action.
-    # A finished episode's env is replaced in place while episodes remain.
-    active = [start_episode()
-              for _ in range(min(config.offline_envs, config.offline_episodes))]
-    while active:
-        epsilons = [params.epsilon_at(learner.steps + k) for k in range(len(active))]
+    # Up to `offline_envs` episodes run in lockstep, one a row of `env`. A
+    # tick picks every row's action, steps all rows at once, then learns
+    # from the transitions in row order as a one-env loop would. The rows'
+    # next states are encoded at once and serve both their transitions and
+    # the next tick's actions. A finished row starts the next episode in
+    # place while episodes remain, and is dropped once none do.
+    scale = network.demand_max_mbps
+    channels, patterns, demands = draw_episodes(
+        min(config.offline_envs, config.offline_episodes))
+    env = Environment(network, channels, ExactSolverReward(network, config.solver),
+                      rng_env, episode_length=params.episode_length)
+    env.reset(patterns, demands)
+    returns = np.zeros(len(channels))
+    features = encode_states(env.patterns, env.demands, scale)
+    while env.channels:
+        epsilons = [params.epsilon_at(learner.steps + k) for k in range(len(features))]
         actions = [select_action(learner.net, f, epsilon, rng_actions)
-                   for (_, f, _), epsilon in zip(active, epsilons)]
-        results = step_all([env for env, _, _ in active], actions)
-        running = []
-        for (env, f, episode_return), action, epsilon, result in zip(
-                active, actions, epsilons, results):
-            next_f = encode_state(result.next_state, config.network)
-            if learner.learn(f, action, result, next_f):
-                log_rows.append((learner.steps, learner.loss, epsilon, last_return))
-            episode_return += result.reward
-            if not result.terminal:
-                running.append((env, next_f, episode_return))
-                continue
-            last_return = episode_return
-            if started < config.offline_episodes:
-                running.append(start_episode())
-        active = running
+                   for f, epsilon in zip(features, epsilons)]
+        slot = env.step(actions)
+        next_features = encode_states(env.patterns, env.demands, scale)
+        returns += slot.reward
+        for k, action in enumerate(actions):
+            if learner.learn(features[k], action, slot.reward[k], next_features[k],
+                             slot.terminal[k]):
+                log_rows.append((learner.steps, learner.loss, epsilons[k], last_return))
+            if slot.terminal[k]:
+                last_return = float(returns[k])
+        done = np.flatnonzero(slot.terminal)
+        restarted = done[:config.offline_episodes - started]
+        if len(restarted):
+            channels, patterns, demands = draw_episodes(len(restarted))
+            env.restart(restarted, channels, patterns, demands)
+            returns[restarted] = 0.0
+            next_features[restarted] = encode_states(patterns, demands, scale)
+        if len(restarted) < len(done):
+            kept = np.setdiff1d(np.arange(len(returns)), done[len(restarted):])
+            env.keep(kept)
+            returns, next_features = returns[kept], next_features[kept]
+        features = next_features
     dqn_seconds = time.perf_counter() - t0
 
     artifacts = Artifacts(gbdt_model=model, feasibility_model=flag_model,
@@ -567,47 +576,62 @@ class EvalReport:
 
 
 def _eval_env(config: RunConfig, channel, source) -> Environment:
-    """The env of an evaluation run: no episode end, the eval demand stream,
-    and every RRH on at the start."""
+    """The one-row env of an evaluation run: no episode end, the eval demand
+    stream, and every RRH on at the start."""
     env_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_DEMANDS])
-    env = Environment(config.network, channel, source, env_rng, episode_length=None)
+    env = Environment(config.network, [channel], source, env_rng, episode_length=None)
     env.reset()
     return env
 
 
-def _report(scheme: str, network: NetworkConfig, steps, t_start,
-            truth=None) -> EvalReport:
-    """The report of a run's steps; unserved slots are charged P_UB. With
-    `truth`, the exact solver's (power, feasible) answer per slot, a slot's
-    transmit term and feasibility are the solver's, not the controller's."""
-    p_ub = p_upper_bound(network)
-    instants, feasibles, trajectory = [], [], []
-    for slot, (action, demands_served, result) in enumerate(steps):
-        power, feasible, instant = result.power, result.feasible, result.power.total_w
-        if truth is not None:
-            true_tx, true_ok = truth[slot]
-            feasible = feasible and true_ok
-            instant = (power.state_w + power.transition_w
-                       + true_tx / network.amplifier_efficiency)
-        instants.append(instant if feasible else p_ub)
-        feasibles.append(feasible)
-        pattern = result.next_state.rrh_active.view(np.uint8) + ord("0")
-        trajectory.append(
-            (slot, action, pattern.tobytes().decode())
-            + tuple(demands_served)
-            + (power.transmit_w, power.state_w, power.transition_w, power.total_w,
-               result.reward, bool(result.feasible)))
-    instants = np.asarray(instants, dtype=float)
-    feasibles = np.asarray(feasibles, dtype=bool)
+def _step(env: Environment, action: int, steps: list):
+    """Step the one-row `env` by `action`, and record in `steps` the action,
+    the demands it served, its Slot and the pattern it left."""
+    demands = env.demands[0]
+    slot = env.step([action])
+    steps.append((action, demands, slot, env.patterns[0]))
+    return slot
+
+
+def _report(scheme: str, config: RunConfig, channel, steps, t_start,
+            resolve: bool = False) -> EvalReport:
+    """The report of a run's `_step` records; unserved slots are charged
+    P_UB. With `resolve`, the exact solver re-solves every slot's realized
+    (pattern, demands) on `channel`, and a slot's transmit term and
+    feasibility are the solver's, not the controller's."""
+    network = config.network
+    m, n = network.num_rrhs, network.num_users
+    actions = np.array([step[0] for step in steps], dtype=int)
+    demands = np.array([step[1] for step in steps]).reshape(-1, n)
+    # Each row: transmit, state, transition and total watts, then reward.
+    charged = np.array([step[2][:5] for step in steps]).reshape(-1, 5)
+    feasible = np.array([step[2].feasible for step in steps], dtype=bool).reshape(-1)
+    patterns = np.array([step[3] for step in steps], dtype=bool).reshape(-1, m)
+    served, instants = feasible, charged[:, 3]
+    if resolve:
+        # The ground truth never feeds back into control, so every slot is
+        # re-solved in one batch after the run.
+        true_tx, true_ok, failures = ExactSolverReward(network, config.solver).solve(
+            [channel], np.zeros(len(steps), dtype=np.intp), patterns, demands)
+        if failures:
+            raise failures[min(failures)]
+        served = feasible & true_ok
+        instants = charged[:, 1] + charged[:, 2] + true_tx / network.amplifier_efficiency
+    instants = np.where(served, instants, p_upper_bound(network))
+    texts = [row.tobytes().decode() for row in patterns.view(np.uint8) + ord("0")]
+    trajectory = [(slot, action, text, *row_demands, *row_charged, ok)
+                  for slot, (action, text, row_demands, row_charged, ok) in enumerate(zip(
+                      actions.tolist(), texts, demands.tolist(), charged.tolist(),
+                      feasible.tolist()))]
     wall = time.perf_counter() - t_start
     return EvalReport(
         scheme=scheme,
         instant_w=instants,
         running_avg_w=np.cumsum(instants) / np.arange(1, len(instants) + 1),
-        actions=np.asarray([action for action, _, _ in steps], dtype=int),
-        feasible=feasibles,
+        actions=actions,
+        feasible=served,
         trajectory=trajectory,
-        infeasible_count=int(np.count_nonzero(~feasibles)),
+        infeasible_count=int(np.count_nonzero(~served)),
         timing={"wall_s": wall,
                 "s_per_slot": wall / len(steps) if steps else math.nan},
     )
@@ -634,6 +658,7 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     t_start = time.perf_counter()
 
     network = config.network
+    scale = network.demand_max_mbps
     channel = make_channel(config)
     source = (SurrogateReward(network, artifacts.gbdt_model,
                               artifacts.feasibility_model)
@@ -645,35 +670,23 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
                if tuning else None)
     net = learner.net if tuning else artifacts.qnet
     env = _eval_env(config, channel, source)
-    steps = []      # per slot: (action, demands served, StepResult)
-    features = encode_state(env.current, network)
+    steps = []
+    features = encode_states(env.patterns, env.demands, scale)[0]
     for _ in range(slots):
-        demands = env.current.demands_mbps
         action = select_action(net, features, 0.0, rng)
-        result = env.step(action)
-        steps.append((action, demands, result))
-        next_features = encode_state(result.next_state, network)
+        slot = _step(env, action, steps)
+        next_features = encode_states(env.patterns, env.demands, scale)[0]
         if tuning:
-            learner.learn(features, action, result, next_features)
-        if result.terminal:
+            learner.learn(features, action, slot.reward[0], next_features,
+                          slot.terminal[0])
+        if slot.terminal[0]:
             # Recover by waking everything up, without consuming extra
             # demand draws.
-            env.force_pattern(np.ones(network.num_rrhs, dtype=bool))
-            next_features = encode_state(env.current, network)
+            env.patterns = np.ones_like(env.patterns)
+            next_features = encode_states(env.patterns, env.demands, scale)[0]
         features = next_features
-    truth = None
-    if scheme == SCHEME_DQN_GBDT:
-        # The ground truth never feeds back into control, so every slot is
-        # re-solved in one batch after the run.
-        power, feasible, failures = ExactSolverReward(network, config.solver).solve(
-            [channel], np.zeros(len(steps), dtype=np.intp),
-            np.array([result.next_state.rrh_active for _, _, result in steps],
-                     dtype=bool).reshape(-1, network.num_rrhs),
-            np.array([demands for _, demands, _ in steps]).reshape(-1, network.num_users))
-        if failures:
-            raise failures[min(failures)]
-        truth = list(zip(power.tolist(), feasible.tolist()))
-    return _report(scheme, network, steps, t_start, truth)
+    return _report(scheme, config, channel, steps, t_start,
+                   resolve=scheme == SCHEME_DQN_GBDT)
 
 
 def run_baseline(config: RunConfig, scheme: str, slots: int) -> EvalReport:
@@ -694,9 +707,8 @@ def run_baseline(config: RunConfig, scheme: str, slots: int) -> EvalReport:
     env = _eval_env(config, channel, ExactSolverReward(network, config.solver))
     steps = []
     for slot in range(slots):
-        action = first if slot == 0 else m
-        steps.append((action, env.current.demands_mbps, env.step(action)))
-    return _report(scheme, network, steps, t_start)
+        _step(env, first if slot == 0 else m, steps)
+    return _report(scheme, config, channel, steps, t_start)
 
 
 # ---------------------------------------------------------------------------

@@ -346,42 +346,41 @@ def test_criterion_09_cli_determinism(tmp_path):
 
 
 def test_criterion_10_power_accounting(fixed_answer):
-    # 10^4 Environment steps, each from a drawn pattern by a drawn action,
-    # with a drawn (transmit power, feasible) answer: every term of the
-    # step's power and its reward equal their closed forms, and the total is
-    # the exact sum of the three terms.
+    # 10^4 rows of one Environment step, each from a drawn pattern by a
+    # drawn action, with a drawn (transmit power, feasible) answer: every
+    # term of each row's power and its reward equal their closed forms, and
+    # the total is the exact sum of the three terms.
     t0 = time.time()
     cfg = NetworkConfig()
-    m = cfg.num_rrhs
+    m, rows = cfg.num_rrhs, 10_000
     p_ub = m * (cfg.active_power_w + cfg.max_tx_power_w / cfg.amplifier_efficiency
                 + cfg.transition_power_w)
     rng = np.random.default_rng(9)
-    env = Environment(cfg, sample_channel(cfg, rng), fixed_answer, rng)
-    env.reset()
+    env = Environment(cfg, [sample_channel(cfg, rng)] * rows, fixed_answer, rng)
+    patterns = rng.random((rows, m)) < 0.5
+    actions = rng.integers(m + 1, size=rows)
+    fixed_answer.answer = (rng.uniform(0.0, m * cfg.max_tx_power_w, rows),
+                           rng.random(rows) < 0.8)
+    env.reset(patterns)
+    slot = env.step(actions)
     exact = p_upper_bound(cfg) == p_ub
     matched = 0
-    for _ in range(10_000):
-        pattern = rng.random(m) < 0.5
-        action = int(rng.integers(m + 1))
-        tx = float(rng.uniform(0.0, m * cfg.max_tx_power_w))
-        feasible = bool(rng.random() < 0.8)
-        fixed_answer.answer = (tx, feasible)
-        env.force_pattern(pattern)
-        result = env.step(action)
-        pb = result.power
-        nxt = pattern.copy()
+    for k in range(rows):
+        tx, feasible = float(fixed_answer.answer[0][k]), bool(fixed_answer.answer[1][k])
+        action = int(actions[k])
+        nxt = patterns[k].copy()
         nxt[action:action + 1] ^= True     # action m flips nothing
         on = int(nxt.sum())
         transmit_w = tx / cfg.amplifier_efficiency if feasible else 0.0
-        total_w = pb.transmit_w + pb.state_w + pb.transition_w
+        total_w = slot.transmit_w[k] + slot.state_w[k] + slot.transition_w[k]
         exact = (exact
-                 and np.array_equal(result.next_state.rrh_active, nxt)
-                 and pb.state_w == on * cfg.active_power_w + (m - on) * cfg.sleep_power_w
-                 and pb.transition_w == (cfg.transition_power_w if action < m else 0.0)
-                 and pb.transmit_w == transmit_w
-                 and pb.total_w == total_w
-                 and result.reward == (p_ub - total_w if feasible else -p_ub)
-                 and result.feasible == feasible)
+                 and np.array_equal(env.patterns[k], nxt)
+                 and slot.state_w[k] == on * cfg.active_power_w + (m - on) * cfg.sleep_power_w
+                 and slot.transition_w[k] == (cfg.transition_power_w if action < m else 0.0)
+                 and slot.transmit_w[k] == transmit_w
+                 and slot.total_w[k] == total_w
+                 and slot.reward[k] == (p_ub - total_w if feasible else -p_ub)
+                 and slot.feasible[k] == feasible)
         if not exact:
             break
         matched += 1
@@ -392,6 +391,6 @@ def test_criterion_10_power_accounting(fixed_answer):
     ao_exact = np.allclose(ao.instant_w, 54.4, rtol=1e-12, atol=0.0)
     elapsed = time.time() - t0
     _report(10, "power-accounting", exact and ao_exact and elapsed < 5.0,
-            f"{matched} of 10^4 env steps match the closed forms and sum "
+            f"{matched} of 10^4 stepped rows match the closed forms and sum "
             f"exactly; AO zero-demand instant power "
             f"{float(ao.instant_w[0])!r} W (expected 54.4), {elapsed:.2f}s")

@@ -9,15 +9,20 @@ from cranpower.env import (
     FEASIBILITY_THRESHOLD,
     Environment,
     ExactSolverReward,
+    Slot,
     SurrogateReward,
     apply_action,
-    encode_state,
+    encode_states,
     p_upper_bound,
-    step_all,
 )
 from cranpower import gbdt
 from cranpower.gbdt import GbdtModel, GbdtParams, RegressionDataset
-from cranpower.netmodel import NetworkConfig, sample_channel
+from cranpower.netmodel import (
+    NetworkConfig,
+    sample_channel,
+    sample_demands,
+    state_and_transition_power,
+)
 
 
 def constant_model(value, num_features):
@@ -50,13 +55,64 @@ def fitted_surrogate(config, seed):
 
 
 def make_env(config, reward_source=None, seed=0, **kwargs):
+    """A one-row env on a channel drawn from `seed`."""
     channel = sample_channel(config, np.random.default_rng(seed))
     if reward_source is None:
         reward_source = ExactSolverReward(config)
     elif callable(reward_source):
         reward_source = reward_source(channel)
-    return Environment(config, channel, reward_source,
+    return Environment(config, [channel], reward_source,
                        np.random.default_rng(seed + 1), **kwargs)
+
+
+def step1(env, action):
+    """Step a one-row env by `action`; its Slot with each field row 0's."""
+    return Slot._make(field[0] for field in env.step([action]))
+
+
+def encode_one(config, pattern, demands):
+    """One state's network features, by the scalar rule: the on/off bits,
+    then the demands over the ceiling (over 1 when it is 0)."""
+    scale = config.demand_max_mbps or 1.0
+    return np.concatenate([np.asarray(pattern, dtype=float), demands / scale])
+
+
+class ReferenceEnv:
+    """One env stepped by the scalar rules, without `Environment`: the flip,
+    the source's `transmit_power` on the env's own channel (the surrogate's
+    answer from per-row predictions), the scalar
+    `state_and_transition_power`, the reward, and one `sample_demands` call
+    for the next slot's demands."""
+
+    def __init__(self, config, channel, source, rng, pattern, episode_length=None):
+        self.config, self.channel, self.source, self.rng = config, channel, source, rng
+        self.episode_length = episode_length
+        self.pattern = np.array(pattern, dtype=bool)
+        self.demands = sample_demands(config, rng)
+        self.slot = 0
+
+    def features(self):
+        return encode_one(self.config, self.pattern, self.demands)
+
+    def step(self, action) -> Slot:
+        cfg = self.config
+        pattern = self.pattern.copy()
+        if action < cfg.num_rrhs:
+            pattern[action] = not pattern[action]
+        if isinstance(self.source, SurrogateReward):
+            tx, ok = surrogate_answer(self.source, pattern, self.demands)
+        else:
+            tx, ok = self.source.transmit_power(self.channel, pattern, self.demands)
+        state_w, transition_w = state_and_transition_power(self.pattern, pattern, cfg)
+        transmit_w = tx / cfg.amplifier_efficiency if ok else 0.0
+        total_w = transmit_w + state_w + transition_w
+        p_ub = p_upper_bound(cfg)
+        self.slot += 1
+        terminal = not ok or (self.episode_length is not None
+                              and self.slot >= self.episode_length)
+        self.pattern, self.demands = pattern, sample_demands(cfg, self.rng)
+        return Slot(transmit_w, state_w, transition_w, total_w,
+                    p_ub - total_w if ok else -p_ub, ok, terminal)
 
 
 class TestApplyAction:
@@ -107,8 +163,8 @@ class TestStepExact:
         cfg = zero_demand_config()
         env = make_env(cfg)
         env.reset(np.zeros(8, dtype=bool))
-        result = env.step(8)  # no-op
-        assert result.power.total_w == pytest.approx(34.4, rel=1e-12)
+        result = step1(env, 8)  # no-op
+        assert result.total_w == pytest.approx(34.4, rel=1e-12)
         assert result.reward == pytest.approx(102.4 - 34.4, rel=1e-12)
         assert result.feasible and not result.terminal
 
@@ -120,11 +176,11 @@ class TestStepExact:
         env_b = make_env(cfg, seed=3)
         target = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool)
         env_a.reset(target)
-        ra = env_a.step(8).reward            # no-op, already at target
+        ra = step1(env_a, 8).reward            # no-op, already at target
         before = target.copy()
         before[2] = False
         env_b.reset(before)
-        rb = env_b.step(2).reward            # flip RRH 2 to reach target
+        rb = step1(env_b, 2).reward            # flip RRH 2 to reach target
         assert ra - rb == pytest.approx(2.0, rel=1e-12)
 
     def test_unservable_demand_is_penalized_terminal(self):
@@ -133,7 +189,7 @@ class TestStepExact:
         env = make_env(cfg, seed=5)
         # One active single-antenna RRH cannot serve two users at iota = 3.
         env.reset(np.array([True, False]))
-        result = env.step(2)
+        result = step1(env, 2)
         assert not result.feasible
         assert result.terminal
         assert result.reward == -env.p_upper_bound_w
@@ -142,7 +198,7 @@ class TestStepExact:
         cfg = NetworkConfig(num_rrhs=2, num_users=1)
         env = make_env(cfg, seed=6)
         env.reset(np.array([True, False]))
-        result = env.step(0)  # switches the last active RRH off
+        result = step1(env, 0)  # switches the last active RRH off
         assert not result.feasible
         assert result.reward == -env.p_upper_bound_w
 
@@ -150,17 +206,16 @@ class TestStepExact:
         env = make_env(table1_config, seed=7)
         env.reset()
         for _ in range(5):
-            result = env.step(table1_config.num_rrhs)
-            assert result.power.transition_w == 0.0
+            result = step1(env, table1_config.num_rrhs)
+            assert result.transition_w == 0.0
 
     def test_reward_bounds_when_feasible(self, table1_config):
         env = make_env(table1_config, seed=8)
         env.reset()
         rng = np.random.default_rng(9)
         ub = env.p_upper_bound_w
-        floor = ub - table1_config.num_rrhs * table1_config.active_power_w
         for _ in range(30):
-            result = env.step(int(rng.integers(0, 9)))
+            result = step1(env, int(rng.integers(0, 9)))
             if result.feasible:
                 assert -ub < result.reward <= ub - 8 * min(4.3, 6.8)
             else:
@@ -173,8 +228,8 @@ class TestStepExact:
             rng = np.random.default_rng(99)
             out = []
             for _ in range(10):
-                r = env.step(int(rng.integers(0, 9)))
-                out.append((r.reward, r.power.total_w, r.feasible))
+                r = step1(env, int(rng.integers(0, 9)))
+                out.append((r.reward, r.total_w, r.feasible))
                 if r.terminal:
                     env.reset()
             return out
@@ -184,25 +239,29 @@ class TestStepExact:
 
 class TestReset:
     def test_default_all_on(self, table1_config):
-        env = make_env(table1_config, seed=12)
-        state = env.reset()
-        assert np.all(state.rrh_active)
-        assert state.demands_mbps.shape == (4,)
+        channel = sample_channel(table1_config, np.random.default_rng(12))
+        env = Environment(table1_config, [channel] * 3, ExactSolverReward(table1_config),
+                          np.random.default_rng(13))
+        env.reset()
+        assert env.patterns.shape == (3, 8) and np.all(env.patterns)
+        assert env.demands.shape == (3, 4)
+        assert env.slots.tolist() == [0, 0, 0]
 
     def test_same_seed_same_reset(self, table1_config):
-        a = make_env(table1_config, seed=13).reset()
-        b = make_env(table1_config, seed=13).reset()
-        assert np.array_equal(a.demands_mbps, b.demands_mbps)
+        a, b = make_env(table1_config, seed=13), make_env(table1_config, seed=13)
+        a.reset()
+        b.reset()
+        assert np.array_equal(a.demands, b.demands)
 
     def test_reset_clears_slot_counter(self, table1_config):
         env = make_env(table1_config, seed=14, episode_length=2)
         env.reset()
-        env.step(8)
-        result = env.step(8)
+        step1(env, 8)
+        result = step1(env, 8)
         assert result.terminal          # hit the episode length
         env.reset()
-        assert env.slot_counter == 0
-        assert not env.step(8).terminal
+        assert env.slots.tolist() == [0]
+        assert not step1(env, 8).terminal
 
 
 class TestSurrogateMode:
@@ -220,12 +279,12 @@ class TestSurrogateMode:
         rng = np.random.default_rng(21)
         for _ in range(8):
             action = int(rng.integers(0, m + 1))
-            re = exact.step(action)
-            rs = surro.step(action)
-            assert rs.power.state_w == re.power.state_w
-            assert rs.power.transition_w == re.power.transition_w
+            re = step1(exact, action)
+            rs = step1(surro, action)
+            assert rs.state_w == re.state_w
+            assert rs.transition_w == re.transition_w
             if re.feasible:
-                assert rs.power.transmit_w == pytest.approx(
+                assert rs.transmit_w == pytest.approx(
                     0.123 / table1_config.amplifier_efficiency, rel=1e-12)
             else:
                 exact.reset()
@@ -238,12 +297,12 @@ class TestSurrogateMode:
                                     constant_model(below, m + n))
         env = make_env(table1_config, reward_source=lambda ch: surrogate, seed=22)
         env.reset()
-        result = env.step(m)
+        result = step1(env, m)
         assert not result.feasible
         assert result.terminal
         assert result.reward == -env.p_upper_bound_w
         surrogate.feasibility_model = constant_model(FEASIBILITY_THRESHOLD, m + n)
-        assert env.step(m).feasible
+        assert step1(env, m).feasible
 
     def test_negative_prediction_clamped(self, table1_config):
         m, n = table1_config.num_rrhs, table1_config.num_users
@@ -251,8 +310,7 @@ class TestSurrogateMode:
                                     constant_model(1.0, m + n))
         env = make_env(table1_config, reward_source=lambda ch: surrogate, seed=23)
         env.reset()
-        result = env.step(m)
-        assert result.power.transmit_w == 0.0
+        assert step1(env, m).transmit_w == 0.0
 
     @pytest.mark.parametrize("passing", ["none", "some", "all"])
     def test_batch_matches_per_row_predict(self, table1_config, monkeypatch, passing):
@@ -292,47 +350,21 @@ class TestSurrogateMode:
 class TestEncodeState:
     def test_scaling(self, table1_config):
         env = make_env(table1_config, seed=30)
-        state = env.reset()
-        feats = encode_state(state, table1_config)
-        assert feats.shape == (12,)
-        assert np.all(feats[:8] == 1.0)
-        assert np.all((feats[8:] >= 0.5) & (feats[8:] <= 1.0))  # demands 20-40 over 40
-
-
-def _same_result(a, b):
-    assert a.reward == b.reward and a.feasible == b.feasible
-    assert a.terminal == b.terminal and a.power == b.power
-    assert a.next_state.rrh_active.tobytes() == b.next_state.rrh_active.tobytes()
-    assert a.next_state.demands_mbps.tobytes() == b.next_state.demands_mbps.tobytes()
-
-
-def reference_step(env, action):
-    """The single-env step before it went through `step_all`: the flip, the
-    reward source's answer for the env's own channel (the surrogate's from
-    per-row predictions), then `_finish`."""
-    if env.current is None:
-        raise RuntimeError("environment must be reset before stepping")
-    pattern = apply_action(env.current.rrh_active, action)
-    demands = env.current.demands_mbps
-    if isinstance(env.reward_source, SurrogateReward):
-        return env._finish(pattern, *surrogate_answer(env.reward_source, pattern, demands))
-    return env._finish(pattern, *env.reward_source.transmit_power(
-        env.channel, pattern, demands))
+        env.reset()
+        feats = encode_states(env.patterns, env.demands, table1_config.demand_max_mbps)
+        assert feats.shape == (1, 12)
+        assert np.all(feats[:, :8] == 1.0)
+        # Demands 20-40 over 40.
+        assert np.all((feats[:, 8:] >= 0.5) & (feats[:, 8:] <= 1.0))
 
 
 class TestStepAll:
     @staticmethod
-    def _envs(config, seed, owners, episode_length, source=None):
-        """One env per entry of `owners`, all sharing one reward source;
-        envs with the same owner share a channel. Each env has its own
-        demand stream."""
-        source = ExactSolverReward(config) if source is None else source
+    def _channels(config, seed, owners):
+        """One channel per entry of `owners`; equal owners share a channel."""
         channels = {owner: sample_channel(config, np.random.default_rng([seed, owner]))
                     for owner in set(owners)}
-        return [Environment(config, channels[owner], source,
-                            np.random.default_rng([seed, 100 + k]),
-                            episode_length=episode_length)
-                for k, owner in enumerate(owners)]
+        return [channels[owner] for owner in owners]
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(1, 4), n=st.integers(1, 3),
@@ -342,81 +374,142 @@ class TestStepAll:
            seed=st.integers(0, 2 ** 16), surrogate=st.booleans())
     def test_equals_stepping_each_env_alone(self, m, n, demand_max, owners, ticks,
                                             episode_length, seed, surrogate):
+        # K rows on one demand generator, against K envs stepped by the
+        # scalar rules that take their draws from a twin generator in row
+        # order. A finished row starts again from all-on in both.
         config = NetworkConfig(num_rrhs=m, num_users=n, demand_min_mbps=0.0,
                                demand_max_mbps=demand_max)
-        source = fitted_surrogate(config, seed) if surrogate else None
-        together = self._envs(config, seed, owners, episode_length, source)
-        alone = self._envs(config, seed, owners, episode_length, source)
+        source = fitted_surrogate(config, seed) if surrogate else ExactSolverReward(config)
+        channels = self._channels(config, seed, owners)
         pick = np.random.default_rng(seed)
-        for env_a, env_b in zip(together, alone):
-            pattern = pick.random(m) < 0.5
-            env_a.reset(pattern)
-            env_b.reset(pattern)
+        patterns = pick.random((len(owners), m)) < 0.5
+        rows = Environment(config, channels, source, np.random.default_rng([seed, 1]),
+                           episode_length=episode_length)
+        rows.reset(patterns)
+        twin = np.random.default_rng([seed, 1])
+        alone = [ReferenceEnv(config, channel, source, twin, pattern, episode_length)
+                 for channel, pattern in zip(channels, patterns)]
         for _ in range(ticks):
-            actions = [int(a) for a in pick.integers(0, m + 1, size=len(owners))]
-            results = step_all(together, actions)
-            for env_a, env_b, action, result in zip(together, alone, actions, results):
-                _same_result(result, reference_step(env_b, action))
-                assert env_a.slot_counter == env_b.slot_counter
-                if result.terminal:
-                    env_a.reset()
-                    env_b.reset()
+            actions = pick.integers(0, m + 1, size=len(owners))
+            got = rows.step(actions)
+            for k, (ref, action) in enumerate(zip(alone, actions)):
+                want = ref.step(int(action))
+                for name, a, b in zip(Slot._fields, got, want):
+                    assert a[k] == b, name
+                assert rows.slots[k] == ref.slot
+            assert rows.patterns.tobytes() == np.array([r.pattern for r in alone]).tobytes()
+            assert rows.demands.tobytes() == np.array([r.demands for r in alone]).tobytes()
+            done = np.flatnonzero(got.terminal)
+            if len(done):
+                rows.restart(done, [channels[k] for k in done], True,
+                             sample_demands(config, rows.rng, len(done)))
+                for k in done:
+                    alone[k] = ReferenceEnv(config, channels[k], source, twin,
+                                            np.ones(m, dtype=bool), episode_length)
+        assert rows.rng.bit_generator.state == twin.bit_generator.state
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 4), n=st.integers(1, 3), rows=st.integers(1, 7),
+           ticks=st.integers(1, 5), episode_length=st.sampled_from([None, 1, 3]),
+           seed=st.integers(0, 2 ** 16), surrogate=st.booleans())
+    def test_k_rows_equal_k_single_row_steps(self, m, n, rows, ticks, episode_length,
+                                             seed, surrogate):
+        # K rows stepped at once on one generator, against K one-row envs
+        # stepped one after the other in row order on a twin generator: the
+        # same rewards, watts, flags and next demands, and the same generator
+        # state after every tick.
+        config = NetworkConfig(num_rrhs=m, num_users=n, demand_min_mbps=0.0,
+                               demand_max_mbps=40.0)
+        source = fitted_surrogate(config, seed) if surrogate else ExactSolverReward(config)
+        channels = self._channels(config, seed, range(rows))
+        pick = np.random.default_rng(seed)
+        patterns = pick.random((rows, m)) < 0.5
+        together = Environment(config, channels, source, np.random.default_rng(seed),
+                               episode_length=episode_length)
+        together.reset(patterns)
+        twin = np.random.default_rng(seed)
+        single = [Environment(config, [channel], source, twin, episode_length=episode_length)
+                  for channel in channels]
+        for env, pattern in zip(single, patterns):
+            env.reset(pattern)
+        for _ in range(ticks):
+            actions = pick.integers(0, m + 1, size=rows)
+            got = together.step(actions)
+            for k, (env, action) in enumerate(zip(single, actions)):
+                want = env.step([action])
+                for name, a, b in zip(Slot._fields, got, want):
+                    assert a[k:k + 1].tobytes() == b.tobytes(), name
+                assert together.demands[k].tobytes() == env.demands[0].tobytes()
+                assert together.patterns[k].tobytes() == env.patterns[0].tobytes()
+            assert together.slots.tolist() == [env.slots[0] for env in single]
+            assert together.rng.bit_generator.state == twin.bit_generator.state
 
     def test_step_is_the_reference_step(self, table1_config):
         m, n = table1_config.num_rrhs, table1_config.num_users
         surrogate = SurrogateReward(table1_config, constant_model(0.5, m + n),
                                     constant_model(1.0, m + n))
-        for source in (None, surrogate):
-            env_a, env_b = (self._envs(table1_config, 5, [0], 3, source)[0]
-                            for _ in range(2))
-            env_a.reset()
-            env_b.reset()
+        channel = self._channels(table1_config, 5, [0])[0]
+        for source in (ExactSolverReward(table1_config), surrogate):
+            env = Environment(table1_config, [channel], source,
+                              np.random.default_rng(6), episode_length=3)
+            env.reset()
+            ref = ReferenceEnv(table1_config, channel, source, np.random.default_rng(6),
+                               np.ones(m, dtype=bool), episode_length=3)
             for action in [0, m, 3, 3, 1, m, 7]:
-                result = env_a.step(action)
-                _same_result(result, reference_step(env_b, action))
+                result, want = step1(env, action), ref.step(action)
+                assert result == want
+                assert env.patterns[0].tobytes() == ref.pattern.tobytes()
+                assert env.demands[0].tobytes() == ref.demands.tobytes()
                 if result.terminal:
-                    env_a.reset()
-                    env_b.reset()
+                    env.reset()
+                    ref = ReferenceEnv(table1_config, channel, source, ref.rng,
+                                       np.ones(m, dtype=bool), episode_length=3)
 
     def test_one_batch_per_shared_source(self, table1_config, monkeypatch):
         calls = []
         original = ExactSolverReward.solve
 
         def counting(source, channels, channel_of, patterns, demands):
-            calls.append((channels, channel_of.tolist()))
+            calls.append((list(channels), channel_of.tolist()))
             return original(source, channels, channel_of, patterns, demands)
 
         monkeypatch.setattr(ExactSolverReward, "solve", counting)
-        envs = self._envs(table1_config, 3, [0, 0, 1, 0], None)
-        for env in envs:
-            env.reset()
-        step_all(envs, [0, 1, 2, table1_config.num_rrhs])
-        assert calls == [([env.channel for env in envs], [0, 1, 2, 3])]
+        env = Environment(table1_config, self._channels(table1_config, 3, [0, 0, 1, 0]),
+                          ExactSolverReward(table1_config), np.random.default_rng(4))
+        env.reset()
+        env.step([0, 1, 2, table1_config.num_rrhs])
+        assert calls == [(env.channels, [0, 1, 2, 3])]
 
     @staticmethod
-    def _assert_unmoved(envs, before):
-        for env, state in zip(envs, before):
-            if state is None:
-                assert env.current is None
-                continue
-            assert env.slot_counter == 0
-            assert np.array_equal(env.current.rrh_active, state.rrh_active)
-            assert np.array_equal(env.current.demands_mbps, state.demands_mbps)
+    def _rows(config, seed, rows):
+        env = Environment(config, TestStepAll._channels(config, seed, range(rows)),
+                          ExactSolverReward(config), np.random.default_rng(seed))
+        env.reset()
+        return env
 
-    def test_mixed_sources_rejected_before_any_env_moves(self, table1_config):
-        envs = self._envs(table1_config, 6, [0, 1], None)
-        envs.append(self._envs(table1_config, 6, [0], None)[0])
-        before = [env.reset() for env in envs]
-        with pytest.raises(ValueError, match="one reward source"):
-            step_all(envs, [0, 1, 2])
-        self._assert_unmoved(envs, before)
+    @staticmethod
+    def _state(env):
+        return (None if env.patterns is None else env.patterns.tobytes(),
+                None if env.demands is None else env.demands.tobytes(),
+                env.slots.tolist(), env.rng.bit_generator.state)
+
+    @pytest.mark.parametrize("actions", [[0, 9, 2], [0, -1, 2], [0, 1], [0, 1, 2, 3],
+                                         [0.0, 1.0, 2.0]],
+                             ids=["over-m", "negative", "too-few", "too-many", "float"])
+    def test_bad_action_rejected_before_any_row_moves(self, table1_config, actions):
+        env = self._rows(table1_config, 6, 3)
+        before = self._state(env)
+        with pytest.raises(ValueError, match="action"):
+            env.step(actions)
+        assert self._state(env) == before
 
     def test_unreset_env_rejected_before_any_env_moves(self, table1_config):
-        envs = self._envs(table1_config, 7, [0, 1, 0], None)
-        before = [envs[0].reset(), None, envs[2].reset()]
+        env = Environment(table1_config, self._channels(table1_config, 7, [0, 1, 0]),
+                          ExactSolverReward(table1_config), np.random.default_rng(7))
+        before = self._state(env)
         with pytest.raises(RuntimeError, match="reset"):
-            step_all(envs, [0, 1, 2])
-        self._assert_unmoved(envs, before)
+            env.step([0, 1, 2])
+        assert self._state(env) == before
 
     def test_solver_failure_raised_before_any_env_moves(self, table1_config,
                                                         monkeypatch):
@@ -430,8 +523,23 @@ class TestStepAll:
             return solved
 
         monkeypatch.setattr(env_module, "solve_states", failing)
-        envs = self._envs(table1_config, 4, [0, 1, 0], None)
-        before = [env.reset() for env in envs]
+        env = self._rows(table1_config, 4, 3)
+        before = self._state(env)
         with pytest.raises(SolverFailure, match="forced 1"):
-            step_all(envs, [table1_config.num_rrhs] * 3)
-        self._assert_unmoved(envs, before)
+            env.step([table1_config.num_rrhs] * 3)
+        assert self._state(env) == before
+
+    def test_restart_and_keep_rows_in_place(self, table1_config):
+        env = self._rows(table1_config, 8, 4)
+        env.step([0, 1, 2, 3])
+        channel = sample_channel(table1_config, np.random.default_rng(9))
+        patterns, demands = env.patterns.copy(), env.demands.copy()
+        new_pattern = np.zeros((1, 8), dtype=bool)
+        env.restart([2], [channel], new_pattern, [[1.0, 2.0, 3.0, 4.0]])
+        assert env.channels[2] is channel and env.slots.tolist() == [1, 1, 0, 1]
+        assert not env.patterns[2].any() and env.demands[2].tolist() == [1.0, 2.0, 3.0, 4.0]
+        env.keep([0, 2])
+        assert env.channels[1] is channel and env.slots.tolist() == [1, 0]
+        assert np.array_equal(env.patterns[0], patterns[0])
+        assert np.array_equal(env.demands[0], demands[0])
+        assert env.step([8, 8]).feasible.shape == (2,)

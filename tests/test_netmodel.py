@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cranpower.beamform import BeamformingProblem, sinr_targets, solve_beamforming
-from cranpower.env import Environment
+from cranpower.env import Environment, Slot
 from cranpower.netmodel import (
     ChannelRealization,
     ConfigError,
@@ -178,12 +178,13 @@ class TestRate:
 
 
 def step_power(config, source, prev, action):
-    """The PowerBreakdown of one Environment step by `action` from the
-    pattern `prev`, with the transmit power `source` answers."""
-    env = Environment(config, sample_channel(config, np.random.default_rng(0)),
+    """What one Environment step by `action` from the pattern `prev`
+    charged, with the transmit power `source` answers: its Slot, each field
+    the one row's."""
+    env = Environment(config, [sample_channel(config, np.random.default_rng(0))],
                       source, np.random.default_rng(0))
     env.reset(prev)
-    return env.step(action).power
+    return Slot._make(field[0] for field in env.step([action]))
 
 
 class TestPower:
@@ -237,6 +238,16 @@ class TestPower:
         pat = rng.random(8) < 0.5
         assert state_and_transition_power(pat, pat, table1_config)[1] == 0.0
 
+    def test_rows_equal_one_pattern_each(self, table1_config, rng):
+        # Patterns (..., m) give one figure of each term per pattern, equal
+        # bit for bit to the pattern's own.
+        prev, nxt = rng.random((2, 3, 5, 8)) < 0.5
+        state_w, transition_w = state_and_transition_power(prev, nxt, table1_config)
+        assert state_w.shape == transition_w.shape == (3, 5)
+        for index in np.ndindex(3, 5):
+            assert (state_w[index], transition_w[index]) == state_and_transition_power(
+                prev[index], nxt[index], table1_config)
+
     def test_length_mismatch(self, table1_config):
         with pytest.raises(ValueError):
             state_and_transition_power(np.ones(7, dtype=bool), np.ones(8, dtype=bool),
@@ -257,6 +268,14 @@ class TestDemands:
         draws = np.concatenate(
             [sample_demands(table1_config, rng) for _ in range(25_000)])
         assert draws.mean() == pytest.approx(30.0, abs=0.2)
+
+    def test_rows_are_draws_in_order(self, table1_config):
+        rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+        rows = sample_demands(table1_config, rng, 5)
+        assert rows.shape == (5, 4)
+        for row in rows:
+            assert row.tobytes() == sample_demands(table1_config, twin).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_same_seed(self, table1_config):
         a = sample_demands(table1_config, np.random.default_rng(3))

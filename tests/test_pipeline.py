@@ -18,12 +18,12 @@ from cranpower.env import ExactSolverReward
 from cranpower.netmodel import (
     ConfigError,
     NetworkConfig,
-    SystemState,
     config_from_dict,
     sample_channel,
     sample_demands,
 )
 from test_dqn import stack, write_checkpoint_arrays
+from test_env import ReferenceEnv, encode_one
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -265,8 +265,9 @@ class TestTrainOffline:
 def reference_dqn_training(config):
     """The one-env offline DQN loop with a list replay buffer, as it was
     before lockstep environments and the array store: one episode at a
-    time, one exact solve a step. Returns (net, replay transitions oldest
-    first, train log rows, the summary's dqn section)."""
+    time, each stepped by the scalar rules (`ReferenceEnv`), one exact solve
+    a step. Returns (net, replay transitions oldest first, train log rows,
+    the summary's dqn section)."""
     m, n = config.network.num_rrhs, config.network.num_users
     params = config.dqn
     seed = config.seeds.train
@@ -287,21 +288,18 @@ def reference_dqn_training(config):
     for _ in range(config.offline_episodes):
         channel = (sample_channel(config.network, rng_channels)
                    if config.redraw_channel else fixed_channel)
-        environment = env.Environment(
-            config.network, channel,
-            ExactSolverReward(config.network, config.solver),
-            rng_env, episode_length=params.episode_length)
-        state = environment.reset(per_row_pattern(m, pipeline.PATTERN_RANDOM, rng_env))
+        environment = ReferenceEnv(
+            config.network, channel, ExactSolverReward(config.network, config.solver),
+            rng_env, per_row_pattern(m, pipeline.PATTERN_RANDOM, rng_env),
+            episode_length=params.episode_length)
         episode_return = 0.0
         while True:
             epsilon = params.epsilon_at(global_step)
-            features = env.encode_state(state, config.network)
+            features = environment.features()
             action = dqn.select_action(net, features, epsilon, rng_actions)
             result = environment.step(action)
             transition = dqn.Transition(features, action, result.reward,
-                                        env.encode_state(result.next_state,
-                                                         config.network),
-                                        result.terminal)
+                                        environment.features(), result.terminal)
             if len(storage) < params.buffer_capacity:
                 storage.append(transition)
             else:
@@ -320,7 +318,6 @@ def reference_dqn_training(config):
                 target = dqn.sync_target(net)
             if result.terminal:
                 break
-            state = result.next_state
         last_return = episode_return
     summary = {"episodes": config.offline_episodes, "steps": global_step,
                "final_loss": last_loss, "final_epsilon": params.epsilon_at(global_step),
@@ -390,53 +387,58 @@ class TestLockstepTraining:
         config = dataclasses.replace(pipeline.RunConfig.from_file(TINY),
                                      offline_envs=envs, redraw_channel=redraw,
                                      offline_episodes=12)
-        resets, pushes = [], []
-        reset, push = env.Environment.reset, dqn.ReplayBuffer.push
-        monkeypatch.setattr(env.Environment, "reset",
-                            lambda self, *a: resets.append(1) or reset(self, *a))
+        starts, pushes = [], []
+        reset, restart = env.Environment.reset, env.Environment.restart
+        push = dqn.ReplayBuffer.push
+        monkeypatch.setattr(env.Environment, "reset", lambda self, patterns, demands:
+                            starts.append(len(patterns)) or reset(self, patterns, demands))
+        monkeypatch.setattr(env.Environment, "restart", lambda self, rows, *a:
+                            starts.append(len(rows)) or restart(self, rows, *a))
         monkeypatch.setattr(dqn.ReplayBuffer, "push",
                             lambda self, t: pushes.append(1) or push(self, t))
         artifacts, summary = pipeline.train_offline(
             config, dataset=pipeline.gen_dataset(config, count=100))
         steps = summary["dqn"]["steps"]
-        assert len(resets) == 12
+        assert starts[0] == min(envs, 12) and sum(starts) == 12
         assert steps == len(pushes) == len(artifacts.replay)
         # Every episode ends on exactly one terminal transition.
         assert int(np.count_nonzero(artifacts.replay.contents().terminals)) == 12
 
     def test_each_action_is_chosen_on_its_env_current_state(self, monkeypatch):
         # Four tiny envs run short episodes that often end on an infeasible
-        # state, and a finished env is replaced mid-run. In every tick, the
-        # features each action is chosen on must encode that env's current
-        # state, also in the first tick of a replacement env.
+        # state, and a finished row starts a new episode in place mid-run.
+        # In every tick, the features each action is chosen on must encode
+        # that row's current state, also in the first tick of a new episode.
         config = dataclasses.replace(pipeline.RunConfig.from_file(TINY), offline_envs=4)
         dataset = pipeline.gen_dataset(config, count=100)
-        chosen, ticks = [], []      # ticks: (envs, their current states encoded)
-        select, step_all = pipeline.select_action, pipeline.step_all
+        chosen, ticks, restarted = [], [], []   # ticks: the rows' states encoded
+        select, step = pipeline.select_action, env.Environment.step
+        restart = env.Environment.restart
 
         def recording_select(net, features, epsilon, rng):
             chosen.append(np.array(features))
             return select(net, features, epsilon, rng)
 
-        def recording_step_all(envs, actions):
-            ticks.append((list(envs), [env.encode_state(e.current, config.network)
-                                       for e in envs]))
-            return step_all(envs, actions)
+        def recording_step(self, actions):
+            ticks.append([encode_one(config.network, pattern, demands)
+                          for pattern, demands in zip(self.patterns, self.demands)])
+            return step(self, actions)
+
+        def recording_restart(self, rows, *args):
+            restarted.extend((len(ticks), row) for row in rows)
+            return restart(self, rows, *args)
 
         monkeypatch.setattr(pipeline, "select_action", recording_select)
-        monkeypatch.setattr(pipeline, "step_all", recording_step_all)
+        monkeypatch.setattr(env.Environment, "step", recording_step)
+        monkeypatch.setattr(env.Environment, "restart", recording_restart)
         _, summary = pipeline.train_offline(config, dataset=dataset)
-        assert len(chosen) == sum(len(envs) for envs, _ in ticks) == \
+        assert len(chosen) == sum(len(current) for current in ticks) == \
             summary["dqn"]["steps"]
-        at = 0
-        seen, replaced = set(), 0
-        for envs, current in ticks:
-            for e, want in zip(envs, current):
-                assert chosen[at].tobytes() == want.tobytes()
-                at += 1
-                replaced += bool(seen) and id(e) not in seen
-            seen |= {id(e) for e in envs}
-        assert replaced == config.offline_episodes - config.offline_envs
+        for got, want in zip(chosen, itertools.chain(*ticks)):
+            assert got.tobytes() == want.tobytes()
+        assert len(restarted) == config.offline_episodes - config.offline_envs
+        # Each new episode is stepped next tick, in its finished row's place.
+        assert all(tick < len(ticks) for tick, _ in restarted)
 
     def test_lockstep_differs_from_one_env(self, tmp_path):
         tiny = pipeline.RunConfig.from_file(TINY)
@@ -447,24 +449,24 @@ class TestLockstepTraining:
             _non_timing_files(tmp_path / "four")["qnet.ckpt"]
 
     def test_redraw_tick_is_one_batch(self, monkeypatch):
-        # Envs on their own channels share one reward source, so each tick
+        # Rows on their own channels share one reward source, so each tick
         # asks it once and solves every posed problem in one batch.
         config = dataclasses.replace(pipeline.RunConfig.from_file(TINY), offline_envs=4,
                                      redraw_channel=True, offline_episodes=12)
         dataset = pipeline.gen_dataset(config, count=100)
         ticks, calls, batches = [], [], []
-        step_all, solve = pipeline.step_all, ExactSolverReward.solve
+        step, solve = env.Environment.step, ExactSolverReward.solve
         solve_states = env.solve_states
 
-        def counting_step_all(envs, actions):
-            ticks.append(len(envs))
-            return step_all(envs, actions)
+        def counting_step(self, actions):
+            ticks.append(len(self.channels))
+            return step(self, actions)
 
         def counting_solve(source, channels, channel_of, patterns, demands):
             calls.append((len(patterns), len({id(c) for c in channels})))
             return solve(source, channels, channel_of, patterns, demands)
 
-        monkeypatch.setattr(pipeline, "step_all", counting_step_all)
+        monkeypatch.setattr(env.Environment, "step", counting_step)
         monkeypatch.setattr(ExactSolverReward, "solve", counting_solve)
         monkeypatch.setattr(env, "solve_states",
                             lambda *args: batches.append(1) or solve_states(*args))
@@ -610,23 +612,24 @@ class TestRunOnline:
         network = dataclasses.replace(tiny_run_config.network, demand_max_mbps=200.0)
         config = dataclasses.replace(tiny_run_config, network=network)
         m, n, slots = network.num_rrhs, network.num_users, 40
-        seen, forced = [], []
-        select, force_pattern = pipeline.select_action, env.Environment.force_pattern
+        seen, stepped_from = [], []
+        select, step = pipeline.select_action, env.Environment.step
 
         def recording_select(net, features, epsilon, rng):
             seen.append(features)
             action = select(net, features, epsilon, rng)
             return len(seen) % (m + 1) if scripted else action
 
+        def recording_step(self, actions):
+            stepped_from.append(self.patterns[0].copy())
+            return step(self, actions)
+
         monkeypatch.setattr(pipeline, "select_action", recording_select)
-        monkeypatch.setattr(env.Environment, "force_pattern",
-                            lambda self, pattern: forced.append(np.array(pattern))
-                            or force_pattern(self, pattern))
+        monkeypatch.setattr(env.Environment, "step", recording_step)
         report = pipeline.run_online(config, artifacts, slots,
                                      scheme=pipeline.SCHEME_DQN_SOCP)
         unservable = np.flatnonzero(~report.feasible)
-        assert len(forced) == len(unservable) >= 1
-        assert all(pattern.all() for pattern in forced)
+        assert len(unservable) >= 1
         draws = np.random.default_rng([config.seeds.eval, pipeline._STREAM_EVAL_DEMANDS])
         for row in report.trajectory:
             assert np.array_equal(row[3:3 + n], sample_demands(network, draws))
@@ -635,9 +638,10 @@ class TestRunOnline:
         assert len(woken) >= 1
         for k in woken:
             _, action, pattern = report.trajectory[k][:3]
-            assert np.array_equal(seen[k], env.encode_state(
-                SystemState(all_on, np.asarray(report.trajectory[k][3:3 + n])),
-                network))
+            assert stepped_from[k].all()
+            assert np.array_equal(seen[k], env.encode_states(
+                all_on, np.asarray(report.trajectory[k][3:3 + n]),
+                network.demand_max_mbps))
             assert pattern == "".join(
                 "1" if on else "0" for on in env.apply_action(all_on, action))
         if scripted:

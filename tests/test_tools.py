@@ -20,7 +20,11 @@ import solver_oracle  # noqa: E402
 def test_byte_oracle_sequences_parse(tmp_path):
     runs = byte_oracle._sequences(ROOT, tmp_path, short_default=True)
     assert {"c9", "sweep", "no-tune", "modes", "interval", "wrap", "gbdt", "tune",
-            "short-default"} <= runs.keys()
+            "k64", "short-default"} <= runs.keys()
+    # More lockstep envs than tiny's episodes, so rows only retire.
+    assert json.loads((tmp_path / "tiny-k64.json").read_text())["offline_envs"] == 64
+    assert json.loads((ROOT / "configs" / "tiny.json").read_text())[
+        "offline_episodes"] < 64
     assert json.loads((tmp_path / "tiny-gbdt.json").read_text())["gbdt"] == {
         "num_rounds": 60, "max_depth": 3, "min_samples_leaf": 40, "lambda_leaf": 0.5}
     assert [argv[argv.index("--pattern-mode") + 1] for argv in runs["modes"]] == [

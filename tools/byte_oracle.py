@@ -16,6 +16,9 @@ nothing is written to `.git`. On each tree, from its own `configs/`:
   each into its own subdirectory of the run's output;
 - redraw-k1, redraw-k4: `train --seed 9 --redraw-channel` on the c9 dataset,
   with `offline_envs` 1 and 4;
+- k64: `train` on the c9 dataset with `offline_envs` 64, more envs than
+  tiny's 40 episodes: every episode starts in the first tick, and the
+  lockstep envs only ever retire;
 - interval: `train` on the c9 dataset with `dqn.train_interval` 3 and
   `dqn.target_sync_interval` 5, then `evaluate --slots 60` with both DQN
   schemes: a sync interval that the train interval does not divide;
@@ -77,6 +80,7 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
     tiny = str(tree / "configs" / "tiny.json")
     c9 = str(work / "c9")
     k4 = _variant(tree, "tiny.json", work / "tiny-k4.json", {"offline_envs": 4})
+    k64 = _variant(tree, "tiny.json", work / "tiny-k64.json", {"offline_envs": 64})
     sweep = ["--demand-max-sweep", "10,15,200"]
     runs = {
         "c9": [
@@ -109,6 +113,7 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
     for name, config in (("redraw-k1", tiny), ("redraw-k4", k4)):
         runs[name] = [["train", "--config", config, "--seed", "9", "--redraw-channel",
                        "--dataset", f"{c9}/dataset.csv"]]
+    runs["k64"] = [["train", "--config", k64, "--dataset", f"{c9}/dataset.csv"]]
     for name, changes in (
             ("interval", {"dqn.train_interval": 3, "dqn.target_sync_interval": 5}),
             ("wrap", {"dqn.buffer_capacity": 64}),
