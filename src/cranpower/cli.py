@@ -159,7 +159,8 @@ def _write_run(args, config, out, report, artifacts, prefix, tag):
     print(f"{report.scheme}: average power {report.average_power_w!r} W over "
           f"{slots} slots, {report.infeasible_count} infeasible")
     if args.demand_max_sweep:
-        rows = pipeline.demand_sweep(args.swept, artifacts, slots, report.scheme)
+        rows = pipeline.demand_sweep(args.swept, artifacts, slots, report.scheme,
+                                     config.network.demand_max_mbps)
         pipeline._write_csv(out / f"sweep_{tag}.csv",
                             ["demand_max_mbps", "scheme", "average_power_w",
                              "infeasible_count"], rows)

@@ -638,7 +638,8 @@ def _report(scheme: str, config: RunConfig, channel, steps, t_start,
 
 
 def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
-               scheme: str = SCHEME_DQN_GBDT, tuning: bool = True) -> EvalReport:
+               scheme: str = SCHEME_DQN_GBDT, tuning: bool = True,
+               demand_scale_mbps: float | None = None) -> EvalReport:
     """Greedy online control for `slots` slots from the all-on pattern, with
     every RRH woken after a slot the controller finds unservable.
 
@@ -647,6 +648,9 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     step: it trains every `train_interval`-th slot and syncs its target
     every `target_sync_interval`-th. With `tuning` False it never trains and
     copies nothing: it acts on the pre-trained network itself.
+
+    The Q-network's demand features are scaled by `demand_scale_mbps`, the
+    demand ceiling it was trained on, by default the config's.
 
     The reward source follows the scheme, but the reported instant power is
     always ground truth: the exact solver is re-run on the realized
@@ -658,7 +662,7 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
     t_start = time.perf_counter()
 
     network = config.network
-    scale = network.demand_max_mbps
+    scale = network.demand_max_mbps if demand_scale_mbps is None else demand_scale_mbps
     channel = make_channel(config)
     source = (SurrogateReward(network, artifacts.gbdt_model,
                               artifacts.feasibility_model)
@@ -814,13 +818,16 @@ def ete_compare(config: RunConfig, artifacts: Artifacts, slots: int,
                      average_gap_rel=gap, action_agreement=agreement)
 
 
-def demand_sweep(configs, artifacts, slots: int, scheme: str) -> list:
+def demand_sweep(configs, artifacts, slots: int, scheme: str,
+                 demand_scale_mbps: float) -> list:
     """Average power on each of `configs`, which differ in their demand
-    ceiling (the demand-sweep figure)."""
+    ceiling (the demand-sweep figure). The Q-network's demand features keep
+    `demand_scale_mbps`, the ceiling of the config it was trained on."""
     rows = []
     for swept in configs:
         if scheme in DQN_SCHEMES:
-            report = run_online(swept, artifacts, slots, scheme=scheme)
+            report = run_online(swept, artifacts, slots, scheme=scheme,
+                                demand_scale_mbps=demand_scale_mbps)
         else:
             report = run_baseline(swept, scheme, slots)
         rows.append((swept.network.demand_max_mbps, scheme, report.average_power_w,

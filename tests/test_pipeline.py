@@ -801,9 +801,38 @@ class TestBenchAndEte:
         artifacts, _, _ = tiny_trained
         configs = [dataclasses.replace(tiny_run_config, network=dataclasses.replace(
             tiny_run_config.network, demand_max_mbps=dmax)) for dmax in (10.0, 15.0)]
-        rows = pipeline.demand_sweep(configs, artifacts, 10, "DQN-GBDT")
+        rows = pipeline.demand_sweep(configs, artifacts, 10, "DQN-GBDT",
+                                     tiny_run_config.network.demand_max_mbps)
         assert [r[0] for r in rows] == [10.0, 15.0]
         assert all(r[2] > 0 for r in rows)
+
+    @pytest.mark.parametrize("scheme", pipeline.DQN_SCHEMES)
+    def test_demand_sweep_keeps_the_trained_feature_scale(self, tiny_trained,
+                                                          tiny_run_config, scheme,
+                                                          monkeypatch):
+        # The tiny net learnt demands over its 15 Mbps ceiling. On a swept
+        # ceiling of 10 or 200 it still sees them over 15: the first slot's
+        # features are all-on and the first eval demands over 15.
+        artifacts, _, _ = tiny_trained
+        trained = tiny_run_config.network
+        seen = []
+        select = pipeline.select_action
+
+        def recording_select(net, features, epsilon, rng):
+            seen.append(np.array(features))
+            return select(net, features, epsilon, rng)
+
+        monkeypatch.setattr(pipeline, "select_action", recording_select)
+        for dmax in (10.0, 200.0):
+            network = dataclasses.replace(trained, demand_max_mbps=dmax)
+            seen.clear()
+            pipeline.demand_sweep([dataclasses.replace(tiny_run_config, network=network)],
+                                  artifacts, 3, scheme, trained.demand_max_mbps)
+            draws = np.random.default_rng([tiny_run_config.seeds.eval,
+                                           pipeline._STREAM_EVAL_DEMANDS])
+            first = sample_demands(network, draws)
+            assert seen[0].tobytes() == np.concatenate(
+                [np.ones(trained.num_rrhs), first / trained.demand_max_mbps]).tobytes()
 
 
 def _replay_of_width(width):
