@@ -66,8 +66,9 @@ def apply_action(patterns, actions) -> np.ndarray:
     if actions.shape != patterns.shape[:-1] or actions.dtype.kind not in "iu":
         raise ValueError(f"actions {actions.shape} of {actions.dtype} do not fit "
                          f"patterns {patterns.shape}: one integer a pattern")
-    if actions.size and not 0 <= actions.min() <= actions.max() <= m:
-        raise ValueError(f"actions {actions.min()}..{actions.max()} out of range [0, {m}]")
+    listed = actions.ravel().tolist()
+    if listed and not 0 <= min(listed) <= max(listed) <= m:
+        raise ValueError(f"actions {min(listed)}..{max(listed)} out of range [0, {m}]")
     return patterns ^ (actions[..., None] == np.arange(m))
 
 
