@@ -220,14 +220,12 @@ class Slot(NamedTuple):
 class Environment:
     """K envs of one cell, stepped in lockstep as arrays. Row k is an
     episode on `channels[k]`, at the on/off pattern `patterns[k]` with the
-    demands `demands[k]`, `slots[k]` slots in. The rows share one reward
-    source and one demand generator."""
+    demands `demands[k]`, `slots[k]` slots in. The rows share one demand
+    generator and one reward source, whose `solve` checks each row's channel
+    against the cell at every step, before any row moves."""
 
     def __init__(self, config: NetworkConfig, channels, reward_source,
                  rng: np.random.Generator, episode_length: int | None = None):
-        for channel in channels:
-            if channel.gains.shape != (config.num_rrhs, config.num_users):
-                raise ValueError("channel dimensions do not match the config")
         self.config = config
         self.channels = list(channels)
         self.reward_source = reward_source

@@ -237,8 +237,7 @@ def state_and_transition_power(prev_pattern, next_pattern, config: NetworkConfig
         raise ValueError("patterns must be boolean arrays of one shape (..., m)")
     if prev.shape[-1] != config.num_rrhs:
         raise ValueError(f"pattern length {prev.shape[-1]} != num_rrhs {config.num_rrhs}")
-    # Counts of booleans as int64, by the ufunc itself: `count_nonzero` with
-    # an axis costs about four times as much on a row.
+    # The add ufunc counts a row's booleans about 4x faster than count_nonzero.
     n_active = np.add.reduce(nxt, axis=-1)
     state_w = (n_active * config.active_power_w
                + (config.num_rrhs - n_active) * config.sleep_power_w)

@@ -386,11 +386,11 @@ def train_offline(config: RunConfig, out_dir=None,
     """Fit the surrogate pair and pre-train the DQN with exact-solver rewards.
 
     The DQN runs `offline_episodes` episodes, up to `offline_envs` of them at
-    once in lockstep environments that share one exact reward source and get
-    their rewards in one batch a step, whatever their channels. The learner
-    then takes each env's transition in env order, and the k-th env's action
-    of a step uses the epsilon of the learner's step count + k, so with one
-    env this is the plain one-episode-at-a-time loop.
+    once as the rows of one `Environment`, which gets their rewards in one
+    exact batch a step, whatever their channels. The learner then takes each
+    row's transition in row order, and the k-th row's action of a step uses
+    the epsilon of the learner's step count + k, so with one row this is the
+    plain one-episode-at-a-time loop.
 
     Returns (artifacts, summary). When `out_dir` is given, also persists the
     models, the Q-network checkpoint, the replay memory, the training log,
