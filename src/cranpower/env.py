@@ -240,8 +240,10 @@ class Environment:
         pattern (m,) for every row, by default every RRH on; with `demands`
         (K, n), by default all rows' drawn at once; slot counters at 0."""
         shape = (len(self.channels), self.config.num_rrhs)
-        self.patterns = np.broadcast_to(
-            True if patterns is None else np.asarray(patterns, dtype=bool), shape).copy()
+        patterns = True if patterns is None else np.asarray(patterns, dtype=bool)
+        if patterns is not True and patterns.shape not in (shape, shape[1:]):
+            raise ValueError(f"initial patterns {patterns.shape} fit neither {shape} nor {shape[1:]}")
+        self.patterns = np.broadcast_to(patterns, shape).copy()
         self.demands = (sample_demands(self.config, self.rng, shape[0])
                         if demands is None else np.array(demands, dtype=float))
         self.slots = np.zeros(shape[0], dtype=np.int64)

@@ -40,6 +40,7 @@ from .env import (
     SOLVE_CHUNK,
     Environment,
     ExactSolverReward,
+    Slot,
     SurrogateReward,
     encode_states,
     p_upper_bound,
@@ -420,11 +421,10 @@ def train_offline(config: RunConfig, out_dir=None,
     # --- DQN pre-training with exact rewards (the offline branch) -----------
     t0 = time.perf_counter()
     params = config.dqn
-    rng_net = np.random.default_rng([config.seeds.train, _STREAM_TRAIN_NET])
-    rng_env = np.random.default_rng([config.seeds.train, _STREAM_TRAIN_ENV])
-    rng_actions = np.random.default_rng([config.seeds.train, _STREAM_TRAIN_ACTIONS])
-    rng_buffer = np.random.default_rng([config.seeds.train, _STREAM_TRAIN_BUFFER])
-    rng_channels = np.random.default_rng([config.seeds.train, _STREAM_TRAIN_CHANNELS])
+    rng_net, rng_env, rng_actions, rng_buffer, rng_channels = (
+        np.random.default_rng([config.seeds.train, stream]) for stream in (
+            _STREAM_TRAIN_NET, _STREAM_TRAIN_ENV, _STREAM_TRAIN_ACTIONS,
+            _STREAM_TRAIN_BUFFER, _STREAM_TRAIN_CHANNELS))
 
     network = config.network
     fixed_channel = make_channel(config)
@@ -603,11 +603,12 @@ def _report(scheme: str, config: RunConfig, channel, steps, t_start,
     m, n = network.num_rrhs, network.num_users
     actions = np.array([step[0] for step in steps], dtype=int)
     demands = np.array([step[1] for step in steps]).reshape(-1, n)
-    # Each row: transmit, state, transition and total watts, then reward.
-    charged = np.array([step[2][:5] for step in steps]).reshape(-1, 5)
-    feasible = np.array([step[2].feasible for step in steps], dtype=bool).reshape(-1)
+    fields = zip(*[step[2] for step in steps]) if steps else [[np.zeros(0)]] * len(Slot._fields)
+    slots = Slot(*map(np.concatenate, fields))
+    charged = np.stack([slots.transmit_w, slots.state_w, slots.transition_w,
+                        slots.total_w, slots.reward], axis=1)
     patterns = np.array([step[3] for step in steps], dtype=bool).reshape(-1, m)
-    served, instants = feasible, charged[:, 3]
+    served, instants = slots.feasible.astype(bool), slots.total_w
     if resolve:
         # The ground truth never feeds back into control, so every slot is
         # re-solved in one batch after the run.
@@ -615,14 +616,14 @@ def _report(scheme: str, config: RunConfig, channel, steps, t_start,
             [channel], np.zeros(len(steps), dtype=np.intp), patterns, demands)
         if failures:
             raise failures[min(failures)]
-        served = feasible & true_ok
-        instants = charged[:, 1] + charged[:, 2] + true_tx / network.amplifier_efficiency
+        served = served & true_ok
+        instants = slots.state_w + slots.transition_w + true_tx / network.amplifier_efficiency
     instants = np.where(served, instants, p_upper_bound(network))
     texts = [row.tobytes().decode() for row in patterns.view(np.uint8) + ord("0")]
     trajectory = [(slot, action, text, *row_demands, *row_charged, ok)
                   for slot, (action, text, row_demands, row_charged, ok) in enumerate(zip(
                       actions.tolist(), texts, demands.tolist(), charged.tolist(),
-                      feasible.tolist()))]
+                      slots.feasible.tolist()))]
     wall = time.perf_counter() - t_start
     return EvalReport(
         scheme=scheme,
@@ -684,8 +685,7 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
             learner.learn(features, action, slot.reward[0], next_features,
                           slot.terminal[0])
         if slot.terminal[0]:
-            # Recover by waking everything up, without consuming extra
-            # demand draws.
+            # Recover by waking every RRH, without drawing demands.
             env.patterns = np.ones_like(env.patterns)
             next_features = encode_states(env.patterns, env.demands, scale)[0]
         features = next_features
@@ -812,8 +812,7 @@ def ete_compare(config: RunConfig, artifacts: Artifacts, slots: int,
         gap = abs(report_a.average_power_w - ref) / ref
         agreement = float(np.mean(report_a.actions == report_b.actions))
     else:
-        gap = 0.0
-        agreement = 1.0
+        gap, agreement = 0.0, 1.0
     return EteReport(report_a=report_a, report_b=report_b,
                      average_gap_rel=gap, action_agreement=agreement)
 

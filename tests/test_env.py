@@ -247,6 +247,17 @@ class TestReset:
         assert env.demands.shape == (3, 4)
         assert env.slots.tolist() == [0, 0, 0]
 
+    @pytest.mark.parametrize("shape", [(1,), (7,), (9,), (2, 8), (1, 1, 8)])
+    def test_pattern_of_another_shape_rejected(self, table1_config, shape):
+        # Three rows of eight RRHs take an (8,) or a (3, 8) pattern only; a
+        # length-1 pattern is not broadcast over the RRHs.
+        channel = sample_channel(table1_config, np.random.default_rng(12))
+        env = Environment(table1_config, [channel] * 3, ExactSolverReward(table1_config),
+                          np.random.default_rng(13))
+        with pytest.raises(ValueError, match="initial patterns"):
+            env.reset(np.ones(shape, dtype=bool))
+        assert env.patterns is None
+
     def test_same_seed_same_reset(self, table1_config):
         a, b = make_env(table1_config, seed=13), make_env(table1_config, seed=13)
         a.reset()

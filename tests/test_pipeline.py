@@ -634,11 +634,17 @@ class TestRunOnline:
         for row in report.trajectory:
             assert np.array_equal(row[3:3 + n], sample_demands(network, draws))
         all_on = np.ones(m, dtype=bool)
+        # Each slot starts from all-on after an unservable slot and from
+        # the previous slot's pattern after a servable one.
+        assert len(stepped_from) == slots
+        for k in range(1, slots):
+            expected = all_on if k - 1 in unservable else np.array(
+                [bit == "1" for bit in report.trajectory[k - 1][2]])
+            assert np.array_equal(stepped_from[k], expected)
         woken = unservable[unservable < slots - 1] + 1
         assert len(woken) >= 1
         for k in woken:
             _, action, pattern = report.trajectory[k][:3]
-            assert stepped_from[k].all()
             assert np.array_equal(seen[k], env.encode_states(
                 all_on, np.asarray(report.trajectory[k][3:3 + n]),
                 network.demand_max_mbps))
