@@ -1,9 +1,9 @@
 """Orchestration of the whole workbench: dataset generation through the
 exact solver, offline training of the boosted-tree surrogate and of the DQN
 (its episodes the rows of one `env.Environment`, with one batched exact
-solve a step), online greedy evaluation with regular tuning, the all-on /
-one-closed baselines (both on an environment of one row), the timing
-benchmark, and the paired error-tolerance comparison.
+solve a step), online greedy evaluation with regular tuning (one row stepped
+slot by slot), the all-on / one-closed baselines (one step of a row a slot),
+the timing benchmark, and the paired error-tolerance comparison.
 
 Every command is a pure function of (config, seeds): rerunning it with the
 same inputs reproduces every non-timing output byte for byte. Randomness is
@@ -42,6 +42,7 @@ from .env import (
     ExactSolverReward,
     Slot,
     SurrogateReward,
+    apply_action,
     encode_states,
     p_upper_bound,
 )
@@ -575,55 +576,40 @@ class EvalReport:
         _write_csv(path, header, self.trajectory)
 
 
-def _eval_env(config: RunConfig, channel, source) -> Environment:
-    """The one-row env of an evaluation run: no episode end, the eval demand
-    stream, and every RRH on at the start."""
+def _eval_env(config: RunConfig, channel, source, patterns) -> Environment:
+    """The env of an evaluation run: one row a start pattern of `patterns`
+    (S, m), the eval demand stream and no episode end."""
     env_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_DEMANDS])
-    env = Environment(config.network, [channel], source, env_rng, episode_length=None)
-    env.reset()
+    env = Environment(config.network, [channel] * len(patterns), source, env_rng,
+                      episode_length=None)
+    env.reset(patterns)
     return env
 
 
-def _step(env: Environment, action: int, steps: list):
-    """Step the one-row `env` by `action`, and record in `steps` the action,
-    the demands it served, its Slot and the pattern it left."""
-    demands = env.demands[0]
-    slot = env.step([action])
-    steps.append((action, demands, slot, env.patterns[0]))
-    return slot
-
-
-def _report(scheme: str, config: RunConfig, channel, steps, t_start,
-            resolve: bool = False) -> EvalReport:
-    """The report of a run's `_step` records; unserved slots are charged
-    P_UB. With `resolve`, the exact solver re-solves every slot's realized
-    (pattern, demands) on `channel`, and a slot's transmit term and
-    feasibility are the solver's, not the controller's."""
+def _report(scheme: str, config: RunConfig, channel, actions, demands, slots: Slot,
+            patterns, t_start, resolve: bool = False) -> EvalReport:
+    """The report of a run of S slots: its actions (S,), the demands served
+    (S, n), the Slot of (S,) arrays charged and the patterns left (S, m);
+    unserved slots are charged P_UB. With `resolve`, the exact solver
+    re-solves every slot's (pattern, demands) on `channel`, and a slot's
+    transmit term and feasibility are the solver's, not the controller's."""
     network = config.network
-    m, n = network.num_rrhs, network.num_users
-    actions = np.array([step[0] for step in steps], dtype=int)
-    demands = np.array([step[1] for step in steps]).reshape(-1, n)
-    fields = zip(*[step[2] for step in steps]) if steps else [[np.zeros(0)]] * len(Slot._fields)
-    slots = Slot(*map(np.concatenate, fields))
-    charged = np.stack([slots.transmit_w, slots.state_w, slots.transition_w,
-                        slots.total_w, slots.reward], axis=1)
-    patterns = np.array([step[3] for step in steps], dtype=bool).reshape(-1, m)
-    served, instants = slots.feasible.astype(bool), slots.total_w
+    served, instants = slots.feasible, slots.total_w
     if resolve:
         # The ground truth never feeds back into control, so every slot is
         # re-solved in one batch after the run.
         true_tx, true_ok, failures = ExactSolverReward(network, config.solver).solve(
-            [channel], np.zeros(len(steps), dtype=np.intp), patterns, demands)
+            [channel], np.zeros(len(actions), dtype=np.intp), patterns, demands)
         if failures:
             raise failures[min(failures)]
         served = served & true_ok
         instants = slots.state_w + slots.transition_w + true_tx / network.amplifier_efficiency
     instants = np.where(served, instants, p_upper_bound(network))
     texts = [row.tobytes().decode() for row in patterns.view(np.uint8) + ord("0")]
-    trajectory = [(slot, action, text, *row_demands, *row_charged, ok)
-                  for slot, (action, text, row_demands, row_charged, ok) in enumerate(zip(
-                      actions.tolist(), texts, demands.tolist(), charged.tolist(),
-                      slots.feasible.tolist()))]
+    charged = (slots.transmit_w, slots.state_w, slots.transition_w, slots.total_w,
+               slots.reward)
+    trajectory = list(zip(range(len(actions)), actions.tolist(), texts, *demands.T.tolist(),
+                          *(field.tolist() for field in charged), slots.feasible.tolist()))
     wall = time.perf_counter() - t_start
     return EvalReport(
         scheme=scheme,
@@ -634,7 +620,7 @@ def _report(scheme: str, config: RunConfig, channel, steps, t_start,
         trajectory=trajectory,
         infeasible_count=int(np.count_nonzero(~served)),
         timing={"wall_s": wall,
-                "s_per_slot": wall / len(steps) if steps else math.nan},
+                "s_per_slot": wall / len(actions) if len(actions) else math.nan},
     )
 
 
@@ -674,12 +660,19 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
                         artifacts.replay.copy(config.dqn.buffer_capacity, slots), rng)
                if tuning else None)
     net = learner.net if tuning else artifacts.qnet
-    env = _eval_env(config, channel, source)
-    steps = []
+    env = _eval_env(config, channel, source, np.ones((1, network.num_rrhs), dtype=bool))
+    actions = np.zeros(slots, dtype=int)
+    demands = np.zeros((slots, network.num_users))
+    patterns = np.zeros((slots, network.num_rrhs), dtype=bool)
+    # Empty bool fields join any dtype unchanged, and are the Slot of no slots.
+    charged = [Slot(*np.zeros((len(Slot._fields), 0), dtype=bool))]
     features = encode_states(env.patterns, env.demands, scale)[0]
-    for _ in range(slots):
-        action = select_action(net, features, 0.0, rng)
-        slot = _step(env, action, steps)
+    for k in range(slots):
+        action = actions[k] = select_action(net, features, 0.0, rng)
+        demands[k] = env.demands[0]
+        slot = env.step([action])
+        patterns[k] = env.patterns[0]
+        charged.append(slot)
         next_features = encode_states(env.patterns, env.demands, scale)[0]
         if tuning:
             learner.learn(features, action, slot.reward[0], next_features,
@@ -689,7 +682,8 @@ def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
             env.patterns = np.ones_like(env.patterns)
             next_features = encode_states(env.patterns, env.demands, scale)[0]
         features = next_features
-    return _report(scheme, config, channel, steps, t_start,
+    return _report(scheme, config, channel, actions, demands,
+                   Slot(*map(np.concatenate, zip(*charged))), patterns, t_start,
                    resolve=scheme == SCHEME_DQN_GBDT)
 
 
@@ -697,22 +691,27 @@ def run_baseline(config: RunConfig, scheme: str, slots: int) -> EvalReport:
     """All-on (AO) or one-closed (OC) reference runs on the exact solver.
 
     OC picks its sleeper uniformly from the eval seed and pays one transition
-    at slot 0; infeasible slots are charged the upper bound so both baselines
-    stay comparable on the same demand stream.
+    at slot 0; unserved slots are charged the upper bound, so both baselines
+    stay comparable on the same demand stream. Neither looks at an outcome,
+    so a run is open-loop: slot k is row k of one environment, from the
+    pattern held before it, with its action and the k-th eval demand draw,
+    and one step charges every slot with one solve.
     """
     if scheme not in (SCHEME_AO, SCHEME_OC):
         raise ValueError(f"run_baseline drives AO/OC, not '{scheme}'")
     t_start = time.perf_counter()
-    network = config.network
-    m = network.num_rrhs
+    m = config.network.num_rrhs
     channel = make_channel(config)
     pick_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_OC_PICK])
-    first = int(pick_rng.integers(m)) if scheme == SCHEME_OC else m
-    env = _eval_env(config, channel, ExactSolverReward(network, config.solver))
-    steps = []
-    for slot in range(slots):
-        _step(env, first if slot == 0 else m, steps)
-    return _report(scheme, config, channel, steps, t_start)
+    actions = np.full(slots, m)
+    actions[:1] = int(pick_rng.integers(m)) if scheme == SCHEME_OC else m
+    starts = np.ones((slots, m), dtype=bool)
+    starts[1:] = apply_action(starts[:1], actions[:1])
+    env = _eval_env(config, channel, ExactSolverReward(config.network, config.solver), starts)
+    demands = env.demands
+    charged = env.step(actions)
+    return _report(scheme, config, channel, actions, demands, charged, env.patterns,
+                   t_start)
 
 
 # ---------------------------------------------------------------------------

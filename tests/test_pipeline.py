@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cranpower import cli, dqn, env, gbdt, pipeline
 from cranpower.beamform import SolverFailure
@@ -691,7 +693,98 @@ class TestRunOnline:
         assert len(lines) == 6
 
 
+def reference_baseline(config, scheme, slots):
+    """The closed loop that `run_baseline` replaced: a one-row Environment
+    stepped slot by slot. Returns the instant powers, actions, served flags
+    and trajectory rows that its report would hold."""
+    network = config.network
+    m = network.num_rrhs
+    pick = np.random.default_rng([config.seeds.eval, pipeline._STREAM_EVAL_OC_PICK])
+    first = int(pick.integers(m)) if scheme == pipeline.SCHEME_OC else m
+    one = env.Environment(network, [pipeline.make_channel(config)],
+                          ExactSolverReward(network, config.solver),
+                          np.random.default_rng([config.seeds.eval,
+                                                 pipeline._STREAM_EVAL_DEMANDS]))
+    one.reset()
+    instants, actions, feasible, trajectory = [], [], [], []
+    for k in range(slots):
+        action = first if k == 0 else m
+        demands = one.demands[0]
+        slot = one.step([action])
+        ok = bool(slot.feasible[0])
+        instants.append(slot.total_w[0] if ok else env.p_upper_bound(network))
+        actions.append(action)
+        feasible.append(ok)
+        trajectory.append((k, action, "".join("1" if on else "0" for on in one.patterns[0]),
+                           *demands.tolist(), *(float(field[0]) for field in slot[:5]), ok))
+    return (np.array(instants, dtype=float), np.array(actions, dtype=int),
+            np.array(feasible, dtype=bool), trajectory)
+
+
+def assert_baseline_equals_reference(config, scheme, slots):
+    report = pipeline.run_baseline(config, scheme, slots)
+    instants, actions, feasible, trajectory = reference_baseline(config, scheme, slots)
+    assert report.instant_w.dtype == instants.dtype
+    assert report.instant_w.tobytes() == instants.tobytes()
+    assert report.actions.dtype == actions.dtype
+    assert np.array_equal(report.actions, actions)
+    assert report.feasible.dtype == feasible.dtype
+    assert np.array_equal(report.feasible, feasible)
+    assert report.trajectory == trajectory
+    assert report.infeasible_count == np.count_nonzero(~feasible)
+
+
 class TestBaselines:
+    @pytest.mark.parametrize("scheme", [pipeline.SCHEME_AO, pipeline.SCHEME_OC])
+    @pytest.mark.parametrize("slots", [0, 1, 2, 300])
+    @pytest.mark.parametrize("cell", ["tiny", "zero-demand"])
+    def test_equals_the_closed_loop(self, tiny_run_config, cell, slots, scheme):
+        config = tiny_run_config if cell == "tiny" else zero_demand_run_config()
+        assert_baseline_equals_reference(config, scheme, slots)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 4), n=st.integers(1, 3),
+           demand_max=st.sampled_from([0.0, 40.0, 200.0]),
+           data_seed=st.integers(0, 2 ** 16), eval_seed=st.integers(0, 2 ** 16),
+           slots=st.integers(0, 40),
+           scheme=st.sampled_from([pipeline.SCHEME_AO, pipeline.SCHEME_OC]))
+    def test_small_cells_equal_the_closed_loop(self, m, n, demand_max, data_seed,
+                                               eval_seed, slots, scheme):
+        network = NetworkConfig(num_rrhs=m, num_users=n, demand_min_mbps=0.0,
+                                demand_max_mbps=demand_max)
+        config = pipeline.RunConfig(network=network, seeds=pipeline.Seeds(
+            data=data_seed, eval=eval_seed))
+        assert_baseline_equals_reference(config, scheme, slots)
+
+    @pytest.mark.parametrize("slots", [1, 2, 300])
+    def test_a_run_is_one_step(self, tiny_run_config, slots, monkeypatch):
+        steps, step = [], env.Environment.step
+
+        def counting_step(self, actions):
+            steps.append(len(actions))
+            return step(self, actions)
+
+        monkeypatch.setattr(env.Environment, "step", counting_step)
+        for scheme in (pipeline.SCHEME_AO, pipeline.SCHEME_OC):
+            steps.clear()
+            pipeline.run_baseline(tiny_run_config, scheme, slots)
+            assert steps == [slots]
+
+    def test_solver_failure_raises_the_first(self, tiny_run_config, monkeypatch):
+        # Slots 5 and 3 break down; the run raises slot 3's failure.
+        solve_states = env.solve_states
+
+        def failing(*args):
+            solved = solve_states(*args)
+            for slot in (5, 3):
+                solved.verdicts[slot] = SolverFailure(f"slot {slot}")
+            return solved
+
+        monkeypatch.setattr(env, "solve_states", failing)
+        for scheme in (pipeline.SCHEME_AO, pipeline.SCHEME_OC):
+            with pytest.raises(SolverFailure, match="slot 3"):
+                pipeline.run_baseline(tiny_run_config, scheme, 8)
+
     def test_ao_zero_demand_instant_power(self):
         config = zero_demand_run_config()
         report = pipeline.run_baseline(config, "AO", 5)

@@ -43,13 +43,17 @@ def test_byte_oracle_sequences_parse(tmp_path):
         ("DQN-GBDT", 60, False), ("DQN-GBDT", 60, True),
         ("DQN-SOCP", 60, False), ("DQN-SOCP", 60, True)]
     # After its train, the short default run tunes online on its own
-    # artifacts with both DQN schemes.
+    # artifacts with both DQN schemes, then runs both baselines on the
+    # default cell itself.
     short = parsed["short-default"]
     assert [args.command for args in short] == ["gen-data", "train", "evaluate",
-                                                "evaluate"]
+                                                "evaluate", "baseline", "baseline"]
     assert [(args.scheme, args.slots, args.artifacts, args.no_tune)
-            for args in short[2:]] == [("DQN-GBDT", 300, None, False),
-                                       ("DQN-SOCP", 300, None, False)]
+            for args in short[2:4]] == [("DQN-GBDT", 300, None, False),
+                                        ("DQN-SOCP", 300, None, False)]
+    assert [(args.scheme, args.slots, Path(args.config))
+            for args in short[4:]] == [("AO", 300, ROOT / "configs" / "default.json"),
+                                       ("OC", 300, ROOT / "configs" / "default.json")]
 
 
 def test_solver_oracle_reward_answers_match_its_solves():

@@ -39,7 +39,9 @@ nothing is written to `.git`. On each tree, from its own `configs/`:
   `default.json` gen-data + train cut to 3000 rows, 100 rounds and 30
   episodes, without and with `--redraw-channel`; short-default then runs
   `evaluate --slots 300` with both DQN schemes on its artifacts, so the
-  tuned online path runs on the default cell's net and 100-round forests.
+  tuned online path runs on the default cell's net and 100-round forests,
+  and `baseline --slots 300` with AO and OC on `default.json` itself, so a
+  baseline's states are solved in stacks of the default cell.
 
 Compared: every output file whose name does not contain "timing", each
 command's exit code and stderr, and its stdout once the output directory is
@@ -133,6 +135,7 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
         for scheme in ([], ["--scheme", "DQN-SOCP"])
         for sub, flags in (("tuned", []), ("no-tune", ["--no-tune"]))]
     if short_default:
+        default = str(tree / "configs" / "default.json")
         short = _variant(tree, "default.json", work / "default-short.json", {
             "dataset_size": 3000, "gbdt.num_rounds": 100, "offline_episodes": 30})
         runs["short-default"] = [["gen-data", "--config", short],
@@ -140,7 +143,9 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
                                   f"{work}/short-default/dataset.csv"],
                                  ["evaluate", "--config", short, "--slots", "300"],
                                  ["evaluate", "--config", short, "--slots", "300",
-                                  "--scheme", "DQN-SOCP"]]
+                                  "--scheme", "DQN-SOCP"],
+                                 *(["baseline", "--config", default, "--scheme", scheme,
+                                    "--slots", "300"] for scheme in ("AO", "OC"))]
         runs["short-default-redraw"] = [["train", "--config", short,
                                          "--redraw-channel", "--dataset",
                                          f"{work}/short-default/dataset.csv"]]
