@@ -68,9 +68,10 @@ for name, prev, nxt in (("all on, staying on", on, on),
     print(f"  {name:27s} standby {state_w:5.2f} W, transition {transition_w:5.2f} W")
 
 print("\n=== One environment step of three envs at once, exact solver ===")
-# One Environment holds K envs as rows; one step solves all K next states.
-env = Environment(config, [channel] * 3, ExactSolverReward(config),
-                  np.random.default_rng(0))
+# One Environment holds K envs as rows, each with its channel gains (here
+# three rows of one channel, without a copy); one step solves all K next states.
+env = Environment(config, np.broadcast_to(channel.gains, (3, *channel.gains.shape)),
+                  ExactSolverReward(config), np.random.default_rng(0))
 env.reset(np.array([1, 1, 1, 1, 1, 1, 0, 0], dtype=bool))
 print(f"demands of row 0 {np.round(env.demands[0], 1)} Mbps")
 actions = [6, config.num_rrhs, 0]

@@ -28,7 +28,7 @@ print(f"replay memory holds {dqn_stats['buffer_occupancy']} transitions")
 print("\n=== Greedy rollout ===")
 network = config.network
 channel = pipeline.make_channel(config)
-env = Environment(network, [channel], ExactSolverReward(network, config.solver),
+env = Environment(network, channel.gains[None], ExactSolverReward(network, config.solver),
                   np.random.default_rng(99))
 env.reset()
 net = artifacts.qnet

@@ -29,12 +29,12 @@ tested. On 10^4 default-cell states it decides all 3,577 SINR-infeasible
 ones, those with 1-3 RRHs on.
 
 `solve_states` is the only way into the solver. It takes a batch of states
-of one cell posed as arrays (channels, on/off patterns, SINR targets, caps,
-noise) and returns its verdicts, iteration counts and powers as arrays,
-building no object per state; the exact reward path
-(`env.ExactSolverReward`) poses its states to it directly.
-`solve_beamforming` solves one `BeamformingProblem` as a batch of one state,
-whose channel is the problem's active rows, all of them on.
+of one cell posed as arrays, each state with its own channel gains (gains,
+on/off patterns, SINR targets, caps, noise), and returns its verdicts,
+iteration counts and powers as arrays, building no object per state; the
+exact reward path (`env.ExactSolverReward`) poses its states to it
+directly. `solve_beamforming` solves one `BeamformingProblem` as a batch of
+one state, whose channel is the problem's active rows, all of them on.
 
 `solve_states` groups the states by (served users, active RRHs) and gathers
 each group's conjugated served channel block (na x ns) at once. Each state
@@ -181,7 +181,7 @@ def solve_beamforming(problem: BeamformingProblem,
     SolverFailure on fixed-point oscillation, which cannot happen for an
     exactly evaluated interference map.
     """
-    solved = solve_states(problem.channel[None], np.zeros(1, dtype=int),
+    solved = solve_states(problem.channel[None],
                           np.ones((1, len(problem.active_set)), dtype=bool),
                           problem.sinr_targets[None], problem.per_rrh_cap_w[None],
                           np.array([problem.noise_w]), params)
@@ -206,12 +206,12 @@ class SolvedStates:
     per_rrh: np.ndarray     # (B, m) transmit power of each RRH
 
 
-def solve_states(gains, channel_of, active, iota, caps, noise,
+def solve_states(gains, active, iota, caps, noise,
                  params: SolverParams = SolverParams()) -> SolvedStates:
     """Solve a batch of states of one m x n cell, posed as arrays.
 
-    `gains` (C, m, n) holds the cell's channels and `channel_of` (B,) each
-    state's one of them; `active` (B, m) is each state's on/off pattern,
+    `gains` (B, m, n) is each state's channel (states may share one, as
+    rows of an `np.broadcast_to` view), `active` (B, m) its on/off pattern,
     `iota` (B, n) its SINR targets, `caps` (B, m) its per-RRH power caps and
     `noise` (B,) its noise power. A state with no served user is feasible at
     zero power. Two kinds of state are SINR-infeasible before any iteration
@@ -250,8 +250,7 @@ def solve_states(gains, channel_of, active, iota, caps, noise,
         rrhs = np.nonzero(active[pos])[1].reshape(len(pos), na)
         users = np.nonzero(served[pos])[1].reshape(len(pos), ns)
         # Conjugate once so every inner product below is g^H w == h^T w.
-        g = np.conj(gains[channel_of[pos][:, None, None], rrhs[:, :, None],
-                          users[:, None, :]])
+        g = np.conj(gains[pos[:, None, None], rrhs[:, :, None], users[:, None, :]])
         targets = iota[pos[:, None], users]
         dead = np.logical_or.reduce(
             np.add.reduce(np.conj(g) * g, axis=1).real <= 0, axis=1)

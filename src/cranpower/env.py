@@ -1,21 +1,23 @@
 """The RRH on/off control environment: K envs of one cell, as arrays.
 
 `Environment` holds K envs as rows that share one reward source and one
-demand generator: patterns (K, m), demands (K, n), slot counters (K,) and
-each row's channel. One `step(actions)` applies every row's flip (or no-op)
-to its pattern, obtains the minimal transmit powers needed to serve the
-rows' current demands in one `solve` of the reward source, accounts the
-full system power, emits the rewards P_UB - P_total, and draws every row's
-next demands in one (K, n) draw, which equals K draws of one row each in
-row order. An unservable demand profile ends its row's episode with the
-reward -P_UB. A bad action, or the first SolverFailure of any row, is
-raised before any row moves. A run of one env is the same thing with K = 1.
+demand generator: channel gains (K, m, n), patterns (K, m), demands (K, n)
+and slot counters (K,). One `step(actions)` applies every row's flip (or
+no-op) to its pattern, obtains the minimal transmit powers needed to serve
+the rows' current demands in one `solve` of the reward source, accounts
+the full system power, emits the rewards P_UB - P_total, and draws every
+row's next demands in one (K, n) draw, which equals K draws of one row
+each in row order. An unservable demand profile ends its row's episode
+with the reward -P_UB. A bad action, or the first SolverFailure of any
+row, is raised before any row moves. A run of one env is the same thing
+with K = 1.
 
 Both reward sources answer a batch of states of their config's cell
-through one contract, `solve(channels, channel_of, patterns, demands) ->
-(power, feasible, failures)`: the channels and each state's index into
-them, patterns (B, m) and demands (B, n) in; transmit powers (0 where not
-servable), feasible flags and {state index: SolverFailure} out. Both refuse
+through one contract, `solve(gains, patterns, demands) -> (power, feasible,
+failures)`: each state's channel gains (B, m, n), pattern (B, m) and
+demands (B, n) in; transmit powers (0 where not servable), feasible flags
+and {state index: SolverFailure} out. States that share a channel may pass
+it as rows of one `np.broadcast_to` view, which nothing copies. Both refuse
 a batch that does not fit the cell (`check_states`) before answering any
 state, and both answer one state through the same batch-of-one
 `transmit_power`.
@@ -90,26 +92,16 @@ def encode_states(patterns, demands_mbps, demand_max_mbps: float) -> np.ndarray:
     return np.concatenate([patterns.astype(float), demands_mbps / scale], axis=-1)
 
 
-def check_states(config: NetworkConfig, channels, channel_of, patterns,
-                 demands_mbps):
+def check_states(config: NetworkConfig, gains, patterns, demands_mbps):
     """Raise ValueError unless a batch posed as arrays fits the config's
-    cell: every channel is m x n, `channel_of` (B,) indexes into `channels`,
-    `patterns` is (B, m) and `demands_mbps` (B, n)."""
+    cell: `gains` is (B, m, n), `patterns` (B, m) and `demands_mbps` (B, n)."""
     m, n = config.num_rrhs, config.num_users
-    for c, channel in enumerate(channels):
-        if channel.gains.shape != (m, n):
-            raise ValueError(f"channel {c} is {channel.gains.shape[0]}x"
-                             f"{channel.gains.shape[1]}, not the {m}x{n} cell's")
-    count = len(channel_of)
-    if (patterns.shape, demands_mbps.shape) != ((count, m), (count, n)):
+    count = len(gains)
+    if (gains.shape, patterns.shape, demands_mbps.shape) != (
+            (count, m, n), (count, m), (count, n)):
         raise ValueError(
-            f"patterns {patterns.shape} and demands {demands_mbps.shape} do not "
-            f"fit {count} states of the {m}x{n} cell")
-    # A negative index would quietly pick a channel from the end.
-    indices = channel_of.tolist()
-    if indices and not 0 <= min(indices) <= max(indices) < len(channels):
-        raise ValueError(f"channel indices {min(indices)}..{max(indices)} do not "
-                         f"index {len(channels)} channels")
+            f"gains {gains.shape}, patterns {patterns.shape} and demands "
+            f"{demands_mbps.shape} do not fit {count} states of the {m}x{n} cell")
 
 
 # States `ExactSolverReward.solve` poses to `solve_states` at once. The
@@ -130,7 +122,7 @@ class _RewardSource:
         """Returns (minimal transmit power in W, feasible flag) of one
         state, and raises its SolverFailure."""
         power, feasible, failures = self.solve(
-            [channel], np.zeros(1, dtype=np.intp), np.asarray(pattern, dtype=bool)[None],
+            channel.gains[None], np.asarray(pattern, dtype=bool)[None],
             np.asarray(demands_mbps, dtype=float)[None])
         if failures:
             raise failures[0]
@@ -146,7 +138,7 @@ class ExactSolverReward(_RewardSource):
         self.config = config
         self.solver_params = solver_params
 
-    def solve(self, channels, channel_of, patterns, demands_mbps):
+    def solve(self, gains, patterns, demands_mbps):
         """The minimal transmit powers, feasible flags and failures of a
         batch, as the module docstring sets them out. It builds the SINR
         targets, caps and noise of the batch and solves it `SOLVE_CHUNK`
@@ -154,17 +146,16 @@ class ExactSolverReward(_RewardSource):
         counts as not feasible. Arrays that do not fit the cell, or a
         negative demand anywhere, raise ValueError before anything is
         solved."""
-        check_states(self.config, channels, channel_of, patterns, demands_mbps)
-        count = len(channel_of)
-        gains = np.array([channel.gains for channel in channels])
+        check_states(self.config, gains, patterns, demands_mbps)
+        count = len(gains)
         iota = sinr_targets(demands_mbps, self.config)[0]
         caps = np.full(patterns.shape, self.config.max_tx_power_w)
         noise = np.full(count, self.config.noise_power_w)
         verdicts, totals = [], np.zeros(count)
         for start in range(0, count, SOLVE_CHUNK):
             rows = slice(start, start + SOLVE_CHUNK)
-            solved = solve_states(gains, channel_of[rows], patterns[rows], iota[rows],
-                                  caps[rows], noise[rows], self.solver_params)
+            solved = solve_states(gains[rows], patterns[rows], iota[rows], caps[rows],
+                                  noise[rows], self.solver_params)
             verdicts += solved.verdicts
             totals[rows] = solved.totals
         feasible = np.array([verdict is SolutionStatus.FEASIBLE for verdict in verdicts],
@@ -190,12 +181,12 @@ class SurrogateReward(_RewardSource):
         self.model = model
         self.feasibility_model = feasibility_model
 
-    def solve(self, channels, channel_of, patterns, demands_mbps):
+    def solve(self, gains, patterns, demands_mbps):
         """`ExactSolverReward.solve`'s answers from the models, which ignore
-        the channels: one walk of both models over the batch, whose power
+        the gains: one walk of both models over the batch, whose power
         prediction counts only for the states that pass the gate. Nothing
         fails."""
-        check_states(self.config, channels, channel_of, patterns, demands_mbps)
+        check_states(self.config, gains, patterns, demands_mbps)
         features = np.concatenate([patterns, demands_mbps], axis=1, dtype=float)
         score, power = gbdt.predict_pair(self.feasibility_model, self.model, features)
         feasible = score >= FEASIBILITY_THRESHOLD
@@ -219,27 +210,28 @@ class Slot(NamedTuple):
 
 class Environment:
     """K envs of one cell, stepped in lockstep as arrays. Row k is an
-    episode on `channels[k]`, at the on/off pattern `patterns[k]` with the
-    demands `demands[k]`, `slots[k]` slots in. The rows share one demand
-    generator and one reward source, whose `solve` checks each row's channel
-    against the cell at every step, before any row moves."""
+    episode on the channel gains `gains[k]` (m, n), at the on/off pattern
+    `patterns[k]` with the demands `demands[k]`, `slots[k]` slots in. Rows
+    may share one channel through an `np.broadcast_to` view. The rows share
+    one demand generator and one reward source, whose `solve` checks the
+    arrays' shapes against the cell at every step, before any row moves."""
 
-    def __init__(self, config: NetworkConfig, channels, reward_source,
+    def __init__(self, config: NetworkConfig, gains, reward_source,
                  rng: np.random.Generator, episode_length: int | None = None):
         self.config = config
-        self.channels = list(channels)
+        self.gains = gains
         self.reward_source = reward_source
         self.rng = rng
         self.episode_length = episode_length
         self.p_upper_bound_w = p_upper_bound(config)
         self.patterns = self.demands = None
-        self.slots = np.zeros(len(self.channels), dtype=np.int64)
+        self.slots = np.zeros(len(gains), dtype=np.int64)
 
     def reset(self, patterns=None, demands=None):
         """Start an episode in every row: from `patterns` (K, m), or one
         pattern (m,) for every row, by default every RRH on; with `demands`
         (K, n), by default all rows' drawn at once; slot counters at 0."""
-        shape = (len(self.channels), self.config.num_rrhs)
+        shape = (len(self.gains), self.config.num_rrhs)
         patterns = True if patterns is None else np.asarray(patterns, dtype=bool)
         if patterns is not True and patterns.shape not in (shape, shape[1:]):
             raise ValueError(f"initial patterns {patterns.shape} fit neither {shape} nor {shape[1:]}")
@@ -248,25 +240,25 @@ class Environment:
                         if demands is None else np.array(demands, dtype=float))
         self.slots = np.zeros(shape[0], dtype=np.int64)
 
-    def restart(self, rows, channels, patterns, demands):
+    def restart(self, rows, gains, patterns, demands):
         """Start a new episode in each of `rows`, in place: on its channel
-        of `channels`, from its pattern and demands."""
-        for row, channel in zip(rows, channels):
-            self.channels[row] = channel
+        gains of `gains`, from its pattern and demands. The gains are written
+        into `self.gains`, so an env that restarts rows must own a writable
+        gains array, not a broadcast view."""
+        self.gains[rows] = gains
         self.patterns[rows] = patterns
         self.demands[rows] = demands
         self.slots[rows] = 0
 
     def keep(self, rows):
         """Keep only `rows`, in their order; the others are dropped."""
-        self.channels = [self.channels[row] for row in rows]
-        self.patterns, self.demands, self.slots = (
-            self.patterns[rows], self.demands[rows], self.slots[rows])
+        self.gains, self.patterns, self.demands, self.slots = (
+            self.gains[rows], self.patterns[rows], self.demands[rows], self.slots[rows])
 
     def step(self, actions) -> Slot:
         """Step every row by its action: flip the patterns, answer all next
         states in one `solve` of the reward source, each on its row's
-        channel, charge the slot's power, and draw every row's next demands
+        gains, charge the slot's power, and draw every row's next demands
         at once. A bad action, or the first SolverFailure of any row, is
         raised before any row moves."""
         if self.patterns is None:
@@ -274,7 +266,7 @@ class Environment:
         config = self.config
         patterns = apply_action(self.patterns, actions)
         tx_w, feasible, failures = self.reward_source.solve(
-            self.channels, np.arange(len(patterns)), patterns, self.demands)
+            self.gains, patterns, self.demands)
         if failures:
             raise failures[min(failures)]
         state_w, transition_w = state_and_transition_power(self.patterns, patterns, config)

@@ -244,7 +244,8 @@ def gen_dataset(config: RunConfig, count: int | None = None,
         patterns, demands = _draw_states(network, pattern_mode, rng,
                                          min(count - row, SOLVE_CHUNK))
         power, ok, failed = source.solve(
-            [channel], np.zeros(len(patterns), dtype=np.intp), patterns, demands)
+            np.broadcast_to(channel.gains, (len(patterns), *channel.gains.shape)),
+            patterns, demands)
         if failed:
             kept = np.ones(len(patterns), dtype=bool)
             kept[list(failed)] = False
@@ -437,13 +438,13 @@ def train_offline(config: RunConfig, out_dir=None,
     started = 0
 
     def draw_episodes(count):
-        """The channels, patterns and demands of the next `count` episodes,
-        one episode after the other."""
+        """The channel gains (count, m, n), patterns and demands of the next
+        `count` episodes, one episode after the other."""
         nonlocal started
         started += count
-        channels = [sample_channel(network, rng_channels) if config.redraw_channel
-                    else fixed_channel for _ in range(count)]
-        return (channels, *_draw_states(network, PATTERN_RANDOM, rng_env, count))
+        gains = np.array([(sample_channel(network, rng_channels) if config.redraw_channel
+                           else fixed_channel).gains for _ in range(count)])
+        return (gains, *_draw_states(network, PATTERN_RANDOM, rng_env, count))
 
     # Up to `offline_envs` episodes run in lockstep, one a row of `env`. A
     # tick picks every row's action, steps all rows at once, then learns
@@ -452,14 +453,14 @@ def train_offline(config: RunConfig, out_dir=None,
     # the next tick's actions. A finished row starts the next episode in
     # place while episodes remain, and is dropped once none do.
     scale = network.demand_max_mbps
-    channels, patterns, demands = draw_episodes(
+    gains, patterns, demands = draw_episodes(
         min(config.offline_envs, config.offline_episodes))
-    env = Environment(network, channels, ExactSolverReward(network, config.solver),
+    env = Environment(network, gains, ExactSolverReward(network, config.solver),
                       rng_env, episode_length=params.episode_length)
     env.reset(patterns, demands)
-    returns = np.zeros(len(channels))
+    returns = np.zeros(len(gains))
     features = encode_states(env.patterns, env.demands, scale)
-    while env.channels:
+    while len(env.gains):
         epsilons = [params.epsilon_at(learner.steps + k) for k in range(len(features))]
         actions = [select_action(learner.net, f, epsilon, rng_actions)
                    for f, epsilon in zip(features, epsilons)]
@@ -475,8 +476,8 @@ def train_offline(config: RunConfig, out_dir=None,
         done = np.flatnonzero(slot.terminal)
         restarted = done[:config.offline_episodes - started]
         if len(restarted):
-            channels, patterns, demands = draw_episodes(len(restarted))
-            env.restart(restarted, channels, patterns, demands)
+            gains, patterns, demands = draw_episodes(len(restarted))
+            env.restart(restarted, gains, patterns, demands)
             returns[restarted] = 0.0
             next_features[restarted] = encode_states(patterns, demands, scale)
         if len(restarted) < len(done):
@@ -580,8 +581,9 @@ def _eval_env(config: RunConfig, channel, source, patterns) -> Environment:
     """The env of an evaluation run: one row a start pattern of `patterns`
     (S, m), the eval demand stream and no episode end."""
     env_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_DEMANDS])
-    env = Environment(config.network, [channel] * len(patterns), source, env_rng,
-                      episode_length=None)
+    env = Environment(config.network,
+                      np.broadcast_to(channel.gains, (len(patterns), *channel.gains.shape)),
+                      source, env_rng, episode_length=None)
     env.reset(patterns)
     return env
 
@@ -599,7 +601,8 @@ def _report(scheme: str, config: RunConfig, channel, actions, demands, slots: Sl
         # The ground truth never feeds back into control, so every slot is
         # re-solved in one batch after the run.
         true_tx, true_ok, failures = ExactSolverReward(network, config.solver).solve(
-            [channel], np.zeros(len(actions), dtype=np.intp), patterns, demands)
+            np.broadcast_to(channel.gains, (len(actions), *channel.gains.shape)),
+            patterns, demands)
         if failures:
             raise failures[min(failures)]
         served = served & true_ok

@@ -356,7 +356,8 @@ def test_criterion_10_power_accounting(fixed_answer):
     p_ub = m * (cfg.active_power_w + cfg.max_tx_power_w / cfg.amplifier_efficiency
                 + cfg.transition_power_w)
     rng = np.random.default_rng(9)
-    env = Environment(cfg, [sample_channel(cfg, rng)] * rows, fixed_answer, rng)
+    env = Environment(cfg, np.broadcast_to(sample_channel(cfg, rng).gains,
+                                           (rows, m, cfg.num_users)), fixed_answer, rng)
     patterns = rng.random((rows, m)) < 0.5
     actions = rng.integers(m + 1, size=rows)
     fixed_answer.answer = (rng.uniform(0.0, m * cfg.max_tx_power_w, rows),

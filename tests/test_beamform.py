@@ -418,13 +418,10 @@ def split_batches(draw):
 
 
 def pose(config, channels, patterns, targets):
-    """The `solve_states` arguments of states of one cell: each distinct
-    channel once, and the cell's caps and noise, as `from_state` sets them."""
-    distinct = {id(channel): channel for channel in channels}
-    slot = {key: c for c, key in enumerate(distinct)}
+    """The `solve_states` arguments of states of one cell: each state's
+    channel gains, and the cell's caps and noise, as `from_state` sets them."""
     count, m, n = len(patterns), config.num_rrhs, config.num_users
-    return (np.array([channel.gains for channel in distinct.values()]),
-            np.array([slot[id(channel)] for channel in channels], dtype=int),
+    return (np.array([channel.gains for channel in channels]).reshape(count, m, n),
             np.array(patterns, dtype=bool).reshape(count, m),
             np.array(targets, dtype=float).reshape(count, n),
             np.full((count, m), config.max_tx_power_w),
@@ -460,12 +457,10 @@ def single_answer(config, channel, pattern, demands):
 
 
 def solved_answers(source, channels, patterns, demands):
-    """`source.solve` of states listed one by one, each distinct channel
-    posed once: each state's (power, feasible) pair, or its SolverFailure."""
-    distinct = list({id(channel): channel for channel in channels}.values())
-    _, channel_of, patterns, demands, _, _ = pose(source.config, channels, patterns,
-                                                  demands)
-    power, feasible, failures = source.solve(distinct, channel_of, patterns, demands)
+    """`source.solve` of states listed one by one, each on its channel's
+    gains: each state's (power, feasible) pair, or its SolverFailure."""
+    gains, patterns, demands, _, _ = pose(source.config, channels, patterns, demands)
+    power, feasible, failures = source.solve(gains, patterns, demands)
     answers = list(zip(power.tolist(), feasible.tolist()))
     for k, failure in failures.items():
         answers[k] = failure
@@ -533,7 +528,7 @@ class TestSolveBatch:
                      [problem.sinr_targets for problem in problems])
         # Negative noise turns the first iterate negative: the fixed point
         # reports oscillation at once.
-        posed[5][2] = -posed[5][2]
+        posed[4][2] = -posed[4][2]
         solved = solve_states(*posed)
         batch = [row_result(solved, k, on) for k in range(5)]
         assert isinstance(batch[2], SolverFailure)
@@ -547,15 +542,15 @@ class TestSolveBatch:
             solve_beamforming(problems[2])
 
         # The reward path: the same failure ends only its own state.
-        def failing_third(gains, channel_of, active, iota, caps, noise, params):
+        def failing_third(gains, active, iota, caps, noise, params):
             noise = noise.copy()
             noise[2] = -noise[2]
-            return solve_states(gains, channel_of, active, iota, caps, noise, params)
+            return solve_states(gains, active, iota, caps, noise, params)
 
         monkeypatch.setattr(env, "solve_states", failing_third)
         source = ExactSolverReward(config)
         power, feasible, failures = source.solve(
-            [channel], np.zeros(5, dtype=np.intp), np.tile(on, (5, 1)), np.array(demands))
+            np.broadcast_to(channel.gains, (5, 4, 2)), np.tile(on, (5, 1)), np.array(demands))
         assert list(failures) == [2] and str(failures[2]) == str(batch[2])
         assert (power[2], feasible[2]) == (0.0, False)
         for k in (0, 1, 3, 4):
@@ -719,10 +714,10 @@ class TestExactRewardInputs:
             monkeypatch.setattr(owner, name, refuse)
 
     @staticmethod
-    def _states(count, rrhs=8, users=4):
-        """`solve`'s arrays for `count` states on the first of the channels."""
-        return (np.zeros(count, dtype=np.intp), np.ones((count, rrhs), dtype=bool),
-                np.full((count, users), 30.0))
+    def _states(channel, count, rrhs=8, users=4):
+        """`solve`'s arrays for `count` states on `channel`."""
+        return (np.broadcast_to(channel.gains, (count, *channel.gains.shape)),
+                np.ones((count, rrhs), dtype=bool), np.full((count, users), 30.0))
 
     @pytest.mark.parametrize("rrhs", [3, 10])
     def test_pattern_of_the_wrong_length(self, cell, sources, monkeypatch, rrhs):
@@ -730,7 +725,7 @@ class TestExactRewardInputs:
         self._no_solve(monkeypatch)
         for source in sources:
             with pytest.raises(ValueError, match=r"patterns \(3, %d\)" % rrhs):
-                source.solve([channel], *self._states(3, rrhs=rrhs))
+                source.solve(*self._states(channel, 3, rrhs=rrhs))
             with pytest.raises(ValueError, match=r"patterns \(1, %d\)" % rrhs):
                 source.transmit_power(channel, np.ones(rrhs, dtype=bool), demands)
 
@@ -740,7 +735,7 @@ class TestExactRewardInputs:
         self._no_solve(monkeypatch)
         for source in sources:
             with pytest.raises(ValueError, match=r"demands \(3, %d\)" % users):
-                source.solve([channel], *self._states(3, users=users))
+                source.solve(*self._states(channel, 3, users=users))
             with pytest.raises(ValueError, match=r"demands \(1, %d\)" % users):
                 source.transmit_power(channel, np.ones(8, dtype=bool),
                                       np.full(users, 30.0))
@@ -754,7 +749,7 @@ class TestExactRewardInputs:
         for source in sources:
             with pytest.raises(ValueError, match=r"patterns \(2, %d\) and demands "
                                r"\(2, %d\) do not fit 2 states" % (rrhs, users)):
-                source.solve([channel], *self._states(2, rrhs, users))
+                source.solve(*self._states(channel, 2, rrhs, users))
             with pytest.raises(ValueError, match="do not fit 1 states"):
                 source.transmit_power(channel, *split)
 
@@ -764,51 +759,39 @@ class TestExactRewardInputs:
                                np.random.default_rng(6))
         self._no_solve(monkeypatch)
         for source in sources:
-            with pytest.raises(ValueError, match=r"channel 1 is 3x4"):
-                source.solve([channel, other], np.array([0, 0]),
-                             *self._states(2)[1:])
-            with pytest.raises(ValueError, match=r"channel 0 is 3x4"):
+            with pytest.raises(ValueError, match=r"gains \(2, 3, 4\), patterns \(2, 8\)"):
+                source.solve(*self._states(other, 2))
+            with pytest.raises(ValueError, match=r"gains \(1, 3, 4\)"):
                 source.transmit_power(other, np.ones(8, dtype=bool), demands)
-
-    @pytest.mark.parametrize("channel_of", [[-1], [2], [0, 1, 2, 1], [1, -2]])
-    def test_channel_index_out_of_range(self, cell, sources, monkeypatch, channel_of):
-        # Two channels: index -1 would quietly pick the second, and 2 would
-        # reach past the end.
-        _, channel, _ = cell
-        second = sample_channel(NetworkConfig(), np.random.default_rng(7))
-        self._no_solve(monkeypatch)
-        for source in sources:
-            with pytest.raises(ValueError, match="do not index 2 channels"):
-                source.solve([channel, second], np.array(channel_of),
-                             *self._states(len(channel_of))[1:])
 
     def test_negative_demand_anywhere_refuses_the_batch(self, cell, monkeypatch):
         source, channel, demands = cell
         self._no_solve(monkeypatch)
         monkeypatch.setattr(env, "SOLVE_CHUNK", 2)
-        channel_of, patterns, rows = self._states(5)
+        gains, patterns, rows = self._states(channel, 5)
         rows[4, 1] = -1.0
         with pytest.raises(ValueError, match="demands must be >= 0"):
-            source.solve([channel], channel_of, patterns, rows)
+            source.solve(gains, patterns, rows)
 
-    @pytest.mark.parametrize("patterns, demands, channel_of", [
-        ((3, 7), (3, 4), [0, 0, 0]),     # patterns of another cell
-        ((3, 8), (3, 5), [0, 0, 0]),     # demands of another cell
-        ((3, 8), (2, 4), [0, 0, 0]),     # fewer demand rows than states
-        ((2, 8), (2, 4), [0, 0, 0]),     # more channel indices than states
+    @pytest.mark.parametrize("patterns, demands, gains", [
+        ((3, 7), (3, 4), 3),     # patterns of another cell
+        ((3, 8), (3, 5), 3),     # demands of another cell
+        ((3, 8), (2, 4), 3),     # fewer demand rows than states
+        ((2, 8), (2, 4), 3),     # more gains rows than patterns and demands
+        ((3, 8), (3, 4), 2),     # fewer gains rows than patterns and demands
     ])
     def test_array_entry_refuses_arrays_of_another_shape(self, cell, sources, monkeypatch,
-                                                         patterns, demands, channel_of):
+                                                         patterns, demands, gains):
         _, channel, _ = cell
         self._no_solve(monkeypatch)
         other = sample_channel(NetworkConfig(num_rrhs=4, num_users=8),
                                np.random.default_rng(6))
         for source in sources:
-            with pytest.raises(ValueError, match="do not fit"):
-                source.solve([channel], np.array(channel_of),
+            with pytest.raises(ValueError, match="do not fit %d states" % gains):
+                source.solve(self._states(channel, gains)[0],
                              np.ones(patterns, dtype=bool), np.full(demands, 30.0))
-            with pytest.raises(ValueError, match="channel 0 is 4x8"):
-                source.solve([other], *self._states(3))
+            with pytest.raises(ValueError, match=r"gains \(3, 4, 8\)"):
+                source.solve(*self._states(other, 3))
 
     def test_array_entry_answers_as_the_list_form(self, cell, monkeypatch):
         # The failed state of a batch is reported by index, at power 0 and
@@ -816,10 +799,10 @@ class TestExactRewardInputs:
         source, channel, demands = cell
         solve_states = env.solve_states
 
-        def failing_second(gains, channel_of, active, iota, caps, noise, params):
+        def failing_second(gains, active, iota, caps, noise, params):
             noise = noise.copy()
             noise[1] = -noise[1]
-            return solve_states(gains, channel_of, active, iota, caps, noise, params)
+            return solve_states(gains, active, iota, caps, noise, params)
 
         patterns = np.ones((4, 8), dtype=bool)
         patterns[3, 2:] = False
@@ -827,7 +810,7 @@ class TestExactRewardInputs:
         alone = [single_answer(source.config, channel, p, d)
                  for p, d in zip(patterns, rows)]
         monkeypatch.setattr(env, "solve_states", failing_second)
-        power, feasible, failures = source.solve([channel], np.zeros(4, dtype=int),
+        power, feasible, failures = source.solve(np.broadcast_to(channel.gains, (4, 8, 4)),
                                                  patterns, rows)
         assert list(failures) == [1] and isinstance(failures[1], SolverFailure)
         assert (power[1], feasible[1]) == (0.0, False)

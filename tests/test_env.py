@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,7 @@ def make_env(config, reward_source=None, seed=0, **kwargs):
         reward_source = ExactSolverReward(config)
     elif callable(reward_source):
         reward_source = reward_source(channel)
-    return Environment(config, [channel], reward_source,
+    return Environment(config, channel.gains[None], reward_source,
                        np.random.default_rng(seed + 1), **kwargs)
 
 
@@ -240,8 +242,8 @@ class TestStepExact:
 class TestReset:
     def test_default_all_on(self, table1_config):
         channel = sample_channel(table1_config, np.random.default_rng(12))
-        env = Environment(table1_config, [channel] * 3, ExactSolverReward(table1_config),
-                          np.random.default_rng(13))
+        env = Environment(table1_config, np.broadcast_to(channel.gains, (3, 8, 4)),
+                          ExactSolverReward(table1_config), np.random.default_rng(13))
         env.reset()
         assert env.patterns.shape == (3, 8) and np.all(env.patterns)
         assert env.demands.shape == (3, 4)
@@ -252,8 +254,8 @@ class TestReset:
         # Three rows of eight RRHs take an (8,) or a (3, 8) pattern only; a
         # length-1 pattern is not broadcast over the RRHs.
         channel = sample_channel(table1_config, np.random.default_rng(12))
-        env = Environment(table1_config, [channel] * 3, ExactSolverReward(table1_config),
-                          np.random.default_rng(13))
+        env = Environment(table1_config, np.broadcast_to(channel.gains, (3, 8, 4)),
+                          ExactSolverReward(table1_config), np.random.default_rng(13))
         with pytest.raises(ValueError, match="initial patterns"):
             env.reset(np.ones(shape, dtype=bool))
         assert env.patterns is None
@@ -350,12 +352,45 @@ class TestSurrogateMode:
         monkeypatch.setattr(gbdt, "predict", None)
         channel = sample_channel(table1_config, rng)
         power, feasible, failures = surrogate.solve(
-            [channel], np.zeros(len(rows), dtype=np.intp), patterns[rows], demands[rows])
+            np.broadcast_to(channel.gains, (len(rows), m, n)), patterns[rows], demands[rows])
         assert failures == {}
         assert feasible.tolist() == gated[rows].tolist()
         want = np.array([answers[k][0] for k in rows])
         assert power.tobytes() == want.tobytes()
         assert calls == [(surrogate.feasibility_model, surrogate.model, len(rows))]
+
+
+class TestSharedChannel:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 4), n=st.integers(1, 3), count=st.integers(1, 8),
+           seed=st.integers(0, 2 ** 16), surrogate=st.booleans())
+    def test_broadcast_view_answers_as_a_copy_and_as_each_state(self, m, n, count, seed,
+                                                                 surrogate):
+        # States that share a channel through a zero-copy view read the
+        # same bits as on a materialised copy of their gains, and as each
+        # state alone through `transmit_power`.
+        config = NetworkConfig(num_rrhs=m, num_users=n, demand_min_mbps=0.0)
+        source = fitted_surrogate(config, seed) if surrogate else ExactSolverReward(config)
+        rng = np.random.default_rng(seed)
+        channel = sample_channel(config, rng)
+        patterns = rng.random((count, m)) < 0.6
+        demands = rng.uniform(0.0, config.demand_max_mbps, (count, n))
+        shared = np.broadcast_to(channel.gains, (count, m, n))
+        assert shared.strides[0] == 0
+        power, feasible, failures = source.solve(shared, patterns, demands)
+        copied = source.solve(shared.copy(), patterns, demands)
+        assert power.tobytes() == copied[0].tobytes()
+        assert feasible.tolist() == copied[1].tolist()
+        assert {k: str(f) for k, f in failures.items()} == {
+            k: str(f) for k, f in copied[2].items()}
+        for k, (pattern, row) in enumerate(zip(patterns, demands)):
+            if k in failures:
+                with pytest.raises(SolverFailure, match=re.escape(str(failures[k]))):
+                    source.transmit_power(channel, pattern, row)
+                continue
+            alone = source.transmit_power(channel, pattern, row)
+            assert alone == (power[k], feasible[k])
+            assert np.float64(alone[0]).tobytes() == power[k].tobytes()
 
 
 class TestEncodeState:
@@ -370,12 +405,19 @@ class TestEncodeState:
 
 
 class TestStepAll:
+    """`Environment.step` on K rows, each on its own channel gains."""
+
     @staticmethod
     def _channels(config, seed, owners):
         """One channel per entry of `owners`; equal owners share a channel."""
         channels = {owner: sample_channel(config, np.random.default_rng([seed, owner]))
                     for owner in set(owners)}
         return [channels[owner] for owner in owners]
+
+    @staticmethod
+    def _gains(channels):
+        """The (K, m, n) gains of K rows on `channels`, in a writable array."""
+        return np.array([channel.gains for channel in channels])
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(m=st.integers(1, 4), n=st.integers(1, 3),
@@ -394,8 +436,8 @@ class TestStepAll:
         channels = self._channels(config, seed, owners)
         pick = np.random.default_rng(seed)
         patterns = pick.random((len(owners), m)) < 0.5
-        rows = Environment(config, channels, source, np.random.default_rng([seed, 1]),
-                           episode_length=episode_length)
+        rows = Environment(config, self._gains(channels), source,
+                           np.random.default_rng([seed, 1]), episode_length=episode_length)
         rows.reset(patterns)
         twin = np.random.default_rng([seed, 1])
         alone = [ReferenceEnv(config, channel, source, twin, pattern, episode_length)
@@ -412,7 +454,7 @@ class TestStepAll:
             assert rows.demands.tobytes() == np.array([r.demands for r in alone]).tobytes()
             done = np.flatnonzero(got.terminal)
             if len(done):
-                rows.restart(done, [channels[k] for k in done], True,
+                rows.restart(done, self._gains(channels)[done], True,
                              sample_demands(config, rows.rng, len(done)))
                 for k in done:
                     alone[k] = ReferenceEnv(config, channels[k], source, twin,
@@ -435,12 +477,12 @@ class TestStepAll:
         channels = self._channels(config, seed, range(rows))
         pick = np.random.default_rng(seed)
         patterns = pick.random((rows, m)) < 0.5
-        together = Environment(config, channels, source, np.random.default_rng(seed),
-                               episode_length=episode_length)
+        together = Environment(config, self._gains(channels), source,
+                               np.random.default_rng(seed), episode_length=episode_length)
         together.reset(patterns)
         twin = np.random.default_rng(seed)
-        single = [Environment(config, [channel], source, twin, episode_length=episode_length)
-                  for channel in channels]
+        single = [Environment(config, channel.gains[None], source, twin,
+                              episode_length=episode_length) for channel in channels]
         for env, pattern in zip(single, patterns):
             env.reset(pattern)
         for _ in range(ticks):
@@ -461,7 +503,7 @@ class TestStepAll:
                                     constant_model(1.0, m + n))
         channel = self._channels(table1_config, 5, [0])[0]
         for source in (ExactSolverReward(table1_config), surrogate):
-            env = Environment(table1_config, [channel], source,
+            env = Environment(table1_config, channel.gains[None], source,
                               np.random.default_rng(6), episode_length=3)
             env.reset()
             ref = ReferenceEnv(table1_config, channel, source, np.random.default_rng(6),
@@ -480,20 +522,22 @@ class TestStepAll:
         calls = []
         original = ExactSolverReward.solve
 
-        def counting(source, channels, channel_of, patterns, demands):
-            calls.append((list(channels), channel_of.tolist()))
-            return original(source, channels, channel_of, patterns, demands)
+        def counting(source, gains, patterns, demands):
+            calls.append(gains)
+            return original(source, gains, patterns, demands)
 
         monkeypatch.setattr(ExactSolverReward, "solve", counting)
-        env = Environment(table1_config, self._channels(table1_config, 3, [0, 0, 1, 0]),
-                          ExactSolverReward(table1_config), np.random.default_rng(4))
+        gains = self._gains(self._channels(table1_config, 3, [0, 0, 1, 0]))
+        env = Environment(table1_config, gains, ExactSolverReward(table1_config),
+                          np.random.default_rng(4))
         env.reset()
         env.step([0, 1, 2, table1_config.num_rrhs])
-        assert calls == [(env.channels, [0, 1, 2, 3])]
+        assert len(calls) == 1 and calls[0] is gains
 
     @staticmethod
     def _rows(config, seed, rows):
-        env = Environment(config, TestStepAll._channels(config, seed, range(rows)),
+        env = Environment(config,
+                          TestStepAll._gains(TestStepAll._channels(config, seed, range(rows))),
                           ExactSolverReward(config), np.random.default_rng(seed))
         env.reset()
         return env
@@ -515,7 +559,8 @@ class TestStepAll:
         assert self._state(env) == before
 
     def test_unreset_env_rejected_before_any_env_moves(self, table1_config):
-        env = Environment(table1_config, self._channels(table1_config, 7, [0, 1, 0]),
+        env = Environment(table1_config,
+                          self._gains(self._channels(table1_config, 7, [0, 1, 0])),
                           ExactSolverReward(table1_config), np.random.default_rng(7))
         before = self._state(env)
         with pytest.raises(RuntimeError, match="reset"):
@@ -544,13 +589,16 @@ class TestStepAll:
         env = self._rows(table1_config, 8, 4)
         env.step([0, 1, 2, 3])
         channel = sample_channel(table1_config, np.random.default_rng(9))
-        patterns, demands = env.patterns.copy(), env.demands.copy()
+        gains, patterns, demands = env.gains.copy(), env.patterns.copy(), env.demands.copy()
         new_pattern = np.zeros((1, 8), dtype=bool)
-        env.restart([2], [channel], new_pattern, [[1.0, 2.0, 3.0, 4.0]])
-        assert env.channels[2] is channel and env.slots.tolist() == [1, 1, 0, 1]
+        env.restart([2], channel.gains[None], new_pattern, [[1.0, 2.0, 3.0, 4.0]])
+        assert np.array_equal(env.gains[2], channel.gains)
+        assert np.array_equal(np.delete(env.gains, 2, axis=0), np.delete(gains, 2, axis=0))
+        assert env.slots.tolist() == [1, 1, 0, 1]
         assert not env.patterns[2].any() and env.demands[2].tolist() == [1.0, 2.0, 3.0, 4.0]
         env.keep([0, 2])
-        assert env.channels[1] is channel and env.slots.tolist() == [1, 0]
+        assert np.array_equal(env.gains, [gains[0], channel.gains])
+        assert env.slots.tolist() == [1, 0]
         assert np.array_equal(env.patterns[0], patterns[0])
         assert np.array_equal(env.demands[0], demands[0])
         assert env.step([8, 8]).feasible.shape == (2,)

@@ -181,7 +181,7 @@ def step_power(config, source, prev, action):
     """What one Environment step by `action` from the pattern `prev`
     charged, with the transmit power `source` answers: its Slot, each field
     the one row's."""
-    env = Environment(config, [sample_channel(config, np.random.default_rng(0))],
+    env = Environment(config, sample_channel(config, np.random.default_rng(0)).gains[None],
                       source, np.random.default_rng(0))
     env.reset(prev)
     return Slot._make(field[0] for field in env.step([action]))

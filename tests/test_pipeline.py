@@ -171,10 +171,10 @@ class TestGenDatasetRedraw:
         failing = {1, 2, 7, 30, 31, 41}
         solve_states = env.solve_states
 
-        def failing_states(gains, channel_of, active, iota, caps, noise, params):
+        def failing_states(gains, active, iota, caps, noise, params):
             # Negative noise makes the fixed point oscillate at once.
             noise = np.where([next(calls) in failing for _ in noise], -noise, noise)
-            return solve_states(gains, channel_of, active, iota, caps, noise, params)
+            return solve_states(gains, active, iota, caps, noise, params)
 
         monkeypatch.setattr(env, "solve_states", failing_states)
         for mode in pipeline.PATTERN_MODES:
@@ -461,12 +461,13 @@ class TestLockstepTraining:
         solve_states = env.solve_states
 
         def counting_step(self, actions):
-            ticks.append(len(self.channels))
+            ticks.append(len(self.gains))
             return step(self, actions)
 
-        def counting_solve(source, channels, channel_of, patterns, demands):
-            calls.append((len(patterns), len({id(c) for c in channels})))
-            return solve(source, channels, channel_of, patterns, demands)
+        def counting_solve(source, gains, patterns, demands):
+            calls.append((len(patterns), len(np.unique(gains.reshape(len(gains), -1),
+                                                       axis=0))))
+            return solve(source, gains, patterns, demands)
 
         monkeypatch.setattr(env.Environment, "step", counting_step)
         monkeypatch.setattr(ExactSolverReward, "solve", counting_solve)
@@ -701,7 +702,7 @@ def reference_baseline(config, scheme, slots):
     m = network.num_rrhs
     pick = np.random.default_rng([config.seeds.eval, pipeline._STREAM_EVAL_OC_PICK])
     first = int(pick.integers(m)) if scheme == pipeline.SCHEME_OC else m
-    one = env.Environment(network, [pipeline.make_channel(config)],
+    one = env.Environment(network, pipeline.make_channel(config).gains[None],
                           ExactSolverReward(network, config.solver),
                           np.random.default_rng([config.seeds.eval,
                                                  pipeline._STREAM_EVAL_DEMANDS]))

@@ -5,7 +5,9 @@ solver and with a git revision's, and compare the results.
 
 The revision is unpacked with `git archive` into a temporary directory, as
 `tools/byte_oracle.py` does. The states are drawn once, here, and each tree
-solves them in a subprocess that imports that tree's `cranpower`:
+solves them in a subprocess that runs that tree's own copy of this script
+with `--solve`, so each tree poses the states through its own contract and
+imports its own `cranpower`:
 
 - default: 10^4 states of the `configs/default.json` cell, on the channel
   its data seed draws, as `gen-data` labels them;
@@ -110,23 +112,24 @@ def solve(data) -> dict:
     from cranpower import beamform, env, netmodel
 
     config = netmodel.NetworkConfig(**json.loads(str(data["config"])))
-    gains, channel_of = data["channels"], data["channel_of"]
+    # The states file keeps a channel list and each state's index into it, so
+    # that every revision can read it; this tree poses each state's gains.
+    gains = data["channels"][data["channel_of"]]
     patterns, targets = data["patterns"], data["targets"]
     caps = np.full(patterns.shape, config.max_tx_power_w)
     noise = np.full(len(patterns), config.noise_power_w)
     verdicts, iterations, power = [], [], []
     for start in range(0, len(patterns), CHUNK):
         rows = slice(start, start + CHUNK)
-        solved = beamform.solve_states(gains, channel_of[rows], patterns[rows],
-                                       targets[rows], caps[rows], noise[rows])
+        solved = beamform.solve_states(gains[rows], patterns[rows], targets[rows],
+                                       caps[rows], noise[rows])
         failed = [isinstance(v, beamform.SolverFailure) for v in solved.verdicts]
         verdicts += [f"failure: {v}" if bad else v.value
                      for v, bad in zip(solved.verdicts, failed)]
         iterations += np.where(failed, -1, solved.iterations).tolist()
         power += np.where(failed, np.nan, solved.totals).tolist()
     answer_power, feasible, failures = env.ExactSolverReward(config).solve(
-        [netmodel.ChannelRealization(gains=cell) for cell in gains], channel_of,
-        patterns, data["demands"])
+        gains, patterns, data["demands"])
     answer = np.where(feasible, "feasible", "infeasible").astype(object)
     for k, failure in failures.items():
         answer[k] = f"failure: {failure}"
@@ -137,13 +140,15 @@ def solve(data) -> dict:
 
 
 def run_tree(tree: Path, states: Path, cells: list, out: Path) -> dict:
-    """Cell -> the results of `tree`'s solver on that cell's states."""
+    """Cell -> the results of `tree`'s solver on that cell's states, solved
+    by `tree`'s own `tools/solver_oracle.py --solve`."""
     out.mkdir()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     record = {}
     for cell in cells:
-        subprocess.run([sys.executable, __file__, "--solve", str(states / f"{cell}.npz"),
-                        str(out / f"{cell}.npz")], env=env, check=True)
+        subprocess.run([sys.executable, str(tree / "tools" / "solver_oracle.py"), "--solve",
+                        str(states / f"{cell}.npz"), str(out / f"{cell}.npz")],
+                       env=env, check=True)
         with np.load(out / f"{cell}.npz") as data:
             record[cell] = {key: data[key] for key in data.files}
     return record
