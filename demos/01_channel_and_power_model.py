@@ -16,6 +16,7 @@ from cranpower.netmodel import (
     compute_sinr,
     path_loss_db,
     sample_channel,
+    sample_demands,
     state_and_transition_power,
 )
 
@@ -69,10 +70,12 @@ for name, prev, nxt in (("all on, staying on", on, on),
 
 print("\n=== One environment step of three envs at once, exact solver ===")
 # One Environment holds K envs as rows, each with its channel gains (here
-# three rows of one channel, without a copy); one step solves all K next states.
+# three rows of one channel, without a copy), and starts them when it is
+# built; one step solves all K next states.
+env_rng = np.random.default_rng(0)
 env = Environment(config, np.broadcast_to(channel.gains, (3, *channel.gains.shape)),
-                  ExactSolverReward(config), np.random.default_rng(0))
-env.reset(np.array([1, 1, 1, 1, 1, 1, 0, 0], dtype=bool))
+                  np.tile([1, 1, 1, 1, 1, 1, 0, 0], (3, 1)),
+                  sample_demands(config, env_rng, 3), ExactSolverReward(config), env_rng)
 print(f"demands of row 0 {np.round(env.demands[0], 1)} Mbps")
 actions = [6, config.num_rrhs, 0]
 slot = env.step(actions)

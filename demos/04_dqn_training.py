@@ -11,6 +11,7 @@ import numpy as np
 from cranpower import pipeline
 from cranpower.dqn import select_action
 from cranpower.env import Environment, ExactSolverReward, encode_states
+from cranpower.netmodel import sample_demands
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 config = pipeline.RunConfig.from_file(TINY)
@@ -28,9 +29,17 @@ print(f"replay memory holds {dqn_stats['buffer_occupancy']} transitions")
 print("\n=== Greedy rollout ===")
 network = config.network
 channel = pipeline.make_channel(config)
-env = Environment(network, channel.gains[None], ExactSolverReward(network, config.solver),
-                  np.random.default_rng(99))
-env.reset()
+source = ExactSolverReward(network, config.solver)
+env_rng = np.random.default_rng(99)
+
+
+def start_env():
+    """A one-row env from all-on, with fresh demands from the demo's stream."""
+    return Environment(network, channel.gains[None], np.ones((1, network.num_rrhs)),
+                       sample_demands(network, env_rng, 1), source, env_rng)
+
+
+env = start_env()
 net = artifacts.qnet
 print(f"{'slot':>4}  {'pattern':>8}  {'action':>6}  {'power W':>8}  {'reward':>7}")
 for slot in range(12):
@@ -42,7 +51,7 @@ for slot in range(12):
     print(f"{slot:>4}  {pattern:>8}  {label:>6}  {result.total_w[0]:8.2f}  "
           f"{result.reward[0]:7.2f}")
     if result.terminal[0]:
-        env.reset()
+        env = start_env()
         print("      (episode ended, reset)")
 
 q = net.forward(encode_states(env.patterns, env.demands, network.demand_max_mbps)[0])

@@ -1,7 +1,9 @@
 """Action-value learner: a fully-connected Q-network trained by plain
 gradient descent on Bellman targets, with an experience replay buffer and a
-periodically synced fixed target network. `train_step` takes one batch
-form, a `Batch` of stacked arrays, as the buffer's `sample` gathers it.
+periodically synced fixed target network. The buffer takes a transition
+as its five fields (`push`) and holds them stacked, and `train_step` takes
+one batch form, a `Batch` of stacked arrays, as the buffer's `sample`
+gathers it.
 
 The network is rectifier-activated on hidden layers with an identity output,
 one Q-value per action (flip one of the m RRHs, or do nothing). Its weights
@@ -72,15 +74,6 @@ class DqnParams:
             return self.epsilon_end
         frac = step / self.epsilon_decay_steps
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
-
-
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    terminal: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,14 +304,15 @@ class ReplayBuffer:
         self._next = (first + rows) % self.capacity
         return first
 
-    def push(self, transition: Transition):
-        slot = self._advance(1, len(transition.state))
+    def push(self, state, action: int, reward: float, next_state, terminal: bool):
+        """Store one transition, its fields in `Batch`'s order."""
+        slot = self._advance(1, len(state))
         store = self._store
-        store.states[slot] = transition.state
-        store.actions[slot] = transition.action
-        store.rewards[slot] = transition.reward
-        store.next_states[slot] = transition.next_state
-        store.terminals[slot] = transition.terminal
+        store.states[slot] = state
+        store.actions[slot] = action
+        store.rewards[slot] = reward
+        store.next_states[slot] = next_state
+        store.terminals[slot] = terminal
 
     def extend(self, batch: "Batch"):
         """Push the rows of `batch` in order, as one `push` each would: of

@@ -2,15 +2,16 @@
 
 `Environment` holds K envs as rows that share one reward source and one
 demand generator: channel gains (K, m, n), patterns (K, m), demands (K, n)
-and slot counters (K,). One `step(actions)` applies every row's flip (or
-no-op) to its pattern, obtains the minimal transmit powers needed to serve
-the rows' current demands in one `solve` of the reward source, accounts
-the full system power, emits the rewards P_UB - P_total, and draws every
-row's next demands in one (K, n) draw, which equals K draws of one row
-each in row order. An unservable demand profile ends its row's episode
-with the reward -P_UB. A bad action, or the first SolverFailure of any
-row, is raised before any row moves. A run of one env is the same thing
-with K = 1.
+and slot counters (K,). Every row starts when the env is built, from the
+patterns and demands it is given, and `restart` starts rows in place after
+that. One `step(actions)` applies every row's flip (or no-op) to its
+pattern, obtains the minimal transmit powers needed to serve the rows'
+current demands in one `solve` of the reward source, accounts the full
+system power, emits the rewards P_UB - P_total, and draws every row's next
+demands in one (K, n) draw, which equals K draws of one row each in row
+order. An unservable demand profile ends its row's episode with the reward
+-P_UB. A bad action, or the first SolverFailure of any row, is raised
+before any row moves. A run of one env is the same thing with K = 1.
 
 Both reward sources answer a batch of states of their config's cell
 through one contract, `solve(gains, patterns, demands) -> (power, feasible,
@@ -211,33 +212,27 @@ class Slot(NamedTuple):
 class Environment:
     """K envs of one cell, stepped in lockstep as arrays. Row k is an
     episode on the channel gains `gains[k]` (m, n), at the on/off pattern
-    `patterns[k]` with the demands `demands[k]`, `slots[k]` slots in. Rows
-    may share one channel through an `np.broadcast_to` view. The rows share
-    one demand generator and one reward source, whose `solve` checks the
-    arrays' shapes against the cell at every step, before any row moves."""
+    `patterns[k]` with the demands `demands[k]`, `slots[k]` slots in. Every
+    row starts at slot 0 when the env is built, from `patterns` (K, m) and
+    `demands` (K, n); after that, only `restart` starts rows. Rows may share
+    one channel through an `np.broadcast_to` view. The rows share one demand
+    generator and one reward source, whose `solve` checks the arrays' shapes
+    against the cell at every step, before any row moves."""
 
-    def __init__(self, config: NetworkConfig, gains, reward_source,
+    def __init__(self, config: NetworkConfig, gains, patterns, demands, reward_source,
                  rng: np.random.Generator, episode_length: int | None = None):
+        shape = (len(gains), config.num_rrhs)
+        patterns = np.array(patterns, dtype=bool)
+        if patterns.shape != shape:
+            raise ValueError(f"initial patterns {patterns.shape} do not fit {shape}")
         self.config = config
         self.gains = gains
+        self.patterns = patterns
+        self.demands = np.array(demands, dtype=float)
         self.reward_source = reward_source
         self.rng = rng
         self.episode_length = episode_length
         self.p_upper_bound_w = p_upper_bound(config)
-        self.patterns = self.demands = None
-        self.slots = np.zeros(len(gains), dtype=np.int64)
-
-    def reset(self, patterns=None, demands=None):
-        """Start an episode in every row: from `patterns` (K, m), or one
-        pattern (m,) for every row, by default every RRH on; with `demands`
-        (K, n), by default all rows' drawn at once; slot counters at 0."""
-        shape = (len(self.gains), self.config.num_rrhs)
-        patterns = True if patterns is None else np.asarray(patterns, dtype=bool)
-        if patterns is not True and patterns.shape not in (shape, shape[1:]):
-            raise ValueError(f"initial patterns {patterns.shape} fit neither {shape} nor {shape[1:]}")
-        self.patterns = np.broadcast_to(patterns, shape).copy()
-        self.demands = (sample_demands(self.config, self.rng, shape[0])
-                        if demands is None else np.array(demands, dtype=float))
         self.slots = np.zeros(shape[0], dtype=np.int64)
 
     def restart(self, rows, gains, patterns, demands):
@@ -261,8 +256,6 @@ class Environment:
         gains, charge the slot's power, and draw every row's next demands
         at once. A bad action, or the first SolverFailure of any row, is
         raised before any row moves."""
-        if self.patterns is None:
-            raise RuntimeError("environment must be reset before stepping")
         config = self.config
         patterns = apply_action(self.patterns, actions)
         tx_w, feasible, failures = self.reward_source.solve(

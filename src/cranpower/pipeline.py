@@ -28,7 +28,6 @@ from .dqn import (
     DqnParams,
     QNetwork,
     ReplayBuffer,
-    Transition,
     load_checkpoint,
     save_checkpoint,
     select_action,
@@ -184,24 +183,22 @@ class DatasetRows:
 
 
 def _draw_states(network: NetworkConfig, mode: str, rng: np.random.Generator,
-                 count: int, demands: bool = True):
+                 count: int):
     """`count` states drawn from `rng` in stream order: for each, its pattern
-    code and then, unless `demands` is False, its demands. The code is
-    nothing for all-on, the sleeping RRH for one-off, and for random the
-    bits of an active set drawn uniformly from the 2^m - 1 non-empty ones.
-    The codes are expanded into patterns in one array op, exact for up to
-    63 RRHs (`netmodel.MAX_RRHS`).
+    code and then its demands. The code is nothing for all-on, the sleeping
+    RRH for one-off, and for random the bits of an active set drawn
+    uniformly from the 2^m - 1 non-empty ones. The codes are expanded into
+    patterns in one array op, exact for up to 63 RRHs (`netmodel.MAX_RRHS`).
 
-    Returns (patterns (count, m) bool, demands (count, n) or None)."""
+    Returns (patterns (count, m) bool, demands (count, n))."""
     m = network.num_rrhs
     code_range = {PATTERN_ONE_OFF: (0, m), PATTERN_RANDOM: (1, 2 ** m)}.get(mode)
     codes = np.zeros(count, dtype=np.int64)
-    drawn = np.empty((count, network.num_users)) if demands else None
+    drawn = np.empty((count, network.num_users))
     for i in range(count):
         if code_range:
             codes[i] = rng.integers(*code_range)
-        if demands:
-            drawn[i] = sample_demands(network, rng)
+        drawn[i] = sample_demands(network, rng)
     if mode == PATTERN_ALL_ON:
         patterns = np.ones((count, m), dtype=bool)
     elif mode == PATTERN_ONE_OFF:
@@ -372,7 +369,7 @@ class _Learner:
         its reward, the next state encoded as `next_features`, and whether
         it ended the episode. Returns whether it trained."""
         params = self.params
-        self.replay.push(Transition(features, action, reward, next_features, terminal))
+        self.replay.push(features, action, reward, next_features, terminal)
         self.steps += 1
         trained = (len(self.replay) >= params.batch_size
                    and self.steps % params.train_interval == 0)
@@ -455,9 +452,9 @@ def train_offline(config: RunConfig, out_dir=None,
     scale = network.demand_max_mbps
     gains, patterns, demands = draw_episodes(
         min(config.offline_envs, config.offline_episodes))
-    env = Environment(network, gains, ExactSolverReward(network, config.solver),
-                      rng_env, episode_length=params.episode_length)
-    env.reset(patterns, demands)
+    env = Environment(network, gains, patterns, demands,
+                      ExactSolverReward(network, config.solver), rng_env,
+                      episode_length=params.episode_length)
     returns = np.zeros(len(gains))
     features = encode_states(env.patterns, env.demands, scale)
     while len(env.gains):
@@ -578,14 +575,14 @@ class EvalReport:
 
 
 def _eval_env(config: RunConfig, channel, source, patterns) -> Environment:
-    """The env of an evaluation run: one row a start pattern of `patterns`
-    (S, m), the eval demand stream and no episode end."""
-    env_rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_DEMANDS])
-    env = Environment(config.network,
-                      np.broadcast_to(channel.gains, (len(patterns), *channel.gains.shape)),
-                      source, env_rng, episode_length=None)
-    env.reset(patterns)
-    return env
+    """The env of an evaluation run, started: one row a start pattern of
+    `patterns` (S, m) on `channel`, with its first demands drawn from the
+    eval demand stream, which then feeds every step; no episode end."""
+    network = config.network
+    rng = np.random.default_rng([config.seeds.eval, _STREAM_EVAL_DEMANDS])
+    return Environment(network,
+                       np.broadcast_to(channel.gains, (len(patterns), *channel.gains.shape)),
+                       patterns, sample_demands(network, rng, len(patterns)), source, rng)
 
 
 def _report(scheme: str, config: RunConfig, channel, actions, demands, slots: Slot,
@@ -802,13 +799,12 @@ class EteReport:
                           f"action_{b.scheme.lower()}", "agree"], rows)
 
 
-def ete_compare(config: RunConfig, artifacts: Artifacts, slots: int,
-                schemes=(SCHEME_DQN_GBDT, SCHEME_DQN_SOCP)) -> EteReport:
-    """Paired evaluation of two reward sources on identical seeds and demand
-    streams; reports the relative average-power gap and the per-slot action
-    agreement rate."""
-    report_a = run_online(config, artifacts, slots, scheme=schemes[0])
-    report_b = run_online(config, artifacts, slots, scheme=schemes[1])
+def ete_compare(config: RunConfig, artifacts: Artifacts, slots: int) -> EteReport:
+    """Paired evaluation of DQN-GBDT against DQN-SOCP on identical seeds and
+    demand streams; reports the relative average-power gap and the per-slot
+    action agreement rate."""
+    report_a = run_online(config, artifacts, slots, scheme=SCHEME_DQN_GBDT)
+    report_b = run_online(config, artifacts, slots, scheme=SCHEME_DQN_SOCP)
     if slots > 0:
         ref = report_b.average_power_w
         gap = abs(report_a.average_power_w - ref) / ref

@@ -24,7 +24,7 @@ from cranpower.beamform import (
 )
 from cranpower.dqn import QNetwork, backprop
 from cranpower.env import Environment, p_upper_bound
-from cranpower.netmodel import NetworkConfig, sample_channel
+from cranpower.netmodel import NetworkConfig, sample_channel, sample_demands
 
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_CONFIG = ROOT / "configs" / "default.json"
@@ -356,13 +356,13 @@ def test_criterion_10_power_accounting(fixed_answer):
     p_ub = m * (cfg.active_power_w + cfg.max_tx_power_w / cfg.amplifier_efficiency
                 + cfg.transition_power_w)
     rng = np.random.default_rng(9)
-    env = Environment(cfg, np.broadcast_to(sample_channel(cfg, rng).gains,
-                                           (rows, m, cfg.num_users)), fixed_answer, rng)
+    gains = np.broadcast_to(sample_channel(cfg, rng).gains, (rows, m, cfg.num_users))
     patterns = rng.random((rows, m)) < 0.5
     actions = rng.integers(m + 1, size=rows)
     fixed_answer.answer = (rng.uniform(0.0, m * cfg.max_tx_power_w, rows),
                            rng.random(rows) < 0.8)
-    env.reset(patterns)
+    env = Environment(cfg, gains, patterns, sample_demands(cfg, rng, rows), fixed_answer,
+                      rng)
     slot = env.step(actions)
     exact = p_upper_bound(cfg) == p_ub
     matched = 0

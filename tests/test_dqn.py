@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from cranpower.dqn import (
     DqnParams,
     QNetwork,
     ReplayBuffer,
-    Transition,
     backprop,
     compute_targets,
     load_checkpoint,
@@ -28,6 +28,16 @@ def zero_net(layer_sizes) -> QNetwork:
     pairs = list(zip(layer_sizes[:-1], layer_sizes[1:]))
     return QNetwork([np.zeros(pair) for pair in pairs],
                     [np.zeros(width) for _, width in pairs])
+
+
+class Transition(NamedTuple):
+    """One transition as a record, its fields in the order `push` takes."""
+
+    state: np.ndarray
+    action: int
+    reward: float
+    next_state: np.ndarray
+    terminal: bool
 
 
 def stack(transitions) -> Batch:
@@ -246,8 +256,7 @@ class TestGradients:
         net = QNetwork.initialize([3, 5, 2], rng)
         state = rng.normal(size=3)
         q = net.forward(state)
-        tr = Transition(state, 1, 0.0, state, True)
-        tr.reward = float(q[1])  # target equals current Q
+        tr = Transition(state, 1, float(q[1]), state, True)  # target equals current Q
         before = [w.copy() for w in net.weights]
         loss = train_step(net, sync_target(net), stack([tr]), 0.9, 0.1)
         assert loss == 0.0
@@ -345,20 +354,20 @@ class TestReplayBuffer:
     def test_fifo_eviction(self):
         buf = ReplayBuffer(2)
         for tag in (1, 2, 3):
-            buf.push(self._tr(tag))
+            buf.push(*self._tr(tag))
         assert buf.contents().rewards.tolist() == [2.0, 3.0]
 
     def test_full_sample_is_permutation(self):
         buf = ReplayBuffer(10)
         for tag in range(10):
-            buf.push(self._tr(tag))
+            buf.push(*self._tr(tag))
         batch = buf.sample(10, np.random.default_rng(0))
         assert sorted(batch.rewards.tolist()) == [float(i) for i in range(10)]
 
     def test_sampling_uniform(self):
         buf = ReplayBuffer(8)
         for tag in range(8):
-            buf.push(self._tr(tag))
+            buf.push(*self._tr(tag))
         rng = np.random.default_rng(9)
         counts = np.zeros(8)
         draws = 40_000
@@ -370,7 +379,7 @@ class TestReplayBuffer:
 
     def test_undersized_sample_rejected(self):
         buf = ReplayBuffer(4)
-        buf.push(self._tr(0))
+        buf.push(*self._tr(0))
         with pytest.raises(ValueError):
             buf.sample(2, np.random.default_rng(0))
 
@@ -378,9 +387,8 @@ class TestReplayBuffer:
         buf = ReplayBuffer(5)
         rng = np.random.default_rng(10)
         for _ in range(7):
-            buf.push(Transition(rng.normal(size=3), int(rng.integers(4)),
-                                float(rng.normal()), rng.normal(size=3),
-                                bool(rng.random() < 0.3)))
+            buf.push(rng.normal(size=3), int(rng.integers(4)), float(rng.normal()),
+                     rng.normal(size=3), bool(rng.random() < 0.3))
         path = tmp_path / "replay.bin"
         buf.save(path)
         loaded = ReplayBuffer.load(path)
@@ -439,7 +447,7 @@ class TestArrayReplay:
         for op in ops:
             if op < 9:
                 transition = random_transition(rng)
-                buf.push(transition)
+                buf.push(*transition)
                 ref.push(transition)
             elif op - 8 <= len(ref.storage):
                 assert_same_rows(buf.sample(op - 8, rng_a),
@@ -457,12 +465,12 @@ class TestArrayReplay:
         more = [random_transition(rng) for _ in range(rows)]
         buf, ref = ReplayBuffer(capacity), ReplayBuffer(capacity)
         for transition in first:
-            buf.push(transition)
-            ref.push(transition)
+            buf.push(*transition)
+            ref.push(*transition)
         if more:
             buf.extend(stack(more))
         for transition in more:
-            ref.push(transition)
+            ref.push(*transition)
         assert len(buf) == len(ref)
         if len(ref):
             assert_same_rows(buf.contents(), ref.contents())
@@ -476,7 +484,7 @@ class TestArrayReplay:
         buf, ref = ReplayBuffer(6), ListReplay(6)
         for _ in range(9):
             transition = random_transition(rng)
-            buf.push(transition)
+            buf.push(*transition)
             ref.push(transition)
         buf.save(tmp_path / "array.bin")
         with open(tmp_path / "listed.bin", "wb") as f:
@@ -506,7 +514,7 @@ class TestArrayReplay:
         try:
             buf = ReplayBuffer(100_000)
             for _ in range(100):
-                buf.push(random_transition(rng, width=12))
+                buf.push(*random_transition(rng, width=12))
             copy = ReplayBuffer(100_000)
             copy.extend(buf.contents())
             _, peak = tracemalloc.get_traced_memory()
@@ -526,14 +534,14 @@ class TestArrayReplay:
         rng = np.random.default_rng(seed)
         buf = ReplayBuffer(capacity)
         for _ in range(before):
-            buf.push(random_transition(rng))
+            buf.push(*random_transition(rng))
         copy, ref = buf.copy(new_capacity, room), ReplayBuffer(new_capacity)
         if len(buf):
             ref.extend(buf.contents())
         for _ in range(pushes):
             transition = random_transition(rng)
-            copy.push(transition)
-            ref.push(transition)
+            copy.push(*transition)
+            ref.push(*transition)
         assert copy.capacity == new_capacity and len(copy) == len(ref)
         if len(ref):
             assert_same_rows(copy.contents(), ref.contents())
@@ -545,8 +553,8 @@ class TestArrayReplay:
         buf, ref = ReplayBuffer(32), ListReplay(32)
         for _ in range(40):
             transition = random_transition(rng, width=4)
-            transition.action %= 3
-            buf.push(transition)
+            transition = transition._replace(action=transition.action % 3)
+            buf.push(*transition)
             ref.push(transition)
         net_a = QNetwork.initialize([4, 8, 3], np.random.default_rng(15))
         net_b, target = net_a.copy(), net_a.copy()
@@ -571,8 +579,7 @@ class TestReproducibility:
         for step in range(120):
             s = rng_env.normal(size=3)
             a = select_action(net, s, 0.3, rng_env)
-            buf.push(Transition(s, a, float(rng_env.normal()),
-                                rng_env.normal(size=3), False))
+            buf.push(s, a, float(rng_env.normal()), rng_env.normal(size=3), False)
             if len(buf) >= 16 and step % 4 == 0:
                 losses.append(train_step(net, target, buf.sample(16, rng_buf),
                                          0.9, 1e-2))

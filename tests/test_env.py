@@ -56,15 +56,25 @@ def fitted_surrogate(config, seed):
         gbdt.train(RegressionDataset(rows, rng.random(60) < 0.6), params))
 
 
-def make_env(config, reward_source=None, seed=0, **kwargs):
-    """A one-row env on a channel drawn from `seed`."""
+def make_env(config, reward_source=None, seed=0, pattern=None, **kwargs):
+    """A one-row env on a channel drawn from `seed`, started from `pattern`
+    (by default every RRH on) with demands drawn from its own generator."""
     channel = sample_channel(config, np.random.default_rng(seed))
     if reward_source is None:
         reward_source = ExactSolverReward(config)
     elif callable(reward_source):
         reward_source = reward_source(channel)
-    return Environment(config, channel.gains[None], reward_source,
-                       np.random.default_rng(seed + 1), **kwargs)
+    if pattern is None:
+        pattern = np.ones(config.num_rrhs, dtype=bool)
+    rng = np.random.default_rng(seed + 1)
+    return Environment(config, channel.gains[None], [pattern],
+                       sample_demands(config, rng, 1), reward_source, rng, **kwargs)
+
+
+def restart1(env):
+    """Start a one-row env's next episode in place, from every RRH on with
+    demands drawn from its generator."""
+    env.restart([0], env.gains[0], True, sample_demands(env.config, env.rng, 1))
 
 
 def step1(env, action):
@@ -163,8 +173,7 @@ def zero_demand_config(num_rrhs=8, num_users=4):
 class TestStepExact:
     def test_all_sleeping_noop_reward(self):
         cfg = zero_demand_config()
-        env = make_env(cfg)
-        env.reset(np.zeros(8, dtype=bool))
+        env = make_env(cfg, pattern=np.zeros(8, dtype=bool))
         result = step1(env, 8)  # no-op
         assert result.total_w == pytest.approx(34.4, rel=1e-12)
         assert result.reward == pytest.approx(102.4 - 34.4, rel=1e-12)
@@ -174,23 +183,20 @@ class TestStepExact:
         # Same landing pattern, reached by a flip vs already being there:
         # the rewards differ by exactly the transition power.
         cfg = zero_demand_config()
-        env_a = make_env(cfg, seed=3)
-        env_b = make_env(cfg, seed=3)
         target = np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=bool)
-        env_a.reset(target)
+        env_a = make_env(cfg, seed=3, pattern=target)
         ra = step1(env_a, 8).reward            # no-op, already at target
         before = target.copy()
         before[2] = False
-        env_b.reset(before)
+        env_b = make_env(cfg, seed=3, pattern=before)
         rb = step1(env_b, 2).reward            # flip RRH 2 to reach target
         assert ra - rb == pytest.approx(2.0, rel=1e-12)
 
     def test_unservable_demand_is_penalized_terminal(self):
         cfg = NetworkConfig(num_rrhs=2, num_users=2,
                             demand_min_mbps=20.0, demand_max_mbps=20.0)
-        env = make_env(cfg, seed=5)
         # One active single-antenna RRH cannot serve two users at iota = 3.
-        env.reset(np.array([True, False]))
+        env = make_env(cfg, seed=5, pattern=[True, False])
         result = step1(env, 2)
         assert not result.feasible
         assert result.terminal
@@ -198,22 +204,19 @@ class TestStepExact:
 
     def test_all_off_with_demand_infeasible(self):
         cfg = NetworkConfig(num_rrhs=2, num_users=1)
-        env = make_env(cfg, seed=6)
-        env.reset(np.array([True, False]))
+        env = make_env(cfg, seed=6, pattern=[True, False])
         result = step1(env, 0)  # switches the last active RRH off
         assert not result.feasible
         assert result.reward == -env.p_upper_bound_w
 
     def test_noop_never_pays_transition(self, table1_config):
         env = make_env(table1_config, seed=7)
-        env.reset()
         for _ in range(5):
             result = step1(env, table1_config.num_rrhs)
             assert result.transition_w == 0.0
 
     def test_reward_bounds_when_feasible(self, table1_config):
         env = make_env(table1_config, seed=8)
-        env.reset()
         rng = np.random.default_rng(9)
         ub = env.p_upper_bound_w
         for _ in range(30):
@@ -221,60 +224,51 @@ class TestStepExact:
             if result.feasible:
                 assert -ub < result.reward <= ub - 8 * min(4.3, 6.8)
             else:
-                env.reset()
+                restart1(env)
 
     def test_same_seed_reproducible(self, table1_config):
         def trajectory(seed):
             env = make_env(table1_config, seed=seed)
-            env.reset()
             rng = np.random.default_rng(99)
             out = []
             for _ in range(10):
                 r = step1(env, int(rng.integers(0, 9)))
                 out.append((r.reward, r.total_w, r.feasible))
                 if r.terminal:
-                    env.reset()
+                    restart1(env)
             return out
 
         assert trajectory(11) == trajectory(11)
 
 
 class TestReset:
-    def test_default_all_on(self, table1_config):
-        channel = sample_channel(table1_config, np.random.default_rng(12))
-        env = Environment(table1_config, np.broadcast_to(channel.gains, (3, 8, 4)),
-                          ExactSolverReward(table1_config), np.random.default_rng(13))
-        env.reset()
-        assert env.patterns.shape == (3, 8) and np.all(env.patterns)
-        assert env.demands.shape == (3, 4)
+    """An env starts every row when it is built."""
+
+    @staticmethod
+    def _build(config, patterns):
+        channel = sample_channel(config, np.random.default_rng(12))
+        return Environment(config, np.broadcast_to(channel.gains, (3, 8, 4)), patterns,
+                           np.arange(12.0).reshape(3, 4), ExactSolverReward(config),
+                           np.random.default_rng(13))
+
+    def test_built_env_starts_every_row(self, table1_config):
+        patterns = np.random.default_rng(14).random((3, 8)) < 0.5
+        env = self._build(table1_config, patterns)
+        assert env.patterns.tobytes() == patterns.tobytes()
+        assert env.patterns is not patterns
+        assert env.demands.tolist() == np.arange(12.0).reshape(3, 4).tolist()
         assert env.slots.tolist() == [0, 0, 0]
 
-    @pytest.mark.parametrize("shape", [(1,), (7,), (9,), (2, 8), (1, 1, 8)])
+    @pytest.mark.parametrize("shape", [(1,), (7,), (9,), (2, 8), (1, 1, 8), (8,)])
     def test_pattern_of_another_shape_rejected(self, table1_config, shape):
-        # Three rows of eight RRHs take an (8,) or a (3, 8) pattern only; a
-        # length-1 pattern is not broadcast over the RRHs.
-        channel = sample_channel(table1_config, np.random.default_rng(12))
-        env = Environment(table1_config, np.broadcast_to(channel.gains, (3, 8, 4)),
-                          ExactSolverReward(table1_config), np.random.default_rng(13))
+        # Three rows of eight RRHs take a (3, 8) pattern only; neither one
+        # (8,) pattern nor a length-1 one is broadcast over the rows or RRHs.
         with pytest.raises(ValueError, match="initial patterns"):
-            env.reset(np.ones(shape, dtype=bool))
-        assert env.patterns is None
+            self._build(table1_config, np.ones(shape, dtype=bool))
 
     def test_same_seed_same_reset(self, table1_config):
         a, b = make_env(table1_config, seed=13), make_env(table1_config, seed=13)
-        a.reset()
-        b.reset()
         assert np.array_equal(a.demands, b.demands)
-
-    def test_reset_clears_slot_counter(self, table1_config):
-        env = make_env(table1_config, seed=14, episode_length=2)
-        env.reset()
-        step1(env, 8)
-        result = step1(env, 8)
-        assert result.terminal          # hit the episode length
-        env.reset()
-        assert env.slots.tolist() == [0]
-        assert not step1(env, 8).terminal
 
 
 class TestSurrogateMode:
@@ -287,8 +281,6 @@ class TestSurrogateMode:
         exact = make_env(table1_config, seed=20)
         surro = make_env(table1_config,
                          reward_source=lambda ch: surrogate, seed=20)
-        exact.reset()
-        surro.reset()
         rng = np.random.default_rng(21)
         for _ in range(8):
             action = int(rng.integers(0, m + 1))
@@ -300,8 +292,8 @@ class TestSurrogateMode:
                 assert rs.transmit_w == pytest.approx(
                     0.123 / table1_config.amplifier_efficiency, rel=1e-12)
             else:
-                exact.reset()
-                surro.reset()
+                restart1(exact)
+                restart1(surro)
 
     def test_feasibility_gate_fires_below_threshold(self, table1_config):
         m, n = table1_config.num_rrhs, table1_config.num_users
@@ -309,7 +301,6 @@ class TestSurrogateMode:
         surrogate = SurrogateReward(table1_config, constant_model(0.1, m + n),
                                     constant_model(below, m + n))
         env = make_env(table1_config, reward_source=lambda ch: surrogate, seed=22)
-        env.reset()
         result = step1(env, m)
         assert not result.feasible
         assert result.terminal
@@ -322,7 +313,6 @@ class TestSurrogateMode:
         surrogate = SurrogateReward(table1_config, constant_model(-4.0, m + n),
                                     constant_model(1.0, m + n))
         env = make_env(table1_config, reward_source=lambda ch: surrogate, seed=23)
-        env.reset()
         assert step1(env, m).transmit_w == 0.0
 
     @pytest.mark.parametrize("passing", ["none", "some", "all"])
@@ -396,7 +386,6 @@ class TestSharedChannel:
 class TestEncodeState:
     def test_scaling(self, table1_config):
         env = make_env(table1_config, seed=30)
-        env.reset()
         feats = encode_states(env.patterns, env.demands, table1_config.demand_max_mbps)
         assert feats.shape == (1, 12)
         assert np.all(feats[:, :8] == 1.0)
@@ -436,9 +425,10 @@ class TestStepAll:
         channels = self._channels(config, seed, owners)
         pick = np.random.default_rng(seed)
         patterns = pick.random((len(owners), m)) < 0.5
-        rows = Environment(config, self._gains(channels), source,
-                           np.random.default_rng([seed, 1]), episode_length=episode_length)
-        rows.reset(patterns)
+        rng = np.random.default_rng([seed, 1])
+        rows = Environment(config, self._gains(channels), patterns,
+                           sample_demands(config, rng, len(owners)), source, rng,
+                           episode_length=episode_length)
         twin = np.random.default_rng([seed, 1])
         alone = [ReferenceEnv(config, channel, source, twin, pattern, episode_length)
                  for channel, pattern in zip(channels, patterns)]
@@ -477,14 +467,15 @@ class TestStepAll:
         channels = self._channels(config, seed, range(rows))
         pick = np.random.default_rng(seed)
         patterns = pick.random((rows, m)) < 0.5
-        together = Environment(config, self._gains(channels), source,
-                               np.random.default_rng(seed), episode_length=episode_length)
-        together.reset(patterns)
+        rng = np.random.default_rng(seed)
+        together = Environment(config, self._gains(channels), patterns,
+                               sample_demands(config, rng, rows), source, rng,
+                               episode_length=episode_length)
         twin = np.random.default_rng(seed)
-        single = [Environment(config, channel.gains[None], source, twin,
-                              episode_length=episode_length) for channel in channels]
-        for env, pattern in zip(single, patterns):
-            env.reset(pattern)
+        single = [Environment(config, channel.gains[None], [pattern],
+                              sample_demands(config, twin, 1), source, twin,
+                              episode_length=episode_length)
+                  for channel, pattern in zip(channels, patterns)]
         for _ in range(ticks):
             actions = pick.integers(0, m + 1, size=rows)
             got = together.step(actions)
@@ -503,9 +494,10 @@ class TestStepAll:
                                     constant_model(1.0, m + n))
         channel = self._channels(table1_config, 5, [0])[0]
         for source in (ExactSolverReward(table1_config), surrogate):
-            env = Environment(table1_config, channel.gains[None], source,
-                              np.random.default_rng(6), episode_length=3)
-            env.reset()
+            rng = np.random.default_rng(6)
+            env = Environment(table1_config, channel.gains[None], np.ones((1, m)),
+                              sample_demands(table1_config, rng, 1), source, rng,
+                              episode_length=3)
             ref = ReferenceEnv(table1_config, channel, source, np.random.default_rng(6),
                                np.ones(m, dtype=bool), episode_length=3)
             for action in [0, m, 3, 3, 1, m, 7]:
@@ -514,7 +506,7 @@ class TestStepAll:
                 assert env.patterns[0].tobytes() == ref.pattern.tobytes()
                 assert env.demands[0].tobytes() == ref.demands.tobytes()
                 if result.terminal:
-                    env.reset()
+                    restart1(env)
                     ref = ReferenceEnv(table1_config, channel, source, ref.rng,
                                        np.ones(m, dtype=bool), episode_length=3)
 
@@ -528,25 +520,25 @@ class TestStepAll:
 
         monkeypatch.setattr(ExactSolverReward, "solve", counting)
         gains = self._gains(self._channels(table1_config, 3, [0, 0, 1, 0]))
-        env = Environment(table1_config, gains, ExactSolverReward(table1_config),
-                          np.random.default_rng(4))
-        env.reset()
+        rng = np.random.default_rng(4)
+        env = Environment(table1_config, gains, np.ones((4, 8)),
+                          sample_demands(table1_config, rng, 4),
+                          ExactSolverReward(table1_config), rng)
         env.step([0, 1, 2, table1_config.num_rrhs])
         assert len(calls) == 1 and calls[0] is gains
 
     @staticmethod
     def _rows(config, seed, rows):
-        env = Environment(config,
-                          TestStepAll._gains(TestStepAll._channels(config, seed, range(rows))),
-                          ExactSolverReward(config), np.random.default_rng(seed))
-        env.reset()
-        return env
+        rng = np.random.default_rng(seed)
+        return Environment(
+            config, TestStepAll._gains(TestStepAll._channels(config, seed, range(rows))),
+            np.ones((rows, config.num_rrhs)), sample_demands(config, rng, rows),
+            ExactSolverReward(config), rng)
 
     @staticmethod
     def _state(env):
-        return (None if env.patterns is None else env.patterns.tobytes(),
-                None if env.demands is None else env.demands.tobytes(),
-                env.slots.tolist(), env.rng.bit_generator.state)
+        return (env.patterns.tobytes(), env.demands.tobytes(), env.slots.tolist(),
+                env.rng.bit_generator.state)
 
     @pytest.mark.parametrize("actions", [[0, 9, 2], [0, -1, 2], [0, 1], [0, 1, 2, 3],
                                          [0.0, 1.0, 2.0]],
@@ -556,15 +548,6 @@ class TestStepAll:
         before = self._state(env)
         with pytest.raises(ValueError, match="action"):
             env.step(actions)
-        assert self._state(env) == before
-
-    def test_unreset_env_rejected_before_any_env_moves(self, table1_config):
-        env = Environment(table1_config,
-                          self._gains(self._channels(table1_config, 7, [0, 1, 0])),
-                          ExactSolverReward(table1_config), np.random.default_rng(7))
-        before = self._state(env)
-        with pytest.raises(RuntimeError, match="reset"):
-            env.step([0, 1, 2])
         assert self._state(env) == before
 
     def test_solver_failure_raised_before_any_env_moves(self, table1_config,

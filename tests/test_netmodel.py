@@ -181,9 +181,9 @@ def step_power(config, source, prev, action):
     """What one Environment step by `action` from the pattern `prev`
     charged, with the transmit power `source` answers: its Slot, each field
     the one row's."""
+    rng = np.random.default_rng(0)
     env = Environment(config, sample_channel(config, np.random.default_rng(0)).gains[None],
-                      source, np.random.default_rng(0))
-    env.reset(prev)
+                      [prev], sample_demands(config, rng, 1), source, rng)
     return Slot._make(field[0] for field in env.step([action]))
 
 

@@ -56,6 +56,11 @@ def test_byte_oracle_sequences_parse(tmp_path):
                                        ("OC", 300, ROOT / "configs" / "default.json")]
 
 
+def test_byte_oracle_runs_the_demos_without_wall_times():
+    # Demos 03 and 05 print wall times, so two runs of them differ.
+    assert [demo.name[:3] for demo in byte_oracle._demos(ROOT)] == ["01_", "02_", "04_"]
+
+
 def test_solver_oracle_reward_answers_match_its_solves():
     states = solver_oracle.draw_cell(NetworkConfig(num_rrhs=3, num_users=2), 50,
                                      solver_oracle.ZERO_DEMAND, np.random.default_rng(7))

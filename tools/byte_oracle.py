@@ -43,10 +43,14 @@ nothing is written to `.git`. On each tree, from its own `configs/`:
   and `baseline --slots 300` with AO and OC on `default.json` itself, so a
   baseline's states are solved in stacks of the default cell.
 
+Each tree also runs its own demos 01, 02 and 04 (`DEMOS`), which drive the
+library API directly; demos 03 and 05 print wall times, so they are left
+out.
+
 Compared: every output file whose name does not contain "timing", each
-command's exit code and stderr, and its stdout once the output directory is
-masked and `bench`'s timing line dropped. Prints the differences and exits
-1 if there are any, else 0.
+command's and demo's exit code and stderr, and its stdout once the output
+directory is masked and `bench`'s timing line dropped. Prints the
+differences and exits 1 if there are any, else 0.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The demos whose output holds no wall time, so that two runs read alike.
+DEMOS = ("01_*.py", "02_*.py", "04_*.py")
 
 
 def _variant(tree: Path, name: str, path: Path, changes: dict) -> str:
@@ -152,8 +158,13 @@ def _sequences(tree: Path, work: Path, short_default: bool) -> dict:
     return runs
 
 
+def _demos(tree: Path) -> list:
+    """The paths of `tree`'s demos that `DEMOS` names, in its order."""
+    return [path for pattern in DEMOS for path in sorted((tree / "demos").glob(pattern))]
+
+
 def run_tree(tree: Path, work: Path, short_default: bool) -> dict:
-    """Key -> bytes of everything the sequences on `tree` produce."""
+    """Key -> bytes of everything the sequences and demos on `tree` produce."""
     work.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     record = {}
@@ -174,6 +185,13 @@ def run_tree(tree: Path, work: Path, short_default: bool) -> dict:
         for path in sorted(out.rglob("*")):
             if path.is_file() and "timing" not in path.name:
                 record[f"{run}/{path.relative_to(out).as_posix()}"] = path.read_bytes()
+    for demo in _demos(tree):
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env,
+                              cwd=work)
+        tag = f"demos/{demo.name}"
+        record[f"{tag} exit"] = str(proc.returncode).encode()
+        record[f"{tag} stdout"] = proc.stdout
+        record[f"{tag} stderr"] = proc.stderr.replace(str(tree).encode(), b"<tree>")
     return record
 
 
