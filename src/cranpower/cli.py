@@ -151,19 +151,20 @@ def _read_given(args, config):
 
 def _write_run(args, config, out, report, artifacts, prefix, tag):
     """A run's report and trajectory files, its summary line, and the
-    --demand-max-sweep file when the flag is given."""
+    --demand-max-sweep file when the flag is given; the swept runs tune
+    online unless --no-tune is given."""
     slots = len(report.instant_w)
     report.to_csv(out / f"{prefix}_{tag}.csv")
-    report.trajectory_to_csv(out / f"trajectory_{tag}.csv",
-                             config.network.num_users)
+    report.trajectory_to_csv(out / f"trajectory_{tag}.csv")
     print(f"{report.scheme}: average power {report.average_power_w!r} W over "
           f"{slots} slots, {report.infeasible_count} infeasible")
     if args.demand_max_sweep:
         rows = pipeline.demand_sweep(args.swept, artifacts, slots, report.scheme,
-                                     config.network.demand_max_mbps)
-        pipeline._write_csv(out / f"sweep_{tag}.csv",
-                            ["demand_max_mbps", "scheme", "average_power_w",
-                             "infeasible_count"], rows)
+                                     config.network.demand_max_mbps,
+                                     tuning=not getattr(args, "no_tune", False))
+        pipeline.write_csv(out / f"sweep_{tag}.csv",
+                           ["demand_max_mbps", "scheme", "average_power_w",
+                            "infeasible_count"], zip(*rows))
 
 
 def _cmd_gen_data(args, config, out):
@@ -186,7 +187,7 @@ def _cmd_evaluate(args, config, out):
     report = pipeline.run_online(config, args.given, args.slots, scheme=args.scheme,
                                  tuning=not args.no_tune)
     tag = args.scheme.lower().replace("-", "_")
-    pipeline._write_json(out / f"eval_{tag}_timing.json", report.timing)
+    pipeline.write_json(out / f"eval_{tag}_timing.json", report.timing)
     _write_run(args, config, out, report, args.given, "eval", tag)
 
 

@@ -5,6 +5,9 @@ solve a step), online greedy evaluation with regular tuning (one row stepped
 slot by slot), the all-on / one-closed baselines (one step of a row a slot),
 the timing benchmark, and the paired error-tolerance comparison.
 
+A run's `EvalReport` holds its arrays, and `write_csv` writes every CSV
+from columns.
+
 Every command is a pure function of (config, seeds): rerunning it with the
 same inputs reproduces every non-timing output byte for byte. Randomness is
 split into three named seeds (data / train / eval), and derived streams are
@@ -143,18 +146,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_json(path, obj):
+def write_json(path, obj):
     """`obj` as JSON: sorted keys, two-space indent, a trailing newline."""
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, columns):
+    """A CSV of `header` and the rows of `columns`, equal-length arrays (read
+    by `.tolist()`) or sequences, each value written by `_fmt`."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in zip(*columns):
+            f.write(",".join(map(_fmt, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +272,9 @@ def dataset_header(m: int, n: int):
 
 def write_dataset_csv(rows: DatasetRows, path, config: RunConfig):
     m, n = config.network.num_rrhs, config.network.num_users
-    header = dataset_header(m, n)
-    out = []
-    for i in range(len(rows)):
-        rec = [int(v) for v in rows.features[i, :m]]
-        rec += list(rows.features[i, m:])
-        rec.append(rows.tx_power_w[i])
-        rec.append(bool(rows.feasible[i]))
-        out.append(rec)
-    _write_csv(path, header, out)
+    write_csv(path, dataset_header(m, n),
+              [*rows.features[:, :m].astype(int).T, *rows.features[:, m:].T,
+               rows.tx_power_w, rows.feasible])
 
 
 def read_dataset_csv(path, config: RunConfig) -> DatasetRows:
@@ -512,32 +512,32 @@ def train_offline(config: RunConfig, out_dir=None,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         artifacts.save(out_dir)
-        _write_csv(out_dir / TRAIN_LOG_FILE,
-                   ["step", "loss", "epsilon", "episode_return"], log_rows)
-        _write_json(out_dir / SUMMARY_FILE, summary)
+        write_csv(out_dir / TRAIN_LOG_FILE,
+                  ["step", "loss", "epsilon", "episode_return"], zip(*log_rows))
+        write_json(out_dir / SUMMARY_FILE, summary)
         if config.fit_scatter_rows > 0:
             _write_fit_scatter(config, artifacts, out_dir / FIT_SCATTER_FILE)
-        _write_json(out_dir / "train_timing.json", timing)
+        write_json(out_dir / "train_timing.json", timing)
     summary["timing"] = timing
     return artifacts, summary
 
 
 def _write_fit_scatter(config: RunConfig, artifacts: Artifacts, path):
-    """Solver truth vs surrogate prediction under three pattern regimes."""
+    """Solver truth vs surrogate prediction under three pattern regimes,
+    `fit_scatter_rows` states each."""
     regimes = [
         (PATTERN_ALL_ON, _STREAM_SCATTER_ALL_ON),
         (PATTERN_ONE_OFF, _STREAM_SCATTER_ONE_OFF),
         (PATTERN_RANDOM, _STREAM_SCATTER_RANDOM),
     ]
-    rows = []
-    for mode, stream in regimes:
-        data = gen_dataset(config, count=config.fit_scatter_rows, pattern_mode=mode,
-                           stream=stream)
-        preds = gbdt.predict_batch(artifacts.gbdt_model, data.features)
-        for i in range(len(data)):
-            rows.append((mode, data.tx_power_w[i], preds[i],
-                         bool(data.feasible[i])))
-    _write_csv(path, ["regime", "p_true_w", "p_pred_w", "feasible"], rows)
+    data = [gen_dataset(config, count=config.fit_scatter_rows, pattern_mode=mode,
+                        stream=stream) for mode, stream in regimes]
+    write_csv(path, ["regime", "p_true_w", "p_pred_w", "feasible"],
+              [np.repeat([mode for mode, _ in regimes], config.fit_scatter_rows),
+               np.concatenate([d.tx_power_w for d in data]),
+               gbdt.predict_batch(artifacts.gbdt_model,
+                                  np.concatenate([d.features for d in data])),
+               np.concatenate([d.feasible for d in data])])
 
 
 # ---------------------------------------------------------------------------
@@ -546,32 +546,47 @@ def _write_fit_scatter(config: RunConfig, artifacts: Artifacts, path):
 
 @dataclass
 class EvalReport:
+    """A run of S slots: its actions (S,), the demands served (S, n), the
+    patterns left (S, m), the Slot of (S,) arrays the controller charged
+    (the surrogate's answers, for DQN-GBDT), and the ground truth
+    `instant_w` and `feasible` (S,), unserved slots charged P_UB."""
+
     scheme: str
-    instant_w: np.ndarray
-    running_avg_w: np.ndarray
     actions: np.ndarray
+    demands: np.ndarray
+    patterns: np.ndarray
+    charged: Slot
+    instant_w: np.ndarray
     feasible: np.ndarray
-    trajectory: list
-    infeasible_count: int
     timing: dict
 
     @property
+    def running_avg_w(self) -> np.ndarray:
+        return np.cumsum(self.instant_w) / np.arange(1, len(self.instant_w) + 1)
+
+    @property
     def average_power_w(self) -> float:
-        return float(self.running_avg_w[-1]) if len(self.running_avg_w) else math.nan
+        return float(self.running_avg_w[-1]) if len(self.instant_w) else math.nan
+
+    @property
+    def infeasible_count(self) -> int:
+        return int(np.count_nonzero(~self.feasible))
 
     def to_csv(self, path):
-        rows = [(k, self.instant_w[k], self.running_avg_w[k],
-                 int(self.actions[k]), bool(self.feasible[k]))
-                for k in range(len(self.instant_w))]
-        _write_csv(path, ["slot", "instant_w", "running_avg_w", "action",
-                          "feasible"], rows)
+        """The ground truth of every slot, with the action taken."""
+        write_csv(path, ["slot", "instant_w", "running_avg_w", "action", "feasible"],
+                  [range(len(self.actions)), self.instant_w, self.running_avg_w,
+                   self.actions, self.feasible])
 
-    def trajectory_to_csv(self, path, num_users: int):
-        header = (["slot", "action", "pattern"]
-                  + [f"d_{j + 1}" for j in range(num_users)]
-                  + ["transmit_w", "state_w", "transition_w", "total_w",
-                     "reward", "feasible"])
-        _write_csv(path, header, self.trajectory)
+    def trajectory_to_csv(self, path):
+        """What the controller did and was charged, a row a slot."""
+        users = [f"d_{j + 1}" for j in range(self.demands.shape[1])]
+        texts = [row.tobytes().decode() for row in self.patterns.view(np.uint8) + ord("0")]
+        write_csv(path, ["slot", "action", "pattern", *users, "transmit_w", "state_w",
+                         "transition_w", "total_w", "reward", "feasible"],
+                  # Every charged field but `terminal`.
+                  [range(len(self.actions)), self.actions, texts, *self.demands.T,
+                   *self.charged[:6]])
 
 
 def _eval_env(config: RunConfig, channel, source, patterns) -> Environment:
@@ -585,15 +600,14 @@ def _eval_env(config: RunConfig, channel, source, patterns) -> Environment:
                        patterns, sample_demands(network, rng, len(patterns)), source, rng)
 
 
-def _report(scheme: str, config: RunConfig, channel, actions, demands, slots: Slot,
+def _report(scheme: str, config: RunConfig, channel, actions, demands, charged: Slot,
             patterns, t_start, resolve: bool = False) -> EvalReport:
-    """The report of a run of S slots: its actions (S,), the demands served
-    (S, n), the Slot of (S,) arrays charged and the patterns left (S, m);
-    unserved slots are charged P_UB. With `resolve`, the exact solver
-    re-solves every slot's (pattern, demands) on `channel`, and a slot's
-    transmit term and feasibility are the solver's, not the controller's."""
+    """The `EvalReport` of a run of S slots, which keeps the arrays given. Its
+    ground truth is what was `charged`, or with `resolve` the exact solver's
+    re-solve of every slot's (pattern, demands) on `channel`: a slot's
+    transmit term and feasibility are then the solver's, not the controller's."""
     network = config.network
-    served, instants = slots.feasible, slots.total_w
+    served, instants = charged.feasible, charged.total_w
     if resolve:
         # The ground truth never feeds back into control, so every slot is
         # re-solved in one batch after the run.
@@ -603,25 +617,12 @@ def _report(scheme: str, config: RunConfig, channel, actions, demands, slots: Sl
         if failures:
             raise failures[min(failures)]
         served = served & true_ok
-        instants = slots.state_w + slots.transition_w + true_tx / network.amplifier_efficiency
-    instants = np.where(served, instants, p_upper_bound(network))
-    texts = [row.tobytes().decode() for row in patterns.view(np.uint8) + ord("0")]
-    charged = (slots.transmit_w, slots.state_w, slots.transition_w, slots.total_w,
-               slots.reward)
-    trajectory = list(zip(range(len(actions)), actions.tolist(), texts, *demands.T.tolist(),
-                          *(field.tolist() for field in charged), slots.feasible.tolist()))
+        instants = (charged.state_w + charged.transition_w
+                    + true_tx / network.amplifier_efficiency)
     wall = time.perf_counter() - t_start
-    return EvalReport(
-        scheme=scheme,
-        instant_w=instants,
-        running_avg_w=np.cumsum(instants) / np.arange(1, len(instants) + 1),
-        actions=actions,
-        feasible=served,
-        trajectory=trajectory,
-        infeasible_count=int(np.count_nonzero(~served)),
-        timing={"wall_s": wall,
-                "s_per_slot": wall / len(actions) if len(actions) else math.nan},
-    )
+    timing = {"wall_s": wall, "s_per_slot": wall / len(actions) if len(actions) else math.nan}
+    return EvalReport(scheme, actions, demands, patterns, charged,
+                      np.where(served, instants, p_upper_bound(network)), served, timing)
 
 
 def run_online(config: RunConfig, artifacts: Artifacts, slots: int,
@@ -774,9 +775,7 @@ def bench_timing(config: RunConfig, artifacts: Artifacts, inputs: int = 1000,
 def write_timing_csv(rows, path):
     header = ["num_rrhs", "num_users", "gbdt_s_per_input", "socp_s_per_input",
               "speedup"]
-    _write_csv(path, header,
-               [(r["num_rrhs"], r["num_users"], r["gbdt_s_per_input"],
-                 r["socp_s_per_input"], r["speedup"]) for r in rows])
+    write_csv(path, header, [[r[key] for r in rows] for key in header])
 
 
 @dataclass
@@ -788,15 +787,12 @@ class EteReport:
 
     def to_csv(self, path):
         a, b = self.report_a, self.report_b
-        rows = [(k, a.instant_w[k], b.instant_w[k],
-                 a.instant_w[k] - b.instant_w[k],
-                 int(a.actions[k]), int(b.actions[k]),
-                 bool(a.actions[k] == b.actions[k]))
-                for k in range(len(a.instant_w))]
-        _write_csv(path, ["slot", f"p_{a.scheme.lower()}_w",
-                          f"p_{b.scheme.lower()}_w", "gap_w",
-                          f"action_{a.scheme.lower()}",
-                          f"action_{b.scheme.lower()}", "agree"], rows)
+        write_csv(path, ["slot", f"p_{a.scheme.lower()}_w", f"p_{b.scheme.lower()}_w",
+                         "gap_w", f"action_{a.scheme.lower()}",
+                         f"action_{b.scheme.lower()}", "agree"],
+                  [range(len(a.actions)), a.instant_w, b.instant_w,
+                   a.instant_w - b.instant_w, a.actions, b.actions,
+                   a.actions == b.actions])
 
 
 def ete_compare(config: RunConfig, artifacts: Artifacts, slots: int) -> EteReport:
@@ -816,14 +812,15 @@ def ete_compare(config: RunConfig, artifacts: Artifacts, slots: int) -> EteRepor
 
 
 def demand_sweep(configs, artifacts, slots: int, scheme: str,
-                 demand_scale_mbps: float) -> list:
+                 demand_scale_mbps: float, tuning: bool = True) -> list:
     """Average power on each of `configs`, which differ in their demand
     ceiling (the demand-sweep figure). The Q-network's demand features keep
-    `demand_scale_mbps`, the ceiling of the config it was trained on."""
+    `demand_scale_mbps`, the ceiling of the config it was trained on, and a
+    DQN scheme tunes online unless `tuning` is False."""
     rows = []
     for swept in configs:
         if scheme in DQN_SCHEMES:
-            report = run_online(swept, artifacts, slots, scheme=scheme,
+            report = run_online(swept, artifacts, slots, scheme=scheme, tuning=tuning,
                                 demand_scale_mbps=demand_scale_mbps)
         else:
             report = run_baseline(swept, scheme, slots)

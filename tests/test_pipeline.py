@@ -25,7 +25,7 @@ from cranpower.netmodel import (
     sample_demands,
 )
 from test_dqn import Transition, stack, write_checkpoint_arrays
-from test_env import ReferenceEnv, encode_one
+from test_env import ReferenceEnv, constant_model, encode_one
 
 TINY = Path(__file__).resolve().parent.parent / "configs" / "tiny.json"
 DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -359,8 +359,8 @@ class TestLockstepTraining:
         for got, want in zip(artifacts.replay.contents().arrays(),
                              stack(transitions).arrays()):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        pipeline._write_csv(tmp_path / "reference_log.csv",
-                            ["step", "loss", "epsilon", "episode_return"], log_rows)
+        pipeline.write_csv(tmp_path / "reference_log.csv",
+                           ["step", "loss", "epsilon", "episode_return"], zip(*log_rows))
         assert (tmp_path / pipeline.TRAIN_LOG_FILE).read_bytes() == \
             (tmp_path / "reference_log.csv").read_bytes()
         assert json.dumps(summary["dqn"], sort_keys=True) == \
@@ -495,6 +495,32 @@ class TestLockstepTraining:
         with pytest.raises(SolverFailure, match="forced breakdown"):
             pipeline.train_offline(config, dataset=dataset)
         assert fired
+
+
+def trajectory_rows(report):
+    """The rows of `report.trajectory_to_csv` as Python values, one tuple a
+    slot: its index, action, pattern bitstring, demands, and the charged
+    transmit, standby, mode-switch and total watts, reward and servability."""
+    texts = ["".join("1" if on else "0" for on in row) for row in report.patterns]
+    return list(zip(range(len(report.actions)), report.actions.tolist(), texts,
+                    *report.demands.T.tolist(),
+                    *(field.tolist() for field in report.charged[:6])))
+
+
+def read_csv_columns(path):
+    """The header of a CSV and its columns, each a list of the field texts."""
+    header, *rows = (line.split(",") for line in Path(path).read_text().splitlines())
+    return header, [list(column) for column in zip(*rows)]
+
+
+def assert_column(texts, array):
+    """`texts` read back to `array`, bit for bit: floats through their repr,
+    bools as 1/0."""
+    if array.dtype == bool:
+        assert texts == ["1" if value else "0" for value in array.tolist()]
+    else:
+        got = np.array([array.dtype.type(text) for text in texts], dtype=array.dtype)
+        assert got.tobytes() == np.ascontiguousarray(array).tobytes()
 
 
 class TestRunOnline:
@@ -634,7 +660,8 @@ class TestRunOnline:
         unservable = np.flatnonzero(~report.feasible)
         assert len(unservable) >= 1
         draws = np.random.default_rng([config.seeds.eval, pipeline._STREAM_EVAL_DEMANDS])
-        for row in report.trajectory:
+        trajectory = trajectory_rows(report)
+        for row in trajectory:
             assert np.array_equal(row[3:3 + n], sample_demands(network, draws))
         all_on = np.ones(m, dtype=bool)
         # Each slot starts from all-on after an unservable slot and from
@@ -642,20 +669,20 @@ class TestRunOnline:
         assert len(stepped_from) == slots
         for k in range(1, slots):
             expected = all_on if k - 1 in unservable else np.array(
-                [bit == "1" for bit in report.trajectory[k - 1][2]])
+                [bit == "1" for bit in trajectory[k - 1][2]])
             assert np.array_equal(stepped_from[k], expected)
         woken = unservable[unservable < slots - 1] + 1
         assert len(woken) >= 1
         for k in woken:
-            _, action, pattern = report.trajectory[k][:3]
+            _, action, pattern = trajectory[k][:3]
             assert np.array_equal(seen[k], env.encode_states(
-                all_on, np.asarray(report.trajectory[k][3:3 + n]),
+                all_on, np.asarray(trajectory[k][3:3 + n]),
                 network.demand_max_mbps))
             assert pattern == "".join(
                 "1" if on else "0" for on in env.apply_action(all_on, action))
         if scripted:
             # Some unservable slot left an RRH off, so waking it mattered.
-            assert any("0" in report.trajectory[k - 1][2] for k in woken)
+            assert any("0" in trajectory[k - 1][2] for k in woken)
 
     @pytest.mark.parametrize("scheme", pipeline.DQN_SCHEMES)
     def test_tuning_at_the_oracle_rate_changes_actions(self, tiny_trained,
@@ -685,13 +712,38 @@ class TestRunOnline:
         assert report.average_power_w == expected[-1]
 
     def test_report_csv_columns(self, tiny_trained, tiny_run_config, tmp_path):
+        # Both CSVs read back to the report's arrays, bit for bit. A
+        # surrogate gate that always passes, on a 200 Mbps ceiling: the
+        # controller is charged every slot as servable, while the ground
+        # truth finds some unservable, so the trajectory's `feasible` (what
+        # was charged) and the eval file's (ground truth) differ.
         artifacts, _, _ = tiny_trained
-        report = pipeline.run_online(tiny_run_config, artifacts, 5)
-        path = tmp_path / "eval.csv"
-        report.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "slot,instant_w,running_avg_w,action,feasible"
-        assert len(lines) == 6
+        network = dataclasses.replace(tiny_run_config.network, demand_max_mbps=200.0)
+        m, n = network.num_rrhs, network.num_users
+        report = pipeline.run_online(
+            dataclasses.replace(tiny_run_config, network=network),
+            dataclasses.replace(artifacts, feasibility_model=constant_model(1.0, m + n)),
+            40)
+        assert report.charged.feasible.all() and not report.feasible.all()
+        slots = np.arange(40)
+
+        report.trajectory_to_csv(tmp_path / "trajectory.csv")
+        header, columns = read_csv_columns(tmp_path / "trajectory.csv")
+        assert header == ["slot", "action", "pattern", *(f"d_{j + 1}" for j in range(n)),
+                          "transmit_w", "state_w", "transition_w", "total_w", "reward",
+                          "feasible"]
+        assert columns.pop(2) == ["".join("1" if on else "0" for on in row)
+                                  for row in report.patterns]
+        for texts, array in zip(columns, [slots, report.actions, *report.demands.T,
+                                          *report.charged[:6]], strict=True):
+            assert_column(texts, array)
+
+        report.to_csv(tmp_path / "eval.csv")
+        header, columns = read_csv_columns(tmp_path / "eval.csv")
+        assert header == ["slot", "instant_w", "running_avg_w", "action", "feasible"]
+        for texts, array in zip(columns, [slots, report.instant_w, report.running_avg_w,
+                                          report.actions, report.feasible], strict=True):
+            assert_column(texts, array)
 
 
 def reference_baseline(config, scheme, slots):
@@ -730,7 +782,7 @@ def assert_baseline_equals_reference(config, scheme, slots):
     assert np.array_equal(report.actions, actions)
     assert report.feasible.dtype == feasible.dtype
     assert np.array_equal(report.feasible, feasible)
-    assert report.trajectory == trajectory
+    assert trajectory_rows(report) == trajectory
     assert report.infeasible_count == np.count_nonzero(~feasible)
 
 
@@ -789,7 +841,7 @@ class TestBaselines:
         config = zero_demand_run_config()
         report = pipeline.run_baseline(config, "AO", 5)
         assert np.allclose(report.instant_w, 54.4, rtol=1e-12)
-        transitions = [row[-4] for row in report.trajectory]
+        transitions = [row[-4] for row in trajectory_rows(report)]
         assert all(t == 0.0 for t in transitions)
 
     def test_oc_zero_demand_instant_power(self):
@@ -798,15 +850,15 @@ class TestBaselines:
         # Slot 0 pays the single mode switch; afterwards 7 active + 1 asleep.
         assert report.instant_w[0] == pytest.approx(51.9 + 2.0, rel=1e-12)
         assert np.allclose(report.instant_w[1:], 51.9, rtol=1e-12)
-        transitions = [row[-4] for row in report.trajectory]
+        transitions = [row[-4] for row in trajectory_rows(report)]
         assert transitions[0] == 2.0 and all(t == 0.0 for t in transitions[1:])
 
     def test_baselines_share_demand_stream(self, tiny_run_config):
         ao = pipeline.run_baseline(tiny_run_config, "AO", 10)
         oc = pipeline.run_baseline(tiny_run_config, "OC", 10)
         n = tiny_run_config.network.num_users
-        d_ao = [row[3:3 + n] for row in ao.trajectory]
-        d_oc = [row[3:3 + n] for row in oc.trajectory]
+        d_ao = [row[3:3 + n] for row in trajectory_rows(ao)]
+        d_oc = [row[3:3 + n] for row in trajectory_rows(oc)]
         assert d_ao == d_oc
 
     def test_wrong_scheme_rejected(self, tiny_run_config):
@@ -890,7 +942,7 @@ class TestBenchAndEte:
                                     scheme=pipeline.SCHEME_DQN_SOCP) for _ in range(2))
         assert a.instant_w.tobytes() == b.instant_w.tobytes()
         assert a.actions.tobytes() == b.actions.tobytes()
-        assert a.trajectory == b.trajectory
+        assert trajectory_rows(a) == trajectory_rows(b)
 
     def test_ete_rates_in_range(self, tiny_trained, tiny_run_config):
         artifacts, _, _ = tiny_trained
@@ -934,6 +986,30 @@ class TestBenchAndEte:
             first = sample_demands(network, draws)
             assert seen[0].tobytes() == np.concatenate(
                 [np.ones(trained.num_rrhs), first / trained.demand_max_mbps]).tobytes()
+
+    def test_sweep_tunes_as_the_run_it_sweeps(self, tiny_trained, tiny_run_config,
+                                             tmp_path):
+        # At the byte oracle's tune rate, tuning moves the greedy actions
+        # within 60 slots, so tuned and untuned runs read apart. A sweep row
+        # at the config's own ceiling repeats the evaluated run, with or
+        # without --no-tune, and reads its average power.
+        _, _, artifacts = tiny_trained
+        raw = json.loads(TINY.read_text())
+        raw["dqn"].update(learning_rate=0.01, train_interval=1)
+        config = tmp_path / "tune.json"
+        config.write_text(json.dumps(raw))
+        ceiling = repr(tiny_run_config.network.demand_max_mbps)
+        averages = []
+        for flags in ([], ["--no-tune"]):
+            out = tmp_path / ("no-tune" if flags else "tuned")
+            assert cli.main(["evaluate", "--config", str(config), "--artifacts",
+                             str(artifacts), "--out", str(out), "--slots", "60",
+                             "--demand-max-sweep", ceiling, *flags]) == 0
+            _, run = read_csv_columns(out / "eval_dqn_gbdt.csv")
+            _, sweep = read_csv_columns(out / "sweep_dqn_gbdt.csv")
+            assert sweep[0] == [ceiling] and sweep[2] == [run[2][-1]]
+            averages.append(run[2][-1])
+        assert averages[0] != averages[1]
 
 
 def _replay_of_width(width):
